@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swpc.prob_models import (
-    ProbModel,
-    gaussian_integer_pmf,
-    ggm_integer_pmf,
-    gmm_integer_pmf,
-)
+from swpc.prob_models import ProbModel, gaussian_integer_pmf, ggm_integer_pmf, pmf_integer
 
 __all__ = [
     "TOTAL_FREQ",
@@ -43,6 +38,7 @@ __all__ = [
     "LutGrid",
     "quantize_pmf",
     "allocate_frequencies",
+    "cumulative_rows",
     "tables_from_masses",
     "build_lut_gm",
     "build_lut_ggm",
@@ -179,7 +175,7 @@ class CdfTableSet:
         self.meta.setdefault("family", "learned")
         if self.meta["family"] not in _FAMILY_TAGS:
             raise ValueError(f"unknown family {self.meta['family']!r}")
-        self._stacked = None
+        self._flat = None
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -197,18 +193,23 @@ class CdfTableSet:
             a == b for a, b in zip(self.tables, other.tables)
         )
 
-    def stacked(self):
-        """(offsets, n_coded, cumulative matrix) when all tables share a length."""
-        if self._stacked is None:
-            lengths = {len(t.cumulative) for t in self.tables}
-            if len(lengths) != 1:
-                raise ValueError("table lengths differ; no stacked view")
-            self._stacked = (
+    def flat_view(self):
+        """Cached (flat, flat_list, rows, offsets, n_coded) over all tables.
+
+        flat (and the list flat_list) concatenates the cumulative rows, which
+        may differ in length; table t's row starts at flat[rows[t]].
+        """
+        if self._flat is None:
+            lengths = np.array([len(t.cumulative) for t in self.tables], dtype=np.int64)
+            flat = np.concatenate([t.cumulative for t in self.tables])
+            self._flat = (
+                flat,
+                flat.tolist(),
+                np.concatenate([[0], np.cumsum(lengths)[:-1]]),
                 np.array([t.offset for t in self.tables], dtype=np.int64),
-                np.array([t.n_coded for t in self.tables], dtype=np.int64),
-                np.stack([t.cumulative for t in self.tables]),
+                lengths - 2,
             )
-        return self._stacked
+        return self._flat
 
 
 def table_set_16bit_bytes(table_set: CdfTableSet) -> int:
@@ -280,14 +281,13 @@ def allocate_frequencies(masses: np.ndarray) -> np.ndarray:
     return freqs[0] if squeeze else freqs
 
 
-def _model_masses(model: ProbModel, radius: int) -> np.ndarray:
-    ks = np.arange(-radius, radius + 1)
-    p = model.params
-    if model.family == "gm":
-        return gaussian_integer_pmf(ks, p.sigma)
-    if model.family == "ggm":
-        return ggm_integer_pmf(ks, p.beta, p.alpha)
-    return gmm_integer_pmf(ks, p.weights, p.means, p.sigmas)
+def cumulative_rows(masses: np.ndarray) -> np.ndarray:
+    """Cumulative rows (leading 0, coded bins, tail) for rows of bin masses;
+    the tail takes the mass left over, then allocate_frequencies rounds."""
+    masses = np.asarray(masses, dtype=np.float64)
+    tail = np.maximum(0.0, 1.0 - masses.sum(axis=-1, keepdims=True))
+    freqs = allocate_frequencies(np.concatenate([masses, tail], axis=-1))
+    return np.concatenate([np.zeros((len(freqs), 1), np.int64), np.cumsum(freqs, axis=-1)], axis=-1)
 
 
 def quantize_pmf(model: ProbModel, support_radius: int = MAX_RADIUS) -> QuantizedCdfTable:
@@ -297,20 +297,13 @@ def quantize_pmf(model: ProbModel, support_radius: int = MAX_RADIUS) -> Quantize
         raise CapacityError(f"radius {radius} needs {2 * radius + 1} coded symbols; cap is 255")
     if radius < 1:
         raise ValueError("support_radius must be >= 1")
-    masses = _model_masses(model, radius)
-    tail = max(0.0, 1.0 - float(masses.sum()))
-    freqs = allocate_frequencies(np.concatenate([masses, [tail]]))
-    cumulative = np.concatenate([[0], np.cumsum(freqs)])
-    return QuantizedCdfTable(offset=-radius, cumulative=cumulative)
+    masses = pmf_integer(model, np.arange(-radius, radius + 1))
+    return tables_from_masses(masses[None, :], radius)[0]
 
 
 def tables_from_masses(masses: np.ndarray, radius: int) -> list[QuantizedCdfTable]:
     """Vectorized quantize_pmf: one table per row of coded-bin masses."""
-    masses = np.asarray(masses, dtype=np.float64)
-    tail = np.maximum(0.0, 1.0 - masses.sum(axis=-1, keepdims=True))
-    freqs = allocate_frequencies(np.concatenate([masses, tail], axis=-1))
-    cums = np.concatenate([np.zeros((len(freqs), 1), np.int64), np.cumsum(freqs, axis=-1)], axis=-1)
-    return [QuantizedCdfTable(offset=-radius, cumulative=c) for c in cums]
+    return [QuantizedCdfTable(offset=-radius, cumulative=c) for c in cumulative_rows(masses)]
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +488,7 @@ def deserialize_table_set(data: bytes) -> CdfTableSet:
     for _ in range(count):
         offset, n_entries = struct.unpack("<iH", r.take(6))
         stored = np.frombuffer(r.take(4 * n_entries), dtype="<u4").astype(np.int64)
-        cumulative = np.concatenate([[0], stored])
-        try:
-            tables.append(QuantizedCdfTable(offset=offset, cumulative=cumulative))
-        except TableInvariantError:
-            raise
-        except ValueError as exc:  # pragma: no cover - defensive
-            raise TableInvariantError(str(exc)) from exc
+        tables.append(QuantizedCdfTable(offset=offset, cumulative=np.concatenate([[0], stored])))
     meta = {"family": _TAG_FAMILIES[family_tag]}
     if r.remaining:
         (blob_len,) = struct.unpack("<I", r.take(4))

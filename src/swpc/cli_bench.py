@@ -251,12 +251,11 @@ def _trained_sidecar(prefix: str) -> dict:
 def _argmin_index_grid(block: cb.LatentBlock, table_set: ct.CdfTableSet,
                        dims: list[int]) -> cb.IndexGrid:
     """Cheapest-table assignment per element; encoder-side free indexing."""
-    symbols = block.residuals.ravel()
-    bits = np.empty((len(table_set), symbols.size))
-    for t in range(len(table_set)):
-        bits[t] = rc.implied_bits(symbols, np.full(symbols.size, t, np.int64),
-                                  table_set)
-    flat = bits.argmin(axis=0)
+    uniques, inverse = np.unique(block.residuals, return_inverse=True)
+    count = len(table_set)
+    bits = rc.implied_bits(np.tile(uniques, count),
+                           np.repeat(np.arange(count), uniques.size), table_set)
+    flat = bits.reshape(count, -1).argmin(axis=0)[inverse.ravel()]
     if len(dims) == 1:
         cont = (flat + 1.0).reshape(block.shape)
         return cb.IndexGrid.from_continuous(cont, int(dims[0]))

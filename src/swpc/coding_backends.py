@@ -24,7 +24,7 @@ import numpy as np
 from swpc.cdf_tables import (
     CdfTableSet,
     LutGrid,
-    allocate_frequencies,
+    cumulative_rows,
     lut_search_ggm,
     lut_search_gm,
     serialize_table_set,
@@ -352,14 +352,8 @@ def _dynamic_chunk_builder(truth: dict, radii: np.ndarray):
         flat = np.empty(int(lengths.sum()), dtype=np.int64)
         for radius in np.unique(r):
             ids = np.nonzero(r == radius)[0]
-            ks = np.arange(-radius, radius + 1)
-            masses = _bin_masses(truth, ids + lo, ks)
-            tail = np.maximum(0.0, 1.0 - masses.sum(axis=-1, keepdims=True))
-            freqs = allocate_frequencies(np.concatenate([masses, tail], axis=-1))
-            cums = np.concatenate(
-                [np.zeros((len(ids), 1), np.int64), np.cumsum(freqs, axis=-1)], axis=-1
-            )
-            flat[rows[ids][:, None] + np.arange(2 * radius + 3)] = cums
+            masses = _bin_masses(truth, ids + lo, np.arange(-radius, radius + 1))
+            flat[rows[ids][:, None] + np.arange(2 * radius + 3)] = cumulative_rows(masses)
         return flat, None, rows, -r, 2 * r + 1
 
     return chunk

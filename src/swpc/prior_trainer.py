@@ -12,26 +12,25 @@ export to quantized CDF tables.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf_tables import CdfTableSet, quantize_pmf
+from .cdf_tables import CdfTableSet, tables_from_masses
 from .coding_backends import IndexGrid, LatentBlock, SkipMask, harden_index
 from .prob_models import (
     PROB_FLOOR,
-    GaussianParams,
-    GeneralizedGaussianParams,
-    GmmParams,
     InfiniteRateError,
+    ParameterDomainError,
     ProbModel,
+    gaussian_integer_pmf,
     gaussian_pmf_grads,
     ggm_alpha_for_std,
+    ggm_integer_pmf,
     ggm_pmf_grads,
+    gmm_integer_pmf,
     gmm_pmf_grads,
-    pmf_integer,
 )
 
 _LN2 = math.log(2.0)
@@ -77,24 +76,27 @@ def _softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def _coord_params(family: str, coords_rows: np.ndarray) -> tuple:
+    """Model parameters for each row of coordinates, ready to broadcast
+    against a trailing symbol axis: gm (sigma,) and ggm (beta, alpha) as
+    (rows, 1) arrays, gmm (weights, means, sigmas) as (rows, 1, K)."""
+    if family == "gm":
+        return (np.exp(coords_rows[:, :1]),)
+    if family == "ggm":
+        return np.clip(np.exp(coords_rows[:, :1]), _BETA_MIN, _BETA_MAX), np.exp(coords_rows[:, 1:2])
+    k = coords_rows.shape[1] // 3
+    return (_softmax(coords_rows[:, None, :k]), coords_rows[:, None, k:2 * k],
+            np.exp(coords_rows[:, None, 2 * k:]))
+
+
 def model_from_coords(family: str, coords: np.ndarray) -> ProbModel:
     """Project one unconstrained coordinate vector to a validated model."""
-    coords = np.asarray(coords, dtype=np.float64)
+    params = [p.ravel() for p in _coord_params(family, np.asarray(coords, dtype=np.float64)[None, :])]
     if family == "gm":
-        return ProbModel("gm", GaussianParams(sigma=float(np.exp(coords[0]))))
+        return ProbModel.gaussian(params[0][0])
     if family == "ggm":
-        beta = float(np.clip(np.exp(coords[0]), _BETA_MIN, _BETA_MAX))
-        return ProbModel("ggm", GeneralizedGaussianParams(beta=beta, alpha=float(np.exp(coords[1]))))
-    k = coords.size // 3
-    weights = _softmax(coords[:k])
-    return ProbModel(
-        "gmm",
-        GmmParams(
-            weights=tuple(weights.tolist()),
-            means=tuple(coords[k:2 * k].tolist()),
-            sigmas=tuple(np.exp(coords[2 * k:]).tolist()),
-        ),
-    )
+        return ProbModel.generalized_gaussian(params[0][0], params[1][0])
+    return ProbModel.mixture(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +318,7 @@ def soft_weights(i: float, m: int, tau: float) -> np.ndarray:
         raise ValueError("tau must be positive")
     if m < 1:
         raise ValueError("m must be >= 1")
-    dist = np.abs(float(i) - np.arange(1, m + 1, dtype=np.float64))
-    return _softmax(-dist / tau)
+    return _window(np.array([float(i)]), m, m, tau)[2][0]
 
 
 def soft_weights_2d(i: float, j: float, m: int, n: int, tau: float) -> np.ndarray:
@@ -349,79 +350,84 @@ def top2_pairs_2d(i: float, j: float, m: int, n: int) -> list[tuple[int, int]]:
     return [(r, c) for r in rows for c in cols]
 
 
-def _selected_rates(symbol: int, prior_set: PriorSet1D, selection: np.ndarray) -> np.ndarray:
-    rates = np.empty(len(selection), dtype=np.float64)
-    for pos, index in enumerate(selection):
-        p = float(pmf_integer(prior_set.model(int(index)), symbol))
-        if p < PROB_FLOOR:
-            raise InfiniteRateError(
-                f"prior {int(index)} gives symbol {symbol} probability {p:.3e} < 2^-32"
-            )
-        rates[pos] = -math.log2(p)
-    return rates
+def _window(ivals: np.ndarray, m: int, k: int, tau: float):
+    """(zero-based priors (n, k), i - prior, softmax of -|i - prior| / tau).
+
+    The k integers in [1, m] nearest to i, ties to the smaller, form the
+    window starting at clip(ceil(i - k/2), 1, m - k + 1); fmax/fmin send a
+    NaN index to the first window, whose NaN weights surface in the loss.
+    """
+    start = np.fmin(np.fmax(np.ceil(ivals - k / 2.0), 1.0), m - k + 1.0)
+    sel = start.astype(np.int64)[:, None] - 1 + np.arange(k)
+    offset = ivals[:, None] - (sel + 1.0)
+    return sel, offset, _softmax(-np.abs(offset) / tau, axis=1)
+
+
+def _window_pass(rates, grads, inverse, ivals, k, tau, element_weights=None):
+    """Top-K rates over _family_tables output for the symbols inverse indexes.
+
+    Returns per-element rates and d rate / d i, the (M, U) prior weight on
+    each symbol scaled by the optional per-element weights, and the
+    gradient of the weighted rate sum in the prior coordinates.
+    """
+    m, u = rates.shape
+    sel, offset, weights = _window(ivals, m, k, tau)
+    sel_rates = rates[sel, inverse[:, None]]
+    element_rates = (weights * sel_rates).sum(axis=1)
+    signs = np.sign(offset)
+    mean_sign = (weights * signs).sum(axis=1, keepdims=True)
+    # d pi_m / d i = pi_m (mean_l pi_l s_l - s_m) / tau under the softmax
+    di = (weights * sel_rates * (mean_sign - signs)).sum(axis=1) / tau
+    if element_weights is not None:
+        weights = weights * element_weights[:, None]
+    touched = np.bincount((sel * u + inverse[:, None]).ravel(), weights=weights.ravel(),
+                          minlength=m * u).reshape(m, u)
+    return element_rates, di, touched, np.einsum("mu,mud->md", touched, grads)
+
+
+def _check_floor(pmf, touched, uniques):
+    """Raise where a prior under the 2^-32 floor carries weight on a symbol."""
+    bad = np.argwhere((pmf < PROB_FLOOR) & (touched > 0.0))
+    if len(bad):
+        m_bad, u_bad = bad[0]
+        raise InfiniteRateError(
+            f"prior {m_bad + 1} gives symbol {int(uniques[u_bad])} probability < 2^-32")
+
+
+def _rate_pass(symbols, prior_set: PriorSet1D, ivals, tau: float, k: int, element_weights=None):
+    """(rates, d/d prior coords, d/d i) for raw symbols; the kernel floors,
+    but the public rate functions raise on a floored prior with weight."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if not 1 <= k <= prior_set.m:
+        raise ValueError("k must satisfy 1 <= k <= m")
+    uniques, inverse = np.unique(symbols, return_inverse=True)
+    rates, grads, pmf = _family_tables(prior_set.family, prior_set.params, uniques)
+    element_rates, di, touched, dtheta = _window_pass(
+        rates, grads, inverse.ravel(), ivals, k, tau, element_weights)
+    _check_floor(pmf, touched, uniques)
+    return element_rates, dtheta, di
 
 
 def weighted_rate(symbol: int, prior_set: PriorSet1D, i: float, tau: float) -> float:
     """Rate estimate sum_m pi_m * rate(theta_m, symbol) over the full set."""
-    weights = soft_weights(i, prior_set.m, tau)
-    live = weights > 0.0
-    rates = np.zeros(prior_set.m)
-    rates[live] = _selected_rates(symbol, prior_set, np.nonzero(live)[0] + 1)
-    return float(np.dot(weights, rates))
+    return weighted_rate_grads(symbol, prior_set, i, tau)[0]
 
 
 def topk_rate(symbol: int, prior_set: PriorSet1D, i: float, tau: float, k: int) -> float:
     """weighted_rate restricted to the k nearest priors, renormalized."""
-    selection = top_k_indices(i, prior_set.m, k)
-    dist = np.abs(float(i) - selection.astype(np.float64))
-    weights = _softmax(-dist / tau)
-    rates = _selected_rates(symbol, prior_set, selection)
-    return float(np.dot(weights, rates))
+    return topk_rate_grads(symbol, prior_set, i, tau, k)[0]
 
 
 def weighted_rate_grads(symbol: int, prior_set: PriorSet1D, i: float, tau: float):
     """(rate, d rate / d prior coords (M, D), d rate / d i)."""
-    return _rate_grads(symbol, prior_set, i, tau, np.arange(1, prior_set.m + 1))
+    return topk_rate_grads(symbol, prior_set, i, tau, prior_set.m)
 
 
 def topk_rate_grads(symbol: int, prior_set: PriorSet1D, i: float, tau: float, k: int):
-    return _rate_grads(symbol, prior_set, i, tau, top_k_indices(i, prior_set.m, k))
-
-
-def _coord_rate_grads(prior_set: PriorSet1D, index: int, symbol: int):
-    """(rate, d rate / d coords) for one prior, raising below the floor."""
-    model = prior_set.model(index)
-    p = model.params
-    if prior_set.family == "gm":
-        pmf, dls = gaussian_pmf_grads(symbol, p.sigma)
-        grads = np.array([dls])
-    elif prior_set.family == "ggm":
-        pmf, dlb, dla = ggm_pmf_grads(symbol, p.beta, p.alpha)
-        grads = np.array([dlb, dla])
-    else:
-        pmf, dw, dm, ds = gmm_pmf_grads(symbol, np.array(p.weights), np.array(p.means), np.array(p.sigmas))
-        grads = np.concatenate([dw, dm, ds])
-    pmf = float(pmf)
-    if pmf < PROB_FLOOR:
-        raise InfiniteRateError(f"prior {index} gives symbol {symbol} probability {pmf:.3e} < 2^-32")
-    return -math.log2(pmf), -np.asarray(grads, np.float64) / (pmf * _LN2)
-
-
-def _rate_grads(symbol, prior_set, i, tau, selection):
-    dist = np.abs(float(i) - selection.astype(np.float64))
-    weights = _softmax(-dist / tau)
-    rates = np.zeros(len(selection))
-    dtheta = np.zeros_like(prior_set.params)
-    for pos, index in enumerate(selection):
-        if weights[pos] == 0.0:
-            continue  # an unweighted prior may not see the symbol at all
-        rates[pos], grad = _coord_rate_grads(prior_set, int(index), symbol)
-        dtheta[index - 1] = weights[pos] * grad
-    rate = float(np.dot(weights, rates))
-    signs = np.sign(float(i) - selection.astype(np.float64))
-    # d pi_m / d i = pi_m (mean_l pi_l s_l - s_m) / tau under the softmax
-    di = float(np.dot(weights, rates * (np.dot(weights, signs) - signs)) / tau)
-    return rate, dtheta, di
+    rates, dtheta, di = _rate_pass(np.array([symbol], dtype=np.int64), prior_set,
+                                   np.array([float(i)]), tau, k)
+    return float(rates[0]), dtheta, float(di[0])
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +471,7 @@ def gumbel_mask_grad(b, t: float, coefficient: float = 0.5, noise_seed: int = 0)
 
 def hyper_rate(z_block: LatentBlock, prior_set: PriorSet1D, logits: HyperLogits) -> float:
     """Hyperlatent rate reusing the prior set: per-channel softmax over all M."""
-    rate, _, _ = hyper_rate_grads(z_block, prior_set, logits)
-    return rate
+    return hyper_rate_grads(z_block, prior_set, logits)[0]
 
 
 def hyper_rate_grads(z_block: LatentBlock, prior_set: PriorSet1D, logits: HyperLogits):
@@ -475,30 +480,10 @@ def hyper_rate_grads(z_block: LatentBlock, prior_set: PriorSet1D, logits: HyperL
         raise ValueError("logits width must match the prior count")
     if logits.channels != z_block.channels:
         raise ValueError("logits must have one row per hyperlatent channel")
-    weights = logits.weights()
-    per_channel = z_block.residuals.reshape(z_block.channels, -1)
-    uniques, inverse = np.unique(per_channel, return_inverse=True)
-    inverse = inverse.reshape(per_channel.shape)
-    rates, grads, pmf = _family_tables(prior_set.family, prior_set.params, uniques,
-                                       prior_set.components)
-    counts = np.zeros((z_block.channels, len(uniques)))
-    for c in range(z_block.channels):
-        np.add.at(counts[c], inverse[c], 1.0)
-    bad = pmf < PROB_FLOOR
-    if bad.any():
-        # error only when a weighted prior meets a symbol its channel holds
-        exposed = (weights > 0.0).astype(np.float64).T @ (counts > 0.0)
-        if (bad & (exposed > 0.0)).any():
-            m_bad, u_bad = np.argwhere(bad & (exposed > 0.0))[0]
-            raise InfiniteRateError(
-                f"prior {m_bad + 1} gives symbol {int(uniques[u_bad])} probability < 2^-32"
-            )
-    rate_sums = counts @ rates.T
-    channel_rates = (weights * rate_sums).sum(axis=1)
-    dlogits = weights * (rate_sums - channel_rates[:, None])
-    touched = weights.T @ counts
-    dtheta = np.einsum("mu,mud->md", touched, grads)
-    return float(channel_rates.sum()), dlogits, dtheta
+    uniques, counts = _channel_counts(z_block)
+    rates, grads, pmf = _family_tables(prior_set.family, prior_set.params, uniques)
+    _check_floor(pmf, logits.weights().T @ counts, uniques)
+    return _hyper_pass(rates, grads, counts, logits.logits)
 
 
 def skip_loss(block: LatentBlock, prior_set: PriorSet1D, indexes: IndexGrid,
@@ -546,21 +531,9 @@ def skip_loss_grads(block: LatentBlock, prior_set: PriorSet1D, indexes: IndexGri
         mask, dmask_dparam = gumbel_mask_grad(mask_soft, t, noise_seed=noise_seed)
 
     symbols = block.residuals.ravel()
-    ivals = indexes.continuous.ravel()
     flat_mask = mask.ravel()
-    kk = prior_set.m if k is None else k
-    n = symbols.size
-    rates = np.empty(n)
-    dtheta = np.zeros_like(prior_set.params)
-    di = np.empty(n)
-    for e in range(n):
-        rate, dth, die = _rate_grads(
-            int(symbols[e]), prior_set, float(ivals[e]), tau,
-            top_k_indices(float(ivals[e]), prior_set.m, kk),
-        )
-        rates[e] = rate
-        dtheta += flat_mask[e] * dth
-        di[e] = flat_mask[e] * die
+    rates, dtheta, di = _rate_pass(symbols, prior_set, indexes.continuous.ravel(), tau,
+                                   prior_set.m if k is None else k, flat_mask)
     residual_sq = symbols.astype(np.float64) ** 2
     distortion = float(np.sum((1.0 - flat_mask) ** 2 * residual_sq))
     loss = float(np.dot(flat_mask, rates)) + lambda_ * distortion
@@ -573,7 +546,7 @@ def skip_loss_grads(block: LatentBlock, prior_set: PriorSet1D, indexes: IndexGri
         z_rate, dlogits, z_dtheta = hyper_rate_grads(z_block, prior_set, z_logits)
         loss += z_rate
         dtheta += z_dtheta
-    return loss, dtheta, di.reshape(block.shape), (dmask * dmask_dparam.ravel()).reshape(block.shape), dlogits
+    return loss, dtheta, (flat_mask * di).reshape(block.shape), (dmask * dmask_dparam.ravel()).reshape(block.shape), dlogits
 
 
 # ---------------------------------------------------------------------------
@@ -673,31 +646,25 @@ def _as_blocks(blocks) -> list[LatentBlock]:
     return out
 
 
-def _family_tables(family: str, coords_rows: np.ndarray, uniques: np.ndarray, components: int):
+def _family_tables(family: str, coords_rows: np.ndarray, uniques: np.ndarray):
     """Per-prior floored rates, rate gradients, and raw pmf over uniques.
 
     Returns (rates (A, U), grads (A, U, D), pmf (A, U)); gradients are zero
     wherever the probability sits on the 2^-32 floor, like the rate itself.
     """
-    k = uniques.astype(np.float64)
+    k = uniques.astype(np.float64)[None, :]
     # divergent coordinate values overflow exp on purpose; the NaN loss they
     # produce is caught by the trainer, so the numpy warnings are noise
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        params = _coord_params(family, coords_rows)
         if family == "gm":
-            sigma = np.exp(coords_rows[:, :1])
-            pmf, dls = gaussian_pmf_grads(k[None, :], sigma)
+            pmf, dls = gaussian_pmf_grads(k, *params)
             grads = dls[:, :, None]
         elif family == "ggm":
-            beta = np.clip(np.exp(coords_rows[:, :1]), _BETA_MIN, _BETA_MAX)
-            alpha = np.exp(coords_rows[:, 1:2])
-            pmf, dlb, dla = ggm_pmf_grads(k[None, :], beta, alpha)
+            pmf, dlb, dla = ggm_pmf_grads(k, *params)
             grads = np.stack([dlb, dla], axis=-1)
         else:
-            kk = components
-            weights = _softmax(coords_rows[:, :kk])[:, None, :]
-            means = coords_rows[:, None, kk:2 * kk]
-            sigmas = np.exp(coords_rows[:, None, 2 * kk:])
-            pmf, dw, dm, ds = gmm_pmf_grads(k[None, :], weights, means, sigmas)
+            pmf, dw, dm, ds = gmm_pmf_grads(k, *params)
             grads = np.concatenate([dw, dm, ds], axis=-1)
         floored = pmf < PROB_FLOOR
         rates = -np.log2(np.maximum(pmf, PROB_FLOOR))
@@ -705,23 +672,21 @@ def _family_tables(family: str, coords_rows: np.ndarray, uniques: np.ndarray, co
         return rates, grads * scale[:, :, None], pmf
 
 
-def _window_weights(count: int, k: int, tau: float):
-    """Integer-index Top-K selections and weights for assignments 1..count."""
-    selections = np.empty((count, k), dtype=np.int64)
-    weights = np.empty((count, k))
-    for a in range(count):
-        sel = top_k_indices(a + 1.0, count, k)
-        selections[a] = sel - 1
-        weights[a] = _softmax(-np.abs(a + 1.0 - sel) / tau)
-    return selections, weights
-
-
 def _assignment_matrix(count: int, k: int, tau: float) -> np.ndarray:
     """Row a: weights over all priors when the index sits exactly at a+1."""
-    selections, weights = _window_weights(count, k, tau)
+    sel, _, weights = _window(np.arange(1.0, count + 1.0), count, k, tau)
     full = np.zeros((count, count))
-    np.put_along_axis(full, selections, weights, axis=1)
+    np.put_along_axis(full, sel, weights, axis=1)
     return full
+
+
+def _channel_counts(z_block: LatentBlock):
+    """A hyperlatent block's symbol table and its (channels, U) counts."""
+    per_channel = z_block.residuals.reshape(z_block.channels, -1)
+    uniques, inverse = np.unique(per_channel, return_inverse=True)
+    cells = np.arange(z_block.channels)[:, None] * len(uniques) + inverse.reshape(per_channel.shape)
+    counts = np.bincount(cells.ravel(), minlength=z_block.channels * len(uniques))
+    return uniques, counts.reshape(z_block.channels, -1).astype(np.float64)
 
 
 def train_priors(blocks, config: TrainConfig, schedule: AnnealSchedule | None = None,
@@ -770,12 +735,10 @@ def train_priors(blocks, config: TrainConfig, schedule: AnnealSchedule | None = 
         intercept = 1.0 - slope * log_f.min() if span > 0 else (config.dims[0] + 1) / 2.0
         curve_opt = _Adam(2, config.lr)
 
-    z_uniques = z_inverse = None
+    z_uniques = z_counts = None
     logits = None
     if z_block is not None:
-        z_syms = z_block.residuals.reshape(z_block.channels, -1)
-        z_uniques, z_inverse = np.unique(z_syms, return_inverse=True)
-        z_inverse = z_inverse.reshape(z_syms.shape)
+        z_uniques, z_counts = _channel_counts(z_block)
         logits = np.zeros((z_block.channels, flat))
         logits_opt = _Adam(logits.shape, config.lr)
 
@@ -791,12 +754,12 @@ def train_priors(blocks, config: TrainConfig, schedule: AnnealSchedule | None = 
         tau = schedule.tau(epoch)
         lr_scale = 0.01 if epoch >= 0.8 * config.epochs else (0.1 if epoch >= 0.5 * config.epochs else 1.0)
         opt.lr = config.lr * lr_scale
-        rates, grads, _ = _family_tables(config.family, coords, uniques, config.components)
+        rates, grads, _ = _family_tables(config.family, coords, uniques)
 
         if calibration:
             ivals = slope * log_f + intercept
             loss, dtheta, dslope, dintercept = _calibration_pass(
-                rates, grads, inverse, ivals, log_f, config.dims[0], min(kk, config.dims[0]), tau)
+                rates, grads, inverse, ivals, log_f, min(kk, config.dims[0]), tau)
         else:
             assignment = rates[:, inverse].argmin(axis=0)
             ivals = assignment.astype(np.float64) + 1.0
@@ -804,17 +767,16 @@ def train_priors(blocks, config: TrainConfig, schedule: AnnealSchedule | None = 
                 weight_rows = _grid_assignment_matrix(config.dims, kk_dim, tau)
             else:
                 weight_rows = _assignment_matrix(flat, min(kk, flat), tau)
-            counts = np.zeros((flat, len(uniques)))
-            np.add.at(counts, (assignment, inverse), 1.0)
+            counts = np.bincount(assignment * len(uniques) + inverse,
+                                 minlength=flat * len(uniques)).reshape(flat, -1)
             loss = float(np.sum(counts * (weight_rows @ rates)))
             touched = weight_rows.T @ counts
             dtheta = np.einsum("mu,mud->md", touched, grads)
 
         if z_block is not None:
             # z has its own symbol table; the main-block rates don't apply
-            z_rates, z_grads, _ = _family_tables(
-                config.family, coords, z_uniques, config.components)
-            z_loss, dlogits, z_dtheta = _hyper_pass(z_rates, z_grads, z_inverse, logits)
+            z_rates, z_grads, _ = _family_tables(config.family, coords, z_uniques)
+            z_loss, dlogits, z_dtheta = _hyper_pass(z_rates, z_grads, z_counts, logits)
             loss += z_loss
             dtheta += z_dtheta
             logits += logits_opt.step(dlogits)
@@ -830,7 +792,7 @@ def train_priors(blocks, config: TrainConfig, schedule: AnnealSchedule | None = 
 
     final_tau = schedule.tau(config.epochs - 1)
     # rebuild the assignment under the final coordinates
-    rates, _, _ = _family_tables(config.family, coords, uniques, config.components)
+    rates, _, _ = _family_tables(config.family, coords, uniques)
     if calibration:
         ivals = slope * log_f + intercept
         predictor = {"mode": "calibration-curve", "a": float(slope), "c": float(intercept)}
@@ -861,10 +823,9 @@ def train_priors(blocks, config: TrainConfig, schedule: AnnealSchedule | None = 
     if config.skip_epochs > 0:
         z_rates = None
         if config.mask_hyper and z_block is not None:
-            z_rates, _, _ = _family_tables(config.family, coords, z_uniques,
-                                           config.components)
+            z_rates, _, _ = _family_tables(config.family, coords, z_uniques)
         skip_head, skip_trace, final_t = _train_skip(
-            symbols, rates, inverse, indexes, config, schedule, hyper, z_inverse,
+            symbols, rates, inverse, indexes, config, schedule, hyper, z_counts,
             z_block, shaped, z_rates)
 
     return TrainResult(
@@ -883,56 +844,27 @@ def train_priors(blocks, config: TrainConfig, schedule: AnnealSchedule | None = 
 def _grid_assignment_matrix(dims: tuple, k_dim: int, tau: float) -> np.ndarray:
     """Flat-assignment weight rows for a 2-D grid: per-dimension windows."""
     m, n = dims
-    sel_m, w_m = _window_weights(m, min(k_dim, m), tau)
-    sel_n, w_n = _window_weights(n, min(k_dim, n), tau)
-    flat = m * n
-    full = np.zeros((flat, flat))
-    for a in range(m):
-        for b in range(n):
-            row = a * n + b
-            cells = (sel_m[a][:, None] * n + sel_n[b][None, :]).ravel()
-            full[row, cells] = np.outer(w_m[a], w_n[b]).ravel()
-    return full
+    return np.kron(_assignment_matrix(m, min(k_dim, m), tau), _assignment_matrix(n, min(k_dim, n), tau))
 
 
-def _calibration_pass(rates, grads, inverse, ivals, log_f, m, k, tau):
+def _calibration_pass(rates, grads, inverse, ivals, log_f, k, tau):
     """Loss and gradients when indexes come from the log-linear curve."""
-    n = ivals.size
-    candidates = np.arange(1, m + 1, dtype=np.float64)
-    dist = np.abs(ivals[:, None] - candidates[None, :])
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    sel_dist = np.take_along_axis(dist, order, axis=1)
-    weights = _softmax(-sel_dist / tau, axis=1)
-    sel_rates = rates[order, inverse[:, None]]
-    loss = float(np.sum(weights * sel_rates))
-
-    touched = np.zeros_like(rates)
-    np.add.at(touched, (order.ravel(), np.repeat(inverse, k)), weights.ravel())
-    dtheta = np.einsum("mu,mud->md", touched, grads)
-
-    signs = np.sign(ivals[:, None] - (order + 1.0))
-    mean_sign = (weights * signs).sum(axis=1, keepdims=True)
-    di = (weights * sel_rates * (mean_sign - signs)).sum(axis=1) / tau
-    return loss, dtheta, float(np.dot(di, log_f)), float(di.sum())
+    element_rates, di, _, dtheta = _window_pass(rates, grads, inverse, ivals, k, tau)
+    return float(element_rates.sum()), dtheta, float(np.dot(di, log_f)), float(di.sum())
 
 
-def _hyper_pass(rates, grads, z_inverse, logits):
+def _hyper_pass(rates, grads, counts, logits):
     """Hyperlatent rate over tabulated symbols: loss plus both gradients."""
     weights = _softmax(logits, axis=1)
-    counts = np.zeros((logits.shape[0], rates.shape[1]))
-    for c in range(logits.shape[0]):
-        np.add.at(counts[c], z_inverse[c], 1.0)
     rate_sums = counts @ rates.T
     channel_rates = (weights * rate_sums).sum(axis=1)
-    loss = float(channel_rates.sum())
     dlogits = weights * (rate_sums - channel_rates[:, None])
-    touched = weights.T @ counts
-    dtheta = np.einsum("mu,mud->md", touched, grads)
-    return loss, dlogits, dtheta
+    dtheta = np.einsum("mu,mud->md", weights.T @ counts, grads)
+    return float(channel_rates.sum()), dlogits, dtheta
 
 
 def _train_skip(symbols, rates, inverse, indexes, config, schedule, hyper,
-                z_inverse, z_block, shaped, z_rates=None):
+                z_counts, z_block, shaped, z_rates=None):
     """Phase 2: priors frozen, per-element mask parameters trained."""
     idx = indexes.flat_table_indexes()
     element_rates = rates[idx, inverse]
@@ -944,10 +876,7 @@ def _train_skip(symbols, rates, inverse, indexes, config, schedule, hyper,
     b_z = None
     if config.mask_hyper and z_block is not None:
         weights = _softmax(hyper.logits, axis=1)
-        counts = np.zeros((z_block.channels, z_rates.shape[1]))
-        for c in range(z_block.channels):
-            np.add.at(counts[c], z_inverse[c], 1.0)
-        channel_rates = (weights * (counts @ z_rates.T)).sum(axis=1)
+        channel_rates = (weights * (z_counts @ z_rates.T)).sum(axis=1)
         channel_energy = (z_block.residuals.reshape(z_block.channels, -1).astype(np.float64) ** 2).sum(axis=1)
         b_z = np.ones(z_block.channels)
         opt_z = _Adam(b_z.shape, config.lr)
@@ -977,12 +906,20 @@ def _train_skip(symbols, rates, inverse, indexes, config, schedule, hyper,
 # Export
 
 
+_INTEGER_PMF = {"gm": gaussian_integer_pmf, "ggm": ggm_integer_pmf, "gmm": gmm_integer_pmf}
+
+
 def export_tables(prior_set: PriorSet1D | PriorSet2D) -> CdfTableSet:
     """One quantized table per prior, row-major for grids; deterministic."""
-    tables = [quantize_pmf(model, support_radius=_EXPORT_RADIUS) for model in prior_set.models()]
+    params = _coord_params(prior_set.family, prior_set.params.reshape(-1, prior_set.params.shape[-1]))
+    # the last parameter is the scale, which exp can overflow or underflow
+    if not all(np.isfinite(p).all() for p in params) or (params[-1] <= 0).any():
+        raise ParameterDomainError("prior coordinates map outside the model parameter domain")
+    ks = np.arange(-_EXPORT_RADIUS, _EXPORT_RADIUS + 1)
+    masses = _INTEGER_PMF[prior_set.family](ks[None, :], *params)
     meta = {"family": prior_set.family}
     if isinstance(prior_set, PriorSet2D):
         meta["dims"] = [prior_set.m, prior_set.n]
     else:
         meta["dims"] = [prior_set.m]
-    return CdfTableSet(tables, meta=meta)
+    return CdfTableSet(tables_from_masses(masses, _EXPORT_RADIUS), meta=meta)

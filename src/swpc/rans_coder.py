@@ -132,40 +132,17 @@ class _BitReader:
 
 
 # ---------------------------------------------------------------------------
-# Table gathers
+# Table gather
 
 
-def _flat_view(table_set: CdfTableSet):
-    """Concatenated cumulative rows plus per-table geometry, cached on the set."""
-    cached = getattr(table_set, "_flat_view", None)
-    if cached is None:
-        lengths = np.array([len(t.cumulative) for t in table_set.tables], dtype=np.int64)
-        rows = np.concatenate([[0], np.cumsum(lengths)])[:-1]
-        flat = np.concatenate([t.cumulative for t in table_set.tables]).astype(np.int64)
-        offsets = np.array([t.offset for t in table_set.tables], dtype=np.int64)
-        n_coded = lengths - 2
-        cached = (flat, flat.tolist(), rows, offsets, n_coded)
-        table_set._flat_view = cached
-    return cached
-
-
-def _gather(symbols, table_indexes, table_set):
-    sym = np.asarray(symbols, dtype=np.int64).ravel()
-    idx = np.asarray(table_indexes, dtype=np.int64).ravel()
-    if sym.shape != idx.shape:
-        raise ValueError("symbols and table_indexes must have equal length")
-    if len(idx) and (idx.min() < 0 or idx.max() >= len(table_set)):
-        raise ValueError("table index out of range")
-    flat, _, rows, offsets, n_coded = _flat_view(table_set)
-    lo = offsets[idx]
-    nc = n_coded[idx]
-    j = sym - lo
-    in_range = (j >= 0) & (j < nc)
-    slot = np.where(in_range, j, nc)
-    base = rows[idx] + slot
+def _slots(sym, flat, rows, offsets, n_coded):
+    """(j = symbol - offset, in coded span, slot start, slot frequency);
+    symbols outside the coded span take the tail slot."""
+    j = sym - offsets
+    in_range = (j >= 0) & (j < n_coded)
+    base = rows + np.where(in_range, j, n_coded)
     starts = flat[base]
-    freqs = flat[base + 1] - starts
-    return sym, idx, lo, nc, in_range, slot, starts, freqs
+    return j, in_range, starts, flat[base + 1] - starts
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +167,7 @@ def encode_elementwise(symbols, chunk_tables, chunk_size: int = 16384) -> Bitstr
     for lo in range(((n - 1) // chunk_size) * chunk_size, -1, -chunk_size) if n else []:
         hi = min(lo + chunk_size, n)
         flat, _, rows, offs, nc = chunk_tables(lo, hi)
-        s = sym[lo:hi]
-        j = s - offs
-        in_range = (j >= 0) & (j < nc)
-        slot = np.where(in_range, j, nc)
-        base = rows + slot
-        starts = flat[base]
-        freqs = flat[base + 1] - starts
+        j, in_range, starts, freqs = _slots(sym[lo:hi], flat, rows, offs, nc)
         frag = []
         if not in_range.all():
             for i in np.nonzero(~in_range)[0]:
@@ -264,32 +235,22 @@ def decode_elementwise(stream: Bitstream, chunk_tables, chunk_size: int = 16384)
                 push(off - 1 - bypass.read_eg0())
             else:
                 push(off + nci + bypass.read_eg0())
-    return np.asarray(out, dtype=np.int64)
+    try:
+        return np.asarray(out, dtype=np.int64)
+    except OverflowError as exc:
+        raise StreamError("escaped symbol does not fit int64") from exc
 
 
 def encode(symbols, table_indexes, table_set: CdfTableSet) -> Bitstream:
     """Code symbols against per-symbol tables; deterministic payload."""
     sym = np.asarray(symbols, dtype=np.int64).ravel()
-    idx = _checked_indexes(table_indexes, len(sym), table_set)
-    flat, _, rows, offsets, n_coded = _flat_view(table_set)
-
-    def chunk(lo, hi):
-        s = idx[lo:hi]
-        return flat, None, rows[s], offsets[s], n_coded[s]
-
+    chunk = _shared_chunks(table_indexes, len(sym), table_set)
     return encode_elementwise(sym, chunk, chunk_size=max(len(sym), 1))
 
 
 def decode(stream: Bitstream, table_indexes, table_set: CdfTableSet) -> np.ndarray:
     """Exact inverse of encode given the same indexes and table set."""
-    idx = _checked_indexes(table_indexes, stream.symbol_count, table_set)
-    _, flat_l, rows, offsets, n_coded = _flat_view(table_set)
-    flat = np.empty(0, dtype=np.int64)  # decode path works off the list view
-
-    def chunk(lo, hi):
-        s = idx[lo:hi]
-        return flat, flat_l, rows[s], offsets[s], n_coded[s]
-
+    chunk = _shared_chunks(table_indexes, stream.symbol_count, table_set)
     return decode_elementwise(stream, chunk, chunk_size=max(stream.symbol_count, 1))
 
 
@@ -302,18 +263,31 @@ def _checked_indexes(table_indexes, expect_len, table_set) -> np.ndarray:
     return idx
 
 
+def _shared_chunks(table_indexes, expect_len, table_set: CdfTableSet):
+    """Chunk-table callback giving element e table table_indexes[e] of a set."""
+    idx = _checked_indexes(table_indexes, expect_len, table_set)
+    flat, flat_list, rows, offsets, n_coded = table_set.flat_view()
+
+    def chunk(lo, hi):
+        s = idx[lo:hi]
+        return flat, flat_list, rows[s], offsets[s], n_coded[s]
+
+    return chunk
+
+
 def implied_bits(symbols, table_indexes, table_set: CdfTableSet) -> np.ndarray:
     """Per-symbol cost the tables imply: interval bits plus bypass bits.
 
     The coder itself approaches this total to within its renormalization
     and flush overhead; use it for rate accounting and histograms.
     """
-    sym, idx, lo, nc, in_range, slot, starts, freqs = _gather(symbols, table_indexes, table_set)
+    sym = np.asarray(symbols, dtype=np.int64).ravel()
+    flat, _, rows, offsets, nc = _shared_chunks(table_indexes, len(sym), table_set)(0, len(sym))
+    j, in_range, _, freqs = _slots(sym, flat, rows, offsets, nc)
     bits = -np.log2(freqs / TOTAL_FREQ)
     if not in_range.all():
         esc = ~in_range
-        hi = lo + nc - 1
-        dist = np.where(sym > hi, sym - hi - 1, lo - 1 - sym)[esc]
+        dist = np.where(j >= nc, j - nc, -j - 1)[esc]
         extra = 2 * np.floor(np.log2(dist + 1)).astype(np.int64) + 1  # Exp-Golomb length
         bits[esc] += 1 + extra
     return bits

@@ -256,6 +256,9 @@ def block_to_bytes(block: LatentBlock) -> bytes:
     truth = block.truth_params
     family = truth["family"] if truth else None
     k = np.asarray(truth["weights"]).shape[-1] if family == "gmm" else 0
+    i32 = np.iinfo(np.int32)
+    if block.residuals.size and (block.residuals.min() < i32.min or block.residuals.max() > i32.max):
+        raise ValueError("residuals must fit int32 in the block container")
     c, h, w = block.shape
     out = [
         _BLOCK_MAGIC,

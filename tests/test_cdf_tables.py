@@ -242,17 +242,26 @@ def test_table_accessors():
     assert not table.cumulative.flags.writeable
 
 
-def test_stacked_view_and_ragged_error():
+def test_flat_view_lut_and_ragged_sets():
     set_ = build_lut_gm(4)[0]
-    offsets, n_coded, cum = set_.stacked()
+    flat, flat_list, rows, offsets, n_coded = set_.flat_view()
     assert offsets.tolist() == [-127] * 4
     assert n_coded.tolist() == [255] * 4
-    assert cum.shape == (4, 257)
+    assert rows.tolist() == [0, 257, 514, 771]
+    assert flat_list == flat.tolist()
+    for t, table in enumerate(set_):
+        assert np.array_equal(flat[rows[t]:rows[t] + 257], table.cumulative)
+    assert set_.flat_view() is set_.flat_view()
+
     ragged = CdfTableSet(
         [quantize_pmf(ProbModel.gaussian(1.0), 5), quantize_pmf(ProbModel.gaussian(1.0), 6)]
     )
-    with pytest.raises(ValueError):
-        ragged.stacked()
+    flat, _, rows, offsets, n_coded = ragged.flat_view()
+    assert offsets.tolist() == [-5, -6]
+    assert n_coded.tolist() == [11, 13]
+    assert rows.tolist() == [0, 13]
+    assert len(flat) == 13 + 15
+    assert np.array_equal(flat[13:], ragged[1].cumulative)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ import pytest
 
 import swpc.cdf_tables as ct
 import swpc.cli_bench as cli
+import swpc.coding_backends as cb
+import swpc.rans_coder as rc
 import swpc.synth_source as ss
 
 
@@ -305,6 +307,23 @@ class TestFailureExits:
         assert run_cli("decode", "--stream", tmp_path / "cut.bits",
                        "--side", trained["block"], "--backend", "dynamic",
                        "--out", tmp_path / "d.bin") == 4
+
+    def test_escape_beyond_int64_exits_4(self, tmp_path):
+        tables = tmp_path / "gm4.tables"
+        assert run_cli("build-tables", "--family", "gm", "--count", 4,
+                       "--out", tables) == 0
+        # sigma 0.11 is the first grid sample, so the element codes with table 0
+        shape = (1, 1, 1)
+        side = cb.LatentBlock(np.zeros(shape, np.int64), np.zeros(shape), np.ones(shape),
+                              truth_params={"family": "gm", "sigma": np.full(shape, 0.11)})
+        (tmp_path / "side.bin").write_bytes(ss.block_to_bytes(side))
+        payload = rc.encode([1000], [0], ct.build_lut_gm(4)[0]).payload
+        ans_end = 4 + int.from_bytes(payload[:4], "little")
+        crafted = payload[:ans_end] + bytes(7) + b"\x01" + b"\xff" * 10
+        (tmp_path / "s.bits").write_bytes(rc.Bitstream(crafted, 1).to_bytes())
+        assert run_cli("decode", "--stream", tmp_path / "s.bits", "--side",
+                       tmp_path / "side.bin", "--backend", "lut", "--tables",
+                       tables, "--out", tmp_path / "d.bin") == 4
 
     def test_mismatched_table_set_exits_4(self, trained, tmp_path):
         idx = tmp_path / "i.npz"

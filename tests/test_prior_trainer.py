@@ -144,6 +144,15 @@ class TestTopKSelection:
         expected = sorted(range(1, m + 1), key=lambda c: (abs(i - c), c))[:k]
         assert got == expected
 
+    @given(i=st.floats(-2.0, 14.0), m=st.integers(1, 12), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rate_window_selects_top_k(self, i, m, data):
+        k = data.draw(st.integers(1, m))
+        i = data.draw(st.sampled_from([i, round(i * 2) / 2]))  # half-integer ties
+        sel, _, weights = pt._window(np.array([i]), m, k, 0.5)
+        assert (sel[0] + 1).tolist() == sorted(pt.top_k_indices(i, m, k))
+        assert abs(weights.sum() - 1.0) <= 1e-12
+
     def test_k_validation(self):
         with pytest.raises(ValueError):
             pt.top_k_indices(1.0, 3, 0)
@@ -193,6 +202,14 @@ class TestWeightedRate:
     def test_underflowed_weight_skips_floored_prior(self):
         ps = gm_set(5.0, 0.05)
         assert pt.weighted_rate(3, ps, 1.0, 1e-4) > 0.0
+
+    def test_one_floor_policy_across_rate_functions(self):
+        # prior 2 floors symbol 3, but its weight underflows to exactly 0
+        ps = gm_set(5.0, 0.05)
+        full = pt.weighted_rate(3, ps, 1.0, 1e-4)
+        assert full == pytest.approx(pm.rate_bits(ps.model(1), 3), abs=1e-12)
+        assert pt.topk_rate(3, ps, 1.0, 1e-4, k=2) == full
+        assert pt.topk_rate_grads(3, ps, 1.0, 1e-4, k=2)[0] == full
 
 
 class TestTopkRate:
@@ -675,7 +692,8 @@ class TestTrainPriors:
         strict=True,
         reason="rate-optimal assignment sends the broad cluster's near-zero "
                "symbols (~7.5% of elements) to the narrow prior, capping "
-               "cluster purity near 92%; see the decisions ledger")
+               "cluster purity near 92%, and the rate objective has no term "
+               "that would trade those bits for purity")
     def test_two_scale_purity_95(self):
         _, _, purity = self.two_scale_result()
         assert purity >= 0.95
@@ -805,6 +823,11 @@ class TestExportTables:
         for m in range(1, 6):
             q = ct.quantize_pmf(ps.model(m), support_radius=127)
             assert np.array_equal(q.cumulative, tabs.tables[m - 1].cumulative)
+
+    def test_scale_outside_model_domain_raises(self):
+        for log_sigma in (800.0, -800.0):  # exp overflows to inf, underflows to 0
+            with np.errstate(over="ignore"), pytest.raises(pm.ParameterDomainError):
+                pt.export_tables(pt.PriorSet1D(family="gm", params=[[0.0], [log_sigma]]))
 
     def test_meta_records_layout(self):
         ps2 = pt.init_prior_set_2d(10, 4, 9.0)

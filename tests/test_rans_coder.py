@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swpc.cdf_tables import CdfTableSet, QuantizedCdfTable, allocate_frequencies, quantize_pmf
+from swpc.cdf_tables import (
+    CdfTableSet,
+    QuantizedCdfTable,
+    allocate_frequencies,
+    build_lut_gm,
+    quantize_pmf,
+)
 from swpc.prob_models import ProbModel
 from swpc.rans_coder import (
     Bitstream,
@@ -192,6 +198,15 @@ def test_truncated_streams():
         decode(Bitstream(whole[: len(whole) // 2], stream.symbol_count), idx, set_)
     with pytest.raises(StreamError):  # bypass section cut
         decode(Bitstream(whole[:-1], stream.symbol_count), idx, set_)
+
+
+def test_escape_beyond_int64_is_a_stream_error():
+    set_ = build_lut_gm(4)[0]
+    payload = encode([1000], [0], set_).payload
+    ans_end = 4 + int.from_bytes(payload[:4], "little")
+    bypass = bytes(7) + b"\x01" + b"\xff" * 10  # sign 0, 62 zeros, 1, 62 ones
+    with pytest.raises(StreamError):
+        decode(Bitstream(payload[:ans_end] + bypass, 1), [0], set_)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,16 @@ class TestBlockContainer:
             with pytest.raises(ValueError):
                 block_from_bytes(data[:cut])
 
+    def test_rejects_residuals_outside_int32(self):
+        for value in (2 ** 31 + 5, -(2 ** 31) - 1):
+            block = LatentBlock(np.full((1, 1, 2), value, np.int64), np.zeros((1, 1, 2)),
+                                np.ones((1, 1, 2)))
+            with pytest.raises(ValueError):
+                block_to_bytes(block)
+        edge = LatentBlock(np.array([[[2 ** 31 - 1, -(2 ** 31)]]]), np.zeros((1, 1, 2)),
+                           np.ones((1, 1, 2)))
+        assert np.array_equal(block_from_bytes(block_to_bytes(edge)).residuals, edge.residuals)
+
     def test_rejects_trailing_bytes(self):
         data = block_to_bytes(gen_block(SourceSpec(family="gm", shape=(1, 2, 2), seed=0)))
         with pytest.raises(ValueError):
