@@ -176,6 +176,7 @@ class CdfTableSet:
         if self.meta["family"] not in _FAMILY_TAGS:
             raise ValueError(f"unknown family {self.meta['family']!r}")
         self._flat = None
+        self._lookup = None
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -210,6 +211,16 @@ class CdfTableSet:
                 lengths - 2,
             )
         return self._flat
+
+    def slot_lookup(self) -> np.ndarray:
+        """Cached uint8 array of shape (tables, 2^16) for rANS decoding:
+        entry [t, v] is the interval of table t whose frequency range holds v."""
+        if self._lookup is None:
+            lookup = np.empty((len(self.tables), TOTAL_FREQ), dtype=np.uint8)
+            for row, t in zip(lookup, self.tables):
+                row[:] = np.repeat(np.arange(t.n_intervals, dtype=np.uint8), np.diff(t.cumulative))
+            self._lookup = lookup
+        return self._lookup
 
 
 def table_set_16bit_bytes(table_set: CdfTableSet) -> int:

@@ -37,7 +37,7 @@ from swpc.prob_models import (
     gmm_integer_pmf,
     gmm_support_radius,
 )
-from swpc.rans_coder import Bitstream, decode_elementwise, encode, encode_elementwise
+from swpc.rans_coder import Bitstream, StreamError, decode_elementwise, encode, encode_elementwise
 from swpc.rans_coder import decode as rans_decode
 
 __all__ = [
@@ -388,6 +388,8 @@ def backend_dynamic_decode(stream: Bitstream, truth_params: dict, shape, *,
     t0 = time.perf_counter_ns()
     truth = _flat_truth(truth_params)
     radii = _dynamic_radii(truth, radius, tail_mass)
+    if stream.symbol_count != len(radii):
+        raise StreamError(f"stream holds {stream.symbol_count} symbols, the block {len(radii)}")
     flat = decode_elementwise(stream, _dynamic_chunk_builder(truth, radii), chunk_size)
     return flat.reshape(shape), time.perf_counter_ns() - t0
 

@@ -264,6 +264,18 @@ def test_flat_view_lut_and_ragged_sets():
     assert np.array_equal(flat[13:], ragged[1].cumulative)
 
 
+def test_slot_lookup_matches_a_search():
+    set_ = CdfTableSet(
+        [quantize_pmf(ProbModel.gaussian(1.0), 5), build_lut_gm(3)[0][2]]  # 12 and 256 slots
+    )
+    lookup = set_.slot_lookup()
+    assert lookup.shape == (2, TOTAL) and lookup.dtype == np.uint8
+    v = np.arange(TOTAL)
+    for t, table in enumerate(set_):
+        assert np.array_equal(lookup[t], np.searchsorted(table.cumulative, v, side="right") - 1)
+    assert set_.slot_lookup() is lookup
+
+
 # ---------------------------------------------------------------------------
 # LUT grids
 

@@ -308,6 +308,21 @@ class TestFailureExits:
                        "--side", trained["block"], "--backend", "dynamic",
                        "--out", tmp_path / "d.bin") == 4
 
+    def test_dynamic_symbol_count_mismatch_exits_4(self, tmp_path):
+        shape = (1, 2, 2)
+        block = cb.LatentBlock(np.array([[[1, -2], [0, 3]]], np.int64), np.zeros(shape),
+                               np.ones(shape), truth_params={"family": "gm",
+                                                             "sigma": np.full(shape, 2.0)})
+        (tmp_path / "b.bin").write_bytes(ss.block_to_bytes(block))
+        stream = tmp_path / "s.bits"
+        assert run_cli("encode", "--block", tmp_path / "b.bin", "--backend", "dynamic",
+                       "--out", stream) == 0
+        patched = rc.Bitstream.from_bytes(stream.read_bytes()).payload
+        (tmp_path / "nine.bits").write_bytes(rc.Bitstream(patched, 9).to_bytes())
+        assert run_cli("decode", "--stream", tmp_path / "nine.bits", "--side",
+                       tmp_path / "b.bin", "--backend", "dynamic",
+                       "--out", tmp_path / "d.bin") == 4
+
     def test_escape_beyond_int64_exits_4(self, tmp_path):
         tables = tmp_path / "gm4.tables"
         assert run_cli("build-tables", "--family", "gm", "--count", 4,

@@ -32,7 +32,7 @@ from swpc.coding_backends import (
     round_half_away,
 )
 from swpc.prob_models import GaussianParams, ProbModel, gaussian_integer_pmf
-from swpc.rans_coder import encode
+from swpc.rans_coder import Bitstream, StreamError, encode
 from swpc.synth_source import SourceSpec, gen_block, oracle_rate
 
 REPORT_FIELDS = {
@@ -278,6 +278,14 @@ class TestBackendDynamic:
         assert decoded[0, 0, 0] == 3
         # count + payload-length + state words only; symbol lives in the state
         assert report.total_bits == 96
+
+    def test_symbol_count_must_match_the_block(self):
+        block = _gm_block(np.array([[[1, -2], [0, 3]]], np.int64), 2.0)
+        stream, _ = backend_dynamic(block)
+        for count in (3, 9):
+            with pytest.raises(StreamError):
+                backend_dynamic_decode(Bitstream(stream.payload, count), block.truth_params,
+                                       block.shape)
 
     def test_outliers_escape_and_roundtrip(self):
         block = _gm_block(np.array([[[900, 0], [0, -4000]]], np.int64), 1.0)
