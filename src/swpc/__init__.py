@@ -6,241 +6,22 @@ tables, parameter-grid LUTs, and a trained switchable prior set), plus the
 trainer that fits prior sets, index predictors, skip masks, and reused
 hyperlatent indexes.
 
-The headline names re-export here; each submodule remains importable on its
-own (`swpc.rans_coder`, `swpc.prior_trainer`, ...) for the full surface.
+Every name a submodule lists in its `__all__` re-exports here; each submodule
+remains importable on its own (`swpc.rans_coder`, `swpc.prior_trainer`, ...).
 """
 
-from swpc.cdf_tables import (
-    GGM_ALPHA_RANGE,
-    GGM_BETA_RANGE,
-    GM_SIGMA_RANGE,
-    MAX_RADIUS,
-    TOTAL_FREQ,
-    CapacityError,
-    CdfTableSet,
-    LutGrid,
-    MagicError,
-    ParseError,
-    QuantizedCdfTable,
-    TableInvariantError,
-    TruncatedError,
-    VersionError,
-    allocate_frequencies,
-    build_lut_ggm,
-    build_lut_gm,
-    cumulative_rows,
-    deserialize_table_set,
-    lut_search,
-    lut_search_ggm,
-    lut_search_gm,
-    quantize_pmf,
-    serialize_table_set,
-    table_set_16bit_bytes,
-    tables_from_masses,
-)
-from swpc.coding_backends import (
-    CodingReport,
-    IndexGrid,
-    LatentBlock,
-    SkipMask,
-    backend_dynamic,
-    backend_dynamic_decode,
-    backend_lut,
-    backend_lut_decode,
-    backend_switch,
-    backend_switch_decode,
-    harden_index,
-    harden_index_2d,
-    prune_hyper_channels,
-    restore_pruned_channels,
-    round_half_away,
-)
-from swpc.prior_trainer import (
-    AnnealSchedule,
-    HyperLogits,
-    PriorSet1D,
-    PriorSet2D,
-    SkipHead,
-    TrainConfig,
-    TrainingDivergedError,
-    TrainResult,
-    export_tables,
-    gumbel_mask,
-    gumbel_mask_grad,
-    hyper_rate,
-    hyper_rate_grads,
-    init_prior_set,
-    init_prior_set_2d,
-    model_from_coords,
-    skip_loss,
-    skip_loss_grads,
-    soft_weights,
-    soft_weights_2d,
-    top2_indices,
-    top2_pairs_2d,
-    top_k_indices,
-    topk_rate,
-    topk_rate_grads,
-    train_priors,
-    weighted_rate,
-    weighted_rate_grads,
-)
-from swpc.prob_models import (
-    PROB_FLOOR,
-    GaussianParams,
-    GeneralizedGaussianParams,
-    GmmParams,
-    InfiniteRateError,
-    ParameterDomainError,
-    ProbModel,
-    cdf_eval,
-    floored_rate_bits,
-    ggm_alpha_for_std,
-    ggm_std,
-    gmm_effective_mean,
-    grad_rate_params,
-    model_std,
-    pmf_integer,
-    rate_bits,
-    regularized_lower_gamma,
-    regularized_lower_gamma_with_da,
-    support_radius,
-)
-from swpc.rans_coder import (
-    Bitstream,
-    StreamError,
-    bypass_decode,
-    bypass_encode,
-    decode,
-    decode_elementwise,
-    encode,
-    encode_elementwise,
-    implied_bits,
-)
-from swpc.synth_source import (
-    RateHistogram,
-    SourceSpec,
-    block_from_bytes,
-    block_to_bytes,
-    gen_block,
-    oracle_bits_per_element,
-    oracle_rate,
-    rate_histogram,
-)
+from swpc import cdf_tables, coding_backends, prior_trainer, prob_models, rans_coder, synth_source
+from swpc.cdf_tables import *  # noqa: F401,F403
+from swpc.coding_backends import *  # noqa: F401,F403
+from swpc.prior_trainer import *  # noqa: F401,F403
+from swpc.prob_models import *  # noqa: F401,F403
+from swpc.rans_coder import *  # noqa: F401,F403
+from swpc.synth_source import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # probability models
-    "PROB_FLOOR",
-    "GaussianParams",
-    "GeneralizedGaussianParams",
-    "GmmParams",
-    "InfiniteRateError",
-    "ParameterDomainError",
-    "ProbModel",
-    "cdf_eval",
-    "floored_rate_bits",
-    "ggm_alpha_for_std",
-    "ggm_std",
-    "gmm_effective_mean",
-    "grad_rate_params",
-    "model_std",
-    "pmf_integer",
-    "rate_bits",
-    "regularized_lower_gamma",
-    "regularized_lower_gamma_with_da",
-    "support_radius",
-    # CDF tables
-    "GGM_ALPHA_RANGE",
-    "GGM_BETA_RANGE",
-    "GM_SIGMA_RANGE",
-    "MAX_RADIUS",
-    "TOTAL_FREQ",
-    "CapacityError",
-    "CdfTableSet",
-    "LutGrid",
-    "MagicError",
-    "ParseError",
-    "QuantizedCdfTable",
-    "TableInvariantError",
-    "TruncatedError",
-    "VersionError",
-    "allocate_frequencies",
-    "cumulative_rows",
-    "build_lut_ggm",
-    "build_lut_gm",
-    "deserialize_table_set",
-    "lut_search",
-    "lut_search_ggm",
-    "lut_search_gm",
-    "quantize_pmf",
-    "serialize_table_set",
-    "table_set_16bit_bytes",
-    "tables_from_masses",
-    # range coder
-    "Bitstream",
-    "StreamError",
-    "bypass_decode",
-    "bypass_encode",
-    "decode",
-    "decode_elementwise",
-    "encode",
-    "encode_elementwise",
-    "implied_bits",
-    # coding backends
-    "CodingReport",
-    "IndexGrid",
-    "LatentBlock",
-    "SkipMask",
-    "backend_dynamic",
-    "backend_dynamic_decode",
-    "backend_lut",
-    "backend_lut_decode",
-    "backend_switch",
-    "backend_switch_decode",
-    "harden_index",
-    "harden_index_2d",
-    "prune_hyper_channels",
-    "restore_pruned_channels",
-    "round_half_away",
-    # prior trainer
-    "AnnealSchedule",
-    "HyperLogits",
-    "PriorSet1D",
-    "PriorSet2D",
-    "SkipHead",
-    "TrainConfig",
-    "TrainResult",
-    "TrainingDivergedError",
-    "export_tables",
-    "gumbel_mask",
-    "gumbel_mask_grad",
-    "hyper_rate",
-    "hyper_rate_grads",
-    "init_prior_set",
-    "init_prior_set_2d",
-    "model_from_coords",
-    "skip_loss",
-    "skip_loss_grads",
-    "soft_weights",
-    "soft_weights_2d",
-    "top2_indices",
-    "top2_pairs_2d",
-    "top_k_indices",
-    "topk_rate",
-    "topk_rate_grads",
-    "train_priors",
-    "weighted_rate",
-    "weighted_rate_grads",
-    # synthetic sources
-    "RateHistogram",
-    "SourceSpec",
-    "block_from_bytes",
-    "block_to_bytes",
-    "gen_block",
-    "oracle_bits_per_element",
-    "oracle_rate",
-    "rate_histogram",
+__all__ = ["__version__"] + [
+    name
+    for module in (prob_models, cdf_tables, rans_coder, coding_backends, prior_trainer, synth_source)
+    for name in module.__all__
 ]

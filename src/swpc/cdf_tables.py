@@ -173,7 +173,7 @@ class CdfTableSet:
         self.tables = tuple(tables)
         self.meta = dict(meta or {})
         self.meta.setdefault("family", "learned")
-        if self.meta["family"] not in _FAMILY_TAGS:
+        if not isinstance(self.meta["family"], str) or self.meta["family"] not in _FAMILY_TAGS:
             raise ValueError(f"unknown family {self.meta['family']!r}")
         self._flat = None
         self._lookup = None
@@ -342,7 +342,7 @@ class LutGrid:
         else:
             raise ValueError(f"no LUT grid for family {self.family!r}")
         for name, samples in axes.items():
-            if samples is None or len(samples) < 2:
+            if samples is None or np.ndim(samples) != 1 or len(samples) < 2:
                 raise ValueError(f"{self.family} grid needs >= 2 {name} samples")
             if np.any(np.diff(samples) <= 0):
                 raise ValueError(f"{name} samples must be sorted strictly ascending")
@@ -370,13 +370,18 @@ class LutGrid:
 
     @classmethod
     def from_meta(cls, family: str, meta: dict) -> "LutGrid":
-        if family == "gm":
-            return cls("gm", sigmas=np.asarray(meta["sigmas"], np.float64))
-        return cls(
-            "ggm",
-            betas=np.asarray(meta["betas"], np.float64),
-            alphas=np.asarray(meta["alphas"], np.float64),
-        )
+        """The grid a table set's metadata describes; ParseError when its
+        axes are missing or malformed."""
+        try:
+            if family == "gm":
+                return cls("gm", sigmas=np.asarray(meta["sigmas"], np.float64))
+            return cls(
+                "ggm",
+                betas=np.asarray(meta["betas"], np.float64),
+                alphas=np.asarray(meta["alphas"], np.float64),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"bad LUT grid metadata: {exc!r}") from exc
 
 
 def _log_samples(lo: float, hi: float, count: int) -> np.ndarray:
@@ -505,9 +510,15 @@ def deserialize_table_set(data: bytes) -> CdfTableSet:
         (blob_len,) = struct.unpack("<I", r.take(4))
         blob = r.take(blob_len)
         try:
-            meta.update(json.loads(blob.decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            extra = json.loads(blob.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad metadata blob: {exc}") from exc
+        if not isinstance(extra, dict):
+            raise ParseError(f"metadata blob holds a {type(extra).__name__}, not an object")
+        meta.update(extra)
     if r.remaining:
         raise TruncatedError(f"{r.remaining} trailing bytes after metadata")
-    return CdfTableSet(tables, meta)
+    try:
+        return CdfTableSet(tables, meta)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc

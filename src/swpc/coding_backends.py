@@ -29,14 +29,7 @@ from swpc.cdf_tables import (
     lut_search_gm,
     serialize_table_set,
 )
-from swpc.prob_models import (
-    gaussian_integer_pmf,
-    gaussian_support_radius,
-    ggm_integer_pmf,
-    ggm_support_radius,
-    gmm_integer_pmf,
-    gmm_support_radius,
-)
+from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, SUPPORT_RADIUS
 from swpc.rans_coder import Bitstream, StreamError, decode_elementwise, encode, encode_elementwise
 from swpc.rans_coder import decode as rans_decode
 
@@ -139,20 +132,13 @@ class LatentBlock:
 
 def _check_truth(params: dict, shape: tuple):
     family = params.get("family")
-    if family == "gm":
-        needed = ("sigma",)
-    elif family == "ggm":
-        needed = ("beta", "alpha")
-    elif family == "gmm":
-        needed = ("weights", "means", "sigmas")
-    else:
+    names = FAMILY_PARAMS.get(family) if isinstance(family, str) else None
+    if names is None:
         raise ValueError(f"unknown truth family {family!r}")
-    for key in needed:
-        arr = np.asarray(params[key])
-        if family == "gmm":
-            if arr.ndim != len(shape) + 1 or arr.shape[:-1] != shape:
-                raise ValueError("gmm truth arrays need the block shape plus a component axis")
-        elif arr.shape != shape:
+    ndim = len(shape) + ("weights" in names)  # a mixture adds a component axis
+    for key in names:
+        arr = np.asarray(params.get(key))
+        if arr.ndim != ndim or arr.shape[:len(shape)] != shape:
             raise ValueError(f"truth_params[{key!r}] does not match the block shape")
 
 
@@ -304,42 +290,31 @@ def _report(stream: Bitstream, n_total: int, n_coded: int, table_count: int,
 # Dynamic backend: one table per element
 
 
-def _flat_truth(truth: dict) -> dict:
+def _flat_truth(truth: dict, shape) -> dict:
+    """Truth arrays with the block axes flattened to one element axis."""
     family = truth["family"]
     out = {"family": family}
-    keys = {"gm": ("sigma",), "ggm": ("beta", "alpha"), "gmm": ("weights", "means", "sigmas")}
-    for key in keys[family]:
+    for key in FAMILY_PARAMS[family]:
         arr = np.asarray(truth[key], dtype=np.float64)
-        out[key] = arr.reshape(-1, arr.shape[-1]) if family == "gmm" else arr.ravel()
+        out[key] = arr.reshape((-1,) + arr.shape[len(shape):])
     return out
 
 
+def _params(truth: dict) -> list:
+    return [truth[key] for key in FAMILY_PARAMS[truth["family"]]]
+
+
 def _dynamic_radii(truth: dict, radius: int | None, tail_mass: float) -> np.ndarray:
-    family = truth["family"]
+    params = _params(truth)
     if radius is not None:
         if not 1 <= radius <= 127:
             raise ValueError("radius override must be in [1, 127]")
-        n = len(truth["sigma"]) if family == "gm" else len(truth[("beta" if family == "ggm" else "means")])
-        return np.full(n, radius, dtype=np.int64)
-    if family == "gm":
-        return np.atleast_1d(gaussian_support_radius(truth["sigma"], tail_mass))
-    if family == "ggm":
-        return np.atleast_1d(ggm_support_radius(truth["beta"], truth["alpha"], tail_mass))
-    return np.atleast_1d(gmm_support_radius(truth["means"], truth["sigmas"], tail_mass))
+        return np.full(len(params[0]), radius, dtype=np.int64)
+    return np.atleast_1d(SUPPORT_RADIUS[truth["family"]](*params, tail_mass))
 
 
 def _bin_masses(truth: dict, ids: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    family = truth["family"]
-    if family == "gm":
-        return gaussian_integer_pmf(ks[None, :], truth["sigma"][ids][:, None])
-    if family == "ggm":
-        return ggm_integer_pmf(ks[None, :], truth["beta"][ids][:, None], truth["alpha"][ids][:, None])
-    return gmm_integer_pmf(
-        ks[None, :],
-        truth["weights"][ids][:, None, :],
-        truth["means"][ids][:, None, :],
-        truth["sigmas"][ids][:, None, :],
-    )
+    return INTEGER_PMF[truth["family"]](ks[None, :], *(p[ids][:, None] for p in _params(truth)))
 
 
 def _dynamic_chunk_builder(truth: dict, radii: np.ndarray):
@@ -369,7 +344,7 @@ def backend_dynamic(block: LatentBlock, *, radius: int | None = None,
     if block.truth_params is None:
         raise ValueError("backend_dynamic needs truth_params")
     t0 = time.perf_counter_ns()
-    truth = _flat_truth(block.truth_params)
+    truth = _flat_truth(block.truth_params, block.shape)
     radii = _dynamic_radii(truth, radius, tail_mass)
     stream = encode_elementwise(
         block.residuals.ravel(), _dynamic_chunk_builder(truth, radii), chunk_size
@@ -386,7 +361,7 @@ def backend_dynamic_decode(stream: Bitstream, truth_params: dict, shape, *,
                            chunk_size: int = 16384):
     """Rebuild the same per-element tables and invert the stream."""
     t0 = time.perf_counter_ns()
-    truth = _flat_truth(truth_params)
+    truth = _flat_truth(truth_params, shape)
     radii = _dynamic_radii(truth, radius, tail_mass)
     if stream.symbol_count != len(radii):
         raise StreamError(f"stream holds {stream.symbol_count} symbols, the block {len(radii)}")
@@ -414,7 +389,7 @@ def backend_lut(block: LatentBlock, grid: LutGrid, table_set: CdfTableSet):
     if len(table_set) != grid.n_tables:
         raise ValueError("table set size does not match the grid")
     t0 = time.perf_counter_ns()
-    idx = _lut_indexes(_flat_truth(block.truth_params), grid)
+    idx = _lut_indexes(_flat_truth(block.truth_params, block.shape), grid)
     stream = encode(block.residuals.ravel(), idx, table_set)
     encode_nanos = time.perf_counter_ns() - t0
     n = block.n_elements
@@ -426,7 +401,7 @@ def backend_lut(block: LatentBlock, grid: LutGrid, table_set: CdfTableSet):
 def backend_lut_decode(stream: Bitstream, truth_params: dict, grid: LutGrid,
                        table_set: CdfTableSet, shape):
     t0 = time.perf_counter_ns()
-    idx = _lut_indexes(_flat_truth(truth_params), grid)
+    idx = _lut_indexes(_flat_truth(truth_params, shape), grid)
     flat = rans_decode(stream, idx, table_set)
     return flat.reshape(shape), time.perf_counter_ns() - t0
 

@@ -20,18 +20,47 @@ import numpy as np
 from .cdf_tables import CdfTableSet, tables_from_masses
 from .coding_backends import IndexGrid, LatentBlock, SkipMask, harden_index
 from .prob_models import (
+    INTEGER_PMF,
     PROB_FLOOR,
     InfiniteRateError,
     ParameterDomainError,
     ProbModel,
-    gaussian_integer_pmf,
     gaussian_pmf_grads,
     ggm_alpha_for_std,
-    ggm_integer_pmf,
     ggm_pmf_grads,
-    gmm_integer_pmf,
     gmm_pmf_grads,
 )
+
+__all__ = [
+    "TrainingDivergedError",
+    "PriorSet1D",
+    "PriorSet2D",
+    "AnnealSchedule",
+    "SkipHead",
+    "HyperLogits",
+    "TrainConfig",
+    "TrainResult",
+    "model_from_coords",
+    "soft_weights",
+    "soft_weights_2d",
+    "top_k_indices",
+    "top2_indices",
+    "top2_pairs_2d",
+    "weighted_rate",
+    "topk_rate",
+    "weighted_rate_grads",
+    "topk_rate_grads",
+    "gumbel_mask",
+    "gumbel_mask_grad",
+    "hyper_rate",
+    "hyper_rate_grads",
+    "skip_loss",
+    "skip_loss_grads",
+    "init_prior_set",
+    "init_prior_set_2d",
+    "train_priors",
+    "export_tables",
+]
 
 _LN2 = math.log(2.0)
 
@@ -906,9 +935,6 @@ def _train_skip(symbols, rates, inverse, indexes, config, schedule, hyper,
 # Export
 
 
-_INTEGER_PMF = {"gm": gaussian_integer_pmf, "ggm": ggm_integer_pmf, "gmm": gmm_integer_pmf}
-
-
 def export_tables(prior_set: PriorSet1D | PriorSet2D) -> CdfTableSet:
     """One quantized table per prior, row-major for grids; deterministic."""
     params = _coord_params(prior_set.family, prior_set.params.reshape(-1, prior_set.params.shape[-1]))
@@ -916,7 +942,7 @@ def export_tables(prior_set: PriorSet1D | PriorSet2D) -> CdfTableSet:
     if not all(np.isfinite(p).all() for p in params) or (params[-1] <= 0).any():
         raise ParameterDomainError("prior coordinates map outside the model parameter domain")
     ks = np.arange(-_EXPORT_RADIUS, _EXPORT_RADIUS + 1)
-    masses = _INTEGER_PMF[prior_set.family](ks[None, :], *params)
+    masses = INTEGER_PMF[prior_set.family](ks[None, :], *params)
     meta = {"family": prior_set.family}
     if isinstance(prior_set, PriorSet2D):
         meta["dims"] = [prior_set.m, prior_set.n]

@@ -8,9 +8,15 @@ mass.
 
 Scalar operations (`cdf_eval`, `pmf_integer`, `rate_bits`, `grad_rate_params`)
 work on a single `ProbModel`; the `*_integer_pmf` / `*_pmf_grads` kernels are
-the vectorized equivalents used by table builders and the trainer.  The
-generalized-Gaussian CDF rests on `regularized_lower_gamma`, computed by a
-series expansion for x < a+1 and a continued fraction otherwise.
+the vectorized equivalents used by table builders and the trainer.
+`FAMILY_PARAMS`, `INTEGER_PMF` and `SUPPORT_RADIUS` map a family name to its
+parameter names and kernels, so callers never branch on the family.
+
+The generalized-Gaussian CDF and bin masses take the regularized incomplete
+gamma P(a, x) and its complement from `scipy.special.gammainc`/`gammaincc`.
+scipy has no derivative in the order a, so an in-house series (x < a+1) and
+continued fraction (otherwise), differentiated in forward mode, serve only
+`regularized_lower_gamma_with_da` and the ggm gradients built on it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, erf, erfc, gammainccinv, gammaln, ndtr, ndtri
+from scipy.special import digamma, erf, erfc, gammainc, gammaincc, gammainccinv, gammaln, ndtr, ndtri
 
 __all__ = [
     "PROB_FLOOR",
@@ -50,6 +56,9 @@ __all__ = [
     "ggm_alpha_for_std",
     "model_std",
     "support_radius",
+    "FAMILY_PARAMS",
+    "INTEGER_PMF",
+    "SUPPORT_RADIUS",
 ]
 
 # Bin masses below this are treated as zero for rate purposes.
@@ -168,10 +177,6 @@ class ProbModel:
 # ---------------------------------------------------------------------------
 # Regularized lower incomplete gamma P(a, x)
 
-_GAMMA_EPS = 1e-15
-_GAMMA_TINY = 1e-300
-_GAMMA_MAX_ITER = 500
-
 
 def _validate_gamma_args(a, x):
     a = np.asarray(a, dtype=np.float64)
@@ -183,95 +188,22 @@ def _validate_gamma_args(a, x):
     return np.broadcast_arrays(a, x)
 
 
-def _gamma_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # P(a,x) = x^a e^-x sum_n x^n / (a (a+1) ... (a+n)), for x < a+1.
-    # Converged lanes retire from the batch so stragglers don't gate everyone.
-    a = a.ravel()
-    x = x.ravel()
-    out = np.empty_like(a)
-    active = np.arange(a.size)
-    ap = a.copy()
-    term = 1.0 / a
-    total = term.copy()
-    xs = x.copy()
-    for _ in range(_GAMMA_MAX_ITER):
-        ap += 1.0
-        term *= xs / ap
-        total += term
-        done = np.abs(term) <= np.abs(total) * _GAMMA_EPS
-        if done.any():
-            out[active[done]] = total[done]
-            keep = ~done
-            active, ap, term, total, xs = active[keep], ap[keep], term[keep], total[keep], xs[keep]
-            if active.size == 0:
-                break
-    out[active] = total
-    return out * np.exp(-x + a * np.log(x) - gammaln(a))
-
-
-def _gamma_cf(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Q(a,x) by modified Lentz continued fraction, for x >= a+1.
-    a = a.ravel()
-    x = x.ravel()
-    out = np.empty_like(a)
-    active = np.arange(a.size)
-    aa = a.copy()
-    b = x + 1.0 - a
-    c = np.full_like(x, 1.0 / _GAMMA_TINY)
-    d = np.where(np.abs(b) < _GAMMA_TINY, _GAMMA_TINY, b)
-    d = 1.0 / d
-    h = d.copy()
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - aa)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < _GAMMA_TINY, _GAMMA_TINY, d)
-        d = 1.0 / d
-        c = b + an / c
-        c = np.where(np.abs(c) < _GAMMA_TINY, _GAMMA_TINY, c)
-        delta = c * d
-        h = h * delta
-        done = np.abs(delta - 1.0) < _GAMMA_EPS
-        if done.any():
-            out[active[done]] = h[done]
-            keep = ~done
-            active, aa, b, c, d, h = active[keep], aa[keep], b[keep], c[keep], d[keep], h[keep]
-            if active.size == 0:
-                break
-    out[active] = h
-    return np.exp(-x + a * np.log(x) - gammaln(a)) * out
-
-
-def _reg_gamma_pq(a, x):
-    """Return (P(a,x), Q(a,x), cf_branch) elementwise, branch-accurate."""
-    a, x = _validate_gamma_args(a, x)
-    p = np.zeros(a.shape, dtype=np.float64)
-    q = np.ones(a.shape, dtype=np.float64)
-    cf_branch = (x >= a + 1.0)
-    ser = (x > 0) & ~cf_branch
-    if np.any(ser):
-        ps = _gamma_series(a[ser], x[ser])
-        p[ser] = ps
-        q[ser] = 1.0 - ps
-    if np.any(cf_branch):
-        qc = _gamma_cf(a[cf_branch], x[cf_branch])
-        q[cf_branch] = qc
-        p[cf_branch] = 1.0 - qc
-    np.clip(p, 0.0, 1.0, out=p)
-    np.clip(q, 0.0, 1.0, out=q)
-    return p, q, cf_branch
-
-
 def regularized_lower_gamma(a, x):
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
 
-    Series expansion for x < a+1, Lentz continued fraction otherwise.
     Accepts scalars or broadcastable arrays; a > 0, x >= 0.
     """
-    p, _, _ = _reg_gamma_pq(a, x)
-    if p.ndim == 0:
-        return float(p)
-    return p
+    a, x = _validate_gamma_args(a, x)
+    p = gammainc(a, x)
+    return float(p) if np.ndim(p) == 0 else p
+
+
+# scipy has no order derivative dP/da, so the trainer's gradients come from a
+# series (x < a+1) or Lentz continued fraction (otherwise) differentiated in
+# forward mode; P in these gradients comes from the same evaluation.
+_GAMMA_EPS = 1e-15
+_GAMMA_TINY = 1e-300
+_GAMMA_MAX_ITER = 500
 
 
 def _gamma_series_da(a: np.ndarray, x: np.ndarray):
@@ -408,10 +340,8 @@ def ggm_cdf(x, beta, alpha):
     x, beta, alpha = np.broadcast_arrays(
         np.asarray(x, np.float64), np.asarray(beta, np.float64), np.asarray(alpha, np.float64)
     )
-    u = _ggm_u(np.abs(x), beta, alpha)
-    p, _, _ = _reg_gamma_pq(1.0 / beta, u)
-    out = 0.5 + 0.5 * np.sign(x) * p
-    return out
+    p = regularized_lower_gamma(1.0 / beta, _ggm_u(np.abs(x), beta, alpha))
+    return 0.5 + 0.5 * np.sign(x) * p
 
 
 def gmm_cdf(x, weights, means, sigmas):
@@ -447,14 +377,17 @@ def ggm_integer_pmf(k, beta, alpha):
     m = np.abs(k)
     u_hi = _ggm_u(m + 0.5, beta, alpha)
     u_lo = _ggm_u(np.maximum(m - 0.5, 0.0), beta, alpha)
-    p_hi, q_hi, cf_hi = _reg_gamma_pq(a, u_hi)
-    p_lo, q_lo, cf_lo = _reg_gamma_pq(a, u_lo)
-    # Far tail: both endpoints on the continued-fraction branch, so the
-    # complementary form avoids cancellation between two values near 1.
-    both_cf = cf_hi & cf_lo
-    off = 0.5 * np.where(both_cf, q_lo - q_hi, p_hi - p_lo)
-    out = np.where(m == 0, p_hi, off)
-    return np.clip(out, 0.0, 1.0)
+    _validate_gamma_args(a, u_hi)
+    _validate_gamma_args(a, u_lo)
+    # P(a, u_hi) - P(a, u_lo); in the far tail, where both edges sit at
+    # u >= a+1, Q(a, u_lo) - Q(a, u_hi) avoids cancelling two values near 1
+    tail = (u_lo >= a + 1.0) & (u_hi >= a + 1.0)
+    body = ~tail
+    mass = np.empty(a.shape)
+    mass[body] = gammainc(a[body], u_hi[body]) - gammainc(a[body], u_lo[body])
+    mass[tail] = gammaincc(a[tail], u_lo[tail]) - gammaincc(a[tail], u_hi[tail])
+    # the center bin spans both sides of zero; every other bin is one of two
+    return np.clip(np.where(m == 0, mass, 0.5 * mass), 0.0, 1.0)
 
 
 def gmm_integer_pmf(k, weights, means, sigmas):
@@ -551,30 +484,36 @@ def gmm_pmf_grads(k, weights, means, sigmas):
 
 
 # ---------------------------------------------------------------------------
+# Family tables: the one place a family name selects parameters and kernels
+
+# Parameter names per family, in kernel argument order; they are also the
+# keys of a block's truth arrays.  The mixture family (the one with weights)
+# carries a trailing component axis on every parameter.
+FAMILY_PARAMS = {"gm": ("sigma",), "ggm": ("beta", "alpha"), "gmm": ("weights", "means", "sigmas")}
+
+# Unit-bin mass kernel per family: kernel(k, *parameters).
+INTEGER_PMF = {"gm": gaussian_integer_pmf, "ggm": ggm_integer_pmf, "gmm": gmm_integer_pmf}
+
+_CDF = {"gm": gaussian_cdf, "ggm": ggm_cdf, "gmm": gmm_cdf}
+
+
+# ---------------------------------------------------------------------------
 # Scalar operations on ProbModel
+
+
+def _model_args(model: ProbModel) -> tuple:
+    return tuple(getattr(model.params, name) for name in FAMILY_PARAMS[model.family])
 
 
 def cdf_eval(model: ProbModel, x):
     """CDF of the model at x (scalar or array)."""
-    p = model.params
-    if model.family == "gm":
-        out = gaussian_cdf(x, p.sigma)
-    elif model.family == "ggm":
-        out = ggm_cdf(x, p.beta, p.alpha)
-    else:
-        out = gmm_cdf(x, p.weights, p.means, p.sigmas)
+    out = _CDF[model.family](x, *_model_args(model))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def pmf_integer(model: ProbModel, k):
     """Probability mass of the unit bin [k-1/2, k+1/2]."""
-    p = model.params
-    if model.family == "gm":
-        out = gaussian_integer_pmf(k, p.sigma)
-    elif model.family == "ggm":
-        out = ggm_integer_pmf(k, p.beta, p.alpha)
-    else:
-        out = gmm_integer_pmf(k, p.weights, p.means, p.sigmas)
+    out = INTEGER_PMF[model.family](k, *_model_args(model))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -684,14 +623,17 @@ def _edge_to_radius(edge, cap: int):
     return int(r) if r.ndim == 0 else r
 
 
+# Support radius kernel per family: kernel(*parameters, tail_mass, cap).
+SUPPORT_RADIUS = {
+    "gm": gaussian_support_radius,
+    "ggm": ggm_support_radius,
+    "gmm": lambda weights, means, sigmas, *rest: gmm_support_radius(means, sigmas, *rest),
+}
+
+
 def support_radius(model: ProbModel, tail_mass: float = 2.0 ** -20, cap: int = 127) -> int:
     """Smallest radius r such that P(|X| > r + 1/2) stays below ~tail_mass.
 
     Used to size per-element dynamic tables; clamped to [1, cap].
     """
-    p = model.params
-    if model.family == "gm":
-        return int(gaussian_support_radius(p.sigma, tail_mass, cap))
-    if model.family == "ggm":
-        return int(ggm_support_radius(p.beta, p.alpha, tail_mass, cap))
-    return int(gmm_support_radius(p.means, p.sigmas, tail_mass, cap))
+    return int(SUPPORT_RADIUS[model.family](*_model_args(model), tail_mass, cap))

@@ -181,8 +181,11 @@ def _symbols(j, offsets, n_coded, bypass: _BypassReader) -> np.ndarray:
 
 def _slots(sym, flat, rows, offsets, n_coded):
     """(j = symbol - offset, in coded span, slot start, slot frequency);
-    symbols outside the coded span take the tail slot."""
+    symbols outside the coded span take the tail slot.  ValueError when
+    symbol - offset does not fit int64 (it would wrap)."""
     j = sym - offsets
+    if np.any((sym ^ offsets) & (sym ^ j) < 0):  # operand signs differ, result sign flipped
+        raise ValueError("symbol too far from its table's offset: symbol - offset overflows int64")
     in_range = (j >= 0) & (j < n_coded)
     base = rows + np.where(in_range, j, n_coded)
     starts = flat[base]
@@ -435,6 +438,6 @@ def implied_bits(symbols, table_indexes, table_set: CdfTableSet) -> np.ndarray:
     if not in_range.all():
         esc = ~in_range
         dist = np.where(j >= nc, j - nc, -j - 1)[esc]
-        extra = 2 * np.floor(np.log2(dist + 1)).astype(np.int64) + 1  # Exp-Golomb length
+        extra = 2 * np.floor(np.log2(dist + 1.0)).astype(np.int64) + 1  # Exp-Golomb length
         bits[esc] += 1 + extra
     return bits

@@ -17,13 +17,7 @@ from math import prod
 import numpy as np
 
 from swpc.coding_backends import LatentBlock, round_half_away
-from swpc.prob_models import (
-    PROB_FLOOR,
-    gaussian_integer_pmf,
-    ggm_integer_pmf,
-    ggm_std,
-    gmm_integer_pmf,
-)
+from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, PROB_FLOOR, ggm_std
 
 __all__ = [
     "SourceSpec",
@@ -169,14 +163,8 @@ def oracle_bits_per_element(block: LatentBlock) -> np.ndarray:
     """Ideal per-element bits under the true parameters, floored at 2^-32."""
     if block.truth_params is None:
         raise ValueError("oracle rates need truth_params")
-    truth = block.truth_params
-    res = block.residuals
-    if truth["family"] == "gm":
-        pmf = gaussian_integer_pmf(res, truth["sigma"])
-    elif truth["family"] == "ggm":
-        pmf = ggm_integer_pmf(res, truth["beta"], truth["alpha"])
-    else:
-        pmf = gmm_integer_pmf(res, truth["weights"], truth["means"], truth["sigmas"])
+    family = block.truth_params["family"]
+    pmf = INTEGER_PMF[family](block.residuals, *(block.truth_params[key] for key in FAMILY_PARAMS[family]))
     return -np.log2(np.maximum(pmf, PROB_FLOOR))
 
 
@@ -252,10 +240,14 @@ _TAG_FAMILIES = {v: k for k, v in _FAMILY_TAGS.items()}
 
 def block_to_bytes(block: LatentBlock) -> bytes:
     """Little-endian container: header, residuals i32, means f64, features f64,
-    then the truth arrays for the tagged family."""
+    then the truth arrays of the tagged family in FAMILY_PARAMS order; the
+    header's component count is 0 unless those arrays carry a component axis."""
     truth = block.truth_params
     family = truth["family"] if truth else None
-    k = np.asarray(truth["weights"]).shape[-1] if family == "gmm" else 0
+    arrays = [np.asarray(truth[key]) for key in FAMILY_PARAMS[family]] if truth else []
+    k = arrays[0].shape[-1] if arrays and arrays[0].ndim > block.residuals.ndim else 0
+    if k > 255:
+        raise ValueError("the block container holds at most 255 mixture components")
     i32 = np.iinfo(np.int32)
     if block.residuals.size and (block.residuals.min() < i32.min or block.residuals.max() > i32.max):
         raise ValueError("residuals must fit int32 in the block container")
@@ -267,14 +259,7 @@ def block_to_bytes(block: LatentBlock) -> bytes:
         block.means.astype("<f8").tobytes(),
         block.side_features.astype("<f8").tobytes(),
     ]
-    if family == "gm":
-        out.append(np.asarray(truth["sigma"]).astype("<f8").tobytes())
-    elif family == "ggm":
-        out.append(np.asarray(truth["beta"]).astype("<f8").tobytes())
-        out.append(np.asarray(truth["alpha"]).astype("<f8").tobytes())
-    elif family == "gmm":
-        for key in ("weights", "means", "sigmas"):
-            out.append(np.asarray(truth[key]).astype("<f8").tobytes())
+    out.extend(arr.astype("<f8").tobytes() for arr in arrays)
     return b"".join(out)
 
 
@@ -289,11 +274,11 @@ def block_from_bytes(data: bytes) -> LatentBlock:
     if tag not in _TAG_FAMILIES:
         raise ValueError(f"unknown family tag {tag}")
     shape = (c, h, w)
-    n = prod(shape)
     pos = 4 + struct.calcsize("<HBBIII")
 
-    def take(dtype, count, arr_shape):
+    def take(dtype, arr_shape):
         nonlocal pos
+        count = prod(arr_shape)
         width = np.dtype(dtype).itemsize * count
         if pos + width > len(data):
             raise ValueError("block container truncated")
@@ -301,22 +286,14 @@ def block_from_bytes(data: bytes) -> LatentBlock:
         pos += width
         return arr.reshape(arr_shape)
 
-    residuals = take("<i4", n, shape).astype(np.int64)
-    means = take("<f8", n, shape)
-    features = take("<f8", n, shape)
+    residuals = take("<i4", shape).astype(np.int64)
+    means = take("<f8", shape)
+    features = take("<f8", shape)
     family = _TAG_FAMILIES[tag]
     truth = None
-    if family == "gm":
-        truth = {"family": "gm", "sigma": take("<f8", n, shape)}
-    elif family == "ggm":
-        truth = {"family": "ggm", "beta": take("<f8", n, shape), "alpha": take("<f8", n, shape)}
-    elif family == "gmm":
-        truth = {
-            "family": "gmm",
-            "weights": take("<f8", n * k, shape + (k,)),
-            "means": take("<f8", n * k, shape + (k,)),
-            "sigmas": take("<f8", n * k, shape + (k,)),
-        }
+    if family is not None:
+        param_shape = shape + ((k,) if k else ())
+        truth = {"family": family, **{key: take("<f8", param_shape) for key in FAMILY_PARAMS[family]}}
     if pos != len(data):
         raise ValueError("trailing bytes after block container")
     return LatentBlock(residuals=residuals, means=means, side_features=features, truth_params=truth)

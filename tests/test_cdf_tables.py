@@ -5,8 +5,11 @@ implementation written here from the documented rule, and against frozen
 tables computed once from the bin-mass oracles in test_prob_models.
 """
 
+import hashlib
+import json
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -488,3 +491,95 @@ def test_16bit_equivalent_size():
     table = quantize_pmf(ProbModel.gaussian(3.0), 127)
     set_ = CdfTableSet([table] * 5, {"family": "gm"})
     assert table_set_16bit_bytes(set_) == 5 * 256 * 2
+
+
+def _with_blob(set_, blob: bytes) -> bytes:
+    """Serialized set with a raw metadata blob in place of its own."""
+    return serialize_table_set(set_) + struct.pack("<I", len(blob)) + blob
+
+
+@pytest.mark.parametrize("blob", [b"5", b"null", b"[1, 2]", b'"lut"', b"true"])
+def test_non_object_metadata_blob_is_a_parse_error(blob):
+    with pytest.raises(ParseError, match="not an object"):
+        deserialize_table_set(_with_blob(_single_table_set(), blob))
+
+
+@pytest.mark.parametrize("blob", [b'{"family": [1]}', b'{"family": "bogus"}', b"[" * 100_000],
+                         ids=["unhashable-family", "unknown-family", "deep-nesting"])
+def test_bad_metadata_values_are_parse_errors(blob):
+    with pytest.raises(ParseError):
+        deserialize_table_set(_with_blob(_single_table_set(), blob))
+
+
+@pytest.mark.parametrize("family, meta", [
+    ("gm", {"kind": "lut"}),
+    ("ggm", {"kind": "lut", "betas": [0.5, 1.0]}),
+    ("gm", {"kind": "lut", "sigmas": 5}),
+    ("gm", {"kind": "lut", "sigmas": [[0.5, 1.0], [2.0, 3.0]]}),
+    ("gm", {"kind": "lut", "sigmas": ["a", "b"]}),
+    ("gm", {"kind": "lut", "sigmas": [{"a": 1}, 2.0]}),
+    ("gm", {"kind": "lut", "sigmas": [10**400, 1.0]}),
+])
+def test_lut_meta_without_usable_axes_is_a_parse_error(family, meta):
+    with pytest.raises(ParseError, match="bad LUT grid metadata"):
+        LutGrid.from_meta(family, meta)
+
+
+def test_frozen_ggm_lut_bytes():
+    # sha256 of the 5 x 10 ggm LUT set, recorded before the bin masses moved
+    # from the in-house incomplete gamma to scipy
+    digest = hashlib.sha256(serialize_table_set(build_lut_ggm(5, 10)[0])).hexdigest()
+    assert digest == "925c977645c25ad59ff6c4f49248323878282778d2f67ec5e02e57ec11268a89"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_AXIS = _JSON | st.lists(st.floats(-5.0, 100.0), max_size=5)
+_LUT_META = st.fixed_dictionaries(
+    {"kind": st.just("lut")},
+    optional={"family": st.sampled_from(["gm", "ggm", "gmm", "learned"]) | _JSON,
+              "sigmas": _AXIS, "betas": _AXIS, "alphas": _AXIS},
+)
+
+
+@st.composite
+def _table_set_payloads(draw):
+    """A valid serialized set with a random metadata blob (JSON or raw
+    bytes), then truncated, byte-flipped, extended, or left whole."""
+    tables = []
+    for _ in range(draw(st.integers(0, 3))):
+        masses = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=12))
+        cum = np.concatenate([[0], np.cumsum(allocate_frequencies(np.array(masses)))])
+        tables.append(QuantizedCdfTable(draw(st.integers(-300, 300)), cum))
+    family = draw(st.sampled_from(["gm", "ggm", "gmm", "learned"]))
+    data = serialize_table_set(CdfTableSet(tables, {"family": family}))
+    kind = draw(st.sampled_from(["none", "json", "lut", "raw"]))
+    if kind != "none":
+        blob = (draw(st.binary(max_size=40)) if kind == "raw" else
+                json.dumps(draw(_JSON if kind == "json" else _LUT_META)).encode())
+        data += struct.pack("<I", len(blob)) + blob
+    data = bytearray(data)
+    mutation = draw(st.sampled_from(["whole", "truncate", "flip", "extend"]))
+    if mutation == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    elif mutation == "flip":
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    elif mutation == "extend":
+        data += draw(st.binary(min_size=1, max_size=16))
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table_set_payloads())
+def test_deserialize_fuzz_raises_only_parse_errors(data):
+    t0 = time.perf_counter()
+    try:
+        set_ = deserialize_table_set(data)
+        if set_.meta.get("kind") == "lut":
+            LutGrid.from_meta(set_.meta["family"], set_.meta)
+    except (ParseError, ValueError):
+        pass
+    assert time.perf_counter() - t0 < 5.0

@@ -340,6 +340,25 @@ class TestFailureExits:
                        tmp_path / "side.bin", "--backend", "lut", "--tables",
                        tables, "--out", tmp_path / "d.bin") == 4
 
+    @pytest.mark.parametrize("blob", [b"5", b"null", b'{"kind": "lut"}'],
+                             ids=["number-blob", "null-blob", "lut-without-axes"])
+    def test_bad_table_metadata_exits_2_on_encode_and_4_on_decode(self, blob, tmp_path):
+        shape = (1, 1, 2)
+        side = cb.LatentBlock(np.array([[[0, 3]]], np.int64), np.zeros(shape), np.ones(shape),
+                              truth_params={"family": "gm", "sigma": np.full(shape, 0.11)})
+        (tmp_path / "side.bin").write_bytes(ss.block_to_bytes(side))
+        good = ct.build_lut_gm(4)[0]
+        stream = rc.encode([0, 3], [0, 0], good)
+        (tmp_path / "s.bits").write_bytes(stream.to_bytes())
+        bare = ct.serialize_table_set(ct.CdfTableSet(good.tables, {"family": "gm"}))
+        tables = tmp_path / "bad.tables"
+        tables.write_bytes(bare + len(blob).to_bytes(4, "little") + blob)
+        assert run_cli("encode", "--block", tmp_path / "side.bin", "--backend", "lut",
+                       "--tables", tables, "--out", tmp_path / "e.bits") == 2
+        assert run_cli("decode", "--stream", tmp_path / "s.bits", "--side",
+                       tmp_path / "side.bin", "--backend", "lut", "--tables",
+                       tables, "--out", tmp_path / "d.bin") == 4
+
     def test_mismatched_table_set_exits_4(self, trained, tmp_path):
         idx = tmp_path / "i.npz"
         stream = tmp_path / "s.bits"

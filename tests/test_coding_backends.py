@@ -1,5 +1,6 @@
 """Tests for hardening, index grids, skip masks, and the coding backends."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -251,6 +252,15 @@ class TestBackendDynamic:
             assert report.table_count == block.n_elements
             assert report.symbols_coded == block.n_elements
             assert report.skip_ratio == 0.0
+
+    def test_frozen_ggm_stream_bytes(self):
+        # sha256 of the serialized stream, recorded before the bin masses moved
+        # from the in-house incomplete gamma to scipy
+        block = gen_block(SourceSpec("ggm", (4, 64, 64), seed=1, beta_range=(0.7, 2.5),
+                                     alpha_range=(0.05, 10.0)))
+        stream, _ = backend_dynamic(block)
+        digest = hashlib.sha256(stream.to_bytes()).hexdigest()
+        assert digest == "3dadf6d954ee953accac66024c3beda131423f12a2b4193b280efcb3ba56d522"
 
     def test_matches_manual_tables_byte_for_byte(self):
         """With a fixed radius the backend is exactly per-element quantize+code."""

@@ -427,3 +427,44 @@ def test_random_payloads_raise_only_stream_errors(case, seed):
     except (StreamError, ValueError):
         pass
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_symbols_whose_slot_distance_overflows_int64_are_rejected():
+    set_ = build_lut_gm(4)[0]  # every table has offset -127
+    chunk = rc._shared_chunks(np.zeros(1, np.int64), set_)
+    for sym in (2**63 - 1, 2**63 - 127):  # symbol + 127 does not fit int64
+        with pytest.raises(ValueError, match="overflows int64"):
+            encode([sym], [0], set_)
+        with pytest.raises(ValueError, match="overflows int64"):
+            rc.encode_elementwise([sym], chunk)
+        with pytest.raises(ValueError, match="overflows int64"):
+            implied_bits([sym], [0], set_)
+    for sym in (2**63 - 128, -(2**63), -(2**63) + 1):  # the largest accepted, and the low end
+        stream = encode([sym], [0], set_)
+        assert decode(stream, [0], set_).tolist() == [sym]
+        assert decode_elementwise(rc.encode_elementwise([sym], chunk), chunk).tolist() == [sym]
+        assert np.isfinite(implied_bits([sym], [0], set_)).all()
+    # offset 0 puts -2^63 at distance 2^63 - 1 below the span, the farthest there is
+    zero = CdfTableSet([QuantizedCdfTable(0, np.array([0, 30000, 1 << 16]))])
+    assert decode(encode([-(2**63)], [0], zero), [0], zero).tolist() == [-(2**63)]
+    assert np.isfinite(implied_bits([-(2**63)], [0], zero)).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1),
+                       st.integers(-(2**63), -(2**63) + 300),
+                       st.integers(2**63 - 300, 2**63 - 1)), min_size=1, max_size=8),
+    st.integers(-(2**31), 2**31 - 1),
+)
+def test_symbols_encode_accepts_roundtrip(symbols, offset):
+    table = QuantizedCdfTable(offset, np.array([0, 30000, 60000, 1 << 16]))
+    set_ = CdfTableSet([table])
+    idx = np.zeros(len(symbols), np.int64)
+    try:
+        stream = encode(symbols, idx, set_)
+    except ValueError:
+        # rejected exactly when some symbol - offset leaves int64
+        assert any(not -(2**63) <= s - offset < 2**63 for s in symbols)
+        return
+    assert decode(stream, idx, set_).tolist() == symbols

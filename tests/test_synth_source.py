@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import struct
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swpc.coding_backends import LatentBlock, SkipMask
 from swpc.synth_source import (
@@ -332,3 +336,61 @@ class TestBlockContainer:
         data = block_to_bytes(gen_block(SourceSpec(family="gm", shape=(1, 2, 2), seed=0)))
         with pytest.raises(ValueError):
             block_from_bytes(data + b"\x00")
+
+    def test_component_count_must_fit_the_family(self):
+        gmm = bytearray(block_to_bytes(gen_block(SourceSpec(family="gmm", shape=(1, 2, 2), seed=0))))
+        ggm = bytearray(block_to_bytes(gen_block(SourceSpec(family="ggm", shape=(1, 2, 2), seed=0))))
+        assert gmm[7] == 2 and ggm[7] == 0
+        gmm[7] = 0  # a mixture without its component axis
+        ggm[7] = 1  # a ggm parameter with one
+        for data in (gmm, ggm):
+            with pytest.raises(ValueError):
+                block_from_bytes(bytes(data))
+
+    def test_rejects_more_components_than_the_header_holds(self):
+        shape = (1, 1, 1)
+        weights = np.full(shape + (256,), 1.0 / 256)
+        block = LatentBlock(np.zeros(shape, np.int64), np.zeros(shape), np.ones(shape),
+                            truth_params={"family": "gmm", "weights": weights,
+                                          "means": np.zeros(shape + (256,)),
+                                          "sigmas": np.ones(shape + (256,))})
+        with pytest.raises(ValueError, match="255 mixture components"):
+            block_to_bytes(block)
+
+
+@st.composite
+def _block_payloads(draw):
+    """A valid serialized block (any family tag, or none), then truncated,
+    byte-flipped, extended, or left whole."""
+    family = draw(st.sampled_from([None, "gm", "ggm", "gmm"]))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=3)))
+    if family is None:
+        block = LatentBlock(np.zeros(shape, np.int64), np.zeros(shape), np.ones(shape))
+    else:
+        block = gen_block(SourceSpec(family=family, shape=shape, seed=draw(st.integers(0, 99)),
+                                     components=draw(st.integers(1, 3))))
+    data = bytearray(block_to_bytes(block))
+    mutation = draw(st.sampled_from(["whole", "truncate", "flip", "header", "extend"]))
+    if mutation == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    elif mutation == "flip":
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    elif mutation == "header":  # rewrite version, tag, components and shape outright
+        struct.pack_into("<HBBIII", data, 4, draw(st.integers(0, 2)), draw(st.integers(0, 5)),
+                         draw(st.integers(0, 255)),
+                         *draw(st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3)))
+    elif mutation == "extend":
+        data += draw(st.binary(min_size=1, max_size=16))
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_payloads())
+def test_block_from_bytes_fuzz_raises_only_value_errors(data):
+    t0 = time.perf_counter()
+    try:
+        block = block_from_bytes(data)
+        assert block_from_bytes(block_to_bytes(block)).shape == block.shape
+    except ValueError:
+        pass
+    assert time.perf_counter() - t0 < 5.0
