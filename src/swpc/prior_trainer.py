@@ -8,6 +8,14 @@ training side: soft weights, weighted and Top-K rate estimates, 2-D sets,
 skip-mask training through a Gumbel relaxation, hyperlatent prior reuse,
 annealing schedules, entropy-increasing initialization, and the final
 export to quantized CDF tables.
+
+One kernel, _window_pass, computes every soft-assigned rate and gradient,
+by one of two strategies.  When the window covers all M priors (k = None),
+the softmax over e^(-|i - m|/tau) is two geometric series in e^(-1/tau),
+summed once per epoch as (M + 1, U) recurrence rows and looked up per
+element: O(n + M U) work and no (n, M) array.  A Top-K window with k < M
+is gathered per element instead, since a bounded window would need
+differences of the recurrences, and those cancel at small tau.
 """
 
 from __future__ import annotations
@@ -398,7 +406,25 @@ def _window_pass(rates, grads, inverse, ivals, k, tau, element_weights=None):
     Returns per-element rates and d rate / d i, the (M, U) prior weight on
     each symbol scaled by the optional per-element weights, and the
     gradient of the weighted rate sum in the prior coordinates.
+
+    Two strategies give the same numbers: a window over every prior
+    (k == M) is summed by _geometric_pass in O(n + M U), and a narrower one
+    is gathered per element by _gathered_pass in O(n k).  The recurrences
+    cannot serve k < M: a bounded window is a difference of two geometric
+    sums, and at small tau that difference cancels.
     """
+    # divergent coordinates give inf and NaN rates on purpose; the NaN loss
+    # they produce is caught by the trainer, so the numpy warnings are noise
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if k == rates.shape[0]:
+            element_rates, di, touched = _geometric_pass(rates, inverse, ivals, tau, element_weights)
+        else:
+            element_rates, di, touched = _gathered_pass(rates, inverse, ivals, k, tau, element_weights)
+        return element_rates, di, touched, np.einsum("mu,mud->md", touched, grads)
+
+
+def _gathered_pass(rates, inverse, ivals, k, tau, element_weights=None):
+    """_window_pass over an (n, k) window of priors gathered per element."""
     m, u = rates.shape
     sel, offset, weights = _window(ivals, m, k, tau)
     sel_rates = rates[sel, inverse[:, None]]
@@ -411,7 +437,77 @@ def _window_pass(rates, grads, inverse, ivals, k, tau, element_weights=None):
         weights = weights * element_weights[:, None]
     touched = np.bincount((sel * u + inverse[:, None]).ravel(), weights=weights.ravel(),
                           minlength=m * u).reshape(m, u)
-    return element_rates, di, touched, np.einsum("mu,mud->md", touched, grads)
+    return element_rates, di, touched
+
+
+def _left_sums(x, d):
+    """Rows t = 0..M of sum_{j < t} d^(t-1-j) x_j over the leading axis."""
+    out = np.zeros((len(x) + 1,) + x.shape[1:])
+    for j in range(len(x)):
+        out[j + 1] = x[j] + d * out[j]
+    return out
+
+
+def _right_sums(x, d):
+    """Rows t = 0..M of sum_{j >= t} d^(j-t) x_j over the leading axis."""
+    out = np.zeros((len(x) + 1,) + x.shape[1:])
+    for j in range(len(x) - 1, -1, -1):
+        out[j] = x[j] + d * out[j + 1]
+    return out
+
+
+def _geometric_pass(rates, inverse, ivals, tau, element_weights=None):
+    """_window_pass over all M priors, as two geometric series in d = e^(-1/tau).
+
+    Priors 1..t lie at or left of i and t+1..M right of it, so the weight
+    of prior j is e^(-left/tau) d^(t-j) or e^(-right/tau) d^(j-t-1), with
+    left and right the distances to priors t and t+1.  The rate-weighted
+    and plain sums of each side are per-split rows of a recurrence, looked
+    up per element; the exponents are shifted by the nearest prior, as
+    _softmax shifts by the max, and an absent side weighs exactly 0.
+    """
+    m, u = rates.shape
+    d = math.exp(-1.0 / tau)
+    # fmax/fmin send a NaN index to t = 0, whose NaN distance surfaces in the loss
+    t = np.fmin(np.fmax(np.floor(ivals), 0.0), float(m))
+    left = np.where(t >= 1.0, ivals - t, np.inf)
+    right = np.where(t < m, t + 1.0 - ivals, np.inf)
+    nearest = np.minimum(left, right)
+    e_left = np.exp((nearest - left) / tau)
+    e_right = np.exp((nearest - right) / tau)
+    split = t.astype(np.int64)
+    cell = split * u + inverse
+    rate_left, rate_right = _left_sums(rates, d).ravel(), _right_sums(rates, d).ravel()
+    norms_left, norms_right = _left_sums(np.ones(m), d), _right_sums(np.ones(m), d)
+    norm_left, norm_right = norms_left[split], norms_right[split]
+    inv_z = 1.0 / (e_left * norm_left + e_right * norm_right)
+    w_left, w_right = e_left * inv_z, e_right * inv_z
+    r_left, r_right = w_left * rate_left[cell], w_right * rate_right[cell]
+    element_rates = r_left + r_right
+
+    # d rate / d i, with W and R the weight and rate-weighted sums of the
+    # priors strictly left of, right of and exactly at i (sign +1, -1, 0):
+    # -(2 W_R + W_c) R_L + (2 W_L + W_c) R_R + (W_L - W_R) R_c, over tau.
+    # An index on prior t takes it out of the left side, which then starts
+    # at prior t - 1 with weight d.  Unlike rate * mean_sign - sum w r sign,
+    # this form does not cancel at small tau.
+    center = left == 0.0
+    below = np.maximum(cell - u, 0)
+    w_c = np.where(center, inv_z, 0.0)
+    r_c = np.where(center, inv_z * rates.ravel()[below], 0.0)
+    w_l = np.where(center, d * inv_z * norms_left[np.maximum(split - 1, 0)], w_left * norm_left)
+    r_l = np.where(center, d * inv_z * rate_left[below], r_left)
+    w_r = w_right * norm_right
+    di = (-(2.0 * w_r + w_c) * r_l + (2.0 * w_l + w_c) * r_right + (w_l - w_r) * r_c) / tau
+
+    # touched: bin each element's side weights by split, then spread them
+    # over the priors with the recurrences run the other way
+    if element_weights is not None:
+        w_left, w_right = w_left * element_weights, w_right * element_weights
+    from_left = np.bincount(cell, weights=w_left, minlength=(m + 1) * u).reshape(m + 1, u)
+    from_right = np.bincount(cell, weights=w_right, minlength=(m + 1) * u).reshape(m + 1, u)
+    touched = _right_sums(from_left[1:], d)[:m] + _left_sums(from_right[:m], d)[1:]
+    return element_rates, di, touched
 
 
 def _check_floor(pmf, touched, uniques):

@@ -607,7 +607,9 @@ def gaussian_support_radius(sigma, tail_mass: float = 2.0 ** -20, cap: int = 127
 def ggm_support_radius(beta, alpha, tail_mass: float = 2.0 ** -20, cap: int = 127):
     a = 1.0 / np.asarray(beta, np.float64)
     u = gammainccinv(a, min(1.0, tail_mass))
-    return _edge_to_radius(np.asarray(alpha, np.float64) * u ** a, cap)
+    # a very heavy tail can push the edge past float range: that is the cap
+    with np.errstate(over="ignore"):
+        return _edge_to_radius(np.asarray(alpha, np.float64) * u ** a, cap)
 
 
 def gmm_support_radius(means, sigmas, tail_mass: float = 2.0 ** -20, cap: int = 127):
@@ -618,8 +620,8 @@ def gmm_support_radius(means, sigmas, tail_mass: float = 2.0 ** -20, cap: int = 
 
 
 def _edge_to_radius(edge, cap: int):
-    r = np.ceil(np.asarray(edge, np.float64) - 0.5).astype(np.int64)
-    r = np.clip(r, 1, cap)
+    # clip in floats first: an edge beyond int64 must reach the cap, not wrap
+    r = np.clip(np.ceil(np.asarray(edge, np.float64) - 0.5), 1, cap).astype(np.int64)
     return int(r) if r.ndim == 0 else r
 
 

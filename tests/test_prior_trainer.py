@@ -7,6 +7,7 @@ under test.  The Top-2-vs-full mean-gap bound (0.08 bits) was measured once
 with the exact Philox draw protocol used below (mean 0.0547) and frozen.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -210,6 +211,66 @@ class TestWeightedRate:
         assert full == pytest.approx(pm.rate_bits(ps.model(1), 3), abs=1e-12)
         assert pt.topk_rate(3, ps, 1.0, 1e-4, k=2) == full
         assert pt.topk_rate_grads(3, ps, 1.0, 1e-4, k=2)[0] == full
+
+
+class TestFullWindowPass:
+    """The geometric-series pass behind k == M against the gathered window."""
+
+    @staticmethod
+    def case(rng, m, n, weighted):
+        ps = random_valid_set(rng, m, family="ggm")
+        symbols = rng.integers(-6, 7, size=n)
+        uniques, inverse = np.unique(symbols, return_inverse=True)
+        rates, grads, _ = pt._family_tables("ggm", ps.params, uniques)
+        ivals = rng.uniform(-20.0, m + 20.0, size=n)
+        kind = rng.integers(0, 3, size=n)  # exact integers and half-integers too
+        ivals = np.where(kind == 1, np.round(ivals), np.where(kind == 2, np.floor(ivals) + 0.5, ivals))
+        weights = rng.uniform(0.0, 2.0, size=n) if weighted else None
+        return rates, grads, inverse, ivals, weights
+
+    def test_matches_gathered_window(self):
+        rng = np.random.default_rng(np.random.Philox(2504))
+        for trial in range(400):
+            m = int(rng.integers(1, 61))
+            tau = float(np.exp(rng.uniform(np.log(1e-4), np.log(1e2))))
+            rates, grads, inverse, ivals, weights = self.case(rng, m, 64, trial % 2 == 1)
+            got = pt._window_pass(rates, grads, inverse, ivals, m, tau, weights)
+            ref = pt._gathered_pass(rates, inverse, ivals, m, tau, weights)
+            ref += (np.einsum("mu,mud->md", ref[2], grads),)
+            for name, g, r in zip(("rates", "di", "touched", "dtheta"), got, ref):
+                scale = rates.max() / tau if name == "di" else np.abs(r).max()
+                assert np.abs(g - r).max() <= 1e-12 * scale, (name, m, tau)
+
+    def test_index_on_a_prior_has_sign_zero_there(self):
+        # at i = 2 the middle prior has no pull; the outer two pull evenly
+        ps = gm_set(1.0, 1.0, 1.0)
+        assert pt.weighted_rate_grads(0, ps, 2.0, 0.5)[2] == pytest.approx(0.0, abs=1e-15)
+        ps = gm_set(0.9, 3.0, 11.0)
+        rates, _, _ = pt._family_tables("gm", ps.params, np.array([2]))
+        for tau in (1e-4, 0.05, 0.7, 30.0):
+            w = pt.soft_weights(2.0, 3, tau)
+            signs = np.array([1.0, 0.0, -1.0])  # sign(i - m') at i = 2
+            expected = float(np.sum(w * rates[:, 0] * (np.dot(w, signs) - signs))) / tau
+            got = pt.weighted_rate_grads(2, ps, 2.0, tau)[2]
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * rates.max() / tau)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_index_gives_nan_loss(self, bad):
+        rng = np.random.default_rng(np.random.Philox(5))
+        rates, grads, inverse, ivals, _ = self.case(rng, 7, 16, False)
+        ivals[3] = bad
+        loss, _, _, _ = pt._calibration_pass(rates, grads, inverse, ivals, np.zeros(16), 7, 0.3)
+        assert math.isnan(loss)
+
+    @pytest.mark.parametrize("lr", [1e6, 1e300])
+    def test_calibration_divergence_raises_with_trace(self, lr):
+        # 1e300 throws the curve itself, and so the indexes, out of range
+        blk = ss.gen_block(ss.SourceSpec(family="gm", shape=(1, 8, 8), seed=3))
+        cfg = pt.TrainConfig(family="gm", dims=(6,), epochs=30, lr=lr,
+                             predictor_mode="calibration-curve")
+        with pytest.raises(pt.TrainingDivergedError) as err:
+            pt.train_priors([blk], cfg)
+        assert len(err.value.loss_trace) >= 1
 
 
 class TestTopkRate:
@@ -835,3 +896,35 @@ class TestExportTables:
         assert len(tabs.tables) == 40
         assert tabs.meta["dims"] == [10, 4]
         assert tabs.meta["family"] == "gmm"
+
+
+class TestFrozenTraining:
+    """Trained bytes of a short ggm M=40 run, recorded before the full-window
+    pass was rewritten: any change to the rate kernel shows up here."""
+
+    FROZEN = {
+        ("calibration-curve", None): (
+            "e5d7dc111190d22fa96360f6d328f0948bc7ccaca54b794c0191d60af24ce92d",
+            5.896601318586503, 20.955664098571965),
+        ("calibration-curve", 2): (
+            "9aeffabcc7e21435bc95bf42697db3de0a44bfd3e8dbaf0dfad22e81ff4698a6",
+            5.896627826820198, 20.955623180737668),
+        ("free-index", None): (
+            "aede1d829e5f7fc93e5f63b0ae81bd59709101f305dd6ca0eedc240e6783d445",
+            None, None),
+    }
+
+    @pytest.mark.parametrize("mode,k", list(FROZEN))
+    def test_trained_tables_and_curve(self, mode, k):
+        digest, a, c = self.FROZEN[(mode, k)]
+        blk = ss.gen_block(ss.SourceSpec(family="ggm", shape=(1, 64, 64), seed=1,
+                                         beta_range=(0.7, 2.5), alpha_range=(0.05, 10.0)))
+        cfg = pt.TrainConfig(family="ggm", dims=(40,), epochs=5, seed=1, k=k,
+                             predictor_mode=mode)
+        res = pt.train_priors([blk], cfg)
+        blob = ct.serialize_table_set(pt.export_tables(res.prior_set))
+        assert hashlib.sha256(blob).hexdigest() == digest
+        if a is not None:
+            # the curve may move in the last bits when the kernel sums in another order
+            assert res.predictor["a"] == pytest.approx(a, rel=1e-12)
+            assert res.predictor["c"] == pytest.approx(c, rel=1e-12)

@@ -6,6 +6,7 @@ implementation was written; the oracle code is kept next to each assertion.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -339,6 +340,28 @@ def test_support_radius_covers_mass():
 def test_support_radius_monotone_in_sigma():
     radii = [pm.support_radius(ProbModel.gaussian(s)) for s in (0.1, 0.5, 1.0, 4.0, 16.0)]
     assert radii == sorted(radii)
+
+
+def test_support_edge_beyond_int64_reaches_the_cap():
+    # the ggm edge alpha * u^(1/beta) is ~1e24 here, past the int64 range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pm.support_radius(ProbModel.generalized_gaussian(0.06, 0.01)) == 127
+        assert pm.support_radius(ProbModel.gaussian(1e300)) == 127
+        # beta = 0.005 overflows the edge itself to inf
+        assert pm.support_radius(ProbModel.generalized_gaussian(0.005, 1.0)) == 127
+        assert pm.ggm_support_radius(np.array([0.06, 0.12]), 0.01).tolist() == [127, 127]
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.3, 5.0])
+def test_support_radius_never_grows_with_beta(alpha):
+    # a larger shape gives a lighter tail at fixed alpha
+    betas = np.concatenate([np.linspace(0.05, 0.5, 91), np.linspace(0.5, 6.0, 56)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radii = [pm.support_radius(ProbModel.generalized_gaussian(b, alpha)) for b in betas]
+    assert all(1 <= r <= 127 for r in radii)
+    assert all(later <= earlier for earlier, later in zip(radii, radii[1:]))
 
 
 def test_ggm_std_roundtrip():
