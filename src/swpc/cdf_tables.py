@@ -17,12 +17,13 @@ or training provenance may follow.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from swpc.prob_models import ProbModel, gaussian_integer_pmf, ggm_integer_pmf, pmf_integer
+from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, ProbModel, pmf_integer
 
 __all__ = [
     "TOTAL_FREQ",
@@ -40,6 +41,7 @@ __all__ = [
     "allocate_frequencies",
     "cumulative_rows",
     "tables_from_masses",
+    "build_lut",
     "build_lut_gm",
     "build_lut_ggm",
     "lut_search",
@@ -65,6 +67,16 @@ _TAG_FAMILIES = {v: k for k, v in _FAMILY_TAGS.items()}
 GM_SIGMA_RANGE = (0.11, 60.0)
 GGM_BETA_RANGE = (0.5, 3.0)
 GGM_ALPHA_RANGE = (0.01, 60.0)
+
+
+# LUT axis per model parameter: (LutGrid field holding its samples, sample
+# range, log-spaced); nearness on a log-spaced axis is measured in log space.
+# A family has a LUT when each of its parameters has an axis.
+_LUT_AXES = {
+    "sigma": ("sigmas", GM_SIGMA_RANGE, True),
+    "beta": ("betas", GGM_BETA_RANGE, False),
+    "alpha": ("alphas", GGM_ALPHA_RANGE, True),
+}
 
 
 class CapacityError(ValueError):
@@ -321,12 +333,21 @@ def tables_from_masses(masses: np.ndarray, radius: int) -> list[QuantizedCdfTabl
 # Parameter-grid LUTs
 
 
+def _lut_axes(family: str) -> list[tuple]:
+    """(parameter, field, range, log-spaced) per LUT axis, in FAMILY_PARAMS order."""
+    names = FAMILY_PARAMS.get(family, ())
+    if not names or any(name not in _LUT_AXES for name in names):
+        raise ValueError(f"no LUT grid for family {family!r}")
+    return [(name, *_LUT_AXES[name]) for name in names]
+
+
 @dataclass(frozen=True)
 class LutGrid:
-    """Sample axes of a LUT set; table order is row-major over the axes.
+    """Sample axes of a LUT set, one per family parameter as `_LUT_AXES`
+    names them; table order is row-major over the axes in FAMILY_PARAMS order.
 
-    gm: one log-spaced sigma axis.  ggm: a linear beta axis (major) and a
-    log-spaced alpha axis (minor), index = beta_idx * len(alphas) + alpha_idx.
+    gm: a log-spaced `sigmas` axis.  ggm: a linear `betas` axis (major) and a
+    log-spaced `alphas` axis (minor), index = beta_idx * len(alphas) + alpha_idx.
     """
 
     family: str
@@ -335,51 +356,37 @@ class LutGrid:
     alphas: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.family == "gm":
-            axes = {"sigma": self.sigmas}
-        elif self.family == "ggm":
-            axes = {"beta": self.betas, "alpha": self.alphas}
-        else:
-            raise ValueError(f"no LUT grid for family {self.family!r}")
-        for name, samples in axes.items():
+        for name, field, _, _ in _lut_axes(self.family):
+            samples = getattr(self, field)
             if samples is None or np.ndim(samples) != 1 or len(samples) < 2:
                 raise ValueError(f"{self.family} grid needs >= 2 {name} samples")
             if np.any(np.diff(samples) <= 0):
                 raise ValueError(f"{name} samples must be sorted strictly ascending")
 
     @property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """Samples per axis, in FAMILY_PARAMS order."""
+        return tuple(getattr(self, field) for _, field, _, _ in _lut_axes(self.family))
+
+    @property
     def n_tables(self) -> int:
-        if self.family == "gm":
-            return len(self.sigmas)
-        return len(self.betas) * len(self.alphas)
+        return math.prod(len(samples) for samples in self.axes)
 
     def model_for(self, index: int) -> ProbModel:
-        if self.family == "gm":
-            return ProbModel.gaussian(float(self.sigmas[index]))
-        bi, ai = divmod(index, len(self.alphas))
-        return ProbModel.generalized_gaussian(float(self.betas[bi]), float(self.alphas[ai]))
+        cell = np.unravel_index(index, [len(samples) for samples in self.axes])
+        return ProbModel.from_values(self.family, [samples[i] for samples, i in zip(self.axes, cell)])
 
     def to_meta(self) -> dict:
-        if self.family == "gm":
-            return {"kind": "lut", "sigmas": [float(s) for s in self.sigmas]}
-        return {
-            "kind": "lut",
-            "betas": [float(b) for b in self.betas],
-            "alphas": [float(a) for a in self.alphas],
-        }
+        return {"kind": "lut", **{field: [float(s) for s in getattr(self, field)]
+                                  for _, field, _, _ in _lut_axes(self.family)}}
 
     @classmethod
     def from_meta(cls, family: str, meta: dict) -> "LutGrid":
-        """The grid a table set's metadata describes; ParseError when its
-        axes are missing or malformed."""
+        """The grid a table set's metadata describes; ParseError when the
+        family has no LUT or its axes are missing or malformed."""
         try:
-            if family == "gm":
-                return cls("gm", sigmas=np.asarray(meta["sigmas"], np.float64))
-            return cls(
-                "ggm",
-                betas=np.asarray(meta["betas"], np.float64),
-                alphas=np.asarray(meta["alphas"], np.float64),
-            )
+            return cls(family, **{field: np.asarray(meta[field], np.float64)
+                                  for _, field, _, _ in _lut_axes(family)})
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad LUT grid metadata: {exc!r}") from exc
 
@@ -391,69 +398,63 @@ def _log_samples(lo: float, hi: float, count: int) -> np.ndarray:
     return s
 
 
+def build_lut(family: str, *counts: int) -> tuple[CdfTableSet, LutGrid]:
+    """counts[i] samples over the range of the family's i-th LUT axis; one
+    full-width table per grid cell, row-major."""
+    if min(counts) < 2:
+        raise ValueError("counts must be >= 2")
+    grid = LutGrid(family, **{
+        field: (_log_samples if log else np.linspace)(*span, count)
+        for (_, field, span, log), count in zip(_lut_axes(family), counts, strict=True)
+    })
+    ks = np.arange(-MAX_RADIUS, MAX_RADIUS + 1)
+    cells = np.meshgrid(*grid.axes, indexing="ij")
+    masses = INTEGER_PMF[family](ks[None, :], *(c.reshape(-1, 1) for c in cells))
+    tables = tables_from_masses(masses, MAX_RADIUS)
+    return CdfTableSet(tables, {"family": family, **grid.to_meta()}), grid
+
+
 def build_lut_gm(count: int) -> tuple[CdfTableSet, LutGrid]:
     """Log-spaced sigma grid over [0.11, 60]; one full-width table each."""
-    if count < 2:
-        raise ValueError("count must be >= 2")
-    sigmas = _log_samples(*GM_SIGMA_RANGE, count)
-    ks = np.arange(-MAX_RADIUS, MAX_RADIUS + 1)
-    masses = gaussian_integer_pmf(ks[None, :], sigmas[:, None])
-    tables = tables_from_masses(masses, MAX_RADIUS)
-    grid = LutGrid("gm", sigmas=sigmas)
-    return CdfTableSet(tables, {"family": "gm", **grid.to_meta()}), grid
+    return build_lut("gm", count)
 
 
 def build_lut_ggm(beta_count: int, alpha_count: int) -> tuple[CdfTableSet, LutGrid]:
     """Linear beta grid on [0.5, 3] x log alpha grid on [0.01, 60], row-major."""
-    if beta_count < 2 or alpha_count < 2:
-        raise ValueError("counts must be >= 2")
-    betas = np.linspace(*GGM_BETA_RANGE, beta_count)
-    alphas = _log_samples(*GGM_ALPHA_RANGE, alpha_count)
-    bb = np.repeat(betas, alpha_count)
-    aa = np.tile(alphas, beta_count)
-    ks = np.arange(-MAX_RADIUS, MAX_RADIUS + 1)
-    masses = ggm_integer_pmf(ks[None, :], bb[:, None], aa[:, None])
-    tables = tables_from_masses(masses, MAX_RADIUS)
-    grid = LutGrid("ggm", betas=betas, alphas=alphas)
-    return CdfTableSet(tables, {"family": "ggm", **grid.to_meta()}), grid
+    return build_lut("ggm", beta_count, alpha_count)
 
 
-def _nearest_indexes(samples_metric: np.ndarray, values_metric: np.ndarray) -> np.ndarray:
-    # nearest sample with ties to the smaller index: insertion into midpoints
-    mids = 0.5 * (samples_metric[:-1] + samples_metric[1:])
-    return np.searchsorted(mids, values_metric, side="left")
-
-
-def lut_search_gm(grid: LutGrid, sigmas) -> np.ndarray:
-    """Nearest sigma sample in log space; out-of-range clamps to the edge."""
-    v = np.log(np.asarray(sigmas, np.float64))
-    return _nearest_indexes(np.log(grid.sigmas), v)
-
-
-def lut_search_ggm(grid: LutGrid, betas, alphas) -> np.ndarray:
-    """Per-dimension nearest sample: beta linear, alpha in log space."""
-    bi = _nearest_indexes(np.asarray(grid.betas, np.float64), np.asarray(betas, np.float64))
-    ai = _nearest_indexes(np.log(grid.alphas), np.log(np.asarray(alphas, np.float64)))
-    return bi * len(grid.alphas) + ai
-
-
-def lut_search(grid: LutGrid, model) -> int:
+def lut_search(grid: LutGrid, model):
     """Table index whose grid sample is nearest to the given parameters.
 
-    Accepts a ProbModel of the grid's family or a bare parameter tuple
-    ((sigma,) for gm, (beta, alpha) for ggm).
+    Accepts a ProbModel of the grid's family or a parameter tuple in
+    FAMILY_PARAMS order ((sigma,) for gm, (beta, alpha) for ggm); scalar
+    parameters give an int, arrays an index array.
     """
     if isinstance(model, ProbModel):
         if grid.family != model.family:
             raise ValueError(f"grid family {grid.family!r} does not match model family {model.family!r}")
-        params = (model.params.sigma,) if grid.family == "gm" else (model.params.beta, model.params.alpha)
+        params = [getattr(model.params, name) for name in FAMILY_PARAMS[model.family]]
     else:
-        params = tuple(np.atleast_1d(np.asarray(model, np.float64)))
-    if grid.family == "gm":
-        (sigma,) = params
-        return int(lut_search_gm(grid, sigma))
-    beta, alpha = params
-    return int(lut_search_ggm(grid, beta, alpha))
+        params = model if isinstance(model, (tuple, list)) else np.atleast_1d(np.asarray(model, np.float64))
+    index = None
+    for (_, field, _, log), values in zip(_lut_axes(grid.family), params, strict=True):
+        metric = np.log if log else np.asarray
+        edges = metric(getattr(grid, field))
+        # nearest sample with ties to the smaller index: insertion into midpoints
+        cell = np.searchsorted(0.5 * (edges[:-1] + edges[1:]), metric(values), side="left")
+        index = cell if index is None else index * len(edges) + cell
+    return int(index) if np.ndim(index) == 0 else index
+
+
+def lut_search_gm(grid: LutGrid, sigmas) -> np.ndarray:
+    """Nearest sigma sample in log space; out-of-range clamps to the edge."""
+    return lut_search(grid, (sigmas,))
+
+
+def lut_search_ggm(grid: LutGrid, betas, alphas) -> np.ndarray:
+    """Per-dimension nearest sample: beta linear, alpha in log space."""
+    return lut_search(grid, (betas, alphas))
 
 
 # ---------------------------------------------------------------------------

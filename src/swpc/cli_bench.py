@@ -25,6 +25,7 @@ import numpy as np
 from . import cdf_tables as ct
 from . import coding_backends as cb
 from . import prior_trainer as pt
+from . import prob_models as pm
 from . import rans_coder as rc
 from . import synth_source as ss
 
@@ -64,14 +65,20 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(ns, cfg: dict, name: str, default):
-    """Flag beats config file beats default; flags parse with default None."""
+def _resolve(ns, cfg: dict, name: str, default, kind=None):
+    """Flag beats config file beats default; flags parse with default None.
+
+    With `kind`, the value is converted by it, and a value that does not
+    convert is a UsageError.
+    """
     flag = getattr(ns, name, None)
-    if flag is not None:
-        return flag
-    if name in cfg:
-        return cfg[name]
-    return default
+    value = flag if flag is not None else cfg.get(name, default)
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise UsageError(f"bad value for {name}: {value!r}") from exc
 
 
 def _read_block(path: str) -> cb.LatentBlock:
@@ -121,16 +128,12 @@ def cmd_build_tables(ns) -> int:
     if family not in ("gm", "ggm"):
         raise UsageError("build-tables needs --family gm or ggm")
     if family == "gm":
-        count = int(_resolve(ns, cfg, "count", 160))
-        if count < 2:
-            raise UsageError("--count must be >= 2")
-        table_set, _ = ct.build_lut_gm(count)
+        counts = [_resolve(ns, cfg, "count", 160, int)]
     else:
-        beta = int(_resolve(ns, cfg, "beta", 5))
-        alpha = int(_resolve(ns, cfg, "alpha", 10))
-        if beta < 2 or alpha < 2:
-            raise UsageError("--beta and --alpha must each be >= 2")
-        table_set, _ = ct.build_lut_ggm(beta, alpha)
+        counts = [_resolve(ns, cfg, "beta", 5, int), _resolve(ns, cfg, "alpha", 10, int)]
+    if min(counts) < 2:
+        raise UsageError("--count, --beta and --alpha must each be >= 2")
+    table_set, _ = ct.build_lut(family, *counts)
     blob = ct.serialize_table_set(table_set)
     Path(ns.out).write_bytes(blob)
     print(f"tables: {len(table_set)}")
@@ -162,22 +165,21 @@ def _unpack_mask(entry: dict) -> cb.SkipMask:
 
 def cmd_train(ns) -> int:
     cfg = _load_config(ns.config)
-    seed = int(_resolve(ns, cfg, "seed", _default_seed()))
+    seed = _resolve(ns, cfg, "seed", _default_seed(), int)
     family = _resolve(ns, cfg, "family", "ggm")
-    epochs = int(_resolve(ns, cfg, "epochs", 300))
+    epochs = _resolve(ns, cfg, "epochs", 300, int)
     mode = _resolve(ns, cfg, "mode", "calibration-curve")
-    two_dim = _resolve(ns, cfg, "two_dim", None)
-    if two_dim is not None:
-        dims = (int(two_dim[0]), int(two_dim[1]))
+    if _resolve(ns, cfg, "two_dim", None) is not None:
+        dims = _resolve(ns, cfg, "two_dim", None, lambda v: (int(v[0]), int(v[1])))
         if mode == "calibration-curve" and ns.mode is None and "mode" not in cfg:
             mode = "free-index"
     else:
-        dims = (int(_resolve(ns, cfg, "m", 40)),)
+        dims = (_resolve(ns, cfg, "m", 40, int),)
     topk = _resolve(ns, cfg, "topk", None)
     skip = bool(_resolve(ns, cfg, "skip", False))
-    skip_epochs = int(_resolve(ns, cfg, "skip_epochs", epochs // 2)) if skip else 0
-    lambda_ = float(_resolve(ns, cfg, "rd_lambda", 0.01))
-    lr = float(_resolve(ns, cfg, "lr", 1e-2))
+    skip_epochs = _resolve(ns, cfg, "skip_epochs", epochs // 2, int) if skip else 0
+    lambda_ = _resolve(ns, cfg, "rd_lambda", 0.01, float)
+    lr = _resolve(ns, cfg, "lr", 1e-2, float)
     spec = _read_source(_resolve(ns, cfg, "source", None), seed)
     block = ss.gen_block(spec)
     z_block = None
@@ -242,10 +244,22 @@ def cmd_train(ns) -> int:
 
 
 def _trained_sidecar(prefix: str) -> dict:
+    """The trained sidecar; ValueError when it lacks the fields coding reads."""
+    path = f"{prefix}.json"
     try:
-        return json.loads(Path(f"{prefix}.json").read_text())
+        sidecar = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise UsageError(f"cannot read trained sidecar {prefix}.json: {exc}") from exc
+        raise UsageError(f"cannot read trained sidecar {path}: {exc}") from exc
+    dims = sidecar.get("dims") if isinstance(sidecar, dict) else None
+    predictor = sidecar.get("predictor") if isinstance(sidecar, dict) else None
+    if not (isinstance(dims, list) and len(dims) in (1, 2) and all(isinstance(d, int) for d in dims)):
+        raise ValueError(f"trained sidecar {path} holds no prior-set dims")
+    if not (isinstance(predictor, dict) and "mode" in predictor):
+        raise ValueError(f"trained sidecar {path} holds no predictor mode")
+    if predictor["mode"] == "calibration-curve" and not all(
+            isinstance(predictor.get(key), (int, float)) for key in ("a", "c")):
+        raise ValueError(f"trained sidecar {path} holds no calibration curve")
+    return sidecar
 
 
 def _argmin_index_grid(block: cb.LatentBlock, table_set: ct.CdfTableSet,
@@ -283,6 +297,8 @@ def _switch_side_info(block: cb.LatentBlock, prefix: str, use_skip: bool,
         indexes = cb.IndexGrid.from_continuous(cont, int(dims[0]))
     elif indexes_path and Path(indexes_path).exists():
         data = np.load(indexes_path)
+        if "continuous" not in data:
+            raise ValueError(f"index file {indexes_path} holds no continuous indexes")
         if "continuous2" in data:
             indexes = cb.IndexGrid.from_continuous(
                 data["continuous"], int(dims[0]),
@@ -441,21 +457,10 @@ def _bench_row(backend, family, report, oracle_bits_ps, index_ns, encode_ns,
 
 def _bench_lut(block, family, counts, trials, oracle_ps):
     rows = []
-    truth = block.truth_params
+    params = [np.ravel(block.truth_params[name]) for name in pm.FAMILY_PARAMS[family]]
     for count in counts:
-        if family == "gm":
-            table_set, grid = ct.build_lut_gm(int(count))
-            sigmas = np.asarray(truth["sigma"], np.float64).ravel()
-            index_ns = _median_ns(lambda g=grid, s=sigmas: ct.lut_search_gm(g, s),
-                                  trials)
-        else:
-            nb, na = count
-            table_set, grid = ct.build_lut_ggm(int(nb), int(na))
-            betas = np.asarray(truth["beta"], np.float64).ravel()
-            alphas = np.asarray(truth["alpha"], np.float64).ravel()
-            index_ns = _median_ns(
-                lambda g=grid, b=betas, a=alphas: ct.lut_search_ggm(g, b, a),
-                trials)
+        table_set, grid = ct.build_lut(family, *count)
+        index_ns = _median_ns(lambda g=grid: ct.lut_search(g, params), trials)
         stream, report = cb.backend_lut(block, grid, table_set)
         encode_ns = _median_ns(
             lambda b=block, g=grid, t=table_set: cb.backend_lut(b, g, t), trials)
@@ -469,8 +474,8 @@ def _bench_lut(block, family, counts, trials, oracle_ps):
 
 def cmd_bench(ns) -> int:
     cfg = _load_config(ns.config)
-    seed = int(_resolve(ns, cfg, "seed", _default_seed()))
-    trials = int(_resolve(ns, cfg, "trials", 5))
+    seed = _resolve(ns, cfg, "seed", _default_seed(), int)
+    trials = _resolve(ns, cfg, "trials", 5, int)
     backends = [b.strip() for b in
                 str(_resolve(ns, cfg, "backends", "dynamic,lut,switch")).split(",")
                 if b.strip()]
@@ -497,18 +502,17 @@ def cmd_bench(ns) -> int:
                                    0, encode_ns, decode_ns))
         elif backend == "lut":
             if family == "gm":
-                counts = [int(c) for c in
-                          str(_resolve(ns, cfg, "lut_counts", "5,40,160")).split(",")]
+                counts = _resolve(ns, cfg, "lut_counts", "5,40,160", lambda raw: [
+                    (int(c),) for c in str(raw).split(",")])
             elif family == "ggm":
-                raw = str(_resolve(ns, cfg, "lut_grids", "5x10,20x40"))
-                counts = [tuple(int(v) for v in pair.split("x"))
-                          for pair in raw.split(",")]
+                counts = _resolve(ns, cfg, "lut_grids", "5x10,20x40", lambda raw: [
+                    tuple(int(v) for v in pair.split("x")) for pair in str(raw).split(",")])
             else:
                 raise UsageError(f"no LUT backend for family {family!r}")
             rows.extend(_bench_lut(block, family, counts, trials, oracle_ps))
         elif backend == "switch":
-            m = int(_resolve(ns, cfg, "m", 10))
-            epochs = int(_resolve(ns, cfg, "epochs", 150))
+            m = _resolve(ns, cfg, "m", 10, int)
+            epochs = _resolve(ns, cfg, "epochs", 150, int)
             skip = bool(_resolve(ns, cfg, "skip", False))
             try:
                 config = pt.TrainConfig(

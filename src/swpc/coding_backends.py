@@ -25,8 +25,7 @@ from swpc.cdf_tables import (
     CdfTableSet,
     LutGrid,
     cumulative_rows,
-    lut_search_ggm,
-    lut_search_gm,
+    lut_search,
     serialize_table_set,
 )
 from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, SUPPORT_RADIUS
@@ -374,12 +373,9 @@ def backend_dynamic_decode(stream: Bitstream, truth_params: dict, shape, *,
 
 
 def _lut_indexes(truth: dict, grid: LutGrid) -> np.ndarray:
-    family = truth["family"]
-    if family != grid.family:
-        raise ValueError(f"truth family {family!r} does not match grid family {grid.family!r}")
-    if family == "gm":
-        return lut_search_gm(grid, truth["sigma"])
-    return lut_search_ggm(grid, truth["beta"], truth["alpha"])
+    if truth["family"] != grid.family:
+        raise ValueError(f"truth family {truth['family']!r} does not match grid family {grid.family!r}")
+    return lut_search(grid, _params(truth))
 
 
 def backend_lut(block: LatentBlock, grid: LutGrid, table_set: CdfTableSet):

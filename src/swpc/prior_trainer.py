@@ -28,15 +28,14 @@ import numpy as np
 from .cdf_tables import CdfTableSet, tables_from_masses
 from .coding_backends import IndexGrid, LatentBlock, SkipMask, harden_index
 from .prob_models import (
+    FAMILY_PARAMS,
     INTEGER_PMF,
+    PMF_GRADS,
     PROB_FLOOR,
     InfiniteRateError,
     ParameterDomainError,
     ProbModel,
-    gaussian_pmf_grads,
     ggm_alpha_for_std,
-    ggm_pmf_grads,
-    gmm_pmf_grads,
 )
 
 __all__ = [
@@ -93,17 +92,7 @@ class TrainingDivergedError(RuntimeError):
 # gm  -> [log sigma]
 # ggm -> [log beta, log alpha]
 # gmm -> [K weight logits, K means, K log sigmas]
-# matching the gradient order of prob_models.grad_rate_params.
-
-
-def _coord_dim(family: str, components: int) -> int:
-    if family == "gm":
-        return 1
-    if family == "ggm":
-        return 2
-    if family == "gmm":
-        return 3 * components
-    raise ValueError(f"unknown family {family!r}")
+# matching the gradient order of prob_models.PMF_GRADS.
 
 
 def _softmax(x, axis=-1):
@@ -113,27 +102,39 @@ def _softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+# Per parameter, the map from its coordinates to its values; a mixture (the
+# family with weights) takes K coordinates per parameter, the others one.
+_COORD_MAP = {
+    "sigma": np.exp,
+    "beta": lambda c: np.clip(np.exp(c), _BETA_MIN, _BETA_MAX),
+    "alpha": np.exp,
+    "weights": _softmax,
+    "means": lambda c: c,
+    "sigmas": np.exp,
+}
+
+
+def _coord_dim(family: str, components: int) -> int:
+    if family not in FAMILY_PARAMS:
+        raise ValueError(f"unknown family {family!r}")
+    names = FAMILY_PARAMS[family]
+    return len(names) * (components if "weights" in names else 1)
+
+
 def _coord_params(family: str, coords_rows: np.ndarray) -> tuple:
     """Model parameters for each row of coordinates, ready to broadcast
     against a trailing symbol axis: gm (sigma,) and ggm (beta, alpha) as
     (rows, 1) arrays, gmm (weights, means, sigmas) as (rows, 1, K)."""
-    if family == "gm":
-        return (np.exp(coords_rows[:, :1]),)
-    if family == "ggm":
-        return np.clip(np.exp(coords_rows[:, :1]), _BETA_MIN, _BETA_MAX), np.exp(coords_rows[:, 1:2])
-    k = coords_rows.shape[1] // 3
-    return (_softmax(coords_rows[:, None, :k]), coords_rows[:, None, k:2 * k],
-            np.exp(coords_rows[:, None, 2 * k:]))
+    names = FAMILY_PARAMS[family]
+    width = coords_rows.shape[1] // len(names)
+    rows = coords_rows[:, None, :] if "weights" in names else coords_rows
+    return tuple(_COORD_MAP[name](rows[..., i * width:(i + 1) * width]) for i, name in enumerate(names))
 
 
 def model_from_coords(family: str, coords: np.ndarray) -> ProbModel:
     """Project one unconstrained coordinate vector to a validated model."""
-    params = [p.ravel() for p in _coord_params(family, np.asarray(coords, dtype=np.float64)[None, :])]
-    if family == "gm":
-        return ProbModel.gaussian(params[0][0])
-    if family == "ggm":
-        return ProbModel.generalized_gaussian(params[0][0], params[1][0])
-    return ProbModel.mixture(*params)
+    params = _coord_params(family, np.asarray(coords, dtype=np.float64)[None, :])
+    return ProbModel.from_values(family, [p[0, 0] for p in params])
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +322,7 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.family not in ("gm", "ggm", "gmm"):
+        if self.family not in FAMILY_PARAMS:
             raise ValueError(f"unknown family {self.family!r}")
         if len(self.dims) not in (1, 2) or any(d < 1 for d in self.dims):
             raise ValueError("dims must be (M,) or (M, N) with positive sizes")
@@ -781,16 +782,7 @@ def _family_tables(family: str, coords_rows: np.ndarray, uniques: np.ndarray):
     # divergent coordinate values overflow exp on purpose; the NaN loss they
     # produce is caught by the trainer, so the numpy warnings are noise
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        params = _coord_params(family, coords_rows)
-        if family == "gm":
-            pmf, dls = gaussian_pmf_grads(k, *params)
-            grads = dls[:, :, None]
-        elif family == "ggm":
-            pmf, dlb, dla = ggm_pmf_grads(k, *params)
-            grads = np.stack([dlb, dla], axis=-1)
-        else:
-            pmf, dw, dm, ds = gmm_pmf_grads(k, *params)
-            grads = np.concatenate([dw, dm, ds], axis=-1)
+        pmf, grads = PMF_GRADS[family](k, *_coord_params(family, coords_rows))
         floored = pmf < PROB_FLOOR
         rates = -np.log2(np.maximum(pmf, PROB_FLOOR))
         scale = np.where(floored, 0.0, -1.0 / (np.maximum(pmf, PROB_FLOOR) * _LN2))

@@ -6,11 +6,11 @@ a K-component Gaussian mixture ("gmm").  A symbol k carries the probability
 mass of the unit bin [k-1/2, k+1/2], and its code length is -log2 of that
 mass.
 
-Scalar operations (`cdf_eval`, `pmf_integer`, `rate_bits`, `grad_rate_params`)
-work on a single `ProbModel`; the `*_integer_pmf` / `*_pmf_grads` kernels are
-the vectorized equivalents used by table builders and the trainer.
-`FAMILY_PARAMS`, `INTEGER_PMF` and `SUPPORT_RADIUS` map a family name to its
-parameter names and kernels, so callers never branch on the family.
+Scalar operations (`cdf_eval`, `pmf_integer`, `rate_bits`, `grad_rate_params`,
+`model_std`) work on a single `ProbModel`; the per-family kernels are their
+vectorized equivalents.  `FAMILY_PARAMS` maps a family name to its parameter
+names, and `INTEGER_PMF`, `PMF_GRADS`, `STD` and `SUPPORT_RADIUS` to its
+kernels, so callers never branch on the family.
 
 The generalized-Gaussian CDF and bin masses take the regularized incomplete
 gamma P(a, x) and its complement from `scipy.special.gammainc`/`gammaincc`.
@@ -53,11 +53,14 @@ __all__ = [
     "ggm_cdf",
     "gmm_cdf",
     "ggm_std",
+    "gmm_std",
     "ggm_alpha_for_std",
     "model_std",
     "support_radius",
     "FAMILY_PARAMS",
     "INTEGER_PMF",
+    "PMF_GRADS",
+    "STD",
     "SUPPORT_RADIUS",
 ]
 
@@ -146,7 +149,7 @@ class GmmParams:
         return tuple(zip(self.weights, self.means, self.sigmas))
 
 
-_FAMILIES = ("gm", "ggm", "gmm")
+_PARAM_TYPES = {"gm": GaussianParams, "ggm": GeneralizedGaussianParams, "gmm": GmmParams}
 
 
 @dataclass(frozen=True)
@@ -157,9 +160,15 @@ class ProbModel:
     params: GaussianParams | GeneralizedGaussianParams | GmmParams
 
     def __post_init__(self):
-        _require(self.family in _FAMILIES, f"unknown family {self.family!r}")
-        expected = {"gm": GaussianParams, "ggm": GeneralizedGaussianParams, "gmm": GmmParams}[self.family]
+        _require(self.family in _PARAM_TYPES, f"unknown family {self.family!r}")
+        expected = _PARAM_TYPES[self.family]
         _require(isinstance(self.params, expected), f"family {self.family!r} expects {expected.__name__}")
+
+    @classmethod
+    def from_values(cls, family: str, values) -> "ProbModel":
+        """Model from its parameter values in FAMILY_PARAMS order."""
+        values = (float(v) if np.ndim(v) == 0 else tuple(map(float, v)) for v in values)
+        return cls(family, _PARAM_TYPES[family](*values))
 
     @classmethod
     def gaussian(cls, sigma: float) -> "ProbModel":
@@ -411,14 +420,14 @@ def _phi(t):
 
 
 def gaussian_pmf_grads(k, sigma):
-    """Return (pmf, d pmf / d log sigma)."""
+    """Return (pmf, grads); the last axis of grads holds d pmf / d log sigma."""
     k = np.asarray(k, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     pmf = gaussian_integer_pmf(k, sigma)
     a = (k - 0.5) / sigma
     b = (k + 0.5) / sigma
     dlogsigma = a * _phi(a) - b * _phi(b)
-    return pmf, np.broadcast_to(dlogsigma, pmf.shape).copy()
+    return pmf, dlogsigma[..., None]
 
 
 def _q1(a, u):
@@ -443,7 +452,7 @@ def _ggm_endpoint_grads(a, beta, u):
 
 
 def ggm_pmf_grads(k, beta, alpha):
-    """Return (pmf, d pmf/d log beta, d pmf/d log alpha)."""
+    """Return (pmf, grads); the last axis of grads holds (d pmf/d log beta, d pmf/d log alpha)."""
     k, beta, alpha = np.broadcast_arrays(
         np.asarray(k, np.float64), np.asarray(beta, np.float64), np.asarray(alpha, np.float64)
     )
@@ -457,15 +466,15 @@ def ggm_pmf_grads(k, beta, alpha):
     pmf = np.where(center, p_hi, 0.5 * (p_hi - p_lo))
     dlogbeta = np.where(center, db_hi, 0.5 * (db_hi - db_lo))
     dlogalpha = np.where(center, da_hi, 0.5 * (da_hi - da_lo))
-    return np.clip(pmf, 0.0, 1.0), dlogbeta, dlogalpha
+    return np.clip(pmf, 0.0, 1.0), np.stack([dlogbeta, dlogalpha], axis=-1)
 
 
 def gmm_pmf_grads(k, weights, means, sigmas):
-    """Return (pmf, d/d weight-logits, d/d means, d/d log sigmas).
+    """Return (pmf, grads); the last axis of grads holds (d/d weight-logits
+    (K), d/d means (K), d/d log sigmas (K)).
 
     The weight gradient is taken in the normalized soft parameterization
-    (weights = softmax(logits)), evaluated at the current weights; the
-    component axis is the trailing axis of every returned gradient.
+    (weights = softmax(logits)), evaluated at the current weights.
     """
     k = np.asarray(k, dtype=np.float64)[..., None]
     weights = np.asarray(weights, np.float64)
@@ -480,7 +489,7 @@ def gmm_pmf_grads(k, weights, means, sigmas):
     dmeans = weights * (phi_a - phi_b) / sigmas
     dlogsigmas = weights * (a * phi_a - b * phi_b)
     dlogits = weights * (comp - pmf[..., None])
-    return pmf, dlogits, dmeans, dlogsigmas
+    return pmf, np.concatenate([dlogits, dmeans, dlogsigmas], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +502,9 @@ FAMILY_PARAMS = {"gm": ("sigma",), "ggm": ("beta", "alpha"), "gmm": ("weights", 
 
 # Unit-bin mass kernel per family: kernel(k, *parameters).
 INTEGER_PMF = {"gm": gaussian_integer_pmf, "ggm": ggm_integer_pmf, "gmm": gmm_integer_pmf}
+
+# Bin mass and coordinate gradients per family: kernel(k, *parameters).
+PMF_GRADS = {"gm": gaussian_pmf_grads, "ggm": ggm_pmf_grads, "gmm": gmm_pmf_grads}
 
 _CDF = {"gm": gaussian_cdf, "ggm": ggm_cdf, "gmm": gmm_cdf}
 
@@ -546,16 +558,7 @@ def grad_rate_params(model: ProbModel, k) -> np.ndarray:
     Coordinate order: gm -> [log sigma]; ggm -> [log beta, log alpha];
     gmm -> [weight logits (K), means (K), log sigmas (K)].
     """
-    p = model.params
-    if model.family == "gm":
-        pmf, dls = gaussian_pmf_grads(k, p.sigma)
-        grads = np.array([dls])
-    elif model.family == "ggm":
-        pmf, dlb, dla = ggm_pmf_grads(k, p.beta, p.alpha)
-        grads = np.array([dlb, dla])
-    else:
-        pmf, dw, dm, ds = gmm_pmf_grads(k, p.weights, p.means, p.sigmas)
-        grads = np.concatenate([dw, dm, ds])
+    pmf, grads = PMF_GRADS[model.family](k, *_model_args(model))
     pmf = float(pmf)
     if pmf < PROB_FLOOR:
         raise InfiniteRateError(f"symbol {k} has probability {pmf:.3e} < 2^-32 under {model.family}")
@@ -584,19 +587,21 @@ def ggm_alpha_for_std(beta, std):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def gmm_std(weights, means, sigmas):
+    """Standard deviation of a mixture around its mean (component axis trailing)."""
+    weights, means, sigmas = (np.asarray(v, np.float64) for v in (weights, means, sigmas))
+    mean = np.sum(weights * means, axis=-1)
+    var = np.sum(weights * (sigmas**2 + means**2), axis=-1) - mean**2
+    return np.sqrt(np.maximum(var, 0.0))
+
+
+# Standard deviation per family: std(*parameters).
+STD = {"gm": lambda sigma: sigma, "ggm": ggm_std, "gmm": gmm_std}
+
+
 def model_std(model: ProbModel) -> float:
     """Standard deviation of the model (mixture: around its overall mean)."""
-    p = model.params
-    if model.family == "gm":
-        return float(p.sigma)
-    if model.family == "ggm":
-        return ggm_std(p.beta, p.alpha)
-    w = np.asarray(p.weights)
-    mu = np.asarray(p.means)
-    sg = np.asarray(p.sigmas)
-    mean = float(np.dot(w, mu))
-    var = float(np.dot(w, sg * sg + mu * mu) - mean * mean)
-    return math.sqrt(max(var, 0.0))
+    return float(STD[model.family](*_model_args(model)))
 
 
 def gaussian_support_radius(sigma, tail_mass: float = 2.0 ** -20, cap: int = 127):

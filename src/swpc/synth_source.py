@@ -17,7 +17,7 @@ from math import prod
 import numpy as np
 
 from swpc.coding_backends import LatentBlock, round_half_away
-from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, PROB_FLOOR, ggm_std
+from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, PROB_FLOOR, STD
 
 __all__ = [
     "SourceSpec",
@@ -57,7 +57,7 @@ class SourceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        if self.family not in ("gm", "ggm", "gmm"):
+        if self.family not in FAMILY_PARAMS:
             raise ValueError(f"unknown family {self.family!r}")
         if self.mode not in ("zero-center", "nonzero-center"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -119,13 +119,11 @@ def gen_block(spec: SourceSpec) -> LatentBlock:
         sigma = _log_uniform(rng, *spec.sigma_range, shape)
         y = sigma * rng.standard_normal(shape)
         truth = {"family": "gm", "sigma": sigma}
-        scale = sigma
     elif spec.family == "ggm":
         beta = rng.uniform(*spec.beta_range, shape)
         alpha = _log_uniform(rng, *spec.alpha_range, shape)
         y = _ggm_sample(rng, beta, alpha)
         truth = {"family": "ggm", "beta": beta, "alpha": alpha}
-        scale = ggm_std(beta, alpha)
     else:
         k = spec.components
         weights = rng.dirichlet(np.ones(k), size=shape)
@@ -140,16 +138,13 @@ def gen_block(spec: SourceSpec) -> LatentBlock:
         sigma_picked = np.take_along_axis(comp_sigmas, pick, axis=-1)[..., 0]
         y = mean_picked + sigma_picked * rng.standard_normal(shape)
         truth = {"family": "gmm", "weights": weights, "means": comp_means, "sigmas": comp_sigmas}
-        overall_mean = np.sum(weights * comp_means, axis=-1)
-        var = np.sum(weights * (comp_sigmas**2 + comp_means**2), axis=-1) - overall_mean**2
-        scale = np.sqrt(np.maximum(var, 0.0))
     residuals = round_half_away(y).astype(np.int64)
     means = (
         rng.uniform(*spec.mean_range, shape)
         if spec.mode == "zero-center"
         else np.zeros(shape)
     )
-    features = scale.copy()
+    features = np.array(STD[spec.family](*(truth[key] for key in FAMILY_PARAMS[spec.family])))
     if spec.feature_noise > 0:
         features = features * np.exp(spec.feature_noise * rng.standard_normal(shape))
     return LatentBlock(residuals=residuals, means=means, side_features=features, truth_params=truth)

@@ -365,6 +365,14 @@ def test_search_family_mismatch():
         lut_search(grid, ProbModel.generalized_gaussian(1.0, 1.0))
 
 
+@pytest.mark.parametrize("family, params", [("gm", (1.0, 2.0)), ("ggm", (1.0,)), ("ggm", (1.0, 2.0, 3.0))])
+def test_search_parameter_count_must_match_axes(family, params):
+    # one parameter per grid axis: none may be dropped or ignored
+    grid = build_lut_gm(2)[1] if family == "gm" else build_lut_ggm(2, 2)[1]
+    with pytest.raises(ValueError):
+        lut_search(grid, params)
+
+
 def test_gm_search_matches_exhaustive_scan():
     rng = np.random.default_rng(5)
     grid = LutGrid("gm", sigmas=np.exp(np.linspace(np.log(0.11), np.log(60.0), 23)))
@@ -373,6 +381,7 @@ def test_gm_search_matches_exhaustive_scan():
     dist = np.abs(np.log(sigmas)[:, None] - np.log(grid.sigmas)[None, :])
     want = np.argmin(dist, axis=1)  # first minimum: the smaller index on ties
     assert np.array_equal(got, want)
+    assert np.array_equal(lut_search(grid, (sigmas,)), want)
 
 
 def test_ggm_search_matches_exhaustive_scan():
@@ -388,6 +397,7 @@ def test_ggm_search_matches_exhaustive_scan():
     bi = np.argmin(np.abs(betas[:, None] - grid.betas[None, :]), axis=1)
     ai = np.argmin(np.abs(np.log(alphas)[:, None] - np.log(grid.alphas)[None, :]), axis=1)
     assert np.array_equal(got, bi * len(grid.alphas) + ai)
+    assert np.array_equal(lut_search(grid, (betas, alphas)), got)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +529,9 @@ def test_bad_metadata_values_are_parse_errors(blob):
     ("gm", {"kind": "lut", "sigmas": ["a", "b"]}),
     ("gm", {"kind": "lut", "sigmas": [{"a": 1}, 2.0]}),
     ("gm", {"kind": "lut", "sigmas": [10**400, 1.0]}),
+    # families without a LUT, carrying valid ggm axes
+    ("gmm", build_lut_ggm(2, 3)[1].to_meta()),
+    ("learned", build_lut_ggm(2, 3)[1].to_meta()),
 ])
 def test_lut_meta_without_usable_axes_is_a_parse_error(family, meta):
     with pytest.raises(ParseError, match="bad LUT grid metadata"):

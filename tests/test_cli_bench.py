@@ -409,6 +409,48 @@ class TestFailureExits:
         assert run_cli("train", "--family", "gm", "--m", 2, "--epochs", 20,
                        "--out", tmp_path / "t") == 2
 
+    @pytest.mark.parametrize("command, config", [
+        (("train", "--family", "gm"), {"epochs": "abc"}),
+        (("train", "--family", "gm"), {"lr": "fast"}),
+        (("train", "--family", "gmm"), {"two_dim": 5}),
+        (("build-tables", "--family", "gm"), {"count": "x"}),
+        (("build-tables", "--family", "ggm"), {"beta": [5]}),
+    ], ids=["train-epochs", "train-lr", "train-two-dim", "build-count", "build-beta"])
+    def test_unparsable_config_value_exits_2(self, command, config, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(*command, "--config", cfg, "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("case", ["empty-sidecar", "list-sidecar", "no-predictor-mode",
+                                      "no-calibration-curve", "indexes-without-continuous"])
+    def test_malformed_trained_artifact_exits_2_on_encode_and_4_on_decode(self, case, trained,
+                                                                           tmp_path):
+        sidecar = json.loads(Path(f"{trained['prefix']}.json").read_text())
+        predictor = dict(sidecar["predictor"])
+        bad = {
+            "empty-sidecar": {},
+            "list-sidecar": [sidecar],
+            "no-predictor-mode": {**sidecar, "predictor": {k: v for k, v in predictor.items()
+                                                           if k != "mode"}},
+            "no-calibration-curve": {**sidecar, "predictor": {"mode": "calibration-curve"}},
+            "indexes-without-continuous": sidecar,
+        }[case]
+        prefix = tmp_path / "bad"
+        Path(f"{prefix}.tables").write_bytes(Path(f"{trained['prefix']}.tables").read_bytes())
+        Path(f"{prefix}.json").write_text(json.dumps(bad))
+        stream = tmp_path / "s.bits"
+        assert run_cli("encode", "--block", trained["block"], "--backend", "switch",
+                       "--trained", trained["prefix"], "--out", stream) == 0
+        decode = ["decode", "--stream", stream, "--side", trained["block"], "--backend",
+                  "switch", "--trained", prefix, "--out", tmp_path / "d.bin"]
+        if case == "indexes-without-continuous":
+            np.savez(tmp_path / "i.npz", other=np.ones(3))
+            decode += ["--indexes", tmp_path / "i.npz"]
+        else:
+            assert run_cli("encode", "--block", trained["block"], "--backend", "switch",
+                           "--trained", prefix, "--out", tmp_path / "e.bits") == 2
+        assert run_cli(*decode) == 4
+
 
 @pytest.fixture(scope="module")
 def bench_files(workdir):
