@@ -278,18 +278,22 @@ def allocate_frequencies(masses: np.ndarray) -> np.ndarray:
     bumped = base < 1
     freqs = np.maximum(base, 1)
     deficit = TOTAL_FREQ - freqs.sum(axis=-1)
-    give = np.maximum(deficit, 0)
-    if np.any(give > 0):
+    # only rows with counts left to give, or to take back, are ranked
+    rows = np.nonzero(deficit > 0)[0]
+    if rows.size:
         # bumped intervals are already over target; they sort last
-        ranks = _ranks_of(np.where(bumped, -1.0, frac), descending=True)
-        freqs += (ranks < give[:, None]) & ~bumped
-    owe = np.maximum(-deficit, 0)
-    if np.any(owe > 0):
+        ranks = _ranks_of(np.where(bumped[rows], -1.0, frac[rows]), descending=True)
+        freqs[rows] += (ranks < deficit[rows, None]) & ~bumped[rows]
+    rows = np.nonzero(deficit < 0)[0]
+    if rows.size:
         # take back round-robin from smallest remainders, 1 per interval per
-        # round, never below 1 count: rounds solved in closed form
-        cap = freqs - 1
+        # round, never below 1 count: rounds solved in closed form.  The
+        # spare capacity 2^16 + owe - n exceeds owe, so owe + 1 rounds
+        # would take more than owe: the round count is at most owe.
+        owe = -deficit[rows]
+        cap = freqs[rows] - 1
         lo = np.zeros(len(owe), np.int64)
-        hi = np.full(len(owe), TOTAL_FREQ, np.int64)
+        hi = owe.copy()
         while np.any(lo < hi):
             mid = (lo + hi + 1) >> 1
             fits = np.minimum(cap, mid[:, None]).sum(axis=-1) <= owe
@@ -298,9 +302,9 @@ def allocate_frequencies(masses: np.ndarray) -> np.ndarray:
         take = np.minimum(cap, lo[:, None])
         rem = owe - take.sum(axis=-1)
         part = cap > lo[:, None]
-        ranks = _ranks_of(np.where(part, frac, np.inf), descending=False)
+        ranks = _ranks_of(np.where(part, frac[rows], np.inf), descending=False)
         take += (ranks < rem[:, None]) & part
-        freqs -= take
+        freqs[rows] -= take
     return freqs[0] if squeeze else freqs
 
 

@@ -12,7 +12,6 @@ verification failure.
 import argparse
 import base64
 import csv
-import io
 import json
 import os
 import statistics
@@ -79,6 +78,14 @@ def _resolve(ns, cfg: dict, name: str, default, kind=None):
         return kind(value)
     except (TypeError, ValueError, IndexError) as exc:
         raise UsageError(f"bad value for {name}: {value!r}") from exc
+
+
+def _strict_bool(value) -> bool:
+    """A `_resolve` kind for switches: JSON true/false only, so that a
+    string such as "false" is refused rather than read as set."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
 
 
 def _read_block(path: str) -> cb.LatentBlock:
@@ -176,14 +183,14 @@ def cmd_train(ns) -> int:
     else:
         dims = (_resolve(ns, cfg, "m", 40, int),)
     topk = _resolve(ns, cfg, "topk", None)
-    skip = bool(_resolve(ns, cfg, "skip", False))
+    skip = _resolve(ns, cfg, "skip", False, _strict_bool)
     skip_epochs = _resolve(ns, cfg, "skip_epochs", epochs // 2, int) if skip else 0
     lambda_ = _resolve(ns, cfg, "rd_lambda", 0.01, float)
     lr = _resolve(ns, cfg, "lr", 1e-2, float)
     spec = _read_source(_resolve(ns, cfg, "source", None), seed)
     block = ss.gen_block(spec)
     z_block = None
-    if bool(_resolve(ns, cfg, "reuse_hyper", False)):
+    if _resolve(ns, cfg, "reuse_hyper", False, _strict_bool):
         z_spec = _read_source(_resolve(ns, cfg, "z_source", None), seed + 1000)
         if _resolve(ns, cfg, "z_source", None) is None:
             z_spec = ss.SourceSpec(family="gm", shape=(4, 16, 16),
@@ -300,6 +307,8 @@ def _switch_side_info(block: cb.LatentBlock, prefix: str, use_skip: bool,
         if "continuous" not in data:
             raise ValueError(f"index file {indexes_path} holds no continuous indexes")
         if "continuous2" in data:
+            if len(dims) != 2:
+                raise ValueError(f"index file {indexes_path} holds 2-D indexes for a 1-D prior set")
             indexes = cb.IndexGrid.from_continuous(
                 data["continuous"], int(dims[0]),
                 second=data["continuous2"], n=int(dims[1]))
@@ -513,7 +522,7 @@ def cmd_bench(ns) -> int:
         elif backend == "switch":
             m = _resolve(ns, cfg, "m", 10, int)
             epochs = _resolve(ns, cfg, "epochs", 150, int)
-            skip = bool(_resolve(ns, cfg, "skip", False))
+            skip = _resolve(ns, cfg, "skip", False, _strict_bool)
             try:
                 config = pt.TrainConfig(
                     family=family, dims=(m,), epochs=epochs, seed=seed,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdf_tables import CdfTableSet, tables_from_masses
-from .coding_backends import IndexGrid, LatentBlock, SkipMask, harden_index
+from .coding_backends import IndexGrid, LatentBlock, SkipMask
 from .prob_models import (
     FAMILY_PARAMS,
     INTEGER_PMF,

@@ -17,6 +17,16 @@ gamma P(a, x) and its complement from `scipy.special.gammainc`/`gammaincc`.
 scipy has no derivative in the order a, so an in-house series (x < a+1) and
 continued fraction (otherwise), differentiated in forward mode, serve only
 `regularized_lower_gamma_with_da` and the ggm gradients built on it.
+
+Per-element dynamic tables, LUTs and exported prior sets ask
+`ggm_integer_pmf` for the symmetric window k = [-r..r] as one row of shape
+(1, 2r+1), with one parameter pair per table row.  For that shape the kernel
+takes a window route: u = (x/alpha)^beta at the half-axis edges
+0.5 .. r+0.5, each edge through P(a, u) only where a body bin or the center
+needs it and Q(a, u) only where a tail bin does, then neighbouring edges
+differenced, halved and mirrored.  These are the general path's operations
+on the same inputs, so the masses are bit-identical to it at about a
+quarter of the incomplete-gamma calls.
 """
 
 from __future__ import annotations
@@ -377,11 +387,54 @@ def gaussian_integer_pmf(k, sigma):
     return np.where(m == 0, center, off)
 
 
+def _ggm_window_pmf(r, beta, alpha):
+    # Masses over k = [-r..r] for parameter columns of shape (n, 1).  Each
+    # half-axis edge 0.5 .. r+0.5 is evaluated once per row; bin j >= 1 lies
+    # between edges j-1 and j, and the center bin between 0 and edge 0.  The
+    # operations and their inputs are those of the general path in
+    # ggm_integer_pmf, so the masses are bit-identical to it.
+    a = 1.0 / beta
+    u = _ggm_u(np.arange(r + 1) + 0.5, beta, alpha)
+    _validate_gamma_args(a, u)
+    a = np.broadcast_to(a, u.shape)
+    # bin j >= 1 takes Q(a, u_{j-1}) - Q(a, u_j) when both edges sit at
+    # u >= a+1, P(a, u_j) - P(a, u_{j-1}) otherwise; the center is P(a, u_0)
+    far = u >= a + 1.0
+    tail = far[:, :-1] & far[:, 1:]
+    body = ~tail
+    need_p = np.ones(u.shape, dtype=bool)
+    need_p[:, 1:] = body
+    need_p[:, :-1] |= body
+    need_q = np.zeros(u.shape, dtype=bool)
+    need_q[:, 1:] = tail
+    need_q[:, :-1] |= tail
+    p = np.zeros(u.shape)
+    q = np.zeros(u.shape)
+    p[need_p] = gammainc(a[need_p], u[need_p])
+    q[need_q] = gammaincc(a[need_q], u[need_q])
+    half = np.empty(u.shape)
+    half[:, 0] = p[:, 0]
+    half[:, 1:] = 0.5 * np.where(tail, q[:, :-1] - q[:, 1:], p[:, 1:] - p[:, :-1])
+    np.clip(half, 0.0, 1.0, out=half)
+    return np.concatenate([half[:, :0:-1], half], axis=1)
+
+
 def ggm_integer_pmf(k, beta, alpha):
-    """Unit-bin mass under the generalized Gaussian, symmetric in k."""
-    k, beta, alpha = np.broadcast_arrays(
-        np.asarray(k, np.float64), np.asarray(beta, np.float64), np.asarray(alpha, np.float64)
-    )
+    """Unit-bin mass under the generalized Gaussian, symmetric in k.
+
+    When k is the symmetric row [-r..r] of shape (1, 2r+1) and the
+    parameters hold one value per row, as for per-element and exported
+    tables, each half-axis edge 0.5 .. r+0.5 goes through the incomplete
+    gamma once (P where a body bin needs it, Q where a tail bin does) and
+    the bins are neighbouring differences, mirrored.  The result is
+    bit-identical to the general path, which serves every other k.
+    """
+    k, beta, alpha = (np.asarray(v, np.float64) for v in (k, beta, alpha))
+    rows = np.broadcast_shapes(beta.shape, alpha.shape, (1, 1))
+    r = k.size // 2
+    if k.shape == (1, 2 * r + 1) and rows[1:] == (1,) and np.array_equal(k[0], np.arange(-r, r + 1)):
+        return _ggm_window_pmf(r, np.broadcast_to(beta, rows), np.broadcast_to(alpha, rows))
+    k, beta, alpha = np.broadcast_arrays(k, beta, alpha)
     a = 1.0 / beta
     m = np.abs(k)
     u_hi = _ggm_u(m + 0.5, beta, alpha)

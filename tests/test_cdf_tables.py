@@ -168,6 +168,29 @@ def test_allocate_batch_rows_independent():
         assert batch[i].tolist() == allocate_frequencies(rows[i]).tolist()
 
 
+def test_allocate_mixed_batch_matches_oracle():
+    # one batch of rows that owe counts back (many bumped tiny masses), rows
+    # that are given counts, and balanced rows: each equals its own oracle
+    rng = np.random.default_rng(12)
+    n = 64
+    rows = [np.full(n, 1.0 / n), np.zeros(n), np.repeat([3.0, 1.0], n // 2)]
+    for tiny in range(0, n, 2):
+        m = rng.random(n)
+        m[rng.choice(n, tiny, replace=False)] = 1e-9
+        rows.append(m)
+        one_big = np.full(n, 1e-9)
+        one_big[rng.choice(n, n - tiny, replace=False)[:max(1, n - tiny) // 8 + 1]] = 1.0
+        rows.append(one_big)
+    rows = np.array(rows)
+    total = rows.sum(axis=1, keepdims=True)
+    norm = np.where(total > 0, rows / np.where(total > 0, total, 1.0), 1.0 / n)
+    deficit = TOTAL - np.maximum(np.floor(TOTAL * norm), 1).sum(axis=1)
+    assert (deficit > 0).any() and (deficit == 0).sum() == 3 and -deficit.min() >= 50
+    batch = allocate_frequencies(rows)
+    for row, freqs in zip(rows, batch):
+        assert freqs.tolist() == lr_allocate(list(row))
+
+
 def test_allocate_uniform_and_zero_rows():
     assert allocate_frequencies(np.full(256, 1 / 256)).tolist() == [256] * 256
     assert allocate_frequencies(np.zeros(8)).tolist() == [8192] * 8

@@ -421,8 +421,24 @@ class TestFailureExits:
         cfg.write_text(json.dumps(config))
         assert run_cli(*command, "--config", cfg, "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("command, switch", [("train", "skip"), ("train", "reuse_hyper"),
+                                                 ("bench", "skip")],
+                             ids=["train-skip", "train-reuse-hyper", "bench-skip"])
+    @pytest.mark.parametrize("value", ["false", 0], ids=["string", "number"])
+    def test_non_boolean_switch_in_config_exits_2(self, command, switch, value, tmp_path):
+        src = write_source(tmp_path / "src.json", family="gm", shape=(1, 8, 8), seed=3,
+                           sigma_range=(0.3, 4.0))
+        cfg = tmp_path / "cfg.json"
+        settings = {"source": str(src), "m": 2, "epochs": 4, "trials": 1, "backends": "switch"}
+        family = ("--family", "gm") if command == "train" else ()
+        cfg.write_text(json.dumps({**settings, switch: value}))
+        assert run_cli(command, *family, "--config", cfg, "--out", tmp_path / "o") == 2
+        cfg.write_text(json.dumps({**settings, switch: False}))
+        assert run_cli(command, *family, "--config", cfg, "--out", tmp_path / "o") == 0
+
     @pytest.mark.parametrize("case", ["empty-sidecar", "list-sidecar", "no-predictor-mode",
-                                      "no-calibration-curve", "indexes-without-continuous"])
+                                      "no-calibration-curve", "indexes-without-continuous",
+                                      "2d-indexes-for-1d-set"])
     def test_malformed_trained_artifact_exits_2_on_encode_and_4_on_decode(self, case, trained,
                                                                            tmp_path):
         sidecar = json.loads(Path(f"{trained['prefix']}.json").read_text())
@@ -434,7 +450,12 @@ class TestFailureExits:
                                                            if k != "mode"}},
             "no-calibration-curve": {**sidecar, "predictor": {"mode": "calibration-curve"}},
             "indexes-without-continuous": sidecar,
+            "2d-indexes-for-1d-set": sidecar,
         }[case]
+        index_file = {
+            "indexes-without-continuous": {"other": np.ones(3)},
+            "2d-indexes-for-1d-set": {"continuous": np.ones(3), "continuous2": np.ones(3)},
+        }.get(case)
         prefix = tmp_path / "bad"
         Path(f"{prefix}.tables").write_bytes(Path(f"{trained['prefix']}.tables").read_bytes())
         Path(f"{prefix}.json").write_text(json.dumps(bad))
@@ -443,8 +464,8 @@ class TestFailureExits:
                        "--trained", trained["prefix"], "--out", stream) == 0
         decode = ["decode", "--stream", stream, "--side", trained["block"], "--backend",
                   "switch", "--trained", prefix, "--out", tmp_path / "d.bin"]
-        if case == "indexes-without-continuous":
-            np.savez(tmp_path / "i.npz", other=np.ones(3))
+        if index_file is not None:
+            np.savez(tmp_path / "i.npz", **index_file)
             decode += ["--indexes", tmp_path / "i.npz"]
         else:
             assert run_cli("encode", "--block", trained["block"], "--backend", "switch",

@@ -121,6 +121,47 @@ def test_pmf_symmetry_exact():
             assert pmf_integer(model, k) == pmf_integer(model, -k)
 
 
+def _ggm_window_rows(rng):
+    """(r, beta, alpha) for a batch of rows: random rows, and rows whose
+    window crosses u = a+1 at a random edge, so that body and tail bins meet."""
+    n = int(rng.integers(1, 9))
+    r = int(rng.integers(1, 128))
+    beta = np.exp(rng.uniform(np.log(0.06), np.log(6.0), (n, 1)))
+    alpha = np.exp(rng.uniform(np.log(0.01), np.log(200.0), (n, 1)))
+    crossing = rng.random((n, 1)) < 0.5
+    edge = rng.uniform(0.5, r + 0.5, (n, 1))
+    alpha = np.where(crossing, edge / (1.0 / beta + 1.0) ** (1.0 / beta), alpha)
+    return r, beta, alpha
+
+
+def test_ggm_window_route_matches_general_path():
+    # k of shape (1, 1, 2r+1) is not the route's (1, 2r+1) row, so it takes
+    # the general path; both must give the same bits
+    rng = np.random.default_rng(20)
+    crossed = 0
+    for case in range(400):
+        r, beta, alpha = _ggm_window_rows(rng)
+        if case % 10 == 0:
+            beta = float(beta[0, 0])  # one shared shape over the rows
+        ks = np.arange(-r, r + 1)
+        window = pm.ggm_integer_pmf(ks[None, :], beta, alpha)
+        general = pm.ggm_integer_pmf(ks[None, None, :], beta, alpha)[0]
+        assert window.shape == general.shape
+        assert np.array_equal(window, general)
+        a = 1.0 / np.broadcast_to(beta, alpha.shape)
+        u = (np.array([0.5, r + 0.5]) / alpha) ** (1.0 / a)
+        crossed += int(np.sum((u[:, 0] < a[:, 0] + 1.0) & (u[:, 1] >= a[:, 0] + 1.0)))
+    assert crossed >= 400
+
+
+def test_ggm_window_route_rejects_overflowing_edges():
+    ks = np.arange(-5, 6)
+    beta, alpha = np.array([[2.0], [6.0]]), np.array([[1.0], [1e-60]])
+    for k in (ks[None, :], ks[None, None, :]):
+        with np.errstate(over="ignore"), pytest.raises(ParameterDomainError):
+            pm.ggm_integer_pmf(k, beta, alpha)
+
+
 def test_pmf_wide_sigma_approximates_density():
     sigma = 1e6
     val = pmf_integer(ProbModel.gaussian(sigma), 0)
