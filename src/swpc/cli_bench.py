@@ -88,6 +88,11 @@ def _strict_bool(value) -> bool:
     return value
 
 
+def _optional(kind):
+    """A `_resolve` kind that passes an unset value (None) through."""
+    return lambda value: None if value is None else kind(value)
+
+
 def _read_block(path: str) -> cb.LatentBlock:
     try:
         return ss.block_from_bytes(Path(path).read_bytes())
@@ -182,7 +187,7 @@ def cmd_train(ns) -> int:
             mode = "free-index"
     else:
         dims = (_resolve(ns, cfg, "m", 40, int),)
-    topk = _resolve(ns, cfg, "topk", None)
+    topk = _resolve(ns, cfg, "topk", None, _optional(int))
     skip = _resolve(ns, cfg, "skip", False, _strict_bool)
     skip_epochs = _resolve(ns, cfg, "skip_epochs", epochs // 2, int) if skip else 0
     lambda_ = _resolve(ns, cfg, "rd_lambda", 0.01, float)
@@ -200,7 +205,7 @@ def cmd_train(ns) -> int:
     try:
         config = pt.TrainConfig(
             family=family, dims=dims, epochs=epochs, seed=seed, lr=lr,
-            k=None if topk is None else int(topk),
+            k=topk,
             lambda_=lambda_, predictor_mode=mode, skip_epochs=skip_epochs,
         )
         result = pt.train_priors([block], config, z_block=z_block)
@@ -339,9 +344,8 @@ def cmd_encode(ns) -> int:
     backend = _resolve(ns, cfg, "backend", None)
     try:
         if backend == "dynamic":
-            radius = _resolve(ns, cfg, "radius", None)
-            stream, report = cb.backend_dynamic(
-                block, radius=None if radius is None else int(radius))
+            radius = _resolve(ns, cfg, "radius", None, _optional(int))
+            stream, report = cb.backend_dynamic(block, radius=radius)
         elif backend == "lut":
             if not ns.tables:
                 raise UsageError("lut encode needs --tables")
@@ -384,10 +388,9 @@ def cmd_decode(ns) -> int:
         if backend == "dynamic":
             if side.truth_params is None:
                 raise ValueError("dynamic decode needs truth parameters in the side block")
-            radius = _resolve(ns, cfg, "radius", None)
+            radius = _resolve(ns, cfg, "radius", None, _optional(int))
             residuals, _ = cb.backend_dynamic_decode(
-                stream, side.truth_params, side.shape,
-                radius=None if radius is None else int(radius))
+                stream, side.truth_params, side.shape, radius=radius)
         elif backend == "lut":
             if not ns.tables:
                 raise UsageError("lut decode needs --tables")
@@ -528,7 +531,7 @@ def cmd_bench(ns) -> int:
                     family=family, dims=(m,), epochs=epochs, seed=seed,
                     predictor_mode="calibration-curve",
                     skip_epochs=epochs // 2 if skip else 0,
-                    lambda_=float(_resolve(ns, cfg, "rd_lambda", 1.0)))
+                    lambda_=_resolve(ns, cfg, "rd_lambda", 1.0, float))
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
             result = pt.train_priors([block], config)

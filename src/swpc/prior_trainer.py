@@ -14,8 +14,9 @@ by one of two strategies.  When the window covers all M priors (k = None),
 the softmax over e^(-|i - m|/tau) is two geometric series in e^(-1/tau),
 summed once per epoch as (M + 1, U) recurrence rows and looked up per
 element: O(n + M U) work and no (n, M) array.  A Top-K window with k < M
-is gathered per element instead, since a bounded window would need
-differences of the recurrences, and those cancel at small tau.
+is gathered per element instead, as k columns of length n, since a bounded
+window would need differences of the recurrences, and those cancel at
+small tau.
 """
 
 from __future__ import annotations
@@ -395,10 +396,14 @@ def _window(ivals: np.ndarray, m: int, k: int, tau: float):
     window starting at clip(ceil(i - k/2), 1, m - k + 1); fmax/fmin send a
     NaN index to the first window, whose NaN weights surface in the loss.
     """
-    start = np.fmin(np.fmax(np.ceil(ivals - k / 2.0), 1.0), m - k + 1.0)
-    sel = start.astype(np.int64)[:, None] - 1 + np.arange(k)
+    sel = _window_start(ivals, m, k).astype(np.int64)[:, None] - 1 + np.arange(k)
     offset = ivals[:, None] - (sel + 1.0)
     return sel, offset, _softmax(-np.abs(offset) / tau, axis=1)
+
+
+def _window_start(ivals: np.ndarray, m: int, k: int) -> np.ndarray:
+    """First prior (one-based, as floats) of each element's k-wide window."""
+    return np.fmin(np.fmax(np.ceil(ivals - k / 2.0), 1.0), m - k + 1.0)
 
 
 def _window_pass(rates, grads, inverse, ivals, k, tau, element_weights=None):
@@ -425,18 +430,26 @@ def _window_pass(rates, grads, inverse, ivals, k, tau, element_weights=None):
 
 
 def _gathered_pass(rates, inverse, ivals, k, tau, element_weights=None):
-    """_window_pass over an (n, k) window of priors gathered per element."""
+    """_window_pass over each element's k-prior window, held as k contiguous
+    columns of length n.  The window sums run over the leading axis, so
+    they add the columns in order, as numpy reduces a trailing axis of
+    fewer than 8 entries."""
     m, u = rates.shape
-    sel, offset, weights = _window(ivals, m, k, tau)
-    sel_rates = rates[sel, inverse[:, None]]
-    element_rates = (weights * sel_rates).sum(axis=1)
-    signs = np.sign(offset)
-    mean_sign = (weights * signs).sum(axis=1, keepdims=True)
+    start = _window_start(ivals, m, k)
+    steps = np.arange(k)[:, None]
+    cells = (start.astype(np.int64) - 1 + steps) * u + inverse
+    offsets = ivals - (start + steps)
+    weights = _softmax(-np.abs(offsets) / tau, axis=0)
+    weighted = weights * rates.ravel()[cells]
+    signs = np.sign(offsets)
+    element_rates = weighted.sum(axis=0)
+    mean_sign = (weights * signs).sum(axis=0)
     # d pi_m / d i = pi_m (mean_l pi_l s_l - s_m) / tau under the softmax
-    di = (weights * sel_rates * (mean_sign - signs)).sum(axis=1) / tau
+    di = (weighted * (mean_sign - signs)).sum(axis=0) / tau
     if element_weights is not None:
-        weights = weights * element_weights[:, None]
-    touched = np.bincount((sel * u + inverse[:, None]).ravel(), weights=weights.ravel(),
+        weights = weights * element_weights
+    # cells in (element, column) order, so each cell sums its weights element by element
+    touched = np.bincount(cells.T.ravel(), weights=weights.T.ravel(),
                           minlength=m * u).reshape(m, u)
     return element_rates, di, touched
 
@@ -878,7 +891,7 @@ def train_priors(blocks, config: TrainConfig, schedule: AnnealSchedule | None = 
             loss, dtheta, dslope, dintercept = _calibration_pass(
                 rates, grads, inverse, ivals, log_f, min(kk, config.dims[0]), tau)
         else:
-            assignment = rates[:, inverse].argmin(axis=0)
+            assignment = rates.argmin(axis=0)[inverse]
             ivals = assignment.astype(np.float64) + 1.0
             if two_d:
                 weight_rows = _grid_assignment_matrix(config.dims, kk_dim, tau)
@@ -914,7 +927,7 @@ def train_priors(blocks, config: TrainConfig, schedule: AnnealSchedule | None = 
         ivals = slope * log_f + intercept
         predictor = {"mode": "calibration-curve", "a": float(slope), "c": float(intercept)}
     else:
-        assignment = rates[:, inverse].argmin(axis=0)
+        assignment = rates.argmin(axis=0)[inverse]
         ivals = assignment.astype(np.float64) + 1.0
         predictor = {"mode": "free-index"}
 

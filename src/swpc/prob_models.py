@@ -26,7 +26,9 @@ takes a window route: u = (x/alpha)^beta at the half-axis edges
 needs it and Q(a, u) only where a tail bin does, then neighbouring edges
 differenced, halved and mirrored.  These are the general path's operations
 on the same inputs, so the masses are bit-identical to it at about a
-quarter of the incomplete-gamma calls.
+quarter of the incomplete-gamma calls.  `ggm_pmf_grads` does the same for
+the trainer's (1, U) row of unique symbols: its forward-mode d/da runs
+once per row on the unique half-axis edges, not twice per bin.
 """
 
 from __future__ import annotations
@@ -505,16 +507,27 @@ def _ggm_endpoint_grads(a, beta, u):
 
 
 def ggm_pmf_grads(k, beta, alpha):
-    """Return (pmf, grads); the last axis of grads holds (d pmf/d log beta, d pmf/d log alpha)."""
-    k, beta, alpha = np.broadcast_arrays(
-        np.asarray(k, np.float64), np.asarray(beta, np.float64), np.asarray(alpha, np.float64)
-    )
+    """Return (pmf, grads); the last axis of grads holds (d pmf/d log beta, d pmf/d log alpha).
+
+    When k is one row of shape (1, U) and the parameters hold one value per
+    row, as for the trainer's rate tables, the endpoint gradients are
+    evaluated once per row on the sorted unique half-axis edges
+    |k| +- 0.5 (clipped at 0) and gathered for each bin's two edges.  The
+    result is bit-identical to the general path, which serves every other k.
+    """
+    k, beta, alpha = (np.asarray(v, np.float64) for v in (k, beta, alpha))
     a = 1.0 / beta
     m = np.abs(k)
-    u_hi = _ggm_u(m + 0.5, beta, alpha)
-    u_lo = _ggm_u(np.maximum(m - 0.5, 0.0), beta, alpha)
-    p_hi, db_hi, da_hi = _ggm_endpoint_grads(a, beta, u_hi)
-    p_lo, db_lo, da_lo = _ggm_endpoint_grads(a, beta, u_lo)
+    hi, lo = m + 0.5, np.maximum(m - 0.5, 0.0)
+    one_per_row = np.broadcast_shapes(beta.shape, alpha.shape, (1, 1))[1:] == (1,)
+    if k.ndim == 2 and k.shape[0] == 1 and one_per_row:
+        edges, at = np.unique(np.concatenate([hi[0], lo[0]]), return_inverse=True)
+        ends = _ggm_endpoint_grads(a, beta, _ggm_u(edges, beta, alpha))
+        p_hi, db_hi, da_hi = (e[..., at[:k.size]] for e in ends)
+        p_lo, db_lo, da_lo = (e[..., at[k.size:]] for e in ends)
+    else:
+        p_hi, db_hi, da_hi = _ggm_endpoint_grads(a, beta, _ggm_u(hi, beta, alpha))
+        p_lo, db_lo, da_lo = _ggm_endpoint_grads(a, beta, _ggm_u(lo, beta, alpha))
     center = m == 0
     pmf = np.where(center, p_hi, 0.5 * (p_hi - p_lo))
     dlogbeta = np.where(center, db_hi, 0.5 * (db_hi - db_lo))

@@ -415,11 +415,31 @@ class TestFailureExits:
         (("train", "--family", "gmm"), {"two_dim": 5}),
         (("build-tables", "--family", "gm"), {"count": "x"}),
         (("build-tables", "--family", "ggm"), {"beta": [5]}),
-    ], ids=["train-epochs", "train-lr", "train-two-dim", "build-count", "build-beta"])
+        (("train", "--family", "gm"), {"topk": [2], "source": "{source}", "m": 3, "epochs": 4}),
+        (("bench",), {"rd_lambda": [1], "source": "{source}", "backends": "switch", "m": 2,
+                      "epochs": 4, "trials": 1}),
+        (("encode", "--block", "{block}", "--backend", "dynamic"), {"radius": [3]}),
+        (("decode", "--side", "{block}", "--stream", "{stream}", "--backend", "dynamic"),
+         {"radius": [3]}),
+    ], ids=["train-epochs", "train-lr", "train-two-dim", "build-count", "build-beta",
+            "train-topk-list", "bench-lambda-list", "encode-radius-list", "decode-radius-list"])
     def test_unparsable_config_value_exits_2(self, command, config, tmp_path):
+        # "{source}", "{block}" and "{stream}" stand for a small source, its
+        # block and that block's dynamic stream, all valid
+        spec = ss.SourceSpec(family="gm", shape=(1, 8, 8), seed=3, sigma_range=(0.3, 4.0))
+        block = ss.gen_block(spec)
+        paths = {"{source}": tmp_path / "src.json", "{block}": tmp_path / "block.bin",
+                 "{stream}": tmp_path / "s.bits"}
+        paths["{source}"].write_text(spec.to_json())
+        paths["{block}"].write_bytes(ss.block_to_bytes(block))
+        paths["{stream}"].write_bytes(cb.backend_dynamic(block)[0].to_bytes())
+
+        def fill(value):
+            return str(paths[value]) if isinstance(value, str) and value in paths else value
+
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        assert run_cli(*command, "--config", cfg, "--out", tmp_path / "o") == 2
+        cfg.write_text(json.dumps({name: fill(v) for name, v in config.items()}))
+        assert run_cli(*map(fill, command), "--config", cfg, "--out", tmp_path / "o") == 2
 
     @pytest.mark.parametrize("command, switch", [("train", "skip"), ("train", "reuse_hyper"),
                                                  ("bench", "skip")],

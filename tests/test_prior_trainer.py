@@ -273,6 +273,49 @@ class TestFullWindowPass:
         assert len(err.value.loss_trace) >= 1
 
 
+def gathered_pass_reference(rates, inverse, ivals, k, tau, element_weights=None):
+    """The Top-K pass as it was written over an (n, k) window: gathered
+    priors, softmax and sums along the window axis."""
+    m, u = rates.shape
+    sel, offset, weights = pt._window(ivals, m, k, tau)
+    sel_rates = rates[sel, inverse[:, None]]
+    element_rates = (weights * sel_rates).sum(axis=1)
+    signs = np.sign(offset)
+    mean_sign = (weights * signs).sum(axis=1, keepdims=True)
+    di = (weights * sel_rates * (mean_sign - signs)).sum(axis=1) / tau
+    if element_weights is not None:
+        weights = weights * element_weights[:, None]
+    touched = np.bincount((sel * u + inverse[:, None]).ravel(), weights=weights.ravel(),
+                          minlength=m * u).reshape(m, u)
+    return element_rates, di, touched
+
+
+class TestGatheredPass:
+    """The column-wise Top-K pass against the (n, k) window it replaced."""
+
+    def test_matches_window_reference(self):
+        rng = np.random.default_rng(np.random.Philox(2508))
+        exact_ks = set()
+        for trial in range(480):
+            m = int(rng.integers(1, 41))
+            k = int(rng.integers(1, m + 1)) if trial % 4 else min(m, 1 + trial % 5)
+            tau = float(np.exp(rng.uniform(np.log(1e-4), np.log(1e2))))
+            rates, grads, inverse, ivals, weights = TestFullWindowPass.case(rng, m, 96, trial % 2 == 1)
+            ivals[rng.random(96) < 0.05] = np.nan
+            with np.errstate(invalid="ignore"):
+                got = pt._gathered_pass(rates, inverse, ivals, k, tau, weights)
+                ref = gathered_pass_reference(rates, inverse, ivals, k, tau, weights)
+            for name, g, r in zip(("rates", "di", "touched"), got, ref):
+                if k <= 5:
+                    assert np.array_equal(g, r, equal_nan=True), (name, m, k, tau)
+                    exact_ks.add(k)
+                assert np.array_equal(np.isnan(g), np.isnan(r)), (name, m, k, tau)
+                finite = ~np.isnan(r)
+                scale = np.abs(r[finite]).max(initial=0.0)
+                assert np.abs(g[finite] - r[finite]).max(initial=0.0) <= 1e-12 * scale, (name, m, k, tau)
+        assert exact_ks == {1, 2, 3, 4, 5}
+
+
 class TestTopkRate:
     def test_full_selection_equals_weighted(self):
         rng = np.random.default_rng(np.random.Philox(7))
@@ -900,7 +943,9 @@ class TestExportTables:
 
 class TestFrozenTraining:
     """Trained bytes of a short ggm M=40 run, recorded before the full-window
-    pass was rewritten: any change to the rate kernel shows up here."""
+    pass was rewritten (k = 3 and 8: before the Top-K pass went column-wise
+    and the ggm gradients shared their bin edges): any change to the rate
+    kernel shows up here."""
 
     FROZEN = {
         ("calibration-curve", None): (
@@ -909,6 +954,12 @@ class TestFrozenTraining:
         ("calibration-curve", 2): (
             "9aeffabcc7e21435bc95bf42697db3de0a44bfd3e8dbaf0dfad22e81ff4698a6",
             5.896627826820198, 20.955623180737668),
+        ("calibration-curve", 3): (
+            "35ea554035d20c5eeb13aaffe1964e267653442aae0c1f6cc3501db6b7f26d4b",
+            5.8966240339794656, 20.95562588971531),
+        ("calibration-curve", 8): (
+            "63131b251c29f1669593a3e301515a917b9b0fdc13c872ca7d6ba2106fca8e0f",
+            5.896617529414522, 20.95563993945519),
         ("free-index", None): (
             "aede1d829e5f7fc93e5f63b0ae81bd59709101f305dd6ca0eedc240e6783d445",
             None, None),

@@ -162,6 +162,45 @@ def test_ggm_window_route_rejects_overflowing_edges():
             pm.ggm_integer_pmf(k, beta, alpha)
 
 
+def test_ggm_pmf_grads_edge_route_matches_general_path():
+    # a (1, U) row of symbols takes the edge route and k of shape (1, 1, U)
+    # the general path; both must give the same bits
+    rng = np.random.default_rng(21)
+    crossed = 0
+    for case in range(300):
+        r, beta, alpha = _ggm_window_rows(rng)
+        ks = np.unique(rng.integers(-r, r + 1, size=int(rng.integers(1, 2 * r + 2))))
+        ks = np.union1d(ks, [0]) if case % 2 else ks[ks != 0]
+        if ks.size == 0:
+            ks = np.array([-r, r])
+        if case % 3 == 0:
+            ks = rng.permutation(ks)  # the route does not need sorted symbols
+        if case % 10 == 0:
+            beta = float(beta[0, 0])  # one shared shape over the rows
+        pmf, grads = pm.ggm_pmf_grads(ks[None, :], beta, alpha)
+        pmf_ref, grads_ref = pm.ggm_pmf_grads(ks[None, None, :], beta, alpha)
+        assert pmf.shape == pmf_ref.shape[1:] and grads.shape == grads_ref.shape[1:]
+        assert np.array_equal(pmf, pmf_ref[0])
+        assert np.array_equal(grads, grads_ref[0])
+        a = 1.0 / np.broadcast_to(beta, alpha.shape)
+        u = (np.array([0.5, np.abs(ks).max() + 0.5]) / alpha) ** (1.0 / a)
+        crossed += int(np.sum((u[:, 0] < a[:, 0] + 1.0) & (u[:, 1] >= a[:, 0] + 1.0)))
+    assert crossed >= 300
+
+
+@pytest.mark.parametrize("ks, alpha", [
+    ([-7, -2, 0, 3, 5], 1e-60),  # (5.5 / 1e-60)^6 overflows
+    ([-7, -2, 0, 3, 5], np.nan),
+    ([-np.inf, 0, 3], 1.0),
+], ids=["overflow", "nan-alpha", "infinite-symbol"])
+def test_ggm_pmf_grads_edge_route_rejects_bad_edges(ks, alpha):
+    ks = np.asarray(ks, np.float64)
+    beta, alpha = np.array([[2.0], [6.0]]), np.array([[1.0], [alpha]])
+    for k in (ks[None, :], ks[None, None, :]):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ParameterDomainError):
+            pm.ggm_pmf_grads(k, beta, alpha)
+
+
 def test_pmf_wide_sigma_approximates_density():
     sigma = 1e6
     val = pmf_integer(ProbModel.gaussian(sigma), 0)
