@@ -17,6 +17,26 @@ Below 64 lanes (about where a numpy step over the lanes stops beating the
 scalar loop) L = 1.  Per-element dynamic coding (encode_elementwise) always
 uses L = 1.
 
+Decoding finds each symbol's slot in the set's cached uint8 slot lookup
+(entry [t, v] is the interval of table t holding v): the lane decoder
+gathers a step of lanes at once, and a single-state stream against a shared
+set reads it through a memoryview, one symbol at a time.  The lookup costs
+2^16 bytes per table, so a set with fewer than 64 symbols per table, such
+as per-element tables, bisects each table's cumulative row instead, as
+decode_elementwise always does.
+
+The bypass section is packed and parsed in numpy, not record by record.
+Each record is a sign bit, then Exp-Golomb order 0 of n = distance + 1,
+2 * bit_length(n) bits in all (an exact uint64 count).  The packer places
+the records by a cumsum of their widths and ORs the sign bits and bodies
+into big-endian 64-bit words, splitting a body that crosses a word.  The
+reader follows the chain of record starts, end(p) = 2 * next1(p + 1) - p,
+through a "next 1" map of the section's bits, built lazily one window of
+2^16 record starts at a time; it then checks every record of the chain at
+once and reads each body from the 9 bytes at its leading 1.  Its position
+carries over from one call to the next, as decode_elementwise reads chunk by
+chunk.
+
 Payload layout (little-endian), preceded by a u32 symbol count in the
 serialized form: u32 ANS byte length, the ANS section, then the bypass
 records in element order, packed MSB-first and zero-padded to a byte.  A
@@ -65,6 +85,9 @@ _MASK = _LOW - 1
 _LANE_BITS = 6400  # interval bits per lane: 32 state bits are 0.5% of them
 _MIN_LANES = 64
 _MAX_LANES = 4096
+_POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+_SIGN = _POWERS[63]
+_LOOKUP_SYMBOLS = 64  # symbols per table that pay for its 2^16-entry slot-lookup row
 
 
 class StreamError(ValueError):
@@ -114,48 +137,130 @@ def bypass_decode(bits: str) -> int:
     return int(bits[zeros:], 2) - 1
 
 
-def _escape_records(j, in_range, n_coded) -> list[str]:
-    """Bypass records of the escaped elements, in element order: sign 0 for
-    a symbol above the coded span, 1 below, then the distance beyond it."""
-    esc = np.flatnonzero(~in_range)
-    return [
-        "0" + bypass_encode(d - edge) if d >= edge else "1" + bypass_encode(-d - 1)
-        for d, edge in zip(j[esc].tolist(), n_coded[esc].tolist())
-    ]
+def _escapes(j, in_range, n_coded):
+    """(below the coded span, n = distance beyond its edge + 1 as uint64) of
+    the escaped elements, in element order."""
+    esc = ~in_range
+    je = j[esc]
+    below = je < 0
+    dist = np.where(below, ~je, je - n_coded[esc])  # ~j = -j - 1; both fit int64
+    return below, dist.view(np.uint64) + np.uint64(1)
 
 
-def _pack_bits(records: list[str]) -> bytes:
-    bits = "".join(records)
-    if not bits:
+def _record_bits(n) -> np.ndarray:
+    """Bits of each bypass record: the sign bit, then Exp-Golomb order 0 of
+    n - 1, that is 2 * bit_length(n) in all.  bit_length(n) counts the
+    powers of two <= n, compared exactly in uint64."""
+    return 2 * np.searchsorted(_POWERS, n, side="right")
+
+
+def _pack_escapes(below, n) -> bytes:
+    """The bypass section: per record its sign bit, bit_length(n) - 1 zeros
+    and the bits of n, MSB-first, zero-padded to a byte.  Bodies are OR-ed
+    into big-endian 64-bit words; one that crosses a word boundary is split."""
+    if not len(n):
         return b""
-    n_bytes = (len(bits) + 7) // 8
-    return (int(bits, 2) << (8 * n_bytes - len(bits))).to_bytes(n_bytes, "big")
+    width = _record_bits(n)
+    end = np.cumsum(width)
+    words = np.zeros((int(end[-1]) + 63) >> 6, dtype=np.uint64)
+    one = np.uint64(1)
+    sign = (end - width)[below]
+    _or_into(words, sign >> 6, one << (63 - (sign & 63)).astype(np.uint64))
+    last = end - 1  # a body ends at its record's end: shift its low bit there
+    shift = (63 - (last & 63)).astype(np.uint64)
+    _or_into(words, last >> 6, n << shift)
+    cross = shift > np.uint64(64) - (width >> 1).astype(np.uint64)
+    _or_into(words, (last >> 6)[cross] - 1, n[cross] >> (np.uint64(64) - shift[cross]))
+    return words.astype(">u8").tobytes()[: (int(end[-1]) + 7) >> 3]
+
+
+def _or_into(words, at, values):
+    """words[at] |= values for non-decreasing word indexes `at`."""
+    if len(at):
+        first = np.flatnonzero(np.diff(at, prepend=-1))
+        words[at[first]] |= np.bitwise_or.reduceat(values, first)
+
+
+_WINDOW = 1 << 16  # record starts per next-1 map, so its temporaries stay bounded
 
 
 class _BypassReader:
-    """Reads bypass records one Exp-Golomb code at a time."""
+    """Parses the bypass section k records at a time, in element order: a
+    record starting at bit p has its leading 1 at q = next1(p + 1) and ends
+    at 2q - p (see the module docstring)."""
 
     def __init__(self, data: bytes):
-        self.bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
+        self.data = data
+        self.n_bits = 8 * len(data)
         self.pos = 0
+        self._base = 0  # bit of the window's first start
+        self._ends = memoryview(np.zeros(0, dtype=np.int32))
+        self._bytes = np.frombuffer(data + bytes(9), dtype=np.uint8)  # every body has 9 bytes
 
-    def read(self) -> tuple[bool, int]:
-        """(below the coded span, distance beyond its edge) of the next record."""
-        bits, p = self.bits, self.pos
-        one = bits.find("1", p + 1, p + 65)  # the code's leading 1, after at most 63 zeros
-        if one < 0:
-            if p + 65 > len(bits):
-                raise StreamError("bypass section exhausted")
-            raise StreamError("bypass run length out of range")
-        end = 2 * one - p  # as many body bits after the leading 1 as zeros before it
-        if end > len(bits):
+    def _window(self, base: int):
+        """ends[r]: end of a record starting at bit base + r, relative to base;
+        a start with no 1 in the next 64 bits points past the window."""
+        span = min(self.n_bits - base, _WINDOW + 64)  # a start's leading 1 is <= 64 bits on
+        lo = base >> 3
+        raw = self._bytes[lo : (base + span + 7) >> 3]
+        ones = np.unpackbits(raw)[base - 8 * lo :][:span].view(bool).nonzero()[0].astype(np.int32)
+        nxt = np.full(span + 1, span + 64, dtype=np.int32)
+        if len(ones):
+            nxt[: ones[-1] + 1] = np.repeat(ones, np.diff(ones, prepend=-1))
+        starts = min(span, _WINDOW)
+        self._base = base
+        self._ends = memoryview(2 * nxt[1 : starts + 1] - np.arange(starts, dtype=np.int32))
+
+    def _chain(self, k: int) -> np.ndarray:
+        """Starts of the next k records and the end of the last; shorter when
+        the chain leaves the section."""
+        parts = [np.array([self.pos], dtype=np.int64)]
+        got = 0
+        p = self.pos
+        while got < k and p < self.n_bits:
+            r = p - self._base
+            if not 0 <= r < len(self._ends):
+                self._window(p)
+                r = 0
+            ends = self._ends
+            found = []
+            push = found.append
+            try:
+                for _ in range(k - got):
+                    r = ends[r]  # IndexError once the chain leaves the window
+                    push(r)
+            except IndexError:
+                pass
+            parts.append(np.array(found, dtype=np.int64) + self._base)
+            got += len(found)
+            p = self._base + r
+        return np.concatenate(parts)
+
+    def read(self, k: int):
+        """(below the coded span, n = distance beyond its edge + 1 as uint64)
+        of the next k records."""
+        chain = self._chain(k)
+        start, end = chain[:-1], chain[1:]
+        width = (end - start) >> 1  # body bits: from the leading 1 to the end
+        bad = (width > 64) | (end > self.n_bits)
+        if bad.any() or len(start) < k:
+            i = int(np.argmax(bad)) if bad.any() else len(start)
+            if i < len(start) and width[i] > 64 and start[i] + 65 <= self.n_bits:
+                raise StreamError("bypass run length out of range")
             raise StreamError("bypass section exhausted")
-        self.pos = end
-        return bits[p] == "1", int(bits[one:end], 2) - 1
+        self.pos = int(chain[-1])
+        data = self._bytes
+        below = (data[start >> 3] >> (7 - (start & 7)).astype(np.uint8)) & 1 == 1
+        lead = end - width
+        at = lead >> 3
+        head = np.lib.stride_tricks.sliding_window_view(data, 8)[at].view(">u8")[:, 0]
+        skip = (lead & 7).astype(np.uint64)
+        bits = head.astype(np.uint64) << skip | data[at + 8].astype(np.uint64) >> (8 - skip)
+        return below, bits >> (64 - width).astype(np.uint64)
 
     def finish(self):
-        rest = self.bits[self.pos :]
-        if len(rest) >= 8 or "1" in rest:
+        rest = self.n_bits - self.pos
+        if rest >= 8 or (rest and self.data[-1] & ((1 << rest) - 1)):
             raise StreamError("bypass section runs past its last record")
 
 
@@ -164,14 +269,13 @@ def _symbols(j, offsets, n_coded, bypass: _BypassReader) -> np.ndarray:
     out = offsets + j
     esc = np.flatnonzero(j >= n_coded)
     if len(esc):
-        values = []
-        for off, edge in zip(offsets[esc].tolist(), (offsets + n_coded)[esc].tolist()):
-            below, dist = bypass.read()
-            values.append(off - 1 - dist if below else edge + dist)
-        try:
-            out[esc] = values
-        except OverflowError as exc:
-            raise StreamError("escaped symbol does not fit int64") from exc
+        below, n = bypass.read(len(esc))
+        off = offsets[esc].view(np.uint64)
+        edge = off + n_coded[esc].view(np.uint64)
+        # exact in uint64: offset - n >= -2^63 and edge + n - 1 < 2^63
+        if np.any(n > np.where(below, off ^ _SIGN, _SIGN - edge)):
+            raise StreamError("escaped symbol does not fit int64")
+        out[esc] = np.where(below, off - n, edge + (n - np.uint64(1))).view(np.int64)
     return out
 
 
@@ -205,8 +309,8 @@ def _lane_count(freqs) -> int:
 # Payload sections
 
 
-def _stream(ans: bytes, records: list[str], n: int) -> Bitstream:
-    payload = struct.pack("<I", len(ans)) + ans + _pack_bits(records)
+def _stream(ans: bytes, below, n_escape, n: int) -> Bitstream:
+    payload = struct.pack("<I", len(ans)) + ans + _pack_escapes(below, n_escape)
     return Bitstream(payload=payload, symbol_count=n)
 
 
@@ -255,6 +359,11 @@ def _check_end(states, words_read: int, words, bypass: _BypassReader):
 # tables never live in memory at once.
 
 
+def _single_ans(state: int, words: list) -> bytes:
+    """ANS section of one state, from the words in emission order."""
+    return struct.pack("<I", state) + np.asarray(words[::-1], dtype="<u2").tobytes()
+
+
 def _encode_single(starts, freqs, state: int, words: list) -> int:
     """Push symbols onto one state, last first; emitted words are appended."""
     emit = words.append
@@ -294,15 +403,16 @@ def encode_elementwise(symbols, chunk_tables, chunk_size: int = 16384) -> Bitstr
     n = len(sym)
     state = _LOW
     words = []
-    records = []  # per chunk, last chunk first
+    # (below, n) per chunk, last chunk first; the empty pair makes n = 0 concatenate
+    escapes = [(np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64))]
     for lo in range(((n - 1) // chunk_size) * chunk_size, -1, -chunk_size) if n else []:
         hi = min(lo + chunk_size, n)
         flat, _, rows, offs, nc = chunk_tables(lo, hi)
         j, in_range, starts, freqs = _slots(sym[lo:hi], flat, rows, offs, nc)
-        records.append(_escape_records(j, in_range, nc))
+        escapes.append(_escapes(j, in_range, nc))
         state = _encode_single(starts, freqs, state, words)
-    ans = struct.pack("<I", state) + np.asarray(words[::-1], dtype="<u2").tobytes()
-    return _stream(ans, [r for chunk in reversed(records) for r in chunk], n)
+    below, n_escape = (np.concatenate(part[::-1]) for part in zip(*escapes))
+    return _stream(_single_ans(state, words), below, n_escape, n)
 
 
 def decode_elementwise(stream: Bitstream, chunk_tables, chunk_size: int = 16384) -> np.ndarray:
@@ -376,6 +486,32 @@ def _decode_lanes(states, words, idx, table_set: CdfTableSet):
     return state, wp, j
 
 
+def _decode_slots(states, words, idx, table_set: CdfTableSet):
+    """(final state, words read, slot position j per element) of a
+    single-state ANS section; slots come from the set's slot lookup."""
+    flat, flat_list, rows, _, _ = table_set.flat_view()
+    freq = np.diff(flat).tolist()
+    lookup = memoryview(table_set.slot_lookup()).cast("B")
+    word_list = words.tolist()
+    n_words = len(word_list)
+    state = states[0]
+    wp = 0
+    found = []
+    push = found.append
+    for b, r in zip((idx << 16).tolist(), rows[idx].tolist()):
+        v = state & _MASK
+        s = lookup[b + v]
+        p = r + s
+        state = freq[p] * (state >> 16) + v - flat_list[p]
+        if state < _LOW:
+            if wp >= n_words:
+                raise StreamError("ANS words exhausted")
+            state = (state << 16) | word_list[wp]
+            wp += 1
+        push(s)
+    return [state], wp, np.array(found, dtype=np.int64)
+
+
 def encode(symbols, table_indexes, table_set: CdfTableSet) -> Bitstream:
     """Code symbols against per-symbol tables; deterministic payload."""
     sym = np.asarray(symbols, dtype=np.int64).ravel()
@@ -385,8 +521,11 @@ def encode(symbols, table_indexes, table_set: CdfTableSet) -> Bitstream:
     j, in_range, starts, freqs = _slots(sym, flat, rows, offsets, nc)
     lanes = _lane_count(freqs)
     if lanes == 1:
-        return encode_elementwise(sym, chunk, chunk_size=max(n, 1))
-    return _stream(_encode_lanes(starts, freqs, lanes), _escape_records(j, in_range, nc), n)
+        words = []
+        ans = _single_ans(_encode_single(starts, freqs, _LOW, words), words)
+    else:
+        ans = _encode_lanes(starts, freqs, lanes)
+    return _stream(ans, *_escapes(j, in_range, nc), n)
 
 
 def decode(stream: Bitstream, table_indexes, table_set: CdfTableSet) -> np.ndarray:
@@ -395,9 +534,12 @@ def decode(stream: Bitstream, table_indexes, table_set: CdfTableSet) -> np.ndarr
     idx = _checked_indexes(table_indexes, n, table_set)
     chunk = _shared_chunks(idx, table_set)
     states, words, bypass = _parse(stream)
-    if len(states) == 1:
+    if len(states) > 1:
+        final, words_read, j = _decode_lanes(states, words, idx, table_set)
+    elif len(table_set) * _LOOKUP_SYMBOLS <= n:
+        final, words_read, j = _decode_slots(states, words, idx, table_set)
+    else:
         return _decode_single(n, states[0], words, bypass, chunk, max(n, 1))
-    final, words_read, j = _decode_lanes(states, words, idx, table_set)
     _, _, _, offsets, nc = chunk(0, n)
     out = _symbols(j, offsets, nc, bypass)
     _check_end(final, words_read, words, bypass)
@@ -436,8 +578,5 @@ def implied_bits(symbols, table_indexes, table_set: CdfTableSet) -> np.ndarray:
     j, in_range, _, freqs = _slots(sym, flat, rows, offsets, nc)
     bits = -np.log2(freqs / TOTAL_FREQ)
     if not in_range.all():
-        esc = ~in_range
-        dist = np.where(j >= nc, j - nc, -j - 1)[esc]
-        extra = 2 * np.floor(np.log2(dist + 1.0)).astype(np.int64) + 1  # Exp-Golomb length
-        bits[esc] += 1 + extra
+        bits[~in_range] += _record_bits(_escapes(j, in_range, nc)[1])
     return bits

@@ -11,6 +11,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,36 @@ class TestFailureExits:
         assert run_cli("decode", "--stream", tmp_path / "s.bits", "--side",
                        tmp_path / "side.bin", "--backend", "lut", "--tables",
                        tables, "--out", tmp_path / "d.bin") == 4
+
+    def test_corrupted_bypass_tail_exits_0_or_4(self, tmp_path):
+        tables, block = tmp_path / "gm.tables", tmp_path / "b.bin"
+        assert run_cli("build-tables", "--family", "gm", "--count", 40, "--out", tables) == 0
+        # sigma far beyond the LUT's widest (60): most symbols escape
+        spec = ss.SourceSpec(family="gm", shape=(1, 64, 64), seed=9, sigma_range=(100.0, 1000.0))
+        block.write_bytes(ss.block_to_bytes(ss.gen_block(spec)))
+        stream = tmp_path / "s.bits"
+        assert run_cli("encode", "--block", block, "--backend", "lut", "--tables", tables,
+                       "--out", stream) == 0
+        data = stream.read_bytes()
+        tail_at = 8 + int.from_bytes(data[4:8], "little")  # symbol count, ANS length, ANS
+        assert len(data) - tail_at > 4096
+        rng = np.random.default_rng(9)
+        cuts = sorted({*rng.integers(tail_at, len(data), 24).tolist(),
+                       *range(len(data) - 12, len(data))})
+        cases = [data[:k] for k in cuts]
+        for k in [tail_at, len(data) - 1, *rng.integers(tail_at, len(data), 30).tolist()]:
+            for flip in (0xFF, int(rng.integers(1, 256))):
+                cases.append(data[:k] + bytes([data[k] ^ flip]) + data[k + 1:])
+        codes = []
+        for bad in cases:
+            (tmp_path / "bad.bits").write_bytes(bad)
+            t0 = time.perf_counter()
+            codes.append(run_cli("decode", "--stream", tmp_path / "bad.bits", "--side", block,
+                                 "--backend", "lut", "--tables", tables,
+                                 "--out", tmp_path / "d.bin"))
+            assert time.perf_counter() - t0 < 20.0
+        assert set(codes) <= {0, 4}
+        assert codes[: len(cuts)] == [4] * len(cuts)  # every cut loses part of a record
 
     def test_mismatched_table_set_exits_4(self, trained, tmp_path):
         idx = tmp_path / "i.npz"

@@ -248,6 +248,21 @@ def test_escape_beyond_int64_is_a_stream_error():
         decode(Bitstream(payload[:ans_end] + bypass, 1), [0], set_)
 
 
+@pytest.mark.parametrize("offset", [-127, 0, 5, -(2**62)])
+def test_escape_one_past_int64_is_a_stream_error(offset):
+    set_ = CdfTableSet([QuantizedCdfTable(offset, np.array([0, 30000, 60000, 1 << 16]))])
+    for sym in (2**63 - 1, -(2**63)):  # the farthest escapes on each side
+        if not -(2**63) <= sym - offset < 2**63:
+            continue
+        payload = encode([sym], [0], set_).payload
+        assert decode(Bitstream(payload, 1), [0], set_).tolist() == [sym]
+        ans_end = 4 + int.from_bytes(payload[:4], "little")
+        dist = sym - (offset + 2) if sym > offset else offset - 1 - sym
+        past = _reference_pack([("0" if sym > offset else "1") + bypass_encode(dist + 1)])
+        with pytest.raises(StreamError, match="int64"):
+            decode(Bitstream(payload[:ans_end] + past, 1), [0], set_)
+
+
 # ---------------------------------------------------------------------------
 # Rate accounting
 
@@ -468,3 +483,288 @@ def test_symbols_encode_accepts_roundtrip(symbols, offset):
         assert any(not -(2**63) <= s - offset < 2**63 for s in symbols)
         return
     assert decode(stream, idx, set_).tolist() == symbols
+
+
+# ---------------------------------------------------------------------------
+# Bypass section against the string references
+
+
+def _reference_records(j, in_range, n_coded) -> list[str]:
+    """Bypass records of the escaped elements, in element order: sign 0 for
+    a symbol above the coded span, 1 below, then the distance beyond it."""
+    esc = np.flatnonzero(~in_range)
+    return [
+        "0" + bypass_encode(d - edge) if d >= edge else "1" + bypass_encode(-d - 1)
+        for d, edge in zip(j[esc].tolist(), n_coded[esc].tolist())
+    ]
+
+
+def _reference_pack(records: list[str]) -> bytes:
+    bits = "".join(records)
+    if not bits:
+        return b""
+    n_bytes = (len(bits) + 7) // 8
+    return (int(bits, 2) << (8 * n_bytes - len(bits))).to_bytes(n_bytes, "big")
+
+
+class _ReferenceReader:
+    """Reads bypass records one Exp-Golomb code at a time from a bit string."""
+
+    def __init__(self, data: bytes):
+        self.bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
+        self.pos = 0
+
+    def read(self) -> tuple[bool, int]:
+        """(below the coded span, distance beyond its edge) of the next record."""
+        bits, p = self.bits, self.pos
+        one = bits.find("1", p + 1, p + 65)  # the code's leading 1, after at most 63 zeros
+        if one < 0:
+            if p + 65 > len(bits):
+                raise StreamError("bypass section exhausted")
+            raise StreamError("bypass run length out of range")
+        end = 2 * one - p  # as many body bits after the leading 1 as zeros before it
+        if end > len(bits):
+            raise StreamError("bypass section exhausted")
+        self.pos = end
+        return bits[p] == "1", int(bits[one:end], 2) - 1
+
+    def finish(self):
+        rest = self.bits[self.pos :]
+        if len(rest) >= 8 or "1" in rest:
+            raise StreamError("bypass section runs past its last record")
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except StreamError as exc:
+        return ("StreamError", str(exc))
+
+
+def _assert_readers_agree(section: bytes, groups):
+    """The reader reads `groups` records at a time; the reference reads the
+    same records one by one.  Values, or the error, must agree per group."""
+    new, ref = rc._BypassReader(section), _ReferenceReader(section)
+    for k in groups:
+        def ref_group():
+            return [ref.read() for _ in range(k)]
+
+        def new_group():
+            below, n = new.read(k)
+            assert below.dtype == bool and n.dtype == np.uint64
+            return [(b, d - 1) for b, d in zip(below.tolist(), n.tolist())]
+
+        want = _outcome(ref_group)
+        assert _outcome(new_group) == want
+        if isinstance(want, tuple):
+            return
+    assert _outcome(new.finish) == _outcome(ref.finish)
+
+
+_DISTANCES = sorted({0, 2**63 - 1, *(2**k - 1 for k in range(1, 64)), *(2**k for k in range(63))})
+_OFFSETS = (-127, 0, -(2**31), 2**31 - 1)  # the LUT's offset, zero, and the int32 extremes
+
+
+@pytest.mark.parametrize("offset", _OFFSETS)
+def test_packed_escapes_match_reference(offset):
+    table = QuantizedCdfTable(offset, np.array([0, 30000, 60000, 1 << 16]))
+    set_ = CdfTableSet([table])
+    syms = [-(2**63), 2**63 - 1, offset, offset + 1]
+    for d in _DISTANCES:
+        syms += [s for s in (table.hi + 1 + d, table.lo - 1 - d) if -(2**63) <= s < 2**63]
+    syms = [s for s in syms if -(2**63) <= s - offset < 2**63]  # what encode accepts
+    rng = np.random.default_rng(offset & 0xFFFF)
+    for order in (np.arange(len(syms)), rng.permutation(len(syms))):  # records at every bit offset
+        sym = np.array(syms, dtype=np.int64)[order]
+        idx = np.zeros(len(sym), np.int64)
+        flat, _, rows, offs, nc = rc._shared_chunks(idx, set_)(0, len(sym))
+        j, in_range, _, _ = rc._slots(sym, flat, rows, offs, nc)
+        records = _reference_records(j, in_range, nc)
+        section = _reference_pack(records)
+        assert rc._pack_escapes(*rc._escapes(j, in_range, nc)) == section
+        payload = encode(sym, idx, set_).payload
+        assert payload.endswith(section)
+        assert np.array_equal(decode(Bitstream(payload, len(sym)), idx, set_), sym)
+        _assert_readers_agree(section, [1, 2, len(records)])
+
+
+def _records_section(rng, count, max_bits=64) -> str:
+    """Bit string of `count` valid records with random signs and lengths."""
+    out = []
+    for _ in range(count):
+        length = int(rng.integers(1, max_bits + 1))
+        n = 1 << (length - 1) | int(rng.integers(0, 2**62)) % (1 << (length - 1) | 1)
+        out.append(str(int(rng.integers(0, 2))) + "0" * (length - 1) + format(n, "b"))
+    return "".join(out)
+
+
+def test_reader_runs_of_63_and_64_zeros():
+    longest = "1" + "0" * 63 + "1" + "0" * 62 + "1"  # 63 zeros: n = 2^63 + 1, the longest record
+    too_long = "0" + "0" * 64 + "1" + "0" * 64  # 64 zeros: a run out of range
+    below, n = rc._BypassReader(_reference_pack([longest])).read(1)
+    assert below.tolist() == [True] and n.tolist() == [2**63 + 1]
+    with pytest.raises(StreamError, match="run length"):
+        rc._BypassReader(_reference_pack([too_long])).read(1)
+    for bits in (longest, too_long, longest + too_long, longest + longest, "1" + "0" * 64,
+                 "0" * 200, "1" + "0" * 63 + "1" + "1" * 63 + longest):
+        for groups in ([1, 1, 1], [2, 1], [3]):
+            _assert_readers_agree(_reference_pack([bits]), groups)
+
+
+def test_reader_truncated_at_every_bit():
+    rng = np.random.default_rng(13)
+    bits = _records_section(rng, 12) + "1" + "0" * 63 + "1" + "0" * 63  # ends on a 63-zero run
+    for cut in range(len(bits) + 1):
+        _assert_readers_agree(_reference_pack([bits[:cut]]), [5, 8])
+        _assert_readers_agree(_reference_pack([bits[:cut]]), [13])
+
+
+@pytest.mark.parametrize("window", [1, 2, 7, 64, 65, 200])
+def test_reader_across_window_edges(window, monkeypatch):
+    monkeypatch.setattr(rc, "_WINDOW", window)
+    rng = np.random.default_rng(window)
+    longest = "0" + "0" * 63 + "1" * 64  # 63 zeros: the leading 1 is 64 bits after the start
+    bits = _records_section(rng, 60, max_bits=20) + longest * 3 + _records_section(rng, 20)
+    bits += "".join(longest + _records_section(rng, 1, max_bits=3) for _ in range(6))
+    section = _reference_pack([bits])
+    _assert_readers_agree(section, [1, 7, 3, 49, 35])
+    _assert_readers_agree(section, [95, 1])  # one record too many
+    _assert_readers_agree(section[:-3], [10, 85])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=40), st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       st.sampled_from([1, 3, 64, 1 << 16]))
+def test_reader_matches_reference_on_random_sections(section, groups, window):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rc, "_WINDOW", window)
+        _assert_readers_agree(section, groups)
+
+
+@pytest.mark.parametrize("dist", [2**53 - 2, 2**54 - 2, 2**62 - 2])
+def test_implied_bits_sizes_large_escapes_exactly(dist):
+    set_ = CdfTableSet([QuantizedCdfTable(0, np.array([0, 30000, 1 << 16]))])  # codes only 0
+    record = 1 + len(bypass_encode(dist))  # sign bit, then Exp-Golomb
+    tail = -np.log2((65536 - 30000) / 65536)
+    assert implied_bits([dist + 1], [0], set_)[0] == pytest.approx(tail + record)
+    payload = encode([dist + 1], [0], set_).payload
+    ans_end = 4 + int.from_bytes(payload[:4], "little")
+    assert len(payload) - ans_end == (record + 7) // 8
+
+
+# ---------------------------------------------------------------------------
+# Corrupted bypass tails
+
+
+def _escape_heavy(seed, n):
+    """(symbols, indexes, set) where most symbols escape a narrow table."""
+    rng = np.random.default_rng(seed)
+    set_ = _random_set(rng, 2)
+    idx = rng.integers(0, 2, n)
+    scale = rng.choice([3.0, 300.0, 3e6], n)  # records of a few to about 50 bits
+    syms = np.round(rng.standard_normal(n) * scale).astype(np.int64)
+    return syms, idx, set_
+
+
+@st.composite
+def _bad_tails(draw, payload: bytes):
+    """The payload with its bypass tail replaced, flipped or truncated."""
+    tail_at = 4 + int.from_bytes(payload[:4], "little")
+    tail = payload[tail_at:]
+    how = draw(st.sampled_from(["random", "flip", "truncate"]))
+    if how == "random":
+        tail = draw(st.binary(max_size=len(tail) + 8))
+    elif how == "flip" and tail:
+        k = draw(st.integers(0, len(tail) - 1))
+        tail = tail[:k] + bytes([tail[k] ^ draw(st.integers(1, 255))]) + tail[k + 1 :]
+    else:
+        tail = tail[: draw(st.integers(0, len(tail)))]
+    return payload[:tail_at] + tail
+
+
+def _decodes_exactly_or_raises(bad, n, decoder, encoder):
+    try:
+        out = decoder(Bitstream(bad, n))
+    except StreamError:
+        return
+    assert encoder(out).payload == bad
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(["single", "lanes", "chunked"]), st.data())
+def test_corrupted_bypass_tails_decode_exactly_or_raise(seed, route, data):
+    syms, idx, set_ = _escape_heavy(seed, 160)  # 160 >= 64 symbols per table: the lookup route
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "lanes":
+            mp.setattr(rc, "_lane_count", lambda freqs: 3)
+        if route == "chunked":
+            size = data.draw(st.integers(1, 7))
+            chunk = rc._shared_chunks(idx, set_)
+
+            def encoder(s):
+                return rc.encode_elementwise(s, chunk, chunk_size=size)
+
+            def decoder(stream):
+                return decode_elementwise(stream, chunk, chunk_size=size)
+        else:
+            def encoder(s):
+                return encode(s, idx, set_)
+
+            def decoder(stream):
+                return decode(stream, idx, set_)
+
+        payload = encoder(syms).payload
+        assert np.array_equal(decoder(Bitstream(payload, len(syms))), syms)
+        lanes = struct.unpack_from("<I", payload, 4)[0]
+        assert (lanes == 3) == (route == "lanes")
+        _decodes_exactly_or_raises(data.draw(_bad_tails(payload)), len(syms), decoder, encoder)
+
+
+# ---------------------------------------------------------------------------
+# Single-state decode through the slot lookup
+
+
+def _no_bisect(*args):
+    raise AssertionError("shared-set single-state decode must use the slot lookup")
+
+
+def test_single_state_lookup_at_slot_255(monkeypatch):
+    set_, _ = build_lut_gm(40)
+    widest = max(range(len(set_)), key=lambda t: set_[t].n_intervals)
+    table = set_[widest]
+    assert table.n_intervals == 256 and table.tail_slot == 255
+    rng = np.random.default_rng(14)
+    syms = np.concatenate([[table.lo, table.hi, table.hi + 1, table.lo - 1, 10**9, -(10**9)],
+                           rng.integers(table.lo - 400, table.hi + 400, 4000)])
+    idx = np.full(len(syms), widest)
+    stream = encode(syms, idx, set_)
+    assert struct.unpack_from("<I", stream.payload, 4)[0] >= 1 << 16  # one final state
+    monkeypatch.setattr(rc, "bisect_right", _no_bisect)
+    assert np.array_equal(decode(stream, idx, set_), syms)
+    assert set_.slot_lookup()[widest, -1] == 255
+
+
+def test_single_state_lookup_single_coded_symbol(monkeypatch):
+    set_ = CdfTableSet([QuantizedCdfTable(5, np.array([0, 40000, 1 << 16]))])
+    rng = np.random.default_rng(15)
+    syms = np.where(rng.random(500) < 0.6, 5, rng.integers(-300, 300, 500))
+    idx = np.zeros(500, np.int64)
+    stream = encode(syms, idx, set_)
+    monkeypatch.setattr(rc, "bisect_right", _no_bisect)
+    assert np.array_equal(decode(stream, idx, set_), syms)
+    assert np.array_equal(decode(encode([5] * 64, [0] * 64, set_), [0] * 64, set_), [5] * 64)
+
+
+def test_shared_single_state_route_follows_symbols_per_table(monkeypatch):
+    # fewer than 64 symbols per table bisects instead of building the lookup
+    set_ = _set_of([(ProbModel.gaussian(1.0), 20), (ProbModel.gaussian(30.0), 20)])
+    syms = np.arange(-10, 117) % 40 - 20
+    idx = np.arange(len(syms)) % 2
+    stream = encode(syms, idx, set_)
+    assert np.array_equal(decode(stream, idx, set_), syms)  # 127 symbols: bisect
+    monkeypatch.setattr(rc, "bisect_right", _no_bisect)
+    with pytest.raises(AssertionError, match="slot lookup"):
+        decode(stream, idx, set_)
+    syms = np.append(syms, 0)
+    idx = np.append(idx, 0)
+    assert np.array_equal(decode(encode(syms, idx, set_), idx, set_), syms)  # 128: lookup
