@@ -20,9 +20,10 @@ uses L = 1.
 Decoding finds each symbol's slot in the set's cached uint8 slot lookup
 (entry [t, v] is the interval of table t holding v): the lane decoder
 gathers a step of lanes at once, and a single-state stream against a shared
-set reads it through a memoryview, one symbol at a time.  The lookup costs
-2^16 bytes per table, so a set with fewer than 64 symbols per table, such
-as per-element tables, bisects each table's cumulative row instead, as
+set reads it through a memoryview, one symbol at a time.  The lookup is
+built once per set and costs 2^16 bytes per table, so a single-state stream
+against a set of more than 256 tables (16 MiB of lookup), such as
+per-element tables, bisects each table's cumulative row instead, as
 decode_elementwise always does.
 
 The bypass section is packed and parsed in numpy, not record by record.
@@ -87,7 +88,7 @@ _MIN_LANES = 64
 _MAX_LANES = 4096
 _POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 _SIGN = _POWERS[63]
-_LOOKUP_SYMBOLS = 64  # symbols per table that pay for its 2^16-entry slot-lookup row
+_LOOKUP_TABLES = 256  # largest set whose 2^16-byte-per-table slot lookup decode() builds
 
 
 class StreamError(ValueError):
@@ -536,7 +537,7 @@ def decode(stream: Bitstream, table_indexes, table_set: CdfTableSet) -> np.ndarr
     states, words, bypass = _parse(stream)
     if len(states) > 1:
         final, words_read, j = _decode_lanes(states, words, idx, table_set)
-    elif len(table_set) * _LOOKUP_SYMBOLS <= n:
+    elif len(table_set) <= _LOOKUP_TABLES:
         final, words_read, j = _decode_slots(states, words, idx, table_set)
     else:
         return _decode_single(n, states[0], words, bypass, chunk, max(n, 1))

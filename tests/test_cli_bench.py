@@ -380,13 +380,13 @@ class TestFailureExits:
             for flip in (0xFF, int(rng.integers(1, 256))):
                 cases.append(data[:k] + bytes([data[k] ^ flip]) + data[k + 1:])
         codes = []
+        t0 = time.perf_counter()
         for bad in cases:
             (tmp_path / "bad.bits").write_bytes(bad)
-            t0 = time.perf_counter()
             codes.append(run_cli("decode", "--stream", tmp_path / "bad.bits", "--side", block,
                                  "--backend", "lut", "--tables", tables,
                                  "--out", tmp_path / "d.bin"))
-            assert time.perf_counter() - t0 < 20.0
+        assert time.perf_counter() - t0 < 60.0  # all cases together; about 1.5 s on 2 vCPUs
         assert set(codes) <= {0, 4}
         assert codes[: len(cuts)] == [4] * len(cuts)  # every cut loses part of a record
 

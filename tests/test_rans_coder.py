@@ -755,16 +755,20 @@ def test_single_state_lookup_single_coded_symbol(monkeypatch):
     assert np.array_equal(decode(encode([5] * 64, [0] * 64, set_), [0] * 64, set_), [5] * 64)
 
 
-def test_shared_single_state_route_follows_symbols_per_table(monkeypatch):
-    # fewer than 64 symbols per table bisects instead of building the lookup
-    set_ = _set_of([(ProbModel.gaussian(1.0), 20), (ProbModel.gaussian(30.0), 20)])
-    syms = np.arange(-10, 117) % 40 - 20
-    idx = np.arange(len(syms)) % 2
-    stream = encode(syms, idx, set_)
-    assert np.array_equal(decode(stream, idx, set_), syms)  # 127 symbols: bisect
-    monkeypatch.setattr(rc, "bisect_right", _no_bisect)
-    with pytest.raises(AssertionError, match="slot lookup"):
-        decode(stream, idx, set_)
-    syms = np.append(syms, 0)
-    idx = np.append(idx, 0)
-    assert np.array_equal(decode(encode(syms, idx, set_), idx, set_), syms)  # 128: lookup
+def test_shared_single_state_lookup_stops_at_256_tables(monkeypatch):
+    # per-element tables: beyond 256 tables the 2^16-byte rows are not built
+    rng = np.random.default_rng(16)
+    tables = [QuantizedCdfTable(int(o), np.array([0, int(c), 1 << 16]))
+              for o, c in zip(rng.integers(-3, 3, 257), rng.integers(1, 1 << 16, 257))]
+    syms = rng.integers(-6, 6, 257)
+
+    def _no_lookup(self):
+        raise AssertionError("a set of more than 256 tables must bisect")
+
+    for count, forbid in ((256, (rc, "bisect_right", _no_bisect)),
+                          (257, (CdfTableSet, "slot_lookup", _no_lookup))):
+        set_, idx = CdfTableSet(tables[:count]), np.arange(count)
+        stream = encode(syms[:count], idx, set_)
+        with monkeypatch.context() as m:
+            m.setattr(*forbid)
+            assert np.array_equal(decode(stream, idx, set_), syms[:count])
