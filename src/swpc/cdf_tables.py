@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, ProbModel, pmf_integer
+from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, MAX_RADIUS, ProbModel, pmf_integer
 
 __all__ = [
     "TOTAL_FREQ",
@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 TOTAL_FREQ = 1 << 16
-MAX_RADIUS = 127  # 255 coded symbols + tail fill the 256-interval cap
 
 _MAGIC = b"SWPC"
 _VERSION = 1

@@ -321,9 +321,7 @@ def _switch_side_info(block: cb.LatentBlock, prefix: str, use_skip: bool,
             indexes = cb.IndexGrid.from_continuous(data["continuous"], int(dims[0]))
     elif sidecar["predictor"]["mode"] == "calibration-curve":
         a, c = sidecar["predictor"]["a"], sidecar["predictor"]["c"]
-        with np.errstate(divide="ignore"):
-            cont = a * np.log(block.side_features) + c
-        cont = np.nan_to_num(cont, nan=1.0, neginf=1.0, posinf=float(dims[0]))
+        cont = a * cb.log_features(block.side_features) + c
         indexes = cb.IndexGrid.from_continuous(cont, int(dims[0]))
     else:
         indexes = _argmin_index_grid(block, table_set, dims)
@@ -539,7 +537,7 @@ def cmd_bench(ns) -> int:
             a, c = result.predictor["a"], result.predictor["c"]
 
             def build_indexes():
-                cont = a * np.log(block.side_features) + c
+                cont = a * cb.log_features(block.side_features) + c
                 return cb.IndexGrid.from_continuous(cont, m)
 
             indexes = build_indexes()

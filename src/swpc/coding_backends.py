@@ -28,7 +28,7 @@ from swpc.cdf_tables import (
     lut_search,
     serialize_table_set,
 )
-from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, SUPPORT_RADIUS
+from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, MAX_RADIUS, SUPPORT_RADIUS
 from swpc.rans_coder import Bitstream, StreamError, decode_elementwise, encode, encode_elementwise
 from swpc.rans_coder import decode as rans_decode
 
@@ -40,6 +40,7 @@ __all__ = [
     "round_half_away",
     "harden_index",
     "harden_index_2d",
+    "log_features",
     "backend_dynamic",
     "backend_dynamic_decode",
     "backend_lut",
@@ -50,8 +51,6 @@ __all__ = [
     "restore_pruned_channels",
 ]
 
-_TAIL_MASS = 2.0 ** -20
-
 
 def round_half_away(x):
     """Nearest integer with halves going away from zero, as float."""
@@ -60,15 +59,25 @@ def round_half_away(x):
 
 
 def harden_index(i, m: int):
-    """Integer prior index in [1, m]: round(clip(i, 1, m))."""
+    """Integer prior index in [1, m]: round(clip(i, 1, m)); NaN has none."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    out = round_half_away(np.clip(np.asarray(i, np.float64), 1.0, float(m))).astype(np.int64)
+    i = np.asarray(i, np.float64)
+    if np.isnan(i).any():
+        raise ValueError("a NaN prior index has no table")
+    out = round_half_away(np.clip(i, 1.0, float(m))).astype(np.int64)
     return int(out) if out.ndim == 0 else out
 
 
 def harden_index_2d(i, j, m: int, n: int):
     return harden_index(i, m), harden_index(j, n)
+
+
+def log_features(features) -> np.ndarray:
+    """The calibration curve's input: the log of each side feature raised to
+    at least 1e-12, so that the index a * log_features(f) + c is finite for
+    every feature, in training and in coding alike."""
+    return np.log(np.maximum(features, 1e-12))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -303,13 +312,13 @@ def _params(truth: dict) -> list:
     return [truth[key] for key in FAMILY_PARAMS[truth["family"]]]
 
 
-def _dynamic_radii(truth: dict, radius: int | None, tail_mass: float) -> np.ndarray:
+def _dynamic_radii(truth: dict, radius: int | None) -> np.ndarray:
     params = _params(truth)
     if radius is not None:
-        if not 1 <= radius <= 127:
-            raise ValueError("radius override must be in [1, 127]")
+        if not 1 <= radius <= MAX_RADIUS:
+            raise ValueError(f"radius override must be in [1, {MAX_RADIUS}]")
         return np.full(len(params[0]), radius, dtype=np.int64)
-    return np.atleast_1d(SUPPORT_RADIUS[truth["family"]](*params, tail_mass))
+    return np.atleast_1d(SUPPORT_RADIUS[truth["family"]](*params))
 
 
 def _bin_masses(truth: dict, ids: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -333,8 +342,7 @@ def _dynamic_chunk_builder(truth: dict, radii: np.ndarray):
     return chunk
 
 
-def backend_dynamic(block: LatentBlock, *, radius: int | None = None,
-                    tail_mass: float = _TAIL_MASS, chunk_size: int = 16384):
+def backend_dynamic(block: LatentBlock, *, radius: int | None = None):
     """Build a fresh table per element from its true parameters and code.
 
     Plays the role of an entropy model whose predictions are exact; the
@@ -344,10 +352,8 @@ def backend_dynamic(block: LatentBlock, *, radius: int | None = None,
         raise ValueError("backend_dynamic needs truth_params")
     t0 = time.perf_counter_ns()
     truth = _flat_truth(block.truth_params, block.shape)
-    radii = _dynamic_radii(truth, radius, tail_mass)
-    stream = encode_elementwise(
-        block.residuals.ravel(), _dynamic_chunk_builder(truth, radii), chunk_size
-    )
+    radii = _dynamic_radii(truth, radius)
+    stream = encode_elementwise(block.residuals.ravel(), _dynamic_chunk_builder(truth, radii))
     encode_nanos = time.perf_counter_ns() - t0
     n = block.n_elements
     table_bytes = int(np.sum(2 * radii + 2) * 2)  # 16 bits per stored entry
@@ -356,15 +362,14 @@ def backend_dynamic(block: LatentBlock, *, radius: int | None = None,
 
 
 def backend_dynamic_decode(stream: Bitstream, truth_params: dict, shape, *,
-                           radius: int | None = None, tail_mass: float = _TAIL_MASS,
-                           chunk_size: int = 16384):
+                           radius: int | None = None):
     """Rebuild the same per-element tables and invert the stream."""
     t0 = time.perf_counter_ns()
     truth = _flat_truth(truth_params, shape)
-    radii = _dynamic_radii(truth, radius, tail_mass)
+    radii = _dynamic_radii(truth, radius)
     if stream.symbol_count != len(radii):
         raise StreamError(f"stream holds {stream.symbol_count} symbols, the block {len(radii)}")
-    flat = decode_elementwise(stream, _dynamic_chunk_builder(truth, radii), chunk_size)
+    flat = decode_elementwise(stream, _dynamic_chunk_builder(truth, radii))
     return flat.reshape(shape), time.perf_counter_ns() - t0
 
 

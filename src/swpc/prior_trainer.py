@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdf_tables import CdfTableSet, tables_from_masses
-from .coding_backends import IndexGrid, LatentBlock, SkipMask
+from .coding_backends import IndexGrid, LatentBlock, SkipMask, log_features
 from .prob_models import (
     FAMILY_PARAMS,
     INTEGER_PMF,
+    MAX_RADIUS,
     PMF_GRADS,
     PROB_FLOOR,
     InfiniteRateError,
@@ -75,8 +76,6 @@ _LN2 = math.log(2.0)
 # beta projection bounds: keeps the gamma kernels numerically healthy while
 # leaving plenty of room around the tabulated [0.5, 3] shape range
 _BETA_MIN, _BETA_MAX = 0.05, 6.0
-
-_EXPORT_RADIUS = 127
 
 
 class TrainingDivergedError(RuntimeError):
@@ -229,8 +228,8 @@ class AnnealSchedule:
                 raise ValueError(f"{name} must be positive and finite")
 
     @classmethod
-    def for_set_size(cls, m: int, **overrides) -> "AnnealSchedule":
-        return cls(tau0=0.05 * m, **overrides)
+    def for_set_size(cls, m: int) -> "AnnealSchedule":
+        return cls(tau0=0.05 * m)
 
     def tau(self, epoch: int) -> float:
         return self.tau0 * math.exp(-self.tau_decay_per_epoch * epoch)
@@ -241,10 +240,9 @@ class AnnealSchedule:
 
 @dataclass(frozen=True)
 class SkipHead:
-    """Per-element soft mask parameters, plus per-channel ones for hyper."""
+    """Per-element soft mask parameters."""
 
     b: np.ndarray
-    b_z: np.ndarray | None = None
 
     def __post_init__(self):
         b = np.array(self.b, dtype=np.float64)
@@ -252,20 +250,9 @@ class SkipHead:
         object.__setattr__(self, "b", b)
         if not np.isfinite(b).all():
             raise ValueError("mask parameters must be finite")
-        if self.b_z is not None:
-            b_z = np.array(self.b_z, dtype=np.float64)
-            b_z.flags.writeable = False
-            object.__setattr__(self, "b_z", b_z)
-            if b_z.ndim != 1 or not np.isfinite(b_z).all():
-                raise ValueError("b_z must be a finite vector with one entry per channel")
 
     def hard_mask(self) -> SkipMask:
         return SkipMask.from_soft(self.b)
-
-    def hard_channel_mask(self) -> np.ndarray:
-        if self.b_z is None:
-            raise ValueError("this head has no hyperlatent mask")
-        return np.clip(np.round(self.b_z), 0, 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -305,8 +292,7 @@ class TrainConfig:
 
     dims is (M,) for a 1-D set or (M, N) for a 2-D grid (gmm only);
     k = None means full-M weighting (no Top-K truncation); skip_epochs > 0
-    appends a second phase that trains the skip mask with priors frozen;
-    mask_hyper additionally masks the hyperlatent rate in that phase.
+    appends a second phase that trains the skip mask with priors frozen.
     """
 
     family: str
@@ -318,7 +304,6 @@ class TrainConfig:
     seed: int = 0
     predictor_mode: str = "free-index"
     skip_epochs: int = 0
-    mask_hyper: bool = False
     components: int = 2
 
     def __post_init__(self):
@@ -819,14 +804,14 @@ def _channel_counts(z_block: LatentBlock):
     return uniques, counts.reshape(z_block.channels, -1).astype(np.float64)
 
 
-def train_priors(blocks, config: TrainConfig, schedule: AnnealSchedule | None = None,
-                 z_block: LatentBlock | None = None) -> TrainResult:
+def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = None) -> TrainResult:
     """Fit a prior set (and optionally skip mask and hyper logits) to data.
 
     Phase 1 alternates exact index reassignment (free-index mode) or a
     trainable log-linear index curve (calibration mode) with Adam steps on
     the prior coordinates; phase 2, when skip_epochs > 0, freezes the
-    priors and trains the skip mask through the Gumbel relaxation.
+    priors and trains the skip mask through the Gumbel relaxation.  Both
+    phases anneal by AnnealSchedule.for_set_size of the largest dimension.
     """
     block_list = _as_blocks(blocks)
     primary = block_list[0]
@@ -841,8 +826,7 @@ def train_priors(blocks, config: TrainConfig, schedule: AnnealSchedule | None = 
     two_d = len(config.dims) == 2
     if config.k is not None and config.k > (config.dims[0] if not two_d else max(config.dims)):
         raise ValueError("k cannot exceed the per-dimension prior count")
-    if schedule is None:
-        schedule = AnnealSchedule.for_set_size(max(config.dims))
+    schedule = AnnealSchedule.for_set_size(max(config.dims))
 
     if two_d:
         base = init_prior_set_2d(config.dims[0], config.dims[1],
@@ -859,7 +843,7 @@ def train_priors(blocks, config: TrainConfig, schedule: AnnealSchedule | None = 
     if calibration:
         if two_d:
             raise ValueError("the calibration-curve predictor drives 1-D sets")
-        log_f = np.log(np.maximum(features, 1e-12))
+        log_f = log_features(features)
         span = log_f.max() - log_f.min()
         slope = (config.dims[0] - 1) / span if span > 0 else 0.0
         intercept = 1.0 - slope * log_f.min() if span > 0 else (config.dims[0] + 1) / 2.0
@@ -951,12 +935,8 @@ def train_priors(blocks, config: TrainConfig, schedule: AnnealSchedule | None = 
     skip_trace: list[float] = []
     final_t = schedule.t0
     if config.skip_epochs > 0:
-        z_rates = None
-        if config.mask_hyper and z_block is not None:
-            z_rates, _, _ = _family_tables(config.family, coords, z_uniques)
         skip_head, skip_trace, final_t = _train_skip(
-            symbols, rates, inverse, indexes, config, schedule, hyper, z_counts,
-            z_block, shaped, z_rates)
+            symbols, rates, inverse, indexes, config, schedule, shaped)
 
     return TrainResult(
         prior_set=prior_set,
@@ -993,8 +973,7 @@ def _hyper_pass(rates, grads, counts, logits):
     return float(channel_rates.sum()), dlogits, dtheta
 
 
-def _train_skip(symbols, rates, inverse, indexes, config, schedule, hyper,
-                z_counts, z_block, shaped, z_rates=None):
+def _train_skip(symbols, rates, inverse, indexes, config, schedule, shaped):
     """Phase 2: priors frozen, per-element mask parameters trained."""
     idx = indexes.flat_table_indexes()
     element_rates = rates[idx, inverse]
@@ -1002,15 +981,6 @@ def _train_skip(symbols, rates, inverse, indexes, config, schedule, hyper,
     b = np.ones(symbols.size)
     opt = _Adam(b.shape, config.lr)
     rng_base = int(config.seed) * 1_000_003 + 1
-
-    b_z = None
-    if config.mask_hyper and z_block is not None:
-        weights = _softmax(hyper.logits, axis=1)
-        channel_rates = (weights * (z_counts @ z_rates.T)).sum(axis=1)
-        channel_energy = (z_block.residuals.reshape(z_block.channels, -1).astype(np.float64) ** 2).sum(axis=1)
-        b_z = np.ones(z_block.channels)
-        opt_z = _Adam(b_z.shape, config.lr)
-
     trace = []
     t = schedule.t0
     for epoch in range(config.skip_epochs):
@@ -1019,17 +989,11 @@ def _train_skip(symbols, rates, inverse, indexes, config, schedule, hyper,
         loss = float(np.dot(mask, element_rates))
         loss += config.lambda_ * float(np.sum((1.0 - mask) ** 2 * residual_sq))
         dmask = element_rates - 2.0 * config.lambda_ * (1.0 - mask) * residual_sq
-        if b_z is not None:
-            mask_z, dmask_z_db = gumbel_mask_grad(b_z, t, schedule.gumbel_coefficient, rng_base - 1 - epoch)
-            loss += float(np.dot(mask_z, channel_rates))
-            loss += config.lambda_ * float(np.sum((1.0 - mask_z) ** 2 * channel_energy))
-            dz = channel_rates - 2.0 * config.lambda_ * (1.0 - mask_z) * channel_energy
-            b_z += opt_z.step(dz * dmask_z_db)
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"skip loss diverged at epoch {epoch}", trace)
         trace.append(loss / symbols.size)
         b += opt.step(dmask * dmask_db)
-    return SkipHead(b=b.reshape(shaped), b_z=b_z), trace, t
+    return SkipHead(b=b.reshape(shaped)), trace, t
 
 
 # ---------------------------------------------------------------------------
@@ -1042,11 +1006,11 @@ def export_tables(prior_set: PriorSet1D | PriorSet2D) -> CdfTableSet:
     # the last parameter is the scale, which exp can overflow or underflow
     if not all(np.isfinite(p).all() for p in params) or (params[-1] <= 0).any():
         raise ParameterDomainError("prior coordinates map outside the model parameter domain")
-    ks = np.arange(-_EXPORT_RADIUS, _EXPORT_RADIUS + 1)
+    ks = np.arange(-MAX_RADIUS, MAX_RADIUS + 1)
     masses = INTEGER_PMF[prior_set.family](ks[None, :], *params)
     meta = {"family": prior_set.family}
     if isinstance(prior_set, PriorSet2D):
         meta["dims"] = [prior_set.m, prior_set.n]
     else:
         meta["dims"] = [prior_set.m]
-    return CdfTableSet(tables_from_masses(masses, _EXPORT_RADIUS), meta=meta)
+    return CdfTableSet(tables_from_masses(masses, MAX_RADIUS), meta=meta)

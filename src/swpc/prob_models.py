@@ -670,43 +670,49 @@ def model_std(model: ProbModel) -> float:
     return float(STD[model.family](*_model_args(model)))
 
 
-def gaussian_support_radius(sigma, tail_mass: float = 2.0 ** -20, cap: int = 127):
-    z = float(ndtri(1.0 - 0.5 * tail_mass))
-    return _edge_to_radius(np.asarray(sigma, np.float64) * z, cap)
+# Support radii leave at most about TAIL_MASS of a model outside
+# [-r - 1/2, r + 1/2], clamped to [1, MAX_RADIUS]: 255 coded symbols plus
+# the tail fill the 256-interval cap of a quantized table.
+TAIL_MASS = 2.0 ** -20
+MAX_RADIUS = 127
+_TAIL_Z = float(ndtri(1.0 - 0.5 * TAIL_MASS))  # Gaussian edge per sigma
 
 
-def ggm_support_radius(beta, alpha, tail_mass: float = 2.0 ** -20, cap: int = 127):
+def gaussian_support_radius(sigma):
+    return _edge_to_radius(np.asarray(sigma, np.float64) * _TAIL_Z)
+
+
+def ggm_support_radius(beta, alpha):
     a = 1.0 / np.asarray(beta, np.float64)
-    u = gammainccinv(a, min(1.0, tail_mass))
+    u = gammainccinv(a, TAIL_MASS)
     # a very heavy tail can push the edge past float range: that is the cap
     with np.errstate(over="ignore"):
-        return _edge_to_radius(np.asarray(alpha, np.float64) * u ** a, cap)
+        return _edge_to_radius(np.asarray(alpha, np.float64) * u ** a)
 
 
-def gmm_support_radius(means, sigmas, tail_mass: float = 2.0 ** -20, cap: int = 127):
+def gmm_support_radius(means, sigmas):
     """Radius covering every component (component axis trailing)."""
-    z = float(ndtri(1.0 - 0.5 * tail_mass))
-    edge = np.max(np.abs(np.asarray(means, np.float64)) + np.asarray(sigmas, np.float64) * z, axis=-1)
-    return _edge_to_radius(edge, cap)
+    edge = np.max(np.abs(np.asarray(means, np.float64)) + np.asarray(sigmas, np.float64) * _TAIL_Z, axis=-1)
+    return _edge_to_radius(edge)
 
 
-def _edge_to_radius(edge, cap: int):
+def _edge_to_radius(edge):
     # clip in floats first: an edge beyond int64 must reach the cap, not wrap
-    r = np.clip(np.ceil(np.asarray(edge, np.float64) - 0.5), 1, cap).astype(np.int64)
+    r = np.clip(np.ceil(np.asarray(edge, np.float64) - 0.5), 1, MAX_RADIUS).astype(np.int64)
     return int(r) if r.ndim == 0 else r
 
 
-# Support radius kernel per family: kernel(*parameters, tail_mass, cap).
+# Support radius kernel per family: kernel(*parameters).
 SUPPORT_RADIUS = {
     "gm": gaussian_support_radius,
     "ggm": ggm_support_radius,
-    "gmm": lambda weights, means, sigmas, *rest: gmm_support_radius(means, sigmas, *rest),
+    "gmm": lambda weights, means, sigmas: gmm_support_radius(means, sigmas),
 }
 
 
-def support_radius(model: ProbModel, tail_mass: float = 2.0 ** -20, cap: int = 127) -> int:
-    """Smallest radius r such that P(|X| > r + 1/2) stays below ~tail_mass.
+def support_radius(model: ProbModel) -> int:
+    """Smallest radius r such that P(|X| > r + 1/2) stays below ~TAIL_MASS.
 
-    Used to size per-element dynamic tables; clamped to [1, cap].
+    Used to size per-element dynamic tables; clamped to [1, MAX_RADIUS].
     """
-    return int(SUPPORT_RADIUS[model.family](*_model_args(model), tail_mass, cap))
+    return int(SUPPORT_RADIUS[model.family](*_model_args(model)))

@@ -89,6 +89,7 @@ _MAX_LANES = 4096
 _POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 _SIGN = _POWERS[63]
 _LOOKUP_TABLES = 256  # largest set whose 2^16-byte-per-table slot lookup decode() builds
+_CHUNK = 16384  # elements per chunk of lazily built tables: bounds memory, not the bytes
 
 
 class StreamError(ValueError):
@@ -355,9 +356,9 @@ def _check_end(states, words_read: int, words, bypass: _BypassReader):
 # A chunk-table callback maps an element range [lo, hi) to the tables of
 # those elements: (flat cumulative array, optional flat list for bisect,
 # per-element row starts into flat, per-element offsets, per-element coded
-# counts).  Shared-set coding passes one chunk covering everything; the
-# per-element dynamic path builds tables chunk by chunk so the whole block's
-# tables never live in memory at once.
+# counts).  For a shared set a chunk is a slice of the set's flat view; the
+# per-element dynamic path builds tables _CHUNK elements at a time so the
+# whole block's tables never live in memory at once.
 
 
 def _single_ans(state: int, words: list) -> bytes:
@@ -398,16 +399,16 @@ def _encode_lanes(starts, freqs, lanes: int) -> bytes:
     return struct.pack(f"<{lanes + 1}I", lanes, *state.tolist()) + words.tobytes()
 
 
-def encode_elementwise(symbols, chunk_tables, chunk_size: int = 16384) -> Bitstream:
-    """Code symbols whose tables arrive lazily per chunk of elements."""
+def encode_elementwise(symbols, chunk_tables) -> Bitstream:
+    """Code symbols whose tables arrive lazily per chunk of _CHUNK elements."""
     sym = np.asarray(symbols, dtype=np.int64).ravel()
     n = len(sym)
     state = _LOW
     words = []
     # (below, n) per chunk, last chunk first; the empty pair makes n = 0 concatenate
     escapes = [(np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64))]
-    for lo in range(((n - 1) // chunk_size) * chunk_size, -1, -chunk_size) if n else []:
-        hi = min(lo + chunk_size, n)
+    for lo in range(((n - 1) // _CHUNK) * _CHUNK, -1, -_CHUNK) if n else []:
+        hi = min(lo + _CHUNK, n)
         flat, _, rows, offs, nc = chunk_tables(lo, hi)
         j, in_range, starts, freqs = _slots(sym[lo:hi], flat, rows, offs, nc)
         escapes.append(_escapes(j, in_range, nc))
@@ -416,22 +417,22 @@ def encode_elementwise(symbols, chunk_tables, chunk_size: int = 16384) -> Bitstr
     return _stream(_single_ans(state, words), below, n_escape, n)
 
 
-def decode_elementwise(stream: Bitstream, chunk_tables, chunk_size: int = 16384) -> np.ndarray:
+def decode_elementwise(stream: Bitstream, chunk_tables) -> np.ndarray:
     """Inverse of encode_elementwise for the same chunk-table callback."""
     states, words, bypass = _parse(stream)
     if len(states) != 1:
         raise StreamError("an interleaved stream needs decode() with its shared table set")
-    return _decode_single(stream.symbol_count, states[0], words, bypass, chunk_tables, chunk_size)
+    return _decode_single(stream.symbol_count, states[0], words, bypass, chunk_tables)
 
 
-def _decode_single(n, state, words, bypass, chunk_tables, chunk_size) -> np.ndarray:
+def _decode_single(n, state, words, bypass, chunk_tables) -> np.ndarray:
     """Symbols of a single-state stream, one bisect per symbol."""
     word_list = words.tolist()
     n_words = len(word_list)
     wp = 0
     parts = []
-    for lo in range(0, n, chunk_size):
-        hi = min(lo + chunk_size, n)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
         flat, flat_list, rows, offs, nc = chunk_tables(lo, hi)
         fl = flat_list if flat_list is not None else flat.tolist()
         found = []
@@ -540,7 +541,7 @@ def decode(stream: Bitstream, table_indexes, table_set: CdfTableSet) -> np.ndarr
     elif len(table_set) <= _LOOKUP_TABLES:
         final, words_read, j = _decode_slots(states, words, idx, table_set)
     else:
-        return _decode_single(n, states[0], words, bypass, chunk, max(n, 1))
+        return _decode_single(n, states[0], words, bypass, chunk)
     _, _, _, offsets, nc = chunk(0, n)
     out = _symbols(j, offsets, nc, bypass)
     _check_end(final, words_read, words, bypass)

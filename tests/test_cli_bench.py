@@ -590,6 +590,19 @@ class TestBenchReport:
             row = next(csv.DictReader(fh))
         assert 0.0 < float(row["skip_ratio"]) < 1.0
 
+    def test_switch_bench_with_negative_feature(self, tmp_path, capsys):
+        # the calibration curve takes the trainer's log guard at every
+        # non-positive feature, so no index is NaN
+        block = ss.gen_block(ss.SourceSpec(family="gm", shape=(2, 16, 16), seed=5))
+        features = block.side_features.copy()
+        features[0, 0, 0] = -1.0
+        path = tmp_path / "block.bin"
+        path.write_bytes(ss.block_to_bytes(cb.LatentBlock(
+            block.residuals, block.means, features, truth_params=block.truth_params)))
+        assert run_cli("bench", "--block", path, "--backends", "switch", "--m", 4,
+                       "--epochs", 10, "--trials", 1, "--out", tmp_path / "b.csv") == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_report_renders_table(self, bench_files, tmp_path, capsys):
         out = tmp_path / "report.txt"
         assert run_cli("report", "--bench", bench_files["json"],

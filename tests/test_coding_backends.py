@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import swpc.rans_coder as rc
 from swpc.cdf_tables import (
     CdfTableSet,
     build_lut_gm,
@@ -28,6 +29,7 @@ from swpc.coding_backends import (
     backend_switch_decode,
     harden_index,
     harden_index_2d,
+    log_features,
     prune_hyper_channels,
     restore_pruned_channels,
     round_half_away,
@@ -89,6 +91,16 @@ class TestRounding:
     def test_harden_rejects_bad_m(self):
         with pytest.raises(ValueError):
             harden_index(1.0, 0)
+
+    def test_harden_rejects_nan(self):
+        for i in (np.nan, np.array([2.0, np.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                harden_index(i, 5)
+
+    def test_log_features_follows_the_trainer_guard(self):
+        feats = np.array([-1.0, 0.0, 1e-12, 1.0, 7.5])
+        logs = log_features(feats)
+        assert logs.tolist() == np.log([1e-12, 1e-12, 1e-12, 1.0, 7.5]).tolist()
 
     def test_harden_2d(self):
         i, j = harden_index_2d(np.array([0.2, 5.7]), np.array([3.49, 9.0]), 4, 3)
@@ -273,12 +285,14 @@ class TestBackendDynamic:
         assert stream.to_bytes() == manual.to_bytes()
         assert report.table_bytes == (2 * 6 + 2) * 2 * block.n_elements
 
-    def test_chunking_is_invisible(self):
+    def test_chunking_is_invisible(self, monkeypatch):
         block = gen_block(SourceSpec(family="gm", shape=(1, 20, 20), seed=8))
         full, _ = backend_dynamic(block)
-        tiny, _ = backend_dynamic(block, chunk_size=7)
+        monkeypatch.setattr(rc, "_CHUNK", 7)
+        tiny, _ = backend_dynamic(block)
         assert full.to_bytes() == tiny.to_bytes()
-        decoded, _ = backend_dynamic_decode(tiny, block.truth_params, block.shape, chunk_size=13)
+        monkeypatch.setattr(rc, "_CHUNK", 13)
+        decoded, _ = backend_dynamic_decode(tiny, block.truth_params, block.shape)
         assert np.array_equal(decoded, block.residuals)
 
     def test_single_element_is_pure_framing(self):

@@ -409,7 +409,7 @@ def test_support_radius_covers_mass():
     rng = np.random.default_rng(3)
     for _ in range(25):
         model = random_model(rng)
-        r = pm.support_radius(model, tail_mass=2.0 ** -20)
+        r = pm.support_radius(model)
         ks = np.arange(-r, r + 1)
         covered = float(np.sum(pmf_integer(model, ks)))
         if r < 127:

@@ -698,14 +698,14 @@ def test_corrupted_bypass_tails_decode_exactly_or_raise(seed, route, data):
         if route == "lanes":
             mp.setattr(rc, "_lane_count", lambda freqs: 3)
         if route == "chunked":
-            size = data.draw(st.integers(1, 7))
+            mp.setattr(rc, "_CHUNK", data.draw(st.integers(1, 7)))
             chunk = rc._shared_chunks(idx, set_)
 
             def encoder(s):
-                return rc.encode_elementwise(s, chunk, chunk_size=size)
+                return rc.encode_elementwise(s, chunk)
 
             def decoder(stream):
-                return decode_elementwise(stream, chunk, chunk_size=size)
+                return decode_elementwise(stream, chunk)
         else:
             def encoder(s):
                 return encode(s, idx, set_)
@@ -726,6 +726,10 @@ def test_corrupted_bypass_tails_decode_exactly_or_raise(seed, route, data):
 
 def _no_bisect(*args):
     raise AssertionError("shared-set single-state decode must use the slot lookup")
+
+
+def _no_lookup(self):
+    raise AssertionError("a set of more than 256 tables must not build its slot lookup")
 
 
 def test_single_state_lookup_at_slot_255(monkeypatch):
@@ -761,10 +765,6 @@ def test_shared_single_state_lookup_stops_at_256_tables(monkeypatch):
     tables = [QuantizedCdfTable(int(o), np.array([0, int(c), 1 << 16]))
               for o, c in zip(rng.integers(-3, 3, 257), rng.integers(1, 1 << 16, 257))]
     syms = rng.integers(-6, 6, 257)
-
-    def _no_lookup(self):
-        raise AssertionError("a set of more than 256 tables must bisect")
-
     for count, forbid in ((256, (rc, "bisect_right", _no_bisect)),
                           (257, (CdfTableSet, "slot_lookup", _no_lookup))):
         set_, idx = CdfTableSet(tables[:count]), np.arange(count)
@@ -772,3 +772,39 @@ def test_shared_single_state_lookup_stops_at_256_tables(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(*forbid)
             assert np.array_equal(decode(stream, idx, set_), syms[:count])
+
+
+@pytest.mark.parametrize("route", ["lanes", "lookup", "bisect", "elementwise"])
+def test_ans_word_count_is_checked_on_every_route(route, monkeypatch):
+    rng = np.random.default_rng(18)
+    set_ = _random_set(rng, 257 if route == "bisect" else 4)
+    idx = rng.integers(0, len(set_), 2000)
+    lo = np.array([set_[i].lo for i in idx])
+    hi = np.array([set_[i].hi for i in idx])
+    syms = rng.integers(lo - 3, hi + 4)
+    if route == "lanes":
+        monkeypatch.setattr(rc, "_lane_count", lambda freqs: 3)
+    if route == "elementwise":
+        chunk = rc._shared_chunks(idx, set_)
+        payload = rc.encode_elementwise(syms, chunk).payload
+
+        def decoder(stream):
+            return decode_elementwise(stream, chunk)
+    else:
+        payload = encode(syms, idx, set_).payload
+
+        def decoder(stream):
+            return decode(stream, idx, set_)
+    # each route decodes the way its name says
+    if route == "bisect":
+        monkeypatch.setattr(CdfTableSet, "slot_lookup", _no_lookup)
+    elif route != "elementwise":
+        monkeypatch.setattr(rc, "bisect_right", _no_bisect)
+    ans_len = int.from_bytes(payload[:4], "little")
+    ans, tail = payload[4 : 4 + ans_len], payload[4 + ans_len :]
+    assert (struct.unpack_from("<I", ans)[0] == 3) == (route == "lanes")
+    assert ans_len > (16 if route == "lanes" else 4)  # at least one word
+    assert np.array_equal(decoder(Bitstream(payload, len(syms))), syms)
+    for bad, message in ((ans[:-2], "ANS words exhausted"), (ans + b"\x01\x00", "1 ANS words left unread")):
+        with pytest.raises(StreamError, match=message):
+            decoder(Bitstream(struct.pack("<I", len(bad)) + bad + tail, len(syms)))
