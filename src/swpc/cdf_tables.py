@@ -7,11 +7,23 @@ count per interval (ties to the smaller symbol, tail last), so the table's
 distribution tracks the model's bin masses as closely as the integer grid
 allows.
 
-The serialized form is little-endian: magic "SWPC", version u16, family tag
-u8 (0=gm, 1=ggm, 2=gmm, 3=learned), table count u32, then per table an i32
-offset, a u16 entry count, and the cumulative entries as u32 each (the
-leading zero is implicit).  A length-prefixed UTF-8 JSON blob with grid axes
-or training provenance may follow.
+A table set holds its tables as arrays: one flat int64 array of every
+cumulative row (leading 0 through 2^16), the row starts, the offsets and the
+coded counts, validated together.  QuantizedCdfTable objects are made on
+demand, as views of the flat array.
+
+The serialized form (version 2) is little-endian: magic "SWPC", version u16,
+family tag u8 (0=gm, 1=ggm, 2=gmm, 3=learned), table count u32, then every
+table's offset as i32, every table's inner-entry count (its coded count,
+1..255) as u8, and one block of every table's inner cumulative entries
+cumulative[1:-1] as u16, table after table; the leading 0 and the final 2^16
+of each row are implicit.  A length-prefixed UTF-8 JSON blob with grid axes
+or training provenance may follow.  A CRC32 (zlib) of all the bytes before
+it closes the payload, so a changed byte, or any burst of changed bits no
+longer than 32, fails the check (a ParseError).  Version 1 (per table an
+i32 offset, a u16 entry count and the entries cumulative[1:] as u32, then
+the blob, with no checksum) is still read, through the same array checks,
+but not written.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +62,7 @@ __all__ = [
     "lut_search_ggm",
     "serialize_table_set",
     "deserialize_table_set",
+    "serialized_size",
     "table_set_16bit_bytes",
     "GM_SIGMA_RANGE",
     "GGM_BETA_RANGE",
@@ -58,7 +72,7 @@ __all__ = [
 TOTAL_FREQ = 1 << 16
 
 _MAGIC = b"SWPC"
-_VERSION = 1
+_VERSION = 2  # written; version 1 is still read
 _FAMILY_TAGS = {"gm": 0, "ggm": 1, "gmm": 2, "learned": 3}
 _TAG_FAMILIES = {v: k for k, v in _FAMILY_TAGS.items()}
 
@@ -123,14 +137,9 @@ class QuantizedCdfTable:
         cum.flags.writeable = False
         object.__setattr__(self, "cumulative", cum)
         object.__setattr__(self, "offset", int(self.offset))
-        if cum.ndim != 1 or len(cum) < 3:
-            raise TableInvariantError("cumulative needs at least a coded interval and a tail")
-        if len(cum) > 257:
-            raise TableInvariantError(f"{len(cum)} cumulative entries exceed the 257 cap")
-        if cum[0] != 0 or cum[-1] != TOTAL_FREQ:
-            raise TableInvariantError("cumulative must run from 0 to 2^16")
-        if np.any(np.diff(cum) <= 0):
-            raise TableInvariantError("cumulative must be strictly increasing")
+        if cum.ndim != 1:
+            raise TableInvariantError("cumulative must be one row")
+        _check_rows(cum, np.array([len(cum) - 2]))
 
     @property
     def n_intervals(self) -> int:
@@ -172,25 +181,98 @@ class QuantizedCdfTable:
             return NotImplemented
         return self.offset == other.offset and np.array_equal(self.cumulative, other.cumulative)
 
+    @classmethod
+    def _view(cls, offset: int, cumulative: np.ndarray) -> "QuantizedCdfTable":
+        """A table over a read-only row that has already been validated."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "offset", offset)
+        object.__setattr__(table, "cumulative", cumulative)
+        return table
+
+
+def _frozen(a) -> np.ndarray:
+    """a as a read-only int64 array; an int64 array passed in is frozen in place."""
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+def _check_rows(flat: np.ndarray, n_coded: np.ndarray) -> np.ndarray:
+    """Row starts of flat, read as rows of n_coded + 2 entries each;
+    TableInvariantError unless every row runs from 0 to 2^16, strictly
+    increasing."""
+    if np.any(n_coded < 1):
+        raise TableInvariantError("cumulative needs at least a coded interval and a tail")
+    if np.any(n_coded > 255):
+        raise TableInvariantError(f"{int(n_coded.max()) + 2} cumulative entries exceed the 257 cap")
+    ends = np.cumsum(n_coded + 2)
+    if len(flat) != int(ends[-1] if len(ends) else 0):
+        raise TableInvariantError(f"{len(flat)} cumulative entries do not fill the rows")
+    rows = ends - n_coded - 2
+    if np.any(flat[rows] != 0) or np.any(flat[ends - 1] != TOTAL_FREQ):
+        raise TableInvariantError("cumulative must run from 0 to 2^16")
+    falls = flat[1:] <= flat[:-1]
+    falls[ends[:-1] - 1] = False  # from one row's 2^16 to the next row's 0
+    if falls.any():
+        raise TableInvariantError("cumulative must be strictly increasing")
+    return rows
+
 
 class CdfTableSet:
     """An ordered collection of tables plus JSON-able metadata.
 
-    meta["family"] is one of gm/ggm/gmm/learned; grid axes or training
-    provenance ride along in the remaining keys.
+    The tables are held as arrays: `flat` concatenates every cumulative row,
+    with its offset and coded count per table; table t's row starts at
+    flat[rows[t]].  Indexing and iteration hand out QuantizedCdfTable views
+    of those rows.  meta["family"] is one of gm/ggm/gmm/learned; grid axes
+    or training provenance ride along in the remaining keys.
     """
 
     def __init__(self, tables, meta: dict | None = None):
-        self.tables = tuple(tables)
+        tables = tuple(tables)
+        flat = np.concatenate([t.cumulative for t in tables]) if tables else []
+        self._set_arrays([t.offset for t in tables], [t.n_coded for t in tables], flat, meta)
+        self._tables = tables
+
+    @classmethod
+    def from_rows(cls, offsets, cumulative: np.ndarray, meta: dict | None = None) -> "CdfTableSet":
+        """A set from a 2-D array of equal-length cumulative rows, as
+        cumulative_rows returns them, and their offsets (one, or one per row)."""
+        cumulative = np.array(cumulative, dtype=np.int64, ndmin=2)
+        set_ = cls.__new__(cls)
+        set_._set_arrays(np.array(np.broadcast_to(offsets, len(cumulative))),
+                         np.full(len(cumulative), cumulative.shape[-1] - 2), cumulative.ravel(), meta)
+        return set_
+
+    def _set_arrays(self, offsets, n_coded, flat, meta):
+        """Take the arrays (int64 arrays are frozen in place, not copied) and
+        validate them."""
         self.meta = dict(meta or {})
         self.meta.setdefault("family", "learned")
         if not isinstance(self.meta["family"], str) or self.meta["family"] not in _FAMILY_TAGS:
             raise ValueError(f"unknown family {self.meta['family']!r}")
-        self._flat = None
+        self._offsets = _frozen(offsets)
+        self._n_coded = _frozen(n_coded)
+        self._flat = _frozen(flat)
+        self._rows = _frozen(_check_rows(self._flat, self._n_coded))
+        self._tables = None
+        self._flat_view = None
         self._lookup = None
+        self._size = None
+
+    @property
+    def tables(self) -> tuple:
+        """The tables, as QuantizedCdfTable views of the flat rows; cached."""
+        if self._tables is None:
+            ends = (self._rows + self._n_coded + 2).tolist()
+            self._tables = tuple(
+                QuantizedCdfTable._view(offset, self._flat[start:end])
+                for offset, start, end in zip(self._offsets.tolist(), self._rows.tolist(), ends)
+            )
+        return self._tables
 
     def __len__(self) -> int:
-        return len(self.tables)
+        return len(self._offsets)
 
     def __getitem__(self, i: int) -> QuantizedCdfTable:
         return self.tables[i]
@@ -201,9 +283,9 @@ class CdfTableSet:
     def __eq__(self, other):
         if not isinstance(other, CdfTableSet):
             return NotImplemented
-        return self.meta == other.meta and len(self) == len(other) and all(
-            a == b for a, b in zip(self.tables, other.tables)
-        )
+        return (self.meta == other.meta and np.array_equal(self._offsets, other._offsets)
+                and np.array_equal(self._n_coded, other._n_coded)
+                and np.array_equal(self._flat, other._flat))
 
     def flat_view(self):
         """Cached (flat, flat_list, rows, offsets, n_coded) over all tables.
@@ -211,32 +293,26 @@ class CdfTableSet:
         flat (and the list flat_list) concatenates the cumulative rows, which
         may differ in length; table t's row starts at flat[rows[t]].
         """
-        if self._flat is None:
-            lengths = np.array([len(t.cumulative) for t in self.tables], dtype=np.int64)
-            flat = np.concatenate([t.cumulative for t in self.tables])
-            self._flat = (
-                flat,
-                flat.tolist(),
-                np.concatenate([[0], np.cumsum(lengths)[:-1]]),
-                np.array([t.offset for t in self.tables], dtype=np.int64),
-                lengths - 2,
-            )
-        return self._flat
+        if self._flat_view is None:
+            self._flat_view = (self._flat, self._flat.tolist(), self._rows, self._offsets, self._n_coded)
+        return self._flat_view
 
     def slot_lookup(self) -> np.ndarray:
         """Cached uint8 array of shape (tables, 2^16) for rANS decoding:
         entry [t, v] is the interval of table t whose frequency range holds v."""
         if self._lookup is None:
-            lookup = np.empty((len(self.tables), TOTAL_FREQ), dtype=np.uint8)
-            for row, t in zip(lookup, self.tables):
-                row[:] = np.repeat(np.arange(t.n_intervals, dtype=np.uint8), np.diff(t.cumulative))
-            self._lookup = lookup
+            opens = np.ones(len(self._flat), dtype=bool)
+            opens[self._rows + self._n_coded + 1] = False  # a row's 2^16 opens no interval
+            starts = np.nonzero(opens)[0]
+            slots = starts - np.repeat(self._rows, self._n_coded + 1)
+            freqs = self._flat[starts + 1] - self._flat[starts]
+            self._lookup = np.repeat(slots.astype(np.uint8), freqs).reshape(len(self), TOTAL_FREQ)
         return self._lookup
 
 
 def table_set_16bit_bytes(table_set: CdfTableSet) -> int:
     """Storage at 16 bits per stored cumulative entry (leading zero implicit)."""
-    return sum(t.n_intervals * 2 for t in table_set)
+    return 2 * int((table_set._n_coded + 1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +489,8 @@ def build_lut(family: str, *counts: int) -> tuple[CdfTableSet, LutGrid]:
     ks = np.arange(-MAX_RADIUS, MAX_RADIUS + 1)
     cells = np.meshgrid(*grid.axes, indexing="ij")
     masses = INTEGER_PMF[family](ks[None, :], *(c.reshape(-1, 1) for c in cells))
-    tables = tables_from_masses(masses, MAX_RADIUS)
-    return CdfTableSet(tables, {"family": family, **grid.to_meta()}), grid
+    return CdfTableSet.from_rows(-MAX_RADIUS, cumulative_rows(masses),
+                                 {"family": family, **grid.to_meta()}), grid
 
 
 def build_lut_gm(count: int) -> tuple[CdfTableSet, LutGrid]:
@@ -464,18 +540,49 @@ def lut_search_ggm(grid: LutGrid, betas, alphas) -> np.ndarray:
 # Wire format
 
 
-def serialize_table_set(table_set: CdfTableSet) -> bytes:
-    out = [_MAGIC, struct.pack("<HBI", _VERSION, _FAMILY_TAGS[table_set.meta["family"]], len(table_set))]
-    for t in table_set:
-        stored = t.cumulative[1:]
-        out.append(struct.pack("<iH", t.offset, len(stored)))
-        out.append(stored.astype("<u4").tobytes())
+def _meta_blob(table_set: CdfTableSet) -> bytes:
+    """The JSON metadata blob, length prefix included; empty when the set's
+    meta holds only the family."""
     extra = {k: v for k, v in table_set.meta.items() if k != "family"}
-    if extra:
-        blob = json.dumps(extra, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        out.append(struct.pack("<I", len(blob)))
-        out.append(blob)
-    return b"".join(out)
+    if not extra:
+        return b""
+    blob = json.dumps(extra, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return struct.pack("<I", len(blob)) + blob
+
+
+def _inner(n_coded: np.ndarray) -> np.ndarray:
+    """Mask over flat rows of n_coded + 2 entries: every entry but each row's
+    leading 0 and final 2^16."""
+    ends = np.cumsum(n_coded + 2)
+    mask = np.ones(int(ends[-1]) if len(ends) else 0, dtype=bool)
+    mask[ends - n_coded - 2] = False
+    mask[ends - 1] = False
+    return mask
+
+
+def serialize_table_set(table_set: CdfTableSet) -> bytes:
+    """The version-2 wire form of a set; see the module docstring."""
+    offsets, n_coded = table_set._offsets, table_set._n_coded
+    if len(offsets) and (offsets.min() < -(1 << 31) or offsets.max() >= 1 << 31):
+        raise ValueError("table offsets must fit in int32")
+    body = b"".join([
+        _MAGIC,
+        struct.pack("<HBI", _VERSION, _FAMILY_TAGS[table_set.meta["family"]], len(offsets)),
+        offsets.astype("<i4").tobytes(),
+        n_coded.astype("u1").tobytes(),
+        table_set._flat[_inner(n_coded)].astype("<u2").tobytes(),
+        _meta_blob(table_set),
+    ])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def serialized_size(table_set: CdfTableSet) -> int:
+    """len(serialize_table_set(table_set)), from the set's arrays; cached."""
+    if table_set._size is None:
+        # header, offsets and counts, inner entries, blob, checksum
+        table_set._size = (11 + 5 * len(table_set) + 2 * int(table_set._n_coded.sum())
+                           + len(_meta_blob(table_set)) + 4)
+    return table_set._size
 
 
 class _Reader:
@@ -490,39 +597,82 @@ class _Reader:
         self.pos += n
         return chunk
 
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        """The next count values of a little-endian dtype, read in place."""
+        return np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype)
+
     @property
     def remaining(self) -> int:
         return len(self.data) - self.pos
 
 
+def _read_v1_rows(r: _Reader, count: int):
+    """(offsets, n_coded, flat) of version-1 tables: per table an i32
+    offset, a u16 entry count and the entries cumulative[1:] as u32."""
+    offsets, n_coded, rows = [], [], []
+    for _ in range(count):
+        offset, n_entries = struct.unpack("<iH", r.take(6))
+        offsets.append(offset)
+        n_coded.append(n_entries - 1)
+        rows += [np.zeros(1, np.int64), r.array("<u4", n_entries)]  # cast by concatenate
+    return offsets, n_coded, np.concatenate(rows) if rows else []
+
+
+def _read_v2_rows(r: _Reader, count: int):
+    """(offsets, n_coded, flat) of version-2 tables: all i32 offsets, all u8
+    inner counts, then every row's cumulative[1:-1] as u16."""
+    offsets = r.array("<i4", count)
+    n_coded = r.array("u1", count).astype(np.int64)
+    inner = r.array("<u2", int(n_coded.sum()))
+    is_inner = _inner(n_coded)
+    flat = np.zeros(len(is_inner), dtype=np.int64)
+    flat[is_inner] = inner
+    flat[np.cumsum(n_coded + 2) - 1] = TOTAL_FREQ
+    return offsets, n_coded, flat
+
+
+def _read_meta(blob: bytes) -> dict:
+    try:
+        extra = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"bad metadata blob: {exc}") from exc
+    if not isinstance(extra, dict):
+        raise ParseError(f"metadata blob holds a {type(extra).__name__}, not an object")
+    return extra
+
+
 def deserialize_table_set(data: bytes) -> CdfTableSet:
+    """The set a version-2 or version-1 payload holds; ParseError (or a
+    subclass) for anything else."""
+    data = bytes(data)
     r = _Reader(data)
     if r.take(4) != _MAGIC:
         raise MagicError("bad magic; not a table-set payload")
     version, family_tag, count = struct.unpack("<HBI", r.take(7))
-    if version != _VERSION:
+    if version not in (1, 2):
         raise VersionError(f"unsupported version {version}")
     if family_tag not in _TAG_FAMILIES:
         raise ParseError(f"unknown family tag {family_tag}")
-    tables = []
-    for _ in range(count):
-        offset, n_entries = struct.unpack("<iH", r.take(6))
-        stored = np.frombuffer(r.take(4 * n_entries), dtype="<u4").astype(np.int64)
-        tables.append(QuantizedCdfTable(offset=offset, cumulative=np.concatenate([[0], stored])))
-    meta = {"family": _TAG_FAMILIES[family_tag]}
-    if r.remaining:
+    offsets, n_coded, flat = (_read_v1_rows if version == 1 else _read_v2_rows)(r, count)
+    crc_len = 4 if version == 2 else 0
+    blob = None
+    if r.remaining > crc_len:
         (blob_len,) = struct.unpack("<I", r.take(4))
         blob = r.take(blob_len)
-        try:
-            extra = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"bad metadata blob: {exc}") from exc
-        if not isinstance(extra, dict):
-            raise ParseError(f"metadata blob holds a {type(extra).__name__}, not an object")
-        meta.update(extra)
-    if r.remaining:
-        raise TruncatedError(f"{r.remaining} trailing bytes after metadata")
+    if r.remaining < crc_len:
+        raise TruncatedError(f"{r.remaining} bytes left for the 4-byte checksum")
+    if r.remaining > crc_len:
+        raise TruncatedError(f"{r.remaining - crc_len} trailing bytes after metadata")
+    if crc_len and zlib.crc32(memoryview(data)[:-4]) != struct.unpack("<I", data[-4:])[0]:
+        raise ParseError("checksum mismatch: the table set is corrupted")
+    meta = {"family": _TAG_FAMILIES[family_tag]}
+    if blob is not None:
+        meta.update(_read_meta(blob))
+    set_ = CdfTableSet.__new__(CdfTableSet)
     try:
-        return CdfTableSet(tables, meta)
+        set_._set_arrays(offsets, n_coded, flat, meta)
+    except ParseError:
+        raise
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    return set_

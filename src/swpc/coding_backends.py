@@ -26,7 +26,7 @@ from swpc.cdf_tables import (
     LutGrid,
     cumulative_rows,
     lut_search,
-    serialize_table_set,
+    serialized_size,
 )
 from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, MAX_RADIUS, SUPPORT_RADIUS
 from swpc.rans_coder import Bitstream, StreamError, decode_elementwise, encode, encode_elementwise
@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 
+_HARDEN_CHUNK = 16384  # elements per pass of harden_index; the result does not depend on it
+
+
 def round_half_away(x):
     """Nearest integer with halves going away from zero, as float."""
     x = np.asarray(x, dtype=np.float64)
@@ -63,9 +66,18 @@ def harden_index(i, m: int):
     if m < 1:
         raise ValueError("m must be >= 1")
     i = np.asarray(i, np.float64)
-    if np.isnan(i).any():
+    if i.size and np.isnan(i.min()):
         raise ValueError("a NaN prior index has no table")
-    out = round_half_away(np.clip(i, 1.0, float(m))).astype(np.int64)
+    # on [1, m], round_half_away(x) is floor(x + 0.5), which the cast to int
+    # gives; chunks through one small buffer spare a full-size temporary
+    out = np.empty(i.shape, np.int64)
+    src, dst = i.reshape(-1), out.reshape(-1)
+    buf = np.empty(min(src.size, _HARDEN_CHUNK))
+    for lo in range(0, src.size, _HARDEN_CHUNK):
+        part = buf[:min(_HARDEN_CHUNK, src.size - lo)]
+        np.clip(src[lo:lo + _HARDEN_CHUNK], 1.0, float(m), out=part)
+        part += 0.5
+        dst[lo:lo + _HARDEN_CHUNK] = part
     return int(out) if out.ndim == 0 else out
 
 
@@ -83,6 +95,10 @@ def log_features(features) -> np.ndarray:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _hardened(cont: np.ndarray, m: int) -> np.ndarray:
+    return _frozen(np.asarray(harden_index(cont, m), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +206,19 @@ class IndexGrid:
 
     @classmethod
     def from_continuous(cls, continuous, m: int, second=None, n: int | None = None) -> "IndexGrid":
-        cont = np.asarray(continuous, dtype=np.float64)
-        if second is None:
-            return cls(cont, harden_index(cont, m), m)
-        cont2 = np.asarray(second, dtype=np.float64)
-        return cls(cont, harden_index(cont, m), m, cont2, harden_index(cont2, n), n)
+        """The grid of continuous indexes, each axis hardened once."""
+        cont = _frozen(np.array(continuous, dtype=np.float64))
+        fields = {"continuous": cont, "hardened": _hardened(cont, m), "m": m,
+                  "continuous2": None, "hardened2": None, "n": None}
+        if second is not None:
+            cont2 = _frozen(np.array(second, dtype=np.float64))
+            if cont2.shape != cont.shape:
+                raise ValueError("second-axis tensors must match the first axis shape")
+            fields.update(continuous2=cont2, hardened2=_hardened(cont2, n), n=n)
+        grid = object.__new__(cls)  # the hardened axes hold by construction
+        for name, value in fields.items():
+            object.__setattr__(grid, name, value)
+        return grid
 
     @property
     def is_2d(self) -> bool:
@@ -395,7 +419,7 @@ def backend_lut(block: LatentBlock, grid: LutGrid, table_set: CdfTableSet):
     encode_nanos = time.perf_counter_ns() - t0
     n = block.n_elements
     return stream, _report(stream, n, n, table_count=len(table_set),
-                           table_bytes=len(serialize_table_set(table_set)),
+                           table_bytes=serialized_size(table_set),
                            encode_nanos=encode_nanos)
 
 
@@ -435,7 +459,7 @@ def backend_switch(block: LatentBlock, indexes: IndexGrid,
     encode_nanos = time.perf_counter_ns() - t0
     return stream, _report(stream, block.n_elements, len(symbols),
                            table_count=len(table_set),
-                           table_bytes=len(serialize_table_set(table_set)),
+                           table_bytes=serialized_size(table_set),
                            encode_nanos=encode_nanos)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf_tables import CdfTableSet, tables_from_masses
+from .cdf_tables import CdfTableSet, cumulative_rows
 from .coding_backends import IndexGrid, LatentBlock, SkipMask, log_features
 from .prob_models import (
     FAMILY_PARAMS,
@@ -1013,4 +1013,4 @@ def export_tables(prior_set: PriorSet1D | PriorSet2D) -> CdfTableSet:
         meta["dims"] = [prior_set.m, prior_set.n]
     else:
         meta["dims"] = [prior_set.m]
-    return CdfTableSet(tables_from_masses(masses, MAX_RADIUS), meta=meta)
+    return CdfTableSet.from_rows(-MAX_RADIUS, cumulative_rows(masses), meta=meta)

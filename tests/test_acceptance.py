@@ -570,6 +570,9 @@ def test_12_storage_accounting(trained_sweep):
         learned_bytes = ct.table_set_16bit_bytes(trained_sweep[40]["tables"])
         assert learned_bytes <= 0.02 * 2 ** 20, \
             f"M=40 set occupies {learned_bytes} bytes"
+        wire_bytes = len(ct.serialize_table_set(trained_sweep[40]["tables"]))
+        assert wire_bytes <= 0.02 * 2 ** 20, \
+            f"M=40 set serializes to {wire_bytes} bytes"
         lut_set, _ = ct.build_lut_ggm(80, 160)
         lut_bytes = ct.table_set_16bit_bytes(lut_set)
         assert 5 * 2 ** 20 <= lut_bytes <= 8 * 2 ** 20, \

@@ -10,6 +10,7 @@ import json
 import math
 import struct
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -38,10 +39,12 @@ from swpc.cdf_tables import (
     lut_search_gm,
     quantize_pmf,
     serialize_table_set,
+    serialized_size,
     table_set_16bit_bytes,
     tables_from_masses,
 )
 from swpc.prob_models import ProbModel, gaussian_integer_pmf, ggm_integer_pmf
+from wire_v1 import serialize_v1
 
 TOTAL = 1 << 16
 
@@ -49,7 +52,8 @@ TOTAL = 1 << 16
 # independent allocator below and the bin-mass oracles; guards regressions.
 SIGMA1_R5_FREQS = [1, 15, 391, 3971, 15842, 25095, 15842, 3971, 391, 15, 1, 1]
 GM_M3_MIDDLE = 2.569046515733026  # exp((log 0.11 + log 60) / 2) = sqrt(6.6)
-SINGLE_R1_PAYLOAD_LEN = 33  # 11 header + 6 table header + 4 entries * 4 bytes
+# 11 header + 4 offset + 1 count + 3 inner entries * 2 bytes + 4 checksum
+SINGLE_R1_PAYLOAD_LEN = 26
 
 
 def lr_allocate(masses):
@@ -502,14 +506,20 @@ def test_trailing_garbage():
         deserialize_table_set(data + b"xx")
 
 
+def _resealed(body: bytes) -> bytes:
+    """A version-2 body closed with its own checksum."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def test_invariant_violation_in_payload():
-    data = bytearray(serialize_table_set(_single_table_set()))
-    # entries start after the 11-byte header and 6-byte table header;
-    # forcing entry 1 equal to entry 0 breaks strict monotonicity
-    entry0 = struct.unpack_from("<I", data, 17)[0]
-    struct.pack_into("<I", data, 21, entry0)
+    data = bytearray(serialize_table_set(_single_table_set())[:-4])
+    # inner entries start after the 11-byte header, the i32 offset and the
+    # u8 count; forcing entry 1 equal to entry 0 breaks strict monotonicity,
+    # and a fresh checksum lets the payload reach the table checks
+    entry0 = struct.unpack_from("<H", data, 16)[0]
+    struct.pack_into("<H", data, 18, entry0)
     with pytest.raises(TableInvariantError):
-        deserialize_table_set(bytes(data))
+        deserialize_table_set(_resealed(bytes(data)))
 
 
 def test_bad_metadata_blob():
@@ -527,8 +537,9 @@ def test_16bit_equivalent_size():
 
 
 def _with_blob(set_, blob: bytes) -> bytes:
-    """Serialized set with a raw metadata blob in place of its own."""
-    return serialize_table_set(set_) + struct.pack("<I", len(blob)) + blob
+    """Serialized set (meta holding only its family) with a raw metadata
+    blob, inside the checksum."""
+    return _resealed(serialize_table_set(set_)[:-4] + struct.pack("<I", len(blob)) + blob)
 
 
 @pytest.mark.parametrize("blob", [b"5", b"null", b"[1, 2]", b'"lut"', b"true"])
@@ -562,10 +573,53 @@ def test_lut_meta_without_usable_axes_is_a_parse_error(family, meta):
 
 
 def test_frozen_ggm_lut_bytes():
-    # sha256 of the 5 x 10 ggm LUT set, recorded before the bin masses moved
-    # from the in-house incomplete gamma to scipy
+    # sha256 of the version-2 bytes of the 5 x 10 ggm LUT set
     digest = hashlib.sha256(serialize_table_set(build_lut_ggm(5, 10)[0])).hexdigest()
-    assert digest == "925c977645c25ad59ff6c4f49248323878282778d2f67ec5e02e57ec11268a89"
+    assert digest == "d82646e82211a81809caf70366085ad0a2f0e40da6261093c906cf3bc1244752"
+
+
+def test_frozen_ggm_lut_version_1_bytes_still_read():
+    # sha256 of the version-1 bytes of the same set, recorded before the bin
+    # masses moved from the in-house incomplete gamma to scipy
+    set_ = build_lut_ggm(5, 10)[0]
+    v1 = serialize_v1(set_)
+    assert hashlib.sha256(v1).hexdigest() == \
+        "925c977645c25ad59ff6c4f49248323878282778d2f67ec5e02e57ec11268a89"
+    assert deserialize_table_set(v1) == set_
+    assert len(serialize_table_set(set_)) < 0.51 * len(v1)
+
+
+def test_version_1_reads_to_equal_sets():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        tables = [QuantizedCdfTable(int(rng.integers(-200, 200)),
+                                    np.concatenate([[0], np.cumsum(allocate_frequencies(
+                                        rng.gamma(0.5, 1.0, int(rng.integers(2, 40)))))]))
+                  for _ in range(int(rng.integers(0, 6)))]
+        set_ = CdfTableSet(tables, {"family": "gmm", "note": [1, 2]} if rng.random() < 0.5 else None)
+        assert deserialize_table_set(serialize_v1(set_)) == set_
+
+
+def test_serialized_size_is_the_wire_length():
+    sets = [_single_table_set(), build_lut_ggm(2, 3)[0], build_lut_gm(4)[0],
+            CdfTableSet([], {"family": "ggm"}),
+            CdfTableSet([quantize_pmf(ProbModel.gaussian(1.0), r) for r in (1, 5, 127)],
+                        {"family": "gm", "note": "ragged"})]
+    for set_ in sets:
+        assert serialized_size(set_) == len(serialize_table_set(set_))
+        assert serialized_size(set_) == serialized_size(set_)
+
+
+def test_any_single_byte_change_of_a_v2_payload_is_a_parse_error():
+    set_ = CdfTableSet([quantize_pmf(ProbModel.gaussian(0.4), 1),
+                        quantize_pmf(ProbModel.gaussian(2.0), 6)], {"family": "gm", "k": [1, 2]})
+    data = serialize_table_set(set_)
+    for pos in range(len(data)):
+        for flip in range(1, 256):
+            bad = bytearray(data)
+            bad[pos] ^= flip
+            with pytest.raises(ParseError):
+                deserialize_table_set(bytes(bad))
 
 
 _JSON = st.recursive(
@@ -583,21 +637,24 @@ _LUT_META = st.fixed_dictionaries(
 
 @st.composite
 def _table_set_payloads(draw):
-    """A valid serialized set with a random metadata blob (JSON or raw
-    bytes), then truncated, byte-flipped, extended, or left whole."""
+    """A valid serialized set, version 2 or version 1, with a random metadata
+    blob (JSON or raw bytes; inside the checksum in version 2), then
+    truncated, byte-flipped, extended, or left whole."""
     tables = []
     for _ in range(draw(st.integers(0, 3))):
         masses = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=12))
         cum = np.concatenate([[0], np.cumsum(allocate_frequencies(np.array(masses)))])
         tables.append(QuantizedCdfTable(draw(st.integers(-300, 300)), cum))
     family = draw(st.sampled_from(["gm", "ggm", "gmm", "learned"]))
-    data = serialize_table_set(CdfTableSet(tables, {"family": family}))
+    set_ = CdfTableSet(tables, {"family": family})
+    version = draw(st.sampled_from([1, 2]))
+    data = serialize_table_set(set_)[:-4] if version == 2 else serialize_v1(set_)
     kind = draw(st.sampled_from(["none", "json", "lut", "raw"]))
     if kind != "none":
         blob = (draw(st.binary(max_size=40)) if kind == "raw" else
                 json.dumps(draw(_JSON if kind == "json" else _LUT_META)).encode())
         data += struct.pack("<I", len(blob)) + blob
-    data = bytearray(data)
+    data = bytearray(_resealed(data) if version == 2 else data)
     mutation = draw(st.sampled_from(["whole", "truncate", "flip", "extend"]))
     if mutation == "truncate":
         del data[draw(st.integers(0, len(data) - 1)):]

@@ -12,6 +12,7 @@ import json
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -351,9 +352,11 @@ class TestFailureExits:
         good = ct.build_lut_gm(4)[0]
         stream = rc.encode([0, 3], [0, 0], good)
         (tmp_path / "s.bits").write_bytes(stream.to_bytes())
-        bare = ct.serialize_table_set(ct.CdfTableSet(good.tables, {"family": "gm"}))
+        # the blob goes inside the checksum, so the metadata itself is what fails
+        body = ct.serialize_table_set(ct.CdfTableSet(good.tables, {"family": "gm"}))[:-4]
+        body += len(blob).to_bytes(4, "little") + blob
         tables = tmp_path / "bad.tables"
-        tables.write_bytes(bare + len(blob).to_bytes(4, "little") + blob)
+        tables.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
         assert run_cli("encode", "--block", tmp_path / "side.bin", "--backend", "lut",
                        "--tables", tables, "--out", tmp_path / "e.bits") == 2
         assert run_cli("decode", "--stream", tmp_path / "s.bits", "--side",
@@ -389,6 +392,41 @@ class TestFailureExits:
         assert time.perf_counter() - t0 < 60.0  # all cases together; about 1.5 s on 2 vCPUs
         assert set(codes) <= {0, 4}
         assert codes[: len(cuts)] == [4] * len(cuts)  # every cut loses part of a record
+
+    def test_corrupted_table_files_exit_4(self, trained, tmp_path, capsys):
+        # a .tables file from build-tables and one from train, each with
+        # seeded single bytes changed: decode reports the damage, exit 4
+        lut_tables, block = tmp_path / "gm.tables", tmp_path / "b.bin"
+        assert run_cli("build-tables", "--family", "gm", "--count", 8, "--out", lut_tables) == 0
+        block.write_bytes(ss.block_to_bytes(ss.gen_block(
+            ss.SourceSpec(family="gm", shape=(1, 16, 16), seed=3))))
+        assert run_cli("encode", "--block", block, "--backend", "lut", "--tables", lut_tables,
+                       "--out", tmp_path / "lut.bits") == 0
+        assert run_cli("encode", "--block", trained["block"], "--backend", "switch",
+                       "--trained", trained["prefix"], "--out", tmp_path / "switch.bits") == 0
+        prefix = tmp_path / "bad"
+        Path(f"{prefix}.json").write_bytes(Path(f"{trained['prefix']}.json").read_bytes())
+        targets = [
+            (lut_tables.read_bytes(), tmp_path / "bad.tables",
+             ["--stream", tmp_path / "lut.bits", "--side", block, "--backend", "lut",
+              "--tables", tmp_path / "bad.tables"]),
+            (Path(f"{trained['prefix']}.tables").read_bytes(), Path(f"{prefix}.tables"),
+             ["--stream", tmp_path / "switch.bits", "--side", trained["block"],
+              "--backend", "switch", "--trained", prefix]),
+        ]
+        rng = np.random.default_rng(11)
+        capsys.readouterr()
+        for data, path, args in targets:
+            positions = {0, 4, 6, 7, 11, len(data) - 5, len(data) - 1,
+                         *rng.integers(0, len(data), 40).tolist()}
+            for pos in sorted(positions):
+                bad = bytearray(data)
+                bad[pos] ^= int(rng.integers(1, 256))
+                path.write_bytes(bytes(bad))
+                code = run_cli("decode", *args, "--out", tmp_path / "d.bin")
+                err = capsys.readouterr().err
+                assert code == 4, (path.name, pos, err)
+                assert err.startswith("error: ") and "Traceback" not in err, err
 
     def test_mismatched_table_set_exits_4(self, trained, tmp_path):
         idx = tmp_path / "i.npz"

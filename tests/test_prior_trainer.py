@@ -21,6 +21,7 @@ import swpc.coding_backends as cb
 import swpc.prior_trainer as pt
 import swpc.prob_models as pm
 import swpc.synth_source as ss
+from wire_v1 import serialize_v1
 
 TOPK2_MEAN_GAP_BITS = 0.08
 
@@ -945,7 +946,8 @@ class TestFrozenTraining:
     """Trained bytes of a short ggm M=40 run, recorded before the full-window
     pass was rewritten (k = 3 and 8: before the Top-K pass went column-wise
     and the ggm gradients shared their bin edges): any change to the rate
-    kernel shows up here."""
+    kernel shows up here.  The digests are of the tables' version-1 wire
+    bytes, the form they were recorded in."""
 
     FROZEN = {
         ("calibration-curve", None): (
@@ -973,8 +975,9 @@ class TestFrozenTraining:
         cfg = pt.TrainConfig(family="ggm", dims=(40,), epochs=5, seed=1, k=k,
                              predictor_mode=mode)
         res = pt.train_priors([blk], cfg)
-        blob = ct.serialize_table_set(pt.export_tables(res.prior_set))
-        assert hashlib.sha256(blob).hexdigest() == digest
+        tables = pt.export_tables(res.prior_set)
+        assert hashlib.sha256(serialize_v1(tables)).hexdigest() == digest
+        assert ct.deserialize_table_set(ct.serialize_table_set(tables)) == tables
         if a is not None:
             # the curve may move in the last bits when the kernel sums in another order
             assert res.predictor["a"] == pytest.approx(a, rel=1e-12)
