@@ -362,9 +362,9 @@ def cmd_encode(ns) -> int:
                 np.savez(ns.indexes, **payload)
         else:
             raise UsageError("--backend must be dynamic, lut, or switch")
+    except (UsageError, ct.ParseError, rc.StreamError):
+        raise  # a damaged table file exits 4, as decode reports it
     except ValueError as exc:
-        if isinstance(exc, UsageError):
-            raise
         raise UsageError(str(exc)) from exc
     Path(ns.out).write_bytes(stream.to_bytes())
     if ns.report:

@@ -7,15 +7,15 @@ bypass record (sign bit, then the distance beyond the edge in Exp-Golomb
 order 0).  The caller-facing order is the encoder's symbol order; the LIFO
 pass inside the encoder is not observable.
 
-A block coded against a shared table set that carries enough interval bits
-is split over L interleaved states (lanes, after Giesen, arXiv:1402.3392):
-element e goes to lane e % L at step e // L, and one numpy step advances
-every lane.  L follows from the symbols: with B = sum(16 - log2 f) over the
-coded interval frequencies, L is the largest power of two <= B / 6400,
-capped at 4096, so the lane states cost about 0.5% of the ANS bits or less.
-Below 64 lanes (about where a numpy step over the lanes stops beating the
-scalar loop) L = 1.  Per-element dynamic coding (encode_elementwise) always
-uses L = 1.
+A block coded against a shared table set that carries enough bits is split
+over L interleaved states (lanes, after Giesen, arXiv:1402.3392): element e
+goes to lane e % L at step e // L, and one numpy step advances every lane.
+L follows from every bit the stream carries: with B the interval bits
+sum(16 - log2 f) plus the bypass record bits (the sum of implied_bits), L is
+the largest power of two <= B / 6400, capped at 4096, so the lane states cost
+about 0.5% of the coded bits or less.  Below 64 lanes (about where a numpy
+step over the lanes stops beating the scalar loop) L = 1.  Per-element
+dynamic coding (encode_elementwise) always uses L = 1.
 
 Decoding finds each symbol's slot in the set's cached uint8 slot lookup
 (entry [t, v] is the interval of table t holding v): the lane decoder
@@ -83,7 +83,7 @@ __all__ = [
 
 _LOW = 1 << 16
 _MASK = _LOW - 1
-_LANE_BITS = 6400  # interval bits per lane: 32 state bits are 0.5% of them
+_LANE_BITS = 6400  # coded bits per lane: its 32 state bits are 0.5% of them
 _MIN_LANES = 64
 _MAX_LANES = 4096
 _POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -156,13 +156,13 @@ def _record_bits(n) -> np.ndarray:
     return 2 * np.searchsorted(_POWERS, n, side="right")
 
 
-def _pack_escapes(below, n) -> bytes:
-    """The bypass section: per record its sign bit, bit_length(n) - 1 zeros
-    and the bits of n, MSB-first, zero-padded to a byte.  Bodies are OR-ed
-    into big-endian 64-bit words; one that crosses a word boundary is split."""
+def _pack_escapes(below, n, width) -> bytes:
+    """The bypass section: per record of `width` bits its sign bit,
+    bit_length(n) - 1 zeros and the bits of n, MSB-first, zero-padded to a
+    byte.  Bodies are OR-ed into big-endian 64-bit words; one that crosses a
+    word boundary is split."""
     if not len(n):
         return b""
-    width = _record_bits(n)
     end = np.cumsum(width)
     words = np.zeros((int(end[-1]) + 63) >> 6, dtype=np.uint64)
     one = np.uint64(1)
@@ -298,9 +298,10 @@ def _slots(sym, flat, rows, offsets, n_coded):
     return j, in_range, starts, flat[base + 1] - starts
 
 
-def _lane_count(freqs) -> int:
-    """Number of interleaved states for a block with these slot frequencies."""
-    bits = 16 * len(freqs) - float(np.log2(freqs).sum())
+def _lane_count(freqs, bypass_bits: int) -> int:
+    """Number of interleaved states for a block with these slot frequencies
+    and this many bypass record bits."""
+    bits = 16 * len(freqs) - float(np.log2(freqs).sum()) + bypass_bits
     affordable = int(bits) // _LANE_BITS
     if affordable < _MIN_LANES:
         return 1
@@ -311,8 +312,8 @@ def _lane_count(freqs) -> int:
 # Payload sections
 
 
-def _stream(ans: bytes, below, n_escape, n: int) -> Bitstream:
-    payload = struct.pack("<I", len(ans)) + ans + _pack_escapes(below, n_escape)
+def _stream(ans: bytes, bypass: bytes, n: int) -> Bitstream:
+    payload = struct.pack("<I", len(ans)) + ans + bypass
     return Bitstream(payload=payload, symbol_count=n)
 
 
@@ -414,7 +415,8 @@ def encode_elementwise(symbols, chunk_tables) -> Bitstream:
         escapes.append(_escapes(j, in_range, nc))
         state = _encode_single(starts, freqs, state, words)
     below, n_escape = (np.concatenate(part[::-1]) for part in zip(*escapes))
-    return _stream(_single_ans(state, words), below, n_escape, n)
+    bypass = _pack_escapes(below, n_escape, _record_bits(n_escape))
+    return _stream(_single_ans(state, words), bypass, n)
 
 
 def decode_elementwise(stream: Bitstream, chunk_tables) -> np.ndarray:
@@ -434,7 +436,7 @@ def _decode_single(n, state, words, bypass, chunk_tables) -> np.ndarray:
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         flat, flat_list, rows, offs, nc = chunk_tables(lo, hi)
-        fl = flat_list if flat_list is not None else flat.tolist()
+        fl = flat_list if flat_list is not None else memoryview(flat)
         found = []
         push = found.append
         for ri, nci in zip(rows.tolist(), nc.tolist()):
@@ -521,13 +523,15 @@ def encode(symbols, table_indexes, table_set: CdfTableSet) -> Bitstream:
     chunk = _shared_chunks(_checked_indexes(table_indexes, n, table_set), table_set)
     flat, _, rows, offsets, nc = chunk(0, n)
     j, in_range, starts, freqs = _slots(sym, flat, rows, offsets, nc)
-    lanes = _lane_count(freqs)
+    below, n_escape = _escapes(j, in_range, nc)
+    width = _record_bits(n_escape)
+    lanes = _lane_count(freqs, int(width.sum()))
     if lanes == 1:
         words = []
         ans = _single_ans(_encode_single(starts, freqs, _LOW, words), words)
     else:
         ans = _encode_lanes(starts, freqs, lanes)
-    return _stream(ans, *_escapes(j, in_range, nc), n)
+    return _stream(ans, _pack_escapes(below, n_escape, width), n)
 
 
 def decode(stream: Bitstream, table_indexes, table_set: CdfTableSet) -> np.ndarray:

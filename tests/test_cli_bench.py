@@ -344,7 +344,7 @@ class TestFailureExits:
 
     @pytest.mark.parametrize("blob", [b"5", b"null", b'{"kind": "lut"}'],
                              ids=["number-blob", "null-blob", "lut-without-axes"])
-    def test_bad_table_metadata_exits_2_on_encode_and_4_on_decode(self, blob, tmp_path):
+    def test_bad_table_metadata_exits_4_both_ways(self, blob, tmp_path, capsys):
         shape = (1, 1, 2)
         side = cb.LatentBlock(np.array([[[0, 3]]], np.int64), np.zeros(shape), np.ones(shape),
                               truth_params={"family": "gm", "sigma": np.full(shape, 0.11)})
@@ -358,7 +358,9 @@ class TestFailureExits:
         tables = tmp_path / "bad.tables"
         tables.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
         assert run_cli("encode", "--block", tmp_path / "side.bin", "--backend", "lut",
-                       "--tables", tables, "--out", tmp_path / "e.bits") == 2
+                       "--tables", tables, "--out", tmp_path / "e.bits") == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "e.bits").exists()
         assert run_cli("decode", "--stream", tmp_path / "s.bits", "--side",
                        tmp_path / "side.bin", "--backend", "lut", "--tables",
                        tables, "--out", tmp_path / "d.bin") == 4
@@ -392,6 +394,47 @@ class TestFailureExits:
         assert time.perf_counter() - t0 < 60.0  # all cases together; about 1.5 s on 2 vCPUs
         assert set(codes) <= {0, 4}
         assert codes[: len(cuts)] == [4] * len(cuts)  # every cut loses part of a record
+
+    def test_corrupted_interleaved_escape_stream_exits_0_or_4(self, tmp_path, capsys):
+        tables, block = tmp_path / "gm.tables", tmp_path / "b.bin"
+        assert run_cli("build-tables", "--family", "gm", "--count", 40, "--out", tables) == 0
+        # sigma far beyond the LUT's widest: the bypass bits buy the block lanes
+        spec = ss.SourceSpec(family="gm", shape=(2, 128, 128), seed=12,
+                             sigma_range=(100.0, 1000.0))
+        block.write_bytes(ss.block_to_bytes(ss.gen_block(spec)))
+        stream = tmp_path / "s.bits"
+        assert run_cli("encode", "--block", block, "--backend", "lut", "--tables", tables,
+                       "--out", stream) == 0
+        data = stream.read_bytes()
+        # symbol count, ANS length, then the lane count, lane states and ANS words
+        lanes = int.from_bytes(data[8:12], "little")
+        assert 64 <= lanes < 1 << 16
+        words_at, tail_at = 12 + 4 * lanes, 8 + int.from_bytes(data[4:8], "little")
+        assert tail_at - words_at > 4096 and len(data) - tail_at > 4096
+        rng = np.random.default_rng(12)
+        sections = [range(8, 12), range(12, words_at), range(words_at, tail_at),
+                    range(tail_at, len(data))]
+        flips = [8, 9, 10, 11, 12, words_at - 1, words_at, tail_at - 1, tail_at, len(data) - 1]
+        for section in sections:
+            flips += rng.integers(section.start, section.stop, 12).tolist()
+        cases = [data[:k] + bytes([data[k] ^ int(rng.integers(1, 256))]) + data[k + 1:]
+                 for k in flips]
+        cuts = [12, words_at, tail_at, len(data) - 1,
+                *rng.integers(8, len(data), 8).tolist()]
+        cases += [data[:k] for k in cuts]
+        capsys.readouterr()
+        codes = []
+        for bad in cases:
+            (tmp_path / "bad.bits").write_bytes(bad)
+            codes.append(run_cli("decode", "--stream", tmp_path / "bad.bits", "--side", block,
+                                 "--backend", "lut", "--tables", tables,
+                                 "--out", tmp_path / "d.bin"))
+            err = capsys.readouterr().err
+            assert "Traceback" not in err, err
+            assert codes[-1] == 0 or err.startswith("error: "), err
+        assert set(codes) <= {0, 4}
+        assert codes[-len(cuts):] == [4] * len(cuts)  # a cut loses words or records
+        assert codes[:4].count(4) >= 3  # a changed lane count rarely still decodes
 
     def test_corrupted_table_files_exit_4(self, trained, tmp_path, capsys):
         # a .tables file from build-tables and one from train, each with

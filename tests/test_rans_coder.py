@@ -335,7 +335,7 @@ def _lane_reference(syms, idx, set_, lanes):
 
 @pytest.mark.parametrize("lanes", [2, 3, 5])
 def test_lanes_match_reference_and_roundtrip(lanes, monkeypatch):
-    monkeypatch.setattr(rc, "_lane_count", lambda freqs: lanes)
+    monkeypatch.setattr(rc, "_lane_count", lambda freqs, bypass_bits: lanes)
     rng = np.random.default_rng(10 + lanes)
     set_ = _random_set(rng, 3)
     for n in (lanes, lanes + 1, 7 * lanes - 1, 200):  # whole and partial last steps
@@ -357,12 +357,25 @@ def test_lane_count_follows_interval_bits():
     def ones(n):  # slot frequency 1 costs 16 interval bits
         return np.ones(n, np.int64)
 
-    assert rc._lane_count(ones(0)) == 1
-    assert rc._lane_count(ones(25_599)) == 1  # below 64 lanes of 6400 bits
-    assert rc._lane_count(ones(25_600)) == 64
-    assert rc._lane_count(ones(51_199)) == 64
-    assert rc._lane_count(ones(51_200)) == 128
-    assert rc._lane_count(ones(2_000_000)) == 4096
+    assert rc._lane_count(ones(0), 0) == 1
+    assert rc._lane_count(ones(25_599), 0) == 1  # below 64 lanes of 6400 bits
+    assert rc._lane_count(ones(25_600), 0) == 64
+    assert rc._lane_count(ones(51_199), 0) == 64
+    assert rc._lane_count(ones(51_200), 0) == 128
+    assert rc._lane_count(ones(2_000_000), 0) == 4096
+
+
+def test_lane_count_counts_bypass_bits():
+    # 1,000 symbols of 16 interval bits alone give one state; bypass bits
+    # lift the total to exactly 64 lanes of 6400 bits, or to one bit short
+    interval = 16 * 1_000
+    half = np.full(1_000, 1 << 15, np.int64)  # frequency 2^15 costs 1 interval bit
+    assert rc._lane_count(np.ones(1_000, np.int64), 0) == 1
+    assert rc._lane_count(np.ones(1_000, np.int64), 64 * 6400 - interval) == 64
+    assert rc._lane_count(np.ones(1_000, np.int64), 64 * 6400 - interval - 1) == 1
+    assert rc._lane_count(half, 64 * 6400 - 1_000) == 64
+    assert rc._lane_count(half, 64 * 6400 - 1_001) == 1
+    assert rc._lane_count(np.zeros(0, np.int64), 4096 * 6400) == 4096
 
 
 def test_large_block_uses_64_lanes_within_one_percent():
@@ -379,19 +392,38 @@ def test_large_block_uses_64_lanes_within_one_percent():
     assert 8 * len(stream.payload) <= ce * 1.01 + 64
 
 
-def test_single_state_bytes_unchanged():
+def _frozen_escape_input():
     rng = np.random.default_rng(7)
     set_ = _random_set(rng, 4)
     syms = rng.integers(-300, 300, 20000)
     idx = rng.integers(0, 4, 20000)
+    return syms, idx, set_
+
+
+def test_single_state_bytes_unchanged(monkeypatch):
+    # its bypass bits now buy this input 64 lanes; one state keeps the old bytes
+    monkeypatch.setattr(rc, "_lane_count", lambda freqs, bypass_bits: 1)
+    syms, idx, set_ = _frozen_escape_input()
     stream = encode(syms, idx, set_)
     assert struct.unpack_from("<I", stream.payload, 4)[0] >= 1 << 16  # one final state
     assert hashlib.sha256(stream.to_bytes()).hexdigest() == FROZEN_ESCAPE_SHA256
     assert np.array_equal(decode(stream, idx, set_), syms)
 
 
+def test_escape_heavy_block_interleaves_within_half_a_percent():
+    syms, idx, set_ = _frozen_escape_input()
+    stream = encode(syms, idx, set_)
+    lanes = struct.unpack_from("<I", stream.payload, 4)[0]
+    assert 64 <= lanes < 1 << 16
+    assert np.array_equal(decode(stream, idx, set_), syms)
+    bits = implied_bits(syms, idx, set_)
+    assert (bits > 16).mean() > 0.5  # escape-heavy: most symbols carry a bypass record
+    header = 8 * 4 * (2 + lanes)  # ANS length, lane count, lane states
+    assert 8 * len(stream.payload) <= 1.005 * bits.sum() + header
+
+
 def test_lane_header_is_validated(monkeypatch):
-    monkeypatch.setattr(rc, "_lane_count", lambda freqs: 4)
+    monkeypatch.setattr(rc, "_lane_count", lambda freqs, bypass_bits: 4)
     set_ = _set_of([(ProbModel.gaussian(3.0), 10)])
     syms = np.arange(-5, 5)
     idx = np.zeros(10, np.int64)
@@ -581,7 +613,8 @@ def test_packed_escapes_match_reference(offset):
         j, in_range, _, _ = rc._slots(sym, flat, rows, offs, nc)
         records = _reference_records(j, in_range, nc)
         section = _reference_pack(records)
-        assert rc._pack_escapes(*rc._escapes(j, in_range, nc)) == section
+        below, n = rc._escapes(j, in_range, nc)
+        assert rc._pack_escapes(below, n, rc._record_bits(n)) == section
         payload = encode(sym, idx, set_).payload
         assert payload.endswith(section)
         assert np.array_equal(decode(Bitstream(payload, len(sym)), idx, set_), sym)
@@ -696,7 +729,7 @@ def test_corrupted_bypass_tails_decode_exactly_or_raise(seed, route, data):
     syms, idx, set_ = _escape_heavy(seed, 160)  # 160 >= 64 symbols per table: the lookup route
     with pytest.MonkeyPatch.context() as mp:
         if route == "lanes":
-            mp.setattr(rc, "_lane_count", lambda freqs: 3)
+            mp.setattr(rc, "_lane_count", lambda freqs, bypass_bits: 3)
         if route == "chunked":
             mp.setattr(rc, "_CHUNK", data.draw(st.integers(1, 7)))
             chunk = rc._shared_chunks(idx, set_)
@@ -783,7 +816,7 @@ def test_ans_word_count_is_checked_on_every_route(route, monkeypatch):
     hi = np.array([set_[i].hi for i in idx])
     syms = rng.integers(lo - 3, hi + 4)
     if route == "lanes":
-        monkeypatch.setattr(rc, "_lane_count", lambda freqs: 3)
+        monkeypatch.setattr(rc, "_lane_count", lambda freqs, bypass_bits: 3)
     if route == "elementwise":
         chunk = rc._shared_chunks(idx, set_)
         payload = rc.encode_elementwise(syms, chunk).payload
