@@ -3,8 +3,8 @@
 Quantized CDF tables over Gaussian / generalized-Gaussian / mixture models,
 a rANS coder with tail escapes, three coding backends (per-element dynamic
 tables, parameter-grid LUTs, and a trained switchable prior set), plus the
-trainer that fits prior sets, index predictors, skip masks, and reused
-hyperlatent indexes.
+trainer that fits prior sets, index predictors, skipped members of a set,
+and reused hyperlatent indexes.
 
 Every name a submodule lists in its `__all__` re-exports here; each submodule
 remains importable on its own (`swpc.rans_coder`, `swpc.prior_trainer`, ...).

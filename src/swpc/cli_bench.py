@@ -10,7 +10,6 @@ verification failure.
 """
 
 import argparse
-import base64
 import csv
 import json
 import os
@@ -158,23 +157,6 @@ def cmd_build_tables(ns) -> int:
 # train
 
 
-def _pack_mask(hard: np.ndarray) -> dict:
-    return {
-        "shape": list(hard.shape),
-        "bits": base64.b64encode(np.packbits(hard.astype(np.uint8))).decode("ascii"),
-    }
-
-
-def _unpack_mask(entry: dict) -> cb.SkipMask:
-    shape = tuple(entry["shape"])
-    n = int(np.prod(shape))
-    bits = np.unpackbits(
-        np.frombuffer(base64.b64decode(entry["bits"]), dtype=np.uint8),
-        count=n,
-    )
-    return cb.SkipMask.from_soft(bits.reshape(shape).astype(np.float64))
-
-
 def cmd_train(ns) -> int:
     cfg = _load_config(ns.config)
     seed = _resolve(ns, cfg, "seed", _default_seed(), int)
@@ -189,7 +171,6 @@ def cmd_train(ns) -> int:
         dims = (_resolve(ns, cfg, "m", 40, int),)
     topk = _resolve(ns, cfg, "topk", None, _optional(int))
     skip = _resolve(ns, cfg, "skip", False, _strict_bool)
-    skip_epochs = _resolve(ns, cfg, "skip_epochs", epochs // 2, int) if skip else 0
     lambda_ = _resolve(ns, cfg, "rd_lambda", 0.01, float)
     lr = _resolve(ns, cfg, "lr", 1e-2, float)
     spec = _read_source(_resolve(ns, cfg, "source", None), seed)
@@ -206,7 +187,7 @@ def cmd_train(ns) -> int:
         config = pt.TrainConfig(
             family=family, dims=dims, epochs=epochs, seed=seed, lr=lr,
             k=topk,
-            lambda_=lambda_, predictor_mode=mode, skip_epochs=skip_epochs,
+            lambda_=lambda_, predictor_mode=mode, skip_epochs=int(skip),
         )
         result = pt.train_priors([block], config, z_block=z_block)
     except ValueError as exc:
@@ -229,10 +210,9 @@ def cmd_train(ns) -> int:
         "hyper": None,
     }
     if result.skip_head is not None:
-        mask = result.skip_head.hard_mask()
         sidecar["skip"] = {
-            "ratio": float(np.mean(mask.hard == 0)),
-            "mask": _pack_mask(mask.hard),
+            "ratio": result.skip_head.hard_mask().skip_ratio,
+            "tables": list(result.skip_head.tables),
         }
     if result.hyper_logits is not None:
         sidecar["hyper"] = {"selected": [int(s) for s in result.hyper_logits.selected()]}
@@ -327,12 +307,16 @@ def _switch_side_info(block: cb.LatentBlock, prefix: str, use_skip: bool,
         indexes = _argmin_index_grid(block, table_set, dims)
     mask = None
     if use_skip:
-        entry = sidecar.get("skip") or {}
-        if "mask" not in entry:
+        entry = sidecar.get("skip")
+        if not entry:
             raise UsageError("--use-skip-mask needs a trained artifact with a skip head")
-        mask = _unpack_mask(entry["mask"])
-        if mask.hard.shape != block.shape:
-            raise UsageError("trained skip mask does not match the block shape")
+        tables = entry.get("tables") if isinstance(entry, dict) else None
+        if not isinstance(tables, list):
+            old = isinstance(entry, dict) and "mask" in entry
+            raise ValueError(f"trained sidecar {prefix}.json holds no list of skipped tables"
+                             + ("; its packed mask is an older format, retrain with --skip"
+                                if old else ""))
+        mask = cb.SkipMask.for_tables(indexes, tables)
     return table_set, indexes, mask
 
 
@@ -528,7 +512,7 @@ def cmd_bench(ns) -> int:
                 config = pt.TrainConfig(
                     family=family, dims=(m,), epochs=epochs, seed=seed,
                     predictor_mode="calibration-curve",
-                    skip_epochs=epochs // 2 if skip else 0,
+                    skip_epochs=int(skip),
                     lambda_=_resolve(ns, cfg, "rd_lambda", 1.0, float))
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
@@ -542,7 +526,7 @@ def cmd_bench(ns) -> int:
 
             indexes = build_indexes()
             index_ns = _median_ns(build_indexes, trials)
-            mask = result.skip_head.hard_mask() if result.skip_head else None
+            mask = result.skip_head.hard_mask(indexes) if result.skip_head else None
             stream, report = cb.backend_switch(block, indexes, mask, table_set)
             encode_ns = _median_ns(
                 lambda: cb.backend_switch(block, indexes, mask, table_set),
@@ -627,8 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--lr", type=float, help="optimizer step size")
     p.add_argument("--topk", type=int, help="rate window size during training")
-    p.add_argument("--skip", action="store_const", const=True, default=None)
-    p.add_argument("--skip-epochs", dest="skip_epochs", type=int)
+    p.add_argument("--skip", action="store_const", const=True, default=None,
+                   help="skip the tables whose elements cost more coded than skipped")
     p.add_argument("--lambda", dest="rd_lambda", type=float,
                    help="rate-distortion tradeoff for skip training")
     p.add_argument("--reuse-hyper", dest="reuse_hyper", action="store_const",

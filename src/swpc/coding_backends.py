@@ -4,12 +4,13 @@ Three backends cover the trade-off between rate and table cost: dynamic
 builds one quantized table per element from its predicted parameters, lut
 snaps parameters to a pre-built grid, and switch codes against a small
 trained table set through a per-element index grid, optionally dropping
-elements a skip mask marks as zero.
+the elements whose index selects a skipped member of the set.
 
 Conventions fixed here and used everywhere: rounding is half away from
 zero; coding order is channel-major then row-major; the index grid and
-skip mask are never transmitted (both ends derive them from shared side
-information); skipped positions reconstruct as residual 0.
+skip mask are never transmitted (both ends derive the grid from shared
+side information, and the mask from the grid and the skipped tables);
+skipped positions reconstruct as residual 0.
 """
 
 from __future__ import annotations
@@ -256,6 +257,20 @@ class SkipMask:
     def from_soft(cls, soft) -> "SkipMask":
         soft = np.asarray(soft, dtype=np.float64)
         return cls(soft, round_half_away(np.clip(soft, 0.0, 1.0)).astype(np.int64))
+
+    @classmethod
+    def for_tables(cls, indexes: IndexGrid, tables) -> "SkipMask":
+        """Skip each element whose hardened index selects one of the given
+        zero-based flat tables: the mask a decoder derives from its grid."""
+        skipped, count = list(tables), indexes.table_count
+        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+                   and 0 <= t < count for t in skipped):
+            raise ValueError(f"skipped tables must be integers in [0, {count})")
+        if len(set(skipped)) != len(skipped):
+            raise ValueError("skipped tables must be distinct")
+        keep = np.ones(count)
+        keep[skipped] = 0.0
+        return cls.from_soft(keep[indexes.flat_table_indexes()].reshape(indexes.hardened.shape))
 
     @classmethod
     def keep_all(cls, shape) -> "SkipMask":

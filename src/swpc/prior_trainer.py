@@ -5,9 +5,12 @@ element of a latent block.  Each element carries a continuous index i that
 softly selects priors during training (softmax over the distances |i - m|)
 and hardens to round(clip(i, 1, M)) for coding.  This module owns the
 training side: soft weights, weighted and Top-K rate estimates, 2-D sets,
-skip-mask training through a Gumbel relaxation, hyperlatent prior reuse,
-annealing schedules, entropy-increasing initialization, and the final
-export to quantized CDF tables.
+skip mode as a member of the set, hyperlatent prior reuse, annealing,
+entropy-increasing initialization, and the final export to quantized CDF
+tables.  Skip is decided per table: a table is skipped when its elements
+cost more coded than skipped, so the hardened index alone decides whether
+an element is coded.  The Gumbel relaxation of a per-element mask and the
+skip_loss objective remain as differentiable surrogates of that choice.
 
 One kernel, _window_pass, computes every soft-assigned rate and gradient,
 by one of two strategies.  When the window covers all M priors (k = None),
@@ -72,6 +75,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+# per-epoch decay rate of the soft-assignment temperature
+_TAU_DECAY_PER_EPOCH = 0.01
 
 # beta projection bounds: keeps the gamma kernels numerically healthy while
 # leaving plenty of room around the tabulated [0.5, 3] shape range
@@ -213,46 +219,33 @@ class PriorSet2D:
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Exponential decay of the assignment and mask temperatures."""
+    """Exponential decay of the soft-assignment temperature."""
 
     tau0: float
-    tau_decay_per_epoch: float = 0.01
-    t0: float = 0.4
-    t_decay_per_epoch: float = 0.01
-    gumbel_coefficient: float = 0.5
 
     def __post_init__(self):
-        for name in ("tau0", "tau_decay_per_epoch", "t0", "t_decay_per_epoch", "gumbel_coefficient"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
+        if not (np.isfinite(self.tau0) and self.tau0 > 0):
+            raise ValueError("tau0 must be positive and finite")
 
     @classmethod
     def for_set_size(cls, m: int) -> "AnnealSchedule":
         return cls(tau0=0.05 * m)
 
     def tau(self, epoch: int) -> float:
-        return self.tau0 * math.exp(-self.tau_decay_per_epoch * epoch)
-
-    def t(self, epoch: int) -> float:
-        return self.t0 * math.exp(-self.t_decay_per_epoch * epoch)
+        return self.tau0 * math.exp(-_TAU_DECAY_PER_EPOCH * epoch)
 
 
 @dataclass(frozen=True)
 class SkipHead:
-    """Per-element soft mask parameters."""
+    """The skipped members of a prior set, as zero-based flat table indexes,
+    with the training block's index grid."""
 
-    b: np.ndarray
+    tables: tuple
+    indexes: IndexGrid
 
-    def __post_init__(self):
-        b = np.array(self.b, dtype=np.float64)
-        b.flags.writeable = False
-        object.__setattr__(self, "b", b)
-        if not np.isfinite(b).all():
-            raise ValueError("mask parameters must be finite")
-
-    def hard_mask(self) -> SkipMask:
-        return SkipMask.from_soft(self.b)
+    def hard_mask(self, indexes: IndexGrid | None = None) -> SkipMask:
+        """The mask over a grid, by default the training block's."""
+        return SkipMask.for_tables(self.indexes if indexes is None else indexes, self.tables)
 
 
 @dataclass(frozen=True)
@@ -291,8 +284,9 @@ class TrainConfig:
     """Knobs for one training run.
 
     dims is (M,) for a 1-D set or (M, N) for a 2-D grid (gmm only);
-    k = None means full-M weighting (no Top-K truncation); skip_epochs > 0
-    appends a second phase that trains the skip mask with priors frozen.
+    k = None means full-M weighting (no Top-K truncation); any positive
+    skip_epochs adds skip mode: after training, each table whose elements
+    cost more coded than skipped joins the skipped members of the set.
     """
 
     family: str
@@ -740,9 +734,7 @@ class TrainResult:
     skip_head: SkipHead | None
     hyper_logits: HyperLogits | None
     loss_trace: list[float]
-    skip_trace: list[float]
     final_tau: float
-    final_t: float
 
 
 class _Adam:
@@ -805,13 +797,13 @@ def _channel_counts(z_block: LatentBlock):
 
 
 def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = None) -> TrainResult:
-    """Fit a prior set (and optionally skip mask and hyper logits) to data.
+    """Fit a prior set (and optionally skipped tables and hyper logits).
 
-    Phase 1 alternates exact index reassignment (free-index mode) or a
+    Training alternates exact index reassignment (free-index mode) or a
     trainable log-linear index curve (calibration mode) with Adam steps on
-    the prior coordinates; phase 2, when skip_epochs > 0, freezes the
-    priors and trains the skip mask through the Gumbel relaxation.  Both
-    phases anneal by AnnealSchedule.for_set_size of the largest dimension.
+    the prior coordinates, annealed by AnnealSchedule.for_set_size of the
+    largest dimension.  When skip_epochs > 0, the final priors and indexes
+    then decide which tables to skip (_train_skip).
     """
     block_list = _as_blocks(blocks)
     primary = block_list[0]
@@ -915,28 +907,24 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
         ivals = assignment.astype(np.float64) + 1.0
         predictor = {"mode": "free-index"}
 
+    shaped = primary.shape if n == primary.n_elements else (1, 1, n)
     if two_d:
         prior_set = PriorSet2D(family=config.family,
                                params=coords.reshape(config.dims + (-1,)),
                                components=config.components)
         rows, cols = np.divmod(assignment, config.dims[1])
-        shaped = primary.shape if n == primary.n_elements else (1, 1, n)
         indexes = IndexGrid.from_continuous(
             (rows + 1.0).reshape(shaped), config.dims[0],
             second=(cols + 1.0).reshape(shaped), n=config.dims[1])
     else:
         prior_set = PriorSet1D(family=config.family, params=coords, components=config.components)
-        shaped = primary.shape if n == primary.n_elements else (1, 1, n)
         indexes = IndexGrid.from_continuous(ivals.reshape(shaped), config.dims[0])
 
     hyper = HyperLogits(logits) if logits is not None else None
 
     skip_head = None
-    skip_trace: list[float] = []
-    final_t = schedule.t0
     if config.skip_epochs > 0:
-        skip_head, skip_trace, final_t = _train_skip(
-            symbols, rates, inverse, indexes, config, schedule, shaped)
+        skip_head = _train_skip(symbols, rates, inverse, indexes, config.lambda_)
 
     return TrainResult(
         prior_set=prior_set,
@@ -945,9 +933,7 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
         skip_head=skip_head,
         hyper_logits=hyper,
         loss_trace=trace,
-        skip_trace=skip_trace,
         final_tau=final_tau,
-        final_t=final_t,
     )
 
 
@@ -973,27 +959,15 @@ def _hyper_pass(rates, grads, counts, logits):
     return float(channel_rates.sum()), dlogits, dtheta
 
 
-def _train_skip(symbols, rates, inverse, indexes, config, schedule, shaped):
-    """Phase 2: priors frozen, per-element mask parameters trained."""
+def _train_skip(symbols, rates, inverse, indexes, lambda_):
+    """Skip each table whose elements cost more coded (their floored model
+    rates) than skipped (lambda_ times their squared residuals).  The
+    objective sums over tables, so deciding each table alone is exact."""
     idx = indexes.flat_table_indexes()
-    element_rates = rates[idx, inverse]
-    residual_sq = symbols.astype(np.float64) ** 2
-    b = np.ones(symbols.size)
-    opt = _Adam(b.shape, config.lr)
-    rng_base = int(config.seed) * 1_000_003 + 1
-    trace = []
-    t = schedule.t0
-    for epoch in range(config.skip_epochs):
-        t = schedule.t(epoch)
-        mask, dmask_db = gumbel_mask_grad(b, t, schedule.gumbel_coefficient, rng_base + epoch)
-        loss = float(np.dot(mask, element_rates))
-        loss += config.lambda_ * float(np.sum((1.0 - mask) ** 2 * residual_sq))
-        dmask = element_rates - 2.0 * config.lambda_ * (1.0 - mask) * residual_sq
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(f"skip loss diverged at epoch {epoch}", trace)
-        trace.append(loss / symbols.size)
-        b += opt.step(dmask * dmask_db)
-    return SkipHead(b=b.reshape(shaped)), trace, t
+    count = indexes.table_count
+    coded = np.bincount(idx, weights=rates[idx, inverse], minlength=count)
+    skipped = lambda_ * np.bincount(idx, weights=symbols.astype(np.float64) ** 2, minlength=count)
+    return SkipHead(tables=tuple(np.flatnonzero(skipped < coded).tolist()), indexes=indexes)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ Commands run in-process through main(argv) so the suite stays fast; one
 test goes through a real subprocess to cover the module entry point.
 """
 
-import base64
 import csv
 import json
 import subprocess
@@ -66,6 +65,16 @@ def skip_trained(workdir):
                    "--out", prefix, "--save-block", block)
     assert code == 0
     return {"prefix": prefix, "block": block}
+
+
+def derived_skip_mask(prefix, block: cb.LatentBlock) -> cb.SkipMask:
+    """The mask a calibration-curve skip artifact gives a block: its curve's
+    index grid with the sidecar's skipped tables."""
+    sidecar = json.loads(Path(f"{prefix}.json").read_text())
+    a, c = sidecar["predictor"]["a"], sidecar["predictor"]["c"]
+    grid = cb.IndexGrid.from_continuous(a * cb.log_features(block.side_features) + c,
+                                        sidecar["dims"][0])
+    return cb.SkipMask.for_tables(grid, sidecar["skip"]["tables"])
 
 
 class TestBuildTables:
@@ -164,8 +173,19 @@ class TestTrain:
             Path(f"{skip_trained['prefix']}.json").read_text())
         entry = sidecar["skip"]
         assert 0.0 < entry["ratio"] < 1.0
+        assert all(isinstance(t, int) and 0 <= t < 3 for t in entry["tables"])
         block = ss.block_from_bytes(skip_trained["block"].read_bytes())
-        assert tuple(entry["mask"]["shape"]) == block.shape
+        assert derived_skip_mask(skip_trained["prefix"], block).skip_ratio == entry["ratio"]
+
+    def test_skip_at_one_epoch_writes_skip_entry(self, tmp_path):
+        # skip is on whatever the epoch count; it once ran epochs // 2 = 0 rounds
+        src = write_source(tmp_path / "src.json", family="gm", shape=(1, 16, 16), seed=41,
+                           sigma_range=(0.11, 4.0))
+        assert run_cli("train", "--family", "gm", "--m", 3, "--epochs", 1, "--seed", 41,
+                       "--skip", "--lambda", 4.0, "--source", src,
+                       "--out", tmp_path / "one") == 0
+        entry = json.loads((tmp_path / "one.json").read_text())["skip"]
+        assert entry is not None and isinstance(entry["tables"], list)
 
     def test_hyper_sidecar_and_z_block(self, tmp_path):
         prefix = tmp_path / "hy"
@@ -237,13 +257,52 @@ class TestCodeRoundTrips:
                        "--use-skip-mask", "--out", dec) == 0
         ref = ss.block_from_bytes(skip_trained["block"].read_bytes())
         out = ss.block_from_bytes(dec.read_bytes())
-        sidecar = json.loads(
-            Path(f"{skip_trained['prefix']}.json").read_text())
-        bits = np.unpackbits(
-            np.frombuffer(base64.b64decode(sidecar["skip"]["mask"]["bits"]),
-                          dtype=np.uint8),
-            count=ref.n_elements).reshape(ref.shape)
-        kept = bits == 1
+        kept = derived_skip_mask(skip_trained["prefix"], ref).hard == 1
+        assert entry["symbols_coded"] == int(kept.sum())
+        assert (ref.residuals[kept] == out.residuals[kept]).all()
+        assert (out.residuals[~kept] == 0).all()
+
+    def test_skip_artifact_codes_a_block_of_another_shape(self, skip_trained, tmp_path):
+        # the mask follows the index grid, so it needs no block of the training shape
+        other = ss.gen_block(ss.SourceSpec(family="gm", shape=(3, 20, 24), seed=42,
+                                           sigma_range=(0.11, 4.0)))
+        kept = derived_skip_mask(skip_trained["prefix"], other).hard == 1
+        assert 0 < kept.sum() < other.n_elements
+        # zero the skipped residuals, so that decode gives back the whole block
+        zeroed = cb.LatentBlock(np.where(kept, other.residuals, 0), other.means,
+                                other.side_features, truth_params=other.truth_params)
+        block, stream, dec = tmp_path / "b.bin", tmp_path / "s.bits", tmp_path / "d.bin"
+        block.write_bytes(ss.block_to_bytes(zeroed))
+        args = ["--backend", "switch", "--trained", skip_trained["prefix"], "--use-skip-mask"]
+        assert run_cli("encode", "--block", block, *args, "--out", stream) == 0
+        assert run_cli("decode", "--stream", stream, "--side", block, *args,
+                       "--out", dec) == 0
+        assert run_cli("verify", "--block", block, "--decoded", dec) == 0
+
+    def test_two_dim_skip_set_round_trips_with_mask(self, tmp_path):
+        src = write_source(tmp_path / "src.json", family="gmm", shape=(2, 16, 16), seed=29,
+                           mode="nonzero-center", comp_mean_range=(-6.0, 6.0),
+                           comp_sigma_range=(0.2, 3.0))
+        prefix, block = tmp_path / "g2", tmp_path / "b.bin"
+        assert run_cli("train", "--family", "gmm", "--two-dim", 3, 3, "--epochs", 40,
+                       "--seed", 29, "--skip", "--lambda", 0.5, "--source", src,
+                       "--out", prefix, "--save-block", block) == 0
+        entry = json.loads(Path(f"{prefix}.json").read_text())["skip"]
+        assert all(0 <= t < 9 for t in entry["tables"])
+        stream, dec, report = tmp_path / "s.bits", tmp_path / "d.bin", tmp_path / "r.json"
+        args = ["--backend", "switch", "--trained", prefix, "--use-skip-mask"]
+        assert run_cli("encode", "--block", block, *args, "--out", stream,
+                       "--report", report) == 0
+        assert json.loads(report.read_text())["skip_ratio"] == entry["ratio"]
+        assert run_cli("decode", "--stream", stream, "--side", block, *args,
+                       "--out", dec) == 0
+        ref = ss.block_from_bytes(block.read_bytes())
+        out = ss.block_from_bytes(dec.read_bytes())
+        # a free-index set assigns each element its cheapest table at both ends
+        table_set = ct.deserialize_table_set(Path(f"{prefix}.tables").read_bytes())
+        grid = cli._argmin_index_grid(ref, table_set, [3, 3])
+        kept = cb.SkipMask.for_tables(grid, entry["tables"]).hard == 1
+        assert 0 < kept.sum() < ref.n_elements
         assert (ref.residuals[kept] == out.residuals[kept]).all()
         assert (out.residuals[~kept] == 0).all()
 
@@ -254,13 +313,7 @@ class TestCodeRoundTrips:
         clone_tables = Path(f"{clone}.tables")
         clone_tables.write_bytes(Path(f"{prefix}.tables").read_bytes())
         sidecar = json.loads(Path(f"{prefix}.json").read_text())
-        block = ss.block_from_bytes(trained["block"].read_bytes())
-        ones = np.ones(block.shape, dtype=np.uint8)
-        sidecar["skip"] = {
-            "ratio": 0.0,
-            "mask": {"shape": list(block.shape),
-                     "bits": base64.b64encode(np.packbits(ones)).decode()},
-        }
+        sidecar["skip"] = {"ratio": 0.0, "tables": []}
         Path(f"{clone}.json").write_text(json.dumps(sidecar))
         plain, masked = tmp_path / "plain.bits", tmp_path / "ones.bits"
         assert run_cli("encode", "--block", trained["block"], "--backend",
@@ -436,6 +489,39 @@ class TestFailureExits:
         assert codes[-len(cuts):] == [4] * len(cuts)  # a cut loses words or records
         assert codes[:4].count(4) >= 3  # a changed lane count rarely still decodes
 
+    @pytest.mark.parametrize("backend", ["dynamic", "switch", "switch-skip"])
+    def test_corrupted_dynamic_and_switch_streams_exit_0_or_4(self, backend, skip_trained,
+                                                             tmp_path, capsys):
+        if backend == "dynamic":
+            block = tmp_path / "b.bin"
+            block.write_bytes(ss.block_to_bytes(ss.gen_block(ss.SourceSpec(
+                family="gm", shape=(1, 16, 16), seed=13, sigma_range=(0.3, 40.0)))))
+            args = ["--backend", "dynamic"]
+        else:
+            block = skip_trained["block"]
+            args = ["--backend", "switch", "--trained", skip_trained["prefix"]]
+            args += ["--use-skip-mask"] if backend == "switch-skip" else []
+        stream = tmp_path / "s.bits"
+        assert run_cli("encode", "--block", block, *args, "--out", stream) == 0
+        data = stream.read_bytes()
+        rng = np.random.default_rng(13)
+        flips = [0, 3, 4, 8, len(data) - 1, *rng.integers(0, len(data), 40).tolist()]
+        cases = [data[:k] + bytes([data[k] ^ (1 << int(rng.integers(8)))]) + data[k + 1:]
+                 for k in flips]
+        cuts = [0, 3, 4, 8, len(data) - 1, *rng.integers(0, len(data), 15).tolist()]
+        cases += [data[:k] for k in cuts]
+        capsys.readouterr()
+        codes = []
+        for bad in cases:
+            (tmp_path / "bad.bits").write_bytes(bad)
+            codes.append(run_cli("decode", "--stream", tmp_path / "bad.bits", "--side", block,
+                                 *args, "--out", tmp_path / "d.bin"))
+            err = capsys.readouterr().err
+            assert "Traceback" not in err, err
+            assert codes[-1] == 0 or err.startswith("error: "), err
+        assert set(codes) <= {0, 4}
+        assert codes[-len(cuts):] == [4] * len(cuts)  # a cut loses words or records
+
     def test_corrupted_table_files_exit_4(self, trained, tmp_path, capsys):
         # a .tables file from build-tables and one from train, each with
         # seeded single bytes changed: decode reports the damage, exit 4
@@ -603,6 +689,38 @@ class TestFailureExits:
             assert run_cli("encode", "--block", trained["block"], "--backend", "switch",
                            "--trained", prefix, "--out", tmp_path / "e.bits") == 2
         assert run_cli(*decode) == 4
+
+    @pytest.mark.parametrize("entry", [
+        {"ratio": 0.5, "tables": [-1]},
+        {"ratio": 0.5, "tables": [3]},
+        {"ratio": 0.5, "tables": [0, 0]},
+        {"ratio": 0.5, "tables": [0.0]},
+        {"ratio": 0.5, "tables": [True]},
+        {"ratio": 0.5, "tables": [2 ** 70]},
+        {"ratio": 0.5, "tables": "0"},
+        {"ratio": 0.5, "mask": {"shape": [4, 32, 32], "bits": ""}},
+        [0],
+    ], ids=["negative", "past-end", "repeated", "float", "bool", "huge", "not-a-list",
+            "packed-mask", "list-entry"])
+    def test_malformed_skip_entry_exits_2_on_encode_and_4_on_decode(self, entry, skip_trained,
+                                                                     tmp_path, capsys):
+        prefix, block = skip_trained["prefix"], skip_trained["block"]
+        stream = tmp_path / "s.bits"
+        assert run_cli("encode", "--block", block, "--backend", "switch", "--trained", prefix,
+                       "--use-skip-mask", "--out", stream) == 0
+        bad = tmp_path / "bad"
+        Path(f"{bad}.tables").write_bytes(Path(f"{prefix}.tables").read_bytes())
+        sidecar = json.loads(Path(f"{prefix}.json").read_text())
+        Path(f"{bad}.json").write_text(json.dumps({**sidecar, "skip": entry}))
+        args = ["--backend", "switch", "--trained", bad, "--use-skip-mask"]
+        capsys.readouterr()
+        assert run_cli("encode", "--block", block, *args, "--out", tmp_path / "e.bits") == 2
+        assert run_cli("decode", "--stream", stream, "--side", block, *args,
+                       "--out", tmp_path / "d.bin") == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("error: ") == 2, err
+        if "mask" in entry:
+            assert "older format" in err
 
 
 @pytest.fixture(scope="module")

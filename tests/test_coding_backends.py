@@ -212,6 +212,25 @@ class TestSkipMask:
         with pytest.raises(ValueError):
             SkipMask(np.array([0.2]), np.array([1]))
 
+    def test_for_tables_follows_the_hardened_grid(self):
+        grid = IndexGrid.from_continuous(np.array([[[0.1, 2.6], [5.0, 4.4]]]), 5)
+        mask = SkipMask.for_tables(grid, [2, 4])
+        assert mask.hard.tolist() == [[[1, 0], [0, 1]]]
+        assert SkipMask.for_tables(grid, []).hard.tolist() == [[[1, 1], [1, 1]]]
+
+    def test_for_tables_on_a_2d_grid(self):
+        # flat table (i - 1) * n + (j - 1): (2, 3) on a 3 x 4 grid is table 6
+        grid = IndexGrid.from_continuous(np.array([[[2.0, 2.0]]]), 3,
+                                         second=np.array([[[3.0, 4.0]]]), n=4)
+        assert SkipMask.for_tables(grid, [6]).hard.tolist() == [[[0, 1]]]
+
+    @pytest.mark.parametrize("tables", [[-1], [5], [1, 1], [1.0], [True]],
+                             ids=["negative", "past-end", "repeated", "float", "bool"])
+    def test_for_tables_rejects_bad_tables(self, tables):
+        grid = IndexGrid.from_continuous(np.array([[[1.0, 5.0]]]), 5)
+        with pytest.raises(ValueError):
+            SkipMask.for_tables(grid, tables)
+
 
 # ---------------------------------------------------------------------------
 # CodingReport
