@@ -16,6 +16,7 @@ import os
 import statistics
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,12 @@ def _strict_bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
     return value
+
+
+def _grid_dims(value) -> tuple:
+    """A `_resolve` kind for --two-dim: a list of exactly two sizes, M and N."""
+    m, n = value if isinstance(value, list) else ()
+    return int(m), int(n)
 
 
 def _optional(kind):
@@ -164,7 +171,7 @@ def cmd_train(ns) -> int:
     epochs = _resolve(ns, cfg, "epochs", 300, int)
     mode = _resolve(ns, cfg, "mode", "calibration-curve")
     if _resolve(ns, cfg, "two_dim", None) is not None:
-        dims = _resolve(ns, cfg, "two_dim", None, lambda v: (int(v[0]), int(v[1])))
+        dims = _resolve(ns, cfg, "two_dim", None, _grid_dims)
         if mode == "calibration-curve" and ns.mode is None and "mode" not in cfg:
             mode = "free-index"
     else:
@@ -262,18 +269,30 @@ def _argmin_index_grid(block: cb.LatentBlock, table_set: ct.CdfTableSet,
     bits = rc.implied_bits(np.tile(uniques, count),
                            np.repeat(np.arange(count), uniques.size), table_set)
     flat = bits.reshape(count, -1).argmin(axis=0)[inverse.ravel()]
-    if len(dims) == 1:
-        cont = (flat + 1.0).reshape(block.shape)
-        return cb.IndexGrid.from_continuous(cont, int(dims[0]))
-    m, n = int(dims[0]), int(dims[1])
-    rows, cols = np.divmod(flat, n)
-    return cb.IndexGrid.from_continuous(
-        (rows + 1.0).reshape(block.shape), m,
-        second=(cols + 1.0).reshape(block.shape), n=n)
+    return cb.IndexGrid.from_tables(flat, dims, block.shape)
+
+
+def _read_index_grid(path: str, dims: list[int]) -> cb.IndexGrid:
+    if not Path(path).is_file():
+        raise UsageError(f"index file {path} is missing or not a file")
+    try:
+        data = dict(np.load(path))  # reads every array, so a damaged member fails here
+    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"cannot read index file {path}: {exc}") from exc
+    if "continuous" not in data:
+        raise ValueError(f"index file {path} holds no continuous indexes")
+    if "continuous2" not in data:
+        return cb.IndexGrid(data["continuous"], dims[0])
+    if len(dims) != 2:
+        raise ValueError(f"index file {path} holds 2-D indexes for a 1-D prior set")
+    return cb.IndexGrid(data["continuous"], dims[0], data["continuous2"], dims[1])
 
 
 def _switch_side_info(block: cb.LatentBlock, prefix: str, use_skip: bool,
-                      hyper: bool, indexes_path: str | None):
+                      hyper: bool, indexes_path: str | None, encoding: bool):
+    """Tables, index grid and skip mask for a switch encode or decode.  A
+    free-index grid comes from the block's symbols, so the encoder saves it
+    to indexes_path and the decoder reads it back, never the residuals."""
     sidecar = _trained_sidecar(prefix)
     table_set = _read_tables(f"{prefix}.tables")
     dims = sidecar["dims"]
@@ -284,25 +303,15 @@ def _switch_side_info(block: cb.LatentBlock, prefix: str, use_skip: bool,
             raise UsageError("--hyper needs a trained artifact with hyper logits")
         if len(chosen) != block.channels:
             raise UsageError("hyper selection does not match the block's channels")
-        cont = np.broadcast_to(
-            np.asarray(chosen, np.float64)[:, None, None], block.shape).copy()
-        indexes = cb.IndexGrid.from_continuous(cont, int(dims[0]))
-    elif indexes_path and Path(indexes_path).exists():
-        data = np.load(indexes_path)
-        if "continuous" not in data:
-            raise ValueError(f"index file {indexes_path} holds no continuous indexes")
-        if "continuous2" in data:
-            if len(dims) != 2:
-                raise ValueError(f"index file {indexes_path} holds 2-D indexes for a 1-D prior set")
-            indexes = cb.IndexGrid.from_continuous(
-                data["continuous"], int(dims[0]),
-                second=data["continuous2"], n=int(dims[1]))
-        else:
-            indexes = cb.IndexGrid.from_continuous(data["continuous"], int(dims[0]))
+        cont = np.broadcast_to(np.asarray(chosen, np.float64)[:, None, None], block.shape)
+        indexes = cb.IndexGrid(cont, dims[0])
+    elif indexes_path and not encoding:
+        indexes = _read_index_grid(indexes_path, dims)
     elif sidecar["predictor"]["mode"] == "calibration-curve":
         a, c = sidecar["predictor"]["a"], sidecar["predictor"]["c"]
-        cont = a * cb.log_features(block.side_features) + c
-        indexes = cb.IndexGrid.from_continuous(cont, int(dims[0]))
+        indexes = cb.IndexGrid(a * cb.log_features(block.side_features) + c, dims[0])
+    elif not indexes_path:
+        raise UsageError("a free-index set codes only with --indexes at both ends")
     else:
         indexes = _argmin_index_grid(block, table_set, dims)
     mask = None
@@ -337,7 +346,7 @@ def cmd_encode(ns) -> int:
             if not ns.trained:
                 raise UsageError("switch encode needs --trained PREFIX")
             table_set, indexes, mask = _switch_side_info(
-                block, ns.trained, ns.use_skip_mask, ns.hyper, None)
+                block, ns.trained, ns.use_skip_mask, ns.hyper, ns.indexes, encoding=True)
             stream, report = cb.backend_switch(block, indexes, mask, table_set)
             if ns.indexes:
                 payload = {"continuous": indexes.continuous}
@@ -383,7 +392,7 @@ def cmd_decode(ns) -> int:
             if not ns.trained:
                 raise UsageError("switch decode needs --trained PREFIX")
             table_set, indexes, mask = _switch_side_info(
-                side, ns.trained, ns.use_skip_mask, ns.hyper, ns.indexes)
+                side, ns.trained, ns.use_skip_mask, ns.hyper, ns.indexes, encoding=False)
             residuals, _ = cb.backend_switch_decode(
                 stream, indexes, mask, table_set, side.shape)
         else:
@@ -449,6 +458,17 @@ def _bench_row(backend, family, report, oracle_bits_ps, index_ns, encode_ns,
     }
 
 
+def _lut_sizes(axes: int):
+    """A `_resolve` kind for comma-separated LUT sizes: each one `axes`
+    sample counts joined by "x", every count at least 2."""
+    def parse(raw) -> list[tuple]:
+        sizes = [tuple(int(v) for v in item.split("x")) for item in str(raw).split(",")]
+        if any(len(size) != axes or min(size) < 2 for size in sizes):
+            raise ValueError(f"each LUT size needs {axes} sample counts of at least 2")
+        return sizes
+    return parse
+
+
 def _bench_lut(block, family, counts, trials, oracle_ps):
     rows = []
     params = [np.ravel(block.truth_params[name]) for name in pm.FAMILY_PARAMS[family]]
@@ -496,11 +516,9 @@ def cmd_bench(ns) -> int:
                                    0, encode_ns, decode_ns))
         elif backend == "lut":
             if family == "gm":
-                counts = _resolve(ns, cfg, "lut_counts", "5,40,160", lambda raw: [
-                    (int(c),) for c in str(raw).split(",")])
+                counts = _resolve(ns, cfg, "lut_counts", "5,40,160", _lut_sizes(1))
             elif family == "ggm":
-                counts = _resolve(ns, cfg, "lut_grids", "5x10,20x40", lambda raw: [
-                    tuple(int(v) for v in pair.split("x")) for pair in str(raw).split(",")])
+                counts = _resolve(ns, cfg, "lut_grids", "5x10,20x40", _lut_sizes(2))
             else:
                 raise UsageError(f"no LUT backend for family {family!r}")
             rows.extend(_bench_lut(block, family, counts, trials, oracle_ps))
@@ -521,8 +539,7 @@ def cmd_bench(ns) -> int:
             a, c = result.predictor["a"], result.predictor["c"]
 
             def build_indexes():
-                cont = a * cb.log_features(block.side_features) + c
-                return cb.IndexGrid.from_continuous(cont, m)
+                return cb.IndexGrid(a * cb.log_features(block.side_features) + c, m)
 
             indexes = build_indexes()
             index_ns = _median_ns(build_indexes, trials)
@@ -636,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyper", action="store_true",
                    help="code with the trained per-channel hyper selection")
     p.add_argument("--radius", type=int, help="fixed table radius (dynamic)")
-    p.add_argument("--indexes", help="where to save the index grid (switch)")
+    p.add_argument("--indexes", help="where to save the index grid (switch; free-index sets need it)")
     p.add_argument("--report", help="CodingReport JSON path")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_encode)
@@ -652,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--use-skip-mask", dest="use_skip_mask", action="store_true")
     p.add_argument("--hyper", action="store_true")
     p.add_argument("--radius", type=int)
-    p.add_argument("--indexes", help="index grid saved at encode time (switch)")
+    p.add_argument("--indexes", help="index grid saved at encode time (switch; free-index sets need it)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_decode)
 

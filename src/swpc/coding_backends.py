@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -98,10 +99,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _hardened(cont: np.ndarray, m: int) -> np.ndarray:
-    return _frozen(np.asarray(harden_index(cont, m), dtype=np.int64))
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 
@@ -169,57 +166,50 @@ def _check_truth(params: dict, shape: tuple):
 
 @dataclass(frozen=True)
 class IndexGrid:
-    """Per-element prior indexes: continuous predictions plus hardened ints.
+    """Per-element prior indexes: the continuous predictions, each axis
+    hardened once into the zero-based flat table index that coding reads.
 
-    One axis for 1-D prior sets; a second (continuous2/hardened2, size n)
-    for 2-D sets, where the flat table index is row-major (i-1) * n + (j-1).
+    One axis for 1-D prior sets; a second (continuous2, size n) for 2-D
+    sets, where the flat table index is row-major (i-1) * n + (j-1).
     """
 
     continuous: np.ndarray
-    hardened: np.ndarray
     m: int
     continuous2: np.ndarray | None = None
-    hardened2: np.ndarray | None = None
     n: int | None = None
+    _flat: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if (self.continuous2 is None) != (self.n is None):
+            raise ValueError("2-D grids need continuous2 and n together")
         cont = _frozen(np.array(self.continuous, dtype=np.float64))
-        hard = _frozen(np.array(self.hardened, dtype=np.int64))
-        object.__setattr__(self, "continuous", cont)
-        object.__setattr__(self, "hardened", hard)
-        if hard.shape != cont.shape:
-            raise ValueError("hardened shape must match continuous")
-        if not np.array_equal(hard, harden_index(cont, self.m)):
-            raise ValueError("hardened must equal round(clip(continuous, 1, m))")
-        if (self.continuous2 is None) != (self.hardened2 is None) or (
-            (self.continuous2 is None) != (self.n is None)
-        ):
-            raise ValueError("2-D grids need continuous2, hardened2, and n together")
-        if self.continuous2 is not None:
+        flat = np.reshape(harden_index(cont, self.m), -1)
+        flat -= 1
+        if self.is_2d:
             cont2 = _frozen(np.array(self.continuous2, dtype=np.float64))
-            hard2 = _frozen(np.array(self.hardened2, dtype=np.int64))
-            object.__setattr__(self, "continuous2", cont2)
-            object.__setattr__(self, "hardened2", hard2)
-            if cont2.shape != cont.shape or hard2.shape != cont.shape:
+            if cont2.shape != cont.shape:
                 raise ValueError("second-axis tensors must match the first axis shape")
-            if not np.array_equal(hard2, harden_index(cont2, self.n)):
-                raise ValueError("hardened2 must equal round(clip(continuous2, 1, n))")
+            flat = flat * self.n + np.reshape(harden_index(cont2, self.n), -1) - 1
+            object.__setattr__(self, "continuous2", cont2)
+        object.__setattr__(self, "continuous", cont)
+        object.__setattr__(self, "_flat", _frozen(flat))
 
     @classmethod
     def from_continuous(cls, continuous, m: int, second=None, n: int | None = None) -> "IndexGrid":
         """The grid of continuous indexes, each axis hardened once."""
-        cont = _frozen(np.array(continuous, dtype=np.float64))
-        fields = {"continuous": cont, "hardened": _hardened(cont, m), "m": m,
-                  "continuous2": None, "hardened2": None, "n": None}
-        if second is not None:
-            cont2 = _frozen(np.array(second, dtype=np.float64))
-            if cont2.shape != cont.shape:
-                raise ValueError("second-axis tensors must match the first axis shape")
-            fields.update(continuous2=cont2, hardened2=_hardened(cont2, n), n=n)
-        grid = object.__new__(cls)  # the hardened axes hold by construction
-        for name, value in fields.items():
-            object.__setattr__(grid, name, value)
-        return grid
+        return cls(continuous, m, second, n)
+
+    @classmethod
+    def from_tables(cls, tables, dims, shape) -> "IndexGrid":
+        """The grid whose elements select the given zero-based flat tables
+        of a set of dims (m,) or (m, n), laid out in the block shape."""
+        tables = np.asarray(tables, dtype=np.int64).reshape(shape)
+        if tables.size and not 0 <= tables.min() <= tables.max() < math.prod(dims):
+            raise ValueError(f"flat tables must lie in [0, {math.prod(dims)})")
+        if len(dims) == 1:
+            return cls(tables + 1.0, dims[0])
+        rows, cols = np.divmod(tables, dims[1])
+        return cls(rows + 1.0, dims[0], cols + 1.0, dims[1])
 
     @property
     def is_2d(self) -> bool:
@@ -229,34 +219,36 @@ class IndexGrid:
     def table_count(self) -> int:
         return self.m * (self.n if self.is_2d else 1)
 
+    @property
+    def hardened(self) -> np.ndarray:
+        """One-based index in [1, m] per element."""
+        return _frozen((self._flat // (self.n or 1) + 1).reshape(self.continuous.shape))
+
+    @property
+    def hardened2(self) -> np.ndarray | None:
+        """One-based second-axis index in [1, n] per element of a 2-D grid."""
+        return _frozen((self._flat % self.n + 1).reshape(self.continuous.shape)) if self.is_2d else None
+
     def flat_table_indexes(self) -> np.ndarray:
-        """Zero-based table index per element, in coding order."""
-        if self.is_2d:
-            return ((self.hardened - 1) * self.n + (self.hardened2 - 1)).ravel()
-        return (self.hardened - 1).ravel()
+        """Zero-based table index per element, in coding order (read-only)."""
+        return self._flat
 
 
 @dataclass(frozen=True)
 class SkipMask:
-    """Per-element keep/skip decision: soft scores and the hard round."""
+    """Per-element decision: 1 codes the element, 0 skips it."""
 
-    soft: np.ndarray
     hard: np.ndarray
 
     def __post_init__(self):
-        soft = _frozen(np.array(self.soft, dtype=np.float64))
-        hard = _frozen(np.array(self.hard, dtype=np.int64))
-        object.__setattr__(self, "soft", soft)
-        object.__setattr__(self, "hard", hard)
-        if hard.shape != soft.shape:
-            raise ValueError("hard shape must match soft")
-        if not np.array_equal(hard, round_half_away(np.clip(soft, 0.0, 1.0)).astype(np.int64)):
-            raise ValueError("hard must equal round(clip(soft, 0, 1))")
+        hard = np.asarray(self.hard)
+        if not ((hard == 0) | (hard == 1)).all():
+            raise ValueError("a skip mask holds only 0 (skip) and 1 (keep)")
+        object.__setattr__(self, "hard", _frozen(hard.astype(np.int64)))
 
     @classmethod
     def from_soft(cls, soft) -> "SkipMask":
-        soft = np.asarray(soft, dtype=np.float64)
-        return cls(soft, round_half_away(np.clip(soft, 0.0, 1.0)).astype(np.int64))
+        return cls(round_half_away(np.clip(soft, 0.0, 1.0)))
 
     @classmethod
     def for_tables(cls, indexes: IndexGrid, tables) -> "SkipMask":
@@ -268,13 +260,13 @@ class SkipMask:
             raise ValueError(f"skipped tables must be integers in [0, {count})")
         if len(set(skipped)) != len(skipped):
             raise ValueError("skipped tables must be distinct")
-        keep = np.ones(count)
-        keep[skipped] = 0.0
-        return cls.from_soft(keep[indexes.flat_table_indexes()].reshape(indexes.hardened.shape))
+        keep = np.ones(count, dtype=np.int64)
+        keep[skipped] = 0
+        return cls(keep[indexes.flat_table_indexes()].reshape(indexes.continuous.shape))
 
     @classmethod
     def keep_all(cls, shape) -> "SkipMask":
-        return cls.from_soft(np.ones(shape))
+        return cls(np.ones(shape, dtype=np.int64))
 
     @property
     def skip_ratio(self) -> float:

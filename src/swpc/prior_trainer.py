@@ -40,6 +40,7 @@ from .prob_models import (
     InfiniteRateError,
     ParameterDomainError,
     ProbModel,
+    floored_rate_bits,
     ggm_alpha_for_std,
 )
 
@@ -78,6 +79,12 @@ _LN2 = math.log(2.0)
 
 # per-epoch decay rate of the soft-assignment temperature
 _TAU_DECAY_PER_EPOCH = 0.01
+
+# mixture components per gmm prior
+_COMPONENTS = 2
+
+# scale of the Gumbel noise gap in the relaxed skip mask
+_GUMBEL_COEFFICIENT = 0.5
 
 # beta projection bounds: keeps the gamma kernels numerically healthy while
 # leaving plenty of room around the tabulated [0.5, 3] shape range
@@ -120,11 +127,11 @@ _COORD_MAP = {
 }
 
 
-def _coord_dim(family: str, components: int) -> int:
+def _coord_dim(family: str) -> int:
     if family not in FAMILY_PARAMS:
         raise ValueError(f"unknown family {family!r}")
     names = FAMILY_PARAMS[family]
-    return len(names) * (components if "weights" in names else 1)
+    return len(names) * (_COMPONENTS if "weights" in names else 1)
 
 
 def _coord_params(family: str, coords_rows: np.ndarray) -> tuple:
@@ -153,7 +160,6 @@ class PriorSet1D:
 
     family: str
     params: np.ndarray
-    components: int = 2
 
     def __post_init__(self):
         params = np.array(self.params, dtype=np.float64)
@@ -161,8 +167,8 @@ class PriorSet1D:
         object.__setattr__(self, "params", params)
         if params.ndim != 2 or params.shape[0] < 1:
             raise ValueError("params must be an (M, D) array with M >= 1")
-        if params.shape[1] != _coord_dim(self.family, self.components):
-            raise ValueError(f"{self.family} priors need {_coord_dim(self.family, self.components)} coordinates")
+        if params.shape[1] != _coord_dim(self.family):
+            raise ValueError(f"{self.family} priors need {_coord_dim(self.family)} coordinates")
         if not np.isfinite(params).all():
             raise ValueError("prior coordinates must be finite")
 
@@ -186,7 +192,6 @@ class PriorSet2D:
 
     family: str
     params: np.ndarray
-    components: int = 2
 
     def __post_init__(self):
         params = np.array(self.params, dtype=np.float64)
@@ -194,8 +199,8 @@ class PriorSet2D:
         object.__setattr__(self, "params", params)
         if params.ndim != 3 or params.shape[0] < 1 or params.shape[1] < 1:
             raise ValueError("params must be an (M, N, D) array")
-        if params.shape[2] != _coord_dim(self.family, self.components):
-            raise ValueError(f"{self.family} priors need {_coord_dim(self.family, self.components)} coordinates")
+        if params.shape[2] != _coord_dim(self.family):
+            raise ValueError(f"{self.family} priors need {_coord_dim(self.family)} coordinates")
         if not np.isfinite(params).all():
             raise ValueError("prior coordinates must be finite")
 
@@ -298,7 +303,6 @@ class TrainConfig:
     seed: int = 0
     predictor_mode: str = "free-index"
     skip_epochs: int = 0
-    components: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -318,8 +322,6 @@ class TrainConfig:
             raise ValueError(f"unknown predictor mode {self.predictor_mode!r}")
         if self.skip_epochs < 0:
             raise ValueError("skip_epochs must be >= 0")
-        if self.components < 1:
-            raise ValueError("components must be >= 1")
 
     @property
     def flat_count(self) -> int:
@@ -552,29 +554,29 @@ def topk_rate_grads(symbol: int, prior_set: PriorSet1D, i: float, tau: float, k:
 # Gumbel-relaxed skip mask
 
 
-def _gumbel_pair(shape, coefficient: float, noise_seed: int):
+def _gumbel_pair(shape, noise_seed: int):
     rng = np.random.Generator(np.random.Philox(noise_seed))
     g = rng.gumbel(size=(2,) + tuple(shape))
-    return coefficient * (g[1] - g[0])
+    return _GUMBEL_COEFFICIENT * (g[1] - g[0])
 
 
-def gumbel_mask(b, t: float, coefficient: float = 0.5, noise_seed: int = 0):
+def gumbel_mask(b, t: float, noise_seed: int = 0):
     """Soft keep probability from the two-class Gumbel relaxation.
 
     Class logits are -|b - 0|/t and -|b - 1|/t; the class-1 softmax
     component is sigmoid of their noisy difference, with the noise gap
-    scaled by the fixed coefficient.
+    scaled by 0.5.
     """
-    mask, _ = gumbel_mask_grad(b, t, coefficient, noise_seed)
+    mask, _ = gumbel_mask_grad(b, t, noise_seed)
     return mask
 
 
-def gumbel_mask_grad(b, t: float, coefficient: float = 0.5, noise_seed: int = 0):
+def gumbel_mask_grad(b, t: float, noise_seed: int = 0):
     """(mask, d mask / d b) at a fixed noise realization per seed."""
     if t <= 0:
         raise ValueError("t must be positive")
     b = np.asarray(b, dtype=np.float64)
-    noise = _gumbel_pair(b.shape, coefficient, noise_seed)
+    noise = _gumbel_pair(b.shape, noise_seed)
     logit_gap = (np.abs(b) - np.abs(b - 1.0)) / t
     mask = 1.0 / (1.0 + np.exp(-(logit_gap + noise)))
     dmask = mask * (1.0 - mask) * (np.sign(b) - np.sign(b - 1.0)) / t
@@ -681,7 +683,7 @@ def _scale_ladder(m: int, max_abs_residual: float) -> np.ndarray:
     return np.geomspace(lo, hi, m)
 
 
-def init_prior_set(family: str, m: int, max_abs_residual: float, components: int = 2) -> PriorSet1D:
+def init_prior_set(family: str, m: int, max_abs_residual: float) -> PriorSet1D:
     """Entropy-increasing start: scales climb log-spaced with the index."""
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -692,25 +694,25 @@ def init_prior_set(family: str, m: int, max_abs_residual: float, components: int
         alphas = ggm_alpha_for_std(2.0, scales)
         params = np.stack([np.full(m, math.log(2.0)), np.log(alphas)], axis=1)
     elif family == "gmm":
-        k = components
-        spread = np.geomspace(0.7, 1.4, k) if k > 1 else np.ones(1)
+        k = _COMPONENTS
+        spread = np.geomspace(0.7, 1.4, k)
         logits = np.zeros((m, k))
         means = np.zeros((m, k))
         sigmas = np.log(scales[:, None] * spread[None, :])
         params = np.concatenate([logits, means, sigmas], axis=1)
     else:
         raise ValueError(f"unknown family {family!r}")
-    return PriorSet1D(family=family, params=params, components=components)
+    return PriorSet1D(family=family, params=params)
 
 
-def init_prior_set_2d(m: int, n: int, max_abs_residual: float, components: int = 2) -> PriorSet2D:
+def init_prior_set_2d(m: int, n: int, max_abs_residual: float) -> PriorSet2D:
     """2-D mixture grid: axis 1 varies the means, axis 2 the scales."""
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be >= 1")
-    k = components
+    k = _COMPONENTS
     offsets = np.linspace(0.0, max(float(max_abs_residual) / 2.0, 0.5), m)
     scales = _scale_ladder(n, max_abs_residual)
-    spread = np.geomspace(0.7, 1.4, k) if k > 1 else np.ones(1)
+    spread = np.geomspace(0.7, 1.4, k)
     signs = np.array([1.0 if j % 2 else -1.0 for j in range(k)])
     params = np.empty((m, n, 3 * k))
     for a in range(m):
@@ -719,7 +721,7 @@ def init_prior_set_2d(m: int, n: int, max_abs_residual: float, components: int =
             params[a, b, :k] = 0.0
             params[a, b, k:2 * k] = means
             params[a, b, 2 * k:] = np.log(scales[b] * spread)
-    return PriorSet2D(family="gmm", params=params, components=components)
+    return PriorSet2D(family="gmm", params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +776,7 @@ def _family_tables(family: str, coords_rows: np.ndarray, uniques: np.ndarray):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pmf, grads = PMF_GRADS[family](k, *_coord_params(family, coords_rows))
         floored = pmf < PROB_FLOOR
-        rates = -np.log2(np.maximum(pmf, PROB_FLOOR))
+        rates = floored_rate_bits(pmf)
         scale = np.where(floored, 0.0, -1.0 / (np.maximum(pmf, PROB_FLOOR) * _LN2))
         return rates, grads * scale[:, :, None], pmf
 
@@ -821,12 +823,10 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
     schedule = AnnealSchedule.for_set_size(max(config.dims))
 
     if two_d:
-        base = init_prior_set_2d(config.dims[0], config.dims[1],
-                                 float(np.abs(symbols).max()), config.components)
+        base = init_prior_set_2d(config.dims[0], config.dims[1], float(np.abs(symbols).max()))
         coords = base.params.reshape(flat, -1).copy()
     else:
-        base = init_prior_set(config.family, config.dims[0],
-                              float(np.abs(symbols).max()), config.components)
+        base = init_prior_set(config.family, config.dims[0], float(np.abs(symbols).max()))
         coords = base.params.copy()
 
     uniques, inverse = np.unique(symbols, return_inverse=True)
@@ -850,7 +850,6 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
 
     opt = _Adam(coords.shape, config.lr)
     trace: list[float] = []
-    assignment = np.zeros(n, dtype=np.int64)
     kk = flat if config.k is None else config.k
     if two_d:
         # per-dimension two-nearest selection, narrowed further by config.k
@@ -868,7 +867,6 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
                 rates, grads, inverse, ivals, log_f, min(kk, config.dims[0]), tau)
         else:
             assignment = rates.argmin(axis=0)[inverse]
-            ivals = assignment.astype(np.float64) + 1.0
             if two_d:
                 weight_rows = _grid_assignment_matrix(config.dims, kk_dim, tau)
             else:
@@ -899,26 +897,17 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
     final_tau = schedule.tau(config.epochs - 1)
     # rebuild the assignment under the final coordinates
     rates, _, _ = _family_tables(config.family, coords, uniques)
-    if calibration:
-        ivals = slope * log_f + intercept
-        predictor = {"mode": "calibration-curve", "a": float(slope), "c": float(intercept)}
-    else:
-        assignment = rates.argmin(axis=0)[inverse]
-        ivals = assignment.astype(np.float64) + 1.0
-        predictor = {"mode": "free-index"}
-
     shaped = primary.shape if n == primary.n_elements else (1, 1, n)
-    if two_d:
-        prior_set = PriorSet2D(family=config.family,
-                               params=coords.reshape(config.dims + (-1,)),
-                               components=config.components)
-        rows, cols = np.divmod(assignment, config.dims[1])
-        indexes = IndexGrid.from_continuous(
-            (rows + 1.0).reshape(shaped), config.dims[0],
-            second=(cols + 1.0).reshape(shaped), n=config.dims[1])
+    if calibration:
+        predictor = {"mode": "calibration-curve", "a": float(slope), "c": float(intercept)}
+        indexes = IndexGrid((slope * log_f + intercept).reshape(shaped), config.dims[0])
     else:
-        prior_set = PriorSet1D(family=config.family, params=coords, components=config.components)
-        indexes = IndexGrid.from_continuous(ivals.reshape(shaped), config.dims[0])
+        predictor = {"mode": "free-index"}
+        indexes = IndexGrid.from_tables(rates.argmin(axis=0)[inverse], config.dims, shaped)
+    if two_d:
+        prior_set = PriorSet2D(family=config.family, params=coords.reshape(config.dims + (-1,)))
+    else:
+        prior_set = PriorSet1D(family=config.family, params=coords)
 
     hyper = HyperLogits(logits) if logits is not None else None
 

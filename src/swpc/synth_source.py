@@ -17,7 +17,7 @@ from math import prod
 import numpy as np
 
 from swpc.coding_backends import LatentBlock, round_half_away
-from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, PROB_FLOOR, STD
+from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, STD, floored_rate_bits
 
 __all__ = [
     "SourceSpec",
@@ -160,7 +160,7 @@ def oracle_bits_per_element(block: LatentBlock) -> np.ndarray:
         raise ValueError("oracle rates need truth_params")
     family = block.truth_params["family"]
     pmf = INTEGER_PMF[family](block.residuals, *(block.truth_params[key] for key in FAMILY_PARAMS[family]))
-    return -np.log2(np.maximum(pmf, PROB_FLOOR))
+    return floored_rate_bits(pmf)
 
 
 def oracle_rate(block: LatentBlock) -> float:

@@ -67,6 +67,20 @@ def skip_trained(workdir):
     return {"prefix": prefix, "block": block}
 
 
+@pytest.fixture(scope="module")
+def free_trained(workdir):
+    """Free-index switch artifact: each element's table comes from its symbol."""
+    src = write_source(workdir / "free_src.json", family="gm", shape=(2, 16, 16), seed=17,
+                       sigma_range=(0.3, 8.0))
+    prefix = workdir / "free" / "fi"
+    block = workdir / "free_block.bin"
+    code = run_cli("train", "--family", "gm", "--m", 4, "--epochs", 30, "--seed", 17,
+                   "--mode", "free-index", "--source", src, "--out", prefix,
+                   "--save-block", block)
+    assert code == 0
+    return {"prefix": prefix, "block": block}
+
+
 def derived_skip_mask(prefix, block: cb.LatentBlock) -> cb.SkipMask:
     """The mask a calibration-curve skip artifact gives a block: its curve's
     index grid with the sidecar's skipped tables."""
@@ -290,7 +304,8 @@ class TestCodeRoundTrips:
         entry = json.loads(Path(f"{prefix}.json").read_text())["skip"]
         assert all(0 <= t < 9 for t in entry["tables"])
         stream, dec, report = tmp_path / "s.bits", tmp_path / "d.bin", tmp_path / "r.json"
-        args = ["--backend", "switch", "--trained", prefix, "--use-skip-mask"]
+        args = ["--backend", "switch", "--trained", prefix, "--use-skip-mask",
+                "--indexes", tmp_path / "i.npz"]
         assert run_cli("encode", "--block", block, *args, "--out", stream,
                        "--report", report) == 0
         assert json.loads(report.read_text())["skip_ratio"] == entry["ratio"]
@@ -298,13 +313,27 @@ class TestCodeRoundTrips:
                        "--out", dec) == 0
         ref = ss.block_from_bytes(block.read_bytes())
         out = ss.block_from_bytes(dec.read_bytes())
-        # a free-index set assigns each element its cheapest table at both ends
+        # the encoder assigns each element its cheapest table; the decoder
+        # reads that grid from --indexes
         table_set = ct.deserialize_table_set(Path(f"{prefix}.tables").read_bytes())
         grid = cli._argmin_index_grid(ref, table_set, [3, 3])
         kept = cb.SkipMask.for_tables(grid, entry["tables"]).hard == 1
         assert 0 < kept.sum() < ref.n_elements
         assert (ref.residuals[kept] == out.residuals[kept]).all()
         assert (out.residuals[~kept] == 0).all()
+
+    def test_free_index_decode_reads_only_the_index_file(self, free_trained, tmp_path):
+        # the side block's residuals are zeroed: a decoder that rebuilt the
+        # grid from them would pick other tables and fail to verify
+        ref = ss.block_from_bytes(free_trained["block"].read_bytes())
+        side = tmp_path / "side.bin"
+        side.write_bytes(ss.block_to_bytes(cb.LatentBlock(
+            np.zeros(ref.shape, np.int64), ref.means, ref.side_features, ref.truth_params)))
+        stream, idx, dec = tmp_path / "s.bits", tmp_path / "i.npz", tmp_path / "d.bin"
+        args = ["--backend", "switch", "--trained", free_trained["prefix"], "--indexes", idx]
+        assert run_cli("encode", "--block", free_trained["block"], *args, "--out", stream) == 0
+        assert run_cli("decode", "--stream", stream, "--side", side, *args, "--out", dec) == 0
+        assert run_cli("verify", "--block", free_trained["block"], "--decoded", dec) == 0
 
     def test_all_ones_mask_payload_identical_to_no_mask(self, trained,
                                                         tmp_path):
@@ -593,6 +622,18 @@ class TestFailureExits:
                        "switch", "--trained", trained["prefix"],
                        "--use-skip-mask", "--out", tmp_path / "s.bits") == 2
 
+    def test_free_index_without_indexes_exits_2(self, free_trained, tmp_path, capsys):
+        prefix, block = free_trained["prefix"], free_trained["block"]
+        stream, idx = tmp_path / "s.bits", tmp_path / "i.npz"
+        args = ["--backend", "switch", "--trained", prefix]
+        assert run_cli("encode", "--block", block, *args, "--out", stream) == 2
+        assert run_cli("encode", "--block", block, *args, "--indexes", idx, "--out", stream) == 0
+        decode = ["decode", "--stream", stream, "--side", block, *args, "--out", tmp_path / "d"]
+        assert run_cli(*decode) == 2
+        assert run_cli(*decode, "--indexes", tmp_path / "missing.npz") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("error: ") == 3, err
+
     def test_hyper_without_hyper_artifact_exits_2(self, trained, tmp_path):
         assert run_cli("encode", "--block", trained["block"], "--backend",
                        "switch", "--trained", trained["prefix"],
@@ -611,6 +652,13 @@ class TestFailureExits:
         (("train", "--family", "gm"), {"epochs": "abc"}),
         (("train", "--family", "gm"), {"lr": "fast"}),
         (("train", "--family", "gmm"), {"two_dim": 5}),
+        (("train", "--family", "gmm"), {"two_dim": [3, 3, 3], "source": "{source}", "epochs": 4}),
+        (("train", "--family", "gmm"), {"two_dim": "33", "source": "{source}", "epochs": 4}),
+        (("bench", "--lut-counts", "1"), {"source": "{source}", "backends": "lut", "trials": 1}),
+        (("bench", "--lut-grids", "5x1"), {"source": "{ggm_source}", "backends": "lut",
+                                           "trials": 1}),
+        (("bench", "--lut-grids", "5x10x3"), {"source": "{ggm_source}", "backends": "lut",
+                                              "trials": 1}),
         (("build-tables", "--family", "gm"), {"count": "x"}),
         (("build-tables", "--family", "ggm"), {"beta": [5]}),
         (("train", "--family", "gm"), {"topk": [2], "source": "{source}", "m": 3, "epochs": 4}),
@@ -619,16 +667,20 @@ class TestFailureExits:
         (("encode", "--block", "{block}", "--backend", "dynamic"), {"radius": [3]}),
         (("decode", "--side", "{block}", "--stream", "{stream}", "--backend", "dynamic"),
          {"radius": [3]}),
-    ], ids=["train-epochs", "train-lr", "train-two-dim", "build-count", "build-beta",
+    ], ids=["train-epochs", "train-lr", "train-two-dim", "train-two-dim-triple", "train-two-dim-string",
+            "bench-lut-count-one", "bench-lut-grid-axis-one", "bench-lut-grid-three-axes",
+            "build-count", "build-beta",
             "train-topk-list", "bench-lambda-list", "encode-radius-list", "decode-radius-list"])
     def test_unparsable_config_value_exits_2(self, command, config, tmp_path):
         # "{source}", "{block}" and "{stream}" stand for a small source, its
-        # block and that block's dynamic stream, all valid
+        # block and that block's dynamic stream, all valid; "{ggm_source}"
+        # is a small ggm source
         spec = ss.SourceSpec(family="gm", shape=(1, 8, 8), seed=3, sigma_range=(0.3, 4.0))
         block = ss.gen_block(spec)
         paths = {"{source}": tmp_path / "src.json", "{block}": tmp_path / "block.bin",
-                 "{stream}": tmp_path / "s.bits"}
+                 "{stream}": tmp_path / "s.bits", "{ggm_source}": tmp_path / "ggm.json"}
         paths["{source}"].write_text(spec.to_json())
+        paths["{ggm_source}"].write_text(ss.SourceSpec(family="ggm", shape=(1, 8, 8), seed=3).to_json())
         paths["{block}"].write_bytes(ss.block_to_bytes(block))
         paths["{stream}"].write_bytes(cb.backend_dynamic(block)[0].to_bytes())
 
@@ -656,7 +708,7 @@ class TestFailureExits:
 
     @pytest.mark.parametrize("case", ["empty-sidecar", "list-sidecar", "no-predictor-mode",
                                       "no-calibration-curve", "indexes-without-continuous",
-                                      "2d-indexes-for-1d-set"])
+                                      "2d-indexes-for-1d-set", "truncated-index-file"])
     def test_malformed_trained_artifact_exits_2_on_encode_and_4_on_decode(self, case, trained,
                                                                            tmp_path):
         sidecar = json.loads(Path(f"{trained['prefix']}.json").read_text())
@@ -669,10 +721,12 @@ class TestFailureExits:
             "no-calibration-curve": {**sidecar, "predictor": {"mode": "calibration-curve"}},
             "indexes-without-continuous": sidecar,
             "2d-indexes-for-1d-set": sidecar,
+            "truncated-index-file": sidecar,
         }[case]
         index_file = {
             "indexes-without-continuous": {"other": np.ones(3)},
             "2d-indexes-for-1d-set": {"continuous": np.ones(3), "continuous2": np.ones(3)},
+            "truncated-index-file": {"continuous": np.ones(300)},
         }.get(case)
         prefix = tmp_path / "bad"
         Path(f"{prefix}.tables").write_bytes(Path(f"{trained['prefix']}.tables").read_bytes())
@@ -684,6 +738,9 @@ class TestFailureExits:
                   "switch", "--trained", prefix, "--out", tmp_path / "d.bin"]
         if index_file is not None:
             np.savez(tmp_path / "i.npz", **index_file)
+            if case == "truncated-index-file":
+                blob = (tmp_path / "i.npz").read_bytes()
+                (tmp_path / "i.npz").write_bytes(blob[:len(blob) // 2])
             decode += ["--indexes", tmp_path / "i.npz"]
         else:
             assert run_cli("encode", "--block", trained["block"], "--backend", "switch",

@@ -1,11 +1,13 @@
 """Tests for hardening, index grids, skip masks, and the coding backends."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import swpc.coding_backends as cb
 import swpc.rans_coder as rc
 from swpc.cdf_tables import (
     CdfTableSet,
@@ -184,17 +186,63 @@ class TestIndexGrid:
         assert grid.flat_table_indexes().tolist() == [(2 - 1) * 4 + (3 - 1)]
 
     def test_rejects_inconsistent_hardened(self):
-        with pytest.raises(ValueError):
-            IndexGrid(np.array([2.6]), np.array([2]), 5)
+        # the hardened axes derive from the stored flat tables, so they can
+        # be neither passed in nor changed
+        grid = IndexGrid(np.array([[[2.6, 0.2]]]), 5, np.array([[[1.0, 4.4]]]), 4)
+        assert grid.hardened.tolist() == [[[3, 1]]]
+        assert grid.hardened2.tolist() == [[[1, 4]]]
+        with pytest.raises(TypeError):
+            IndexGrid(np.array([2.6]), np.array([2]), 5, None, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.hardened = np.array([[[2, 1]]])
+        for view in (grid.hardened, grid.hardened2, grid.flat_table_indexes()):
+            with pytest.raises(ValueError):
+                view[..., 0] = 1
 
     def test_rejects_partial_second_axis(self):
         cont = np.array([1.0])
         with pytest.raises(ValueError):
-            IndexGrid(cont, np.array([1]), 3, continuous2=cont)
+            IndexGrid(cont, 3, continuous2=cont)
+        with pytest.raises(ValueError):
+            IndexGrid(cont, 3, n=2)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            IndexGrid(np.array([1.0, 2.0]), np.array([1]), 3)
+            IndexGrid(np.array([1.0, 2.0]), 3, np.array([1.0]), 2)
+
+    def test_rejects_nan_and_empty_axis(self):
+        with pytest.raises(ValueError):
+            IndexGrid(np.array([1.0, np.nan]), 3)
+        with pytest.raises(ValueError):
+            IndexGrid(np.array([1.0]), 3, np.array([1.0]), 0)
+
+    def test_hardens_each_axis_once(self, monkeypatch):
+        calls = []
+
+        def counted(i, m):
+            calls.append(m)
+            return harden_index(i, m)
+
+        monkeypatch.setattr(cb, "harden_index", counted)
+        grid = IndexGrid(np.array([[[1.2, 2.7]]]), 3, np.array([[[2.0, 1.0]]]), 2)
+        assert calls == [3, 2]
+        assert grid.flat_table_indexes() is grid.flat_table_indexes()
+        assert grid.flat_table_indexes().tolist() == [1, 4]
+        assert calls == [3, 2]
+
+    def test_from_tables_inverts_flat_table_indexes(self):
+        rng = np.random.default_rng(5)
+        for dims in [(7,), (3, 4)]:
+            tables = rng.integers(0, int(np.prod(dims)), size=24)
+            grid = IndexGrid.from_tables(tables, dims, (2, 3, 4))
+            assert grid.is_2d == (len(dims) == 2)
+            assert grid.continuous.shape == (2, 3, 4)
+            assert grid.flat_table_indexes().tolist() == tables.tolist()
+
+    @pytest.mark.parametrize("tables", [[-1, 0], [0, 12]], ids=["negative", "past-end"])
+    def test_from_tables_rejects_tables_outside_the_set(self, tables):
+        with pytest.raises(ValueError):
+            IndexGrid.from_tables(tables, (3, 4), (1, 1, 2))
 
 
 class TestSkipMask:
@@ -209,8 +257,13 @@ class TestSkipMask:
         assert mask.skip_ratio == 0.0
 
     def test_rejects_inconsistent_hard(self):
+        # hard holds only 0 (skip) and 1 (keep)
+        assert SkipMask(np.array([True, False])).hard.tolist() == [1, 0]
+        for bad in ([0.2], [2], [-1], [np.nan]):
+            with pytest.raises(ValueError):
+                SkipMask(np.array(bad))
         with pytest.raises(ValueError):
-            SkipMask(np.array([0.2]), np.array([1]))
+            SkipMask.from_soft(np.array([np.nan]))
 
     def test_for_tables_follows_the_hardened_grid(self):
         grid = IndexGrid.from_continuous(np.array([[[0.1, 2.6], [5.0, 4.4]]]), 5)

@@ -1,6 +1,8 @@
 """The package surface: `swpc` re-exports every submodule's `__all__`."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +63,20 @@ def test_all_is_each_submodules_all(module):
 def test_all_has_no_duplicates_and_only_submodule_names():
     listed = ["__version__"] + [n for m in SUBMODULES for n in importlib.import_module(f"swpc.{m}").__all__]
     assert sorted(swpc.__all__) == sorted(set(listed)) == sorted(listed)
+
+
+@pytest.mark.parametrize("path", sorted((Path(swpc.__file__).parent).glob("*.py")), ids=lambda p: p.stem)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

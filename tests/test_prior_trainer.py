@@ -697,7 +697,7 @@ class TestInitPriorSet:
         assert np.all(np.diff(alpha) > 0)
 
     def test_gmm_scale_ladder_increases(self):
-        ps = pt.init_prior_set("gmm", 4, 9.0, components=2)
+        ps = pt.init_prior_set("gmm", 4, 9.0)
         sig = np.exp(ps.params[:, 4:])
         assert np.all(np.diff(sig.mean(axis=1)) > 0)
 
@@ -709,7 +709,7 @@ class TestInitPriorSet:
 
     def test_2d_distinct_means_and_scales(self):
         ps = pt.init_prior_set_2d(3, 4, 8.0)
-        kk = ps.components
+        kk = ps.params.shape[2] // 3  # [K logits, K means, K log sigmas]
         means = ps.params[:, 0, kk:2 * kk]
         assert len(np.unique(np.round(np.abs(means).max(axis=1), 9))) == 3
         sig = np.exp(ps.params[0, :, 2 * kk:]).mean(axis=1)
