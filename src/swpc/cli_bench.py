@@ -5,17 +5,26 @@ Flags override values from an optional --config JSON file, which overrides
 built-in defaults.  SWPC_SEED provides the default seed when no --seed flag
 or config entry is given.
 
-Exit codes: 0 success, 2 usage error, 3 training divergence, 4 stream or
-verification failure.
+Exit codes, decided once in main by the class of the error:
+  0  success
+  2  a bad flag, config value or SWPC_SEED, or a path that cannot be read
+     or written
+  3  training diverged
+  4  a damaged table file or stream, or a decode that does not verify
+A malformed input file (a block container, trained sidecar, index file,
+source spec or bench results) exits 4 under decode and verify, and 2 under
+every other command.
 """
 
 import argparse
 import csv
+import io
 import json
 import os
 import statistics
 import sys
 import time
+import tokenize
 import zipfile
 from pathlib import Path
 
@@ -42,22 +51,12 @@ class VerifyError(ValueError):
     """Decoded residuals disagree with the reference block."""
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("SWPC_SEED", "")
-    if not raw:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"SWPC_SEED must be an integer, got {raw!r}") from exc
-
-
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
         cfg = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
@@ -80,6 +79,18 @@ def _resolve(ns, cfg: dict, name: str, default, kind=None):
         raise UsageError(f"bad value for {name}: {value!r}") from exc
 
 
+def _seed(ns, cfg: dict) -> int:
+    """--seed beats the config's seed beats SWPC_SEED beats 0; the variable
+    is read only when neither of the first two is given."""
+    if getattr(ns, "seed", None) is not None or "seed" in cfg:
+        return _resolve(ns, cfg, "seed", None, int)
+    raw = os.environ.get("SWPC_SEED", "")
+    try:
+        return int(raw) if raw else 0
+    except ValueError as exc:
+        raise UsageError(f"SWPC_SEED must be an integer, got {raw!r}") from exc
+
+
 def _strict_bool(value) -> bool:
     """A `_resolve` kind for switches: JSON true/false only, so that a
     string such as "false" is refused rather than read as set."""
@@ -100,17 +111,11 @@ def _optional(kind):
 
 
 def _read_block(path: str) -> cb.LatentBlock:
-    try:
-        return ss.block_from_bytes(Path(path).read_bytes())
-    except OSError as exc:
-        raise UsageError(f"cannot read block {path}: {exc}") from exc
+    return ss.block_from_bytes(Path(path).read_bytes())
 
 
 def _read_tables(path: str) -> ct.CdfTableSet:
-    try:
-        return ct.deserialize_table_set(Path(path).read_bytes())
-    except OSError as exc:
-        raise UsageError(f"cannot read table set {path}: {exc}") from exc
+    return ct.deserialize_table_set(Path(path).read_bytes())
 
 
 def _grid_of(table_set: ct.CdfTableSet) -> ct.LutGrid:
@@ -128,12 +133,7 @@ def default_source(seed: int) -> ss.SourceSpec:
 def _read_source(path: str | None, seed: int) -> ss.SourceSpec:
     if not path:
         return default_source(seed)
-    try:
-        return ss.SourceSpec.from_json(Path(path).read_text())
-    except OSError as exc:
-        raise UsageError(f"cannot read source spec {path}: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(f"bad source spec {path}: {exc}") from exc
+    return ss.SourceSpec.from_json(Path(path).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def cmd_build_tables(ns) -> int:
 
 def cmd_train(ns) -> int:
     cfg = _load_config(ns.config)
-    seed = _resolve(ns, cfg, "seed", _default_seed(), int)
+    seed = _seed(ns, cfg)
     family = _resolve(ns, cfg, "family", "ggm")
     epochs = _resolve(ns, cfg, "epochs", 300, int)
     mode = _resolve(ns, cfg, "mode", "calibration-curve")
@@ -184,21 +184,20 @@ def cmd_train(ns) -> int:
     block = ss.gen_block(spec)
     z_block = None
     if _resolve(ns, cfg, "reuse_hyper", False, _strict_bool):
-        z_spec = _read_source(_resolve(ns, cfg, "z_source", None), seed + 1000)
-        if _resolve(ns, cfg, "z_source", None) is None:
-            z_spec = ss.SourceSpec(family="gm", shape=(4, 16, 16),
-                                   seed=seed + 1000, sigma_range=(0.5, 6.0))
+        z_source = _resolve(ns, cfg, "z_source", None)
+        if z_source:
+            z_spec = ss.SourceSpec.from_json(Path(z_source).read_text())
+        else:
+            z_spec = ss.SourceSpec(family="gm", shape=(4, 16, 16), seed=seed + 1000,
+                                   sigma_range=(0.5, 6.0))
         z_block = ss.gen_block(z_spec)
 
-    try:
-        config = pt.TrainConfig(
-            family=family, dims=dims, epochs=epochs, seed=seed, lr=lr,
-            k=topk,
-            lambda_=lambda_, predictor_mode=mode, skip_epochs=int(skip),
-        )
-        result = pt.train_priors([block], config, z_block=z_block)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = pt.TrainConfig(
+        family=family, dims=dims, epochs=epochs, seed=seed, lr=lr,
+        k=topk,
+        lambda_=lambda_, predictor_mode=mode, skip_epochs=int(skip),
+    )
+    result = pt.train_priors([block], config, z_block=z_block)
 
     table_set = pt.export_tables(result.prior_set)
     out = Path(ns.out)
@@ -245,15 +244,13 @@ def cmd_train(ns) -> int:
 def _trained_sidecar(prefix: str) -> dict:
     """The trained sidecar; ValueError when it lacks the fields coding reads."""
     path = f"{prefix}.json"
-    try:
-        sidecar = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise UsageError(f"cannot read trained sidecar {path}: {exc}") from exc
+    sidecar = json.loads(Path(path).read_text())
     dims = sidecar.get("dims") if isinstance(sidecar, dict) else None
     predictor = sidecar.get("predictor") if isinstance(sidecar, dict) else None
     if not (isinstance(dims, list) and len(dims) in (1, 2) and all(isinstance(d, int) for d in dims)):
         raise ValueError(f"trained sidecar {path} holds no prior-set dims")
-    if not (isinstance(predictor, dict) and "mode" in predictor):
+    if not (isinstance(predictor, dict)
+            and predictor.get("mode") in ("calibration-curve", "free-index")):
         raise ValueError(f"trained sidecar {path} holds no predictor mode")
     if predictor["mode"] == "calibration-curve" and not all(
             isinstance(predictor.get(key), (int, float)) for key in ("a", "c")):
@@ -273,11 +270,11 @@ def _argmin_index_grid(block: cb.LatentBlock, table_set: ct.CdfTableSet,
 
 
 def _read_index_grid(path: str, dims: list[int]) -> cb.IndexGrid:
-    if not Path(path).is_file():
-        raise UsageError(f"index file {path} is missing or not a file")
+    blob = io.BytesIO(Path(path).read_bytes())  # an unreadable path stays an OSError
     try:
-        data = dict(np.load(path))  # reads every array, so a damaged member fails here
-    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        data = dict(np.load(blob))  # reads every array, so a damaged member fails here
+    except (EOFError, NotImplementedError, TypeError, ValueError, tokenize.TokenError,
+            zipfile.BadZipFile) as exc:
         raise ValueError(f"cannot read index file {path}: {exc}") from exc
     if "continuous" not in data:
         raise ValueError(f"index file {path} holds no continuous indexes")
@@ -297,10 +294,12 @@ def _switch_side_info(block: cb.LatentBlock, prefix: str, use_skip: bool,
     table_set = _read_tables(f"{prefix}.tables")
     dims = sidecar["dims"]
     if hyper:
-        selected = sidecar.get("hyper", {}) or {}
-        chosen = selected.get("selected")
-        if not chosen:
+        entry = sidecar.get("hyper")
+        if not entry:
             raise UsageError("--hyper needs a trained artifact with hyper logits")
+        chosen = entry.get("selected") if isinstance(entry, dict) else None
+        if not isinstance(chosen, list):
+            raise ValueError(f"trained sidecar {prefix}.json holds no list of hyper selections")
         if len(chosen) != block.channels:
             raise UsageError("hyper selection does not match the block's channels")
         cont = np.broadcast_to(np.asarray(chosen, np.float64)[:, None, None], block.shape)
@@ -333,32 +332,27 @@ def cmd_encode(ns) -> int:
     cfg = _load_config(ns.config)
     block = _read_block(ns.block)
     backend = _resolve(ns, cfg, "backend", None)
-    try:
-        if backend == "dynamic":
-            radius = _resolve(ns, cfg, "radius", None, _optional(int))
-            stream, report = cb.backend_dynamic(block, radius=radius)
-        elif backend == "lut":
-            if not ns.tables:
-                raise UsageError("lut encode needs --tables")
-            table_set = _read_tables(ns.tables)
-            stream, report = cb.backend_lut(block, _grid_of(table_set), table_set)
-        elif backend == "switch":
-            if not ns.trained:
-                raise UsageError("switch encode needs --trained PREFIX")
-            table_set, indexes, mask = _switch_side_info(
-                block, ns.trained, ns.use_skip_mask, ns.hyper, ns.indexes, encoding=True)
-            stream, report = cb.backend_switch(block, indexes, mask, table_set)
-            if ns.indexes:
-                payload = {"continuous": indexes.continuous}
-                if indexes.continuous2 is not None:
-                    payload["continuous2"] = indexes.continuous2
-                np.savez(ns.indexes, **payload)
-        else:
-            raise UsageError("--backend must be dynamic, lut, or switch")
-    except (UsageError, ct.ParseError, rc.StreamError):
-        raise  # a damaged table file exits 4, as decode reports it
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if backend == "dynamic":
+        radius = _resolve(ns, cfg, "radius", None, _optional(int))
+        stream, report = cb.backend_dynamic(block, radius=radius)
+    elif backend == "lut":
+        if not ns.tables:
+            raise UsageError("lut encode needs --tables")
+        table_set = _read_tables(ns.tables)
+        stream, report = cb.backend_lut(block, _grid_of(table_set), table_set)
+    elif backend == "switch":
+        if not ns.trained:
+            raise UsageError("switch encode needs --trained PREFIX")
+        table_set, indexes, mask = _switch_side_info(
+            block, ns.trained, ns.use_skip_mask, ns.hyper, ns.indexes, encoding=True)
+        stream, report = cb.backend_switch(block, indexes, mask, table_set)
+        if ns.indexes:
+            payload = {"continuous": indexes.continuous}
+            if indexes.continuous2 is not None:
+                payload["continuous2"] = indexes.continuous2
+            np.savez(ns.indexes, **payload)
+    else:
+        raise UsageError("--backend must be dynamic, lut, or switch")
     Path(ns.out).write_bytes(stream.to_bytes())
     if ns.report:
         Path(ns.report).write_text(report.to_json())
@@ -371,36 +365,26 @@ def cmd_decode(ns) -> int:
     cfg = _load_config(ns.config)
     side = _read_block(ns.side)
     backend = _resolve(ns, cfg, "backend", None)
-    try:
-        stream = rc.Bitstream.from_bytes(Path(ns.stream).read_bytes())
-    except OSError as exc:
-        raise UsageError(f"cannot read stream {ns.stream}: {exc}") from exc
-    try:
-        if backend == "dynamic":
-            if side.truth_params is None:
-                raise ValueError("dynamic decode needs truth parameters in the side block")
-            radius = _resolve(ns, cfg, "radius", None, _optional(int))
-            residuals, _ = cb.backend_dynamic_decode(
-                stream, side.truth_params, side.shape, radius=radius)
-        elif backend == "lut":
-            if not ns.tables:
-                raise UsageError("lut decode needs --tables")
-            table_set = _read_tables(ns.tables)
-            residuals, _ = cb.backend_lut_decode(
-                stream, side.truth_params, _grid_of(table_set), table_set, side.shape)
-        elif backend == "switch":
-            if not ns.trained:
-                raise UsageError("switch decode needs --trained PREFIX")
-            table_set, indexes, mask = _switch_side_info(
-                side, ns.trained, ns.use_skip_mask, ns.hyper, ns.indexes, encoding=False)
-            residuals, _ = cb.backend_switch_decode(
-                stream, indexes, mask, table_set, side.shape)
-        else:
-            raise UsageError("--backend must be dynamic, lut, or switch")
-    except UsageError:
-        raise
-    except (ValueError, ct.ParseError, rc.StreamError) as exc:
-        raise VerifyError(f"decode failed: {exc}") from exc
+    stream = rc.Bitstream.from_bytes(Path(ns.stream).read_bytes())
+    if backend == "dynamic":
+        radius = _resolve(ns, cfg, "radius", None, _optional(int))
+        residuals, _ = cb.backend_dynamic_decode(
+            stream, side.truth_params, side.shape, radius=radius)
+    elif backend == "lut":
+        if not ns.tables:
+            raise UsageError("lut decode needs --tables")
+        table_set = _read_tables(ns.tables)
+        residuals, _ = cb.backend_lut_decode(
+            stream, side.truth_params, _grid_of(table_set), table_set, side.shape)
+    elif backend == "switch":
+        if not ns.trained:
+            raise UsageError("switch decode needs --trained PREFIX")
+        table_set, indexes, mask = _switch_side_info(
+            side, ns.trained, ns.use_skip_mask, ns.hyper, ns.indexes, encoding=False)
+        residuals, _ = cb.backend_switch_decode(
+            stream, indexes, mask, table_set, side.shape)
+    else:
+        raise UsageError("--backend must be dynamic, lut, or switch")
     decoded = cb.LatentBlock(residuals, side.means, side.side_features,
                              truth_params=side.truth_params)
     Path(ns.out).write_bytes(ss.block_to_bytes(decoded))
@@ -488,7 +472,7 @@ def _bench_lut(block, family, counts, trials, oracle_ps):
 
 def cmd_bench(ns) -> int:
     cfg = _load_config(ns.config)
-    seed = _resolve(ns, cfg, "seed", _default_seed(), int)
+    seed = _seed(ns, cfg)
     trials = _resolve(ns, cfg, "trials", 5, int)
     backends = [b.strip() for b in
                 str(_resolve(ns, cfg, "backends", "dynamic,lut,switch")).split(",")
@@ -526,14 +510,11 @@ def cmd_bench(ns) -> int:
             m = _resolve(ns, cfg, "m", 10, int)
             epochs = _resolve(ns, cfg, "epochs", 150, int)
             skip = _resolve(ns, cfg, "skip", False, _strict_bool)
-            try:
-                config = pt.TrainConfig(
-                    family=family, dims=(m,), epochs=epochs, seed=seed,
-                    predictor_mode="calibration-curve",
-                    skip_epochs=int(skip),
-                    lambda_=_resolve(ns, cfg, "rd_lambda", 1.0, float))
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            config = pt.TrainConfig(
+                family=family, dims=(m,), epochs=epochs, seed=seed,
+                predictor_mode="calibration-curve",
+                skip_epochs=int(skip),
+                lambda_=_resolve(ns, cfg, "rd_lambda", 1.0, float))
             result = pt.train_priors([block], config)
             table_set = pt.export_tables(result.prior_set)
             a, c = result.predictor["a"], result.predictor["c"]
@@ -568,14 +549,13 @@ def cmd_bench(ns) -> int:
 
 
 def cmd_report(ns) -> int:
-    try:
-        rows = json.loads(Path(ns.bench).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read bench results {ns.bench}: {exc}") from exc
-    if not isinstance(rows, list) or not rows:
-        raise UsageError("bench results must be a nonempty JSON list")
+    rows = json.loads(Path(ns.bench).read_text())
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(r, dict) and isinstance(r.get("table_count", 0), int)
+            and isinstance(r.get("bits_per_symbol", np.inf), (int, float)) for r in rows)):
+        raise ValueError(f"{ns.bench} holds no nonempty JSON list of bench rows")
     rows = sorted(rows, key=lambda r: (str(r.get("family")), str(r.get("backend")),
-                                       int(r.get("table_count", 0))))
+                                       r.get("table_count", 0)))
     widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows))
               for c in BENCH_COLUMNS}
     lines = [
@@ -585,10 +565,10 @@ def cmd_report(ns) -> int:
     for r in rows:
         lines.append("  ".join(str(r.get(c, "")).ljust(widths[c])
                                for c in BENCH_COLUMNS))
-    best = min(rows, key=lambda r: float(r.get("bits_per_symbol", np.inf)))
+    best = min(rows, key=lambda r: r.get("bits_per_symbol", np.inf))
     lines.append("")
-    lines.append(f"lowest rate: {best['backend']} at {best['bits_per_symbol']} "
-                 f"bits/symbol with {best['table_count']} tables")
+    lines.append(f"lowest rate: {best.get('backend')} at {best.get('bits_per_symbol')} "
+                 f"bits/symbol with {best.get('table_count')} tables")
     text = "\n".join(lines)
     if ns.out:
         Path(ns.out).write_text(text + "\n")
@@ -706,21 +686,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         return ns.fn(ns)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except pt.TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         trace = " ".join(f"{v:.4f}" for v in exc.loss_trace)
         print(f"loss trace: {trace}", file=sys.stderr)
         return EXIT_TRAIN
+    except (UsageError, OSError) as exc:
+        error, code = exc, EXIT_USAGE
     except (VerifyError, ct.ParseError, rc.StreamError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STREAM
+        error, code = exc, EXIT_STREAM
+    except ValueError as exc:  # a malformed input file, damaged data when decoding
+        error, code = exc, EXIT_STREAM if ns.command in ("decode", "verify") else EXIT_USAGE
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

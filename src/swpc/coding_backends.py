@@ -331,6 +331,8 @@ def _report(stream: Bitstream, n_total: int, n_coded: int, table_count: int,
 
 def _flat_truth(truth: dict, shape) -> dict:
     """Truth arrays with the block axes flattened to one element axis."""
+    if truth is None:
+        raise ValueError("the block carries no truth parameters")
     family = truth["family"]
     out = {"family": family}
     for key in FAMILY_PARAMS[family]:
@@ -379,8 +381,6 @@ def backend_dynamic(block: LatentBlock, *, radius: int | None = None):
     Plays the role of an entropy model whose predictions are exact; the
     per-element table construction is the cost being measured.
     """
-    if block.truth_params is None:
-        raise ValueError("backend_dynamic needs truth_params")
     t0 = time.perf_counter_ns()
     truth = _flat_truth(block.truth_params, block.shape)
     radii = _dynamic_radii(truth, radius)
@@ -416,8 +416,6 @@ def _lut_indexes(truth: dict, grid: LutGrid) -> np.ndarray:
 
 def backend_lut(block: LatentBlock, grid: LutGrid, table_set: CdfTableSet):
     """Snap each element's parameters to the nearest grid table and code."""
-    if block.truth_params is None:
-        raise ValueError("backend_lut needs truth_params")
     if len(table_set) != grid.n_tables:
         raise ValueError("table set size does not match the grid")
     t0 = time.perf_counter_ns()

@@ -65,6 +65,12 @@ class SourceSpec:
             raise ValueError("nonzero-center sources need per-element means: gmm only")
         if len(self.shape) != 3 or any(s < 1 for s in self.shape):
             raise ValueError("shape must be (channels, height, width), all positive")
+        if not all(isinstance(v, (int, np.integer)) for v in (self.seed, self.components)):
+            raise ValueError("seed and components must be integers")
+        for name in ("sigma", "beta", "alpha", "comp_mean", "comp_sigma", "mean"):
+            value = getattr(self, f"{name}_range")
+            if not (isinstance(value, (tuple, list)) and len(value) == 2):
+                raise ValueError(f"{name}_range must be a (lo, hi) pair")
         for name, (lo, hi) in (
             ("sigma_range", self.sigma_range),
             ("alpha_range", self.alpha_range),
@@ -89,11 +95,14 @@ class SourceSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SourceSpec":
+        """ValueError unless the text is a JSON object of known, well-formed fields."""
         raw = json.loads(text)
-        for key, value in raw.items():
-            if isinstance(value, list):
-                raw[key] = tuple(value)
-        return cls(**raw)
+        if not isinstance(raw, dict):
+            raise ValueError("a source spec must be a JSON object")
+        try:
+            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+        except TypeError as exc:  # an unknown or missing field, or a value of the wrong type
+            raise ValueError(f"bad source spec: {exc}") from exc
 
 
 def _rng(seed: int) -> np.random.Generator:

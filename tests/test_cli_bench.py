@@ -7,10 +7,12 @@ test goes through a real subprocess to cover the module entry point.
 """
 
 import csv
+import io
 import json
 import subprocess
 import sys
 import time
+import zipfile
 import zlib
 from pathlib import Path
 
@@ -156,6 +158,16 @@ class TestTrain:
                        "--out", tmp_path / "env") == 0
         assert (tmp_path / "flag.tables").read_bytes() == \
                (tmp_path / "env.tables").read_bytes()
+
+    def test_env_seed_ignored_when_seed_given(self, tmp_path, monkeypatch):
+        # SWPC_SEED is read only when neither --seed nor a config seed is given
+        monkeypatch.setenv("SWPC_SEED", "not-a-number")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 4}))
+        for name, seed in [("flag", ("--seed", 4)), ("config", ("--config", cfg))]:
+            assert run_cli("train", "--family", "gm", "--m", 2, "--epochs", 20, *seed,
+                           "--out", tmp_path / name) == 0
+            assert json.loads((tmp_path / f"{name}.json").read_text())["seed"] == 4
 
     def test_divergence_exits_3_with_trace(self, tmp_path, capsys):
         code = run_cli("train", "--family", "gm", "--m", 4, "--epochs", 30,
@@ -647,6 +659,99 @@ class TestFailureExits:
         monkeypatch.setenv("SWPC_SEED", "not-a-number")
         assert run_cli("train", "--family", "gm", "--m", 2, "--epochs", 20,
                        "--out", tmp_path / "t") == 2
+
+    @pytest.mark.parametrize("command, data, code, needle", [
+        (["encode", "--block", "{input}", "--backend", "dynamic", "--out", "{out}"],
+         b"garbage", 2, "not a block container"),
+        (["decode", "--stream", "{stream}", "--side", "{input}", "--backend", "dynamic",
+          "--out", "{out}"], b"garbage", 4, "not a block container"),
+        (["verify", "--block", "{input}", "--decoded", "{block}"],
+         b"garbage", 4, "not a block container"),
+        (["bench", "--block", "{input}", "--backends", "dynamic", "--out", "{out}"],
+         b"garbage", 2, "not a block container"),
+        (["encode", "--block", "{block}", "--backend", "dynamic", "--out", "{absent}"],
+         None, 2, "absent"),
+        (["encode", "--block", "{block}", "--backend", "dynamic", "--out", "{out}",
+          "--report", "{absent}"], None, 2, "absent"),
+        (["encode", "--block", "{trained_block}", "--backend", "switch", "--trained",
+          "{trained}", "--indexes", "{absent}", "--out", "{out}"], None, 2, "absent"),
+        (["decode", "--stream", "{stream}", "--side", "{block}", "--backend", "dynamic",
+          "--out", "{absent}"], None, 2, "absent"),
+        (["build-tables", "--family", "gm", "--count", 4, "--out", "{absent}"],
+         None, 2, "absent"),
+        (["bench", "--source", "{source}", "--backends", "dynamic", "--trials", 1,
+          "--out", "{absent}"], None, 2, "absent"),
+        (["train", "--family", "gm", "--m", 2, "--epochs", 4, "--source", "{source}",
+          "--out", "{out}", "--save-block", "{absent}"], None, 2, "absent"),
+        (["report", "--bench", "{input}"], b"\xff\xfe[]", 2, "utf-8"),
+        (["report", "--bench", "{input}"], b"[1]", 2, "bench rows"),
+        (["train", "--family", "gm", "--m", 2, "--epochs", 4, "--source", "{input}",
+          "--out", "{out}"], b'{"bogus": 1}', 2, "bogus"),
+        (["train", "--family", "gm", "--m", 2, "--epochs", 4, "--source", "{input}",
+          "--out", "{out}"], b"[1]", 2, "JSON object"),
+        (["train", "--family", "gm", "--m", 2, "--epochs", 4, "--source", "{input}",
+          "--out", "{out}"], b'{"family": "gm", "shape": [1, 8, 8], "sigma_range": 5}',
+         2, "sigma_range"),
+        (["decode", "--stream", "{lut_stream}", "--side", "{input}", "--backend", "lut",
+          "--tables", "{tables}", "--out", "{out}"], "truthless", 4, "truth"),
+        (["encode", "--block", "{trained_block}", "--backend", "switch", "--trained",
+          "{hyper}", "--hyper", "--out", "{out}"], None, 2, "hyper"),
+        (["decode", "--stream", "{stream}", "--side", "{trained_block}", "--backend", "switch",
+          "--trained", "{hyper}", "--hyper", "--out", "{out}"], None, 4, "hyper"),
+        (["decode", "--stream", "{stream}", "--side", "{trained_block}", "--backend", "switch",
+          "--trained", "{trained}", "--indexes", "{input}", "--out", "{out}"],
+         "broken-header", 4, "index file"),
+        (["decode", "--stream", "{stream}", "--side", "{trained_block}", "--backend", "switch",
+          "--trained", "{weird}", "--out", "{out}"], None, 4, "predictor mode"),
+    ], ids=["encode-block", "decode-side-block", "verify-block", "bench-block",
+            "encode-out", "encode-report", "encode-indexes", "decode-out", "build-tables-out",
+            "bench-out", "train-save-block", "report-not-utf8", "report-row-not-object",
+            "source-unknown-field", "source-not-object", "source-range-not-pair",
+            "lut-decode-truthless-side", "hyper-entry-encode", "hyper-entry-decode",
+            "index-file-header", "unknown-predictor-mode-decode"])
+    def test_malformed_input_or_unwritable_output_exits_2_or_4(self, command, data, code,
+                                                              needle, trained, tmp_path, capsys):
+        # "{input}" holds `data`: raw bytes, a block without truth parameters
+        # ("truthless"), or an index file whose array header does not parse
+        # ("broken-header"); "{absent}" lies in a directory that does not exist;
+        # "{hyper}" is the trained artifact with a "hyper" entry that is not an
+        # object, and "{weird}" the same artifact with an unknown predictor mode
+        spec = ss.SourceSpec(family="gm", shape=(1, 8, 8), seed=3, sigma_range=(0.3, 4.0))
+        block = ss.gen_block(spec)
+        tables, grid = ct.build_lut_gm(4)
+        paths = {name: tmp_path / name for name in
+                 ["input", "out", "block", "stream", "source", "tables", "lut_stream"]}
+        paths.update({"absent": tmp_path / "absent" / "o", "hyper": tmp_path / "hy",
+                      "weird": tmp_path / "weird", "trained": trained["prefix"],
+                      "trained_block": trained["block"]})
+        paths["block"].write_bytes(ss.block_to_bytes(block))
+        paths["stream"].write_bytes(cb.backend_dynamic(block)[0].to_bytes())
+        paths["source"].write_text(spec.to_json())
+        paths["tables"].write_bytes(ct.serialize_table_set(tables))
+        paths["lut_stream"].write_bytes(cb.backend_lut(block, grid, tables)[0].to_bytes())
+        sidecar = json.loads(Path(f"{trained['prefix']}.json").read_text())
+        for name, entry in [("hyper", {"hyper": [1]}),
+                            ("weird", {"predictor": {**sidecar["predictor"], "mode": "weird"}})]:
+            Path(f"{paths[name]}.json").write_text(json.dumps({**sidecar, **entry}))
+            Path(f"{paths[name]}.tables").write_bytes(
+                Path(f"{trained['prefix']}.tables").read_bytes())
+        if data == "truthless":
+            data = ss.block_to_bytes(cb.LatentBlock(block.residuals, block.means,
+                                                    block.side_features))
+        elif data == "broken-header":
+            npy = io.BytesIO()
+            np.save(npy, np.ones(3))
+            with zipfile.ZipFile(paths["input"], "w") as archive:
+                archive.writestr("continuous.npy", npy.getvalue().replace(b"}", b" ", 1))
+        if isinstance(data, bytes):
+            paths["input"].write_bytes(data)
+        capsys.readouterr()
+        argv = [paths[a[1:-1]] if str(a)[:1] == "{" else a for a in command]
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and needle in errors[0], err
 
     @pytest.mark.parametrize("command, config", [
         (("train", "--family", "gm"), {"epochs": "abc"}),
