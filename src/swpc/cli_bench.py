@@ -252,9 +252,10 @@ def _trained_sidecar(prefix: str) -> dict:
     if not (isinstance(predictor, dict)
             and predictor.get("mode") in ("calibration-curve", "free-index")):
         raise ValueError(f"trained sidecar {path} holds no predictor mode")
-    if predictor["mode"] == "calibration-curve" and not all(
-            isinstance(predictor.get(key), (int, float)) for key in ("a", "c")):
-        raise ValueError(f"trained sidecar {path} holds no calibration curve")
+    if predictor["mode"] == "calibration-curve" and not all(  # a finite number, not a bool
+            type(predictor.get(key)) in (int, float) and abs(predictor[key]) <= sys.float_info.max
+            for key in ("a", "c")):
+        raise ValueError(f"trained sidecar {path} holds no finite calibration curve")
     return sidecar
 
 
@@ -308,7 +309,12 @@ def _switch_side_info(block: cb.LatentBlock, prefix: str, use_skip: bool,
         indexes = _read_index_grid(indexes_path, dims)
     elif sidecar["predictor"]["mode"] == "calibration-curve":
         a, c = sidecar["predictor"]["a"], sidecar["predictor"]["c"]
-        indexes = cb.IndexGrid(a * cb.log_features(block.side_features) + c, dims[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            curve = a * cb.log_features(block.side_features) + c
+        if not np.isfinite(curve).all():
+            raise ValueError(f"trained sidecar {prefix}.json: its calibration curve overflows "
+                             "on this block")
+        indexes = cb.IndexGrid(curve, dims[0])
     elif not indexes_path:
         raise UsageError("a free-index set codes only with --indexes at both ends")
     else:

@@ -4,8 +4,9 @@ State is 32-bit with 16-bit renormalization, matching the 2^16 frequency
 precision of the tables, so each coding step moves at most one 16-bit word.
 Symbols outside a table's coded span are sent as the tail interval plus a
 bypass record (sign bit, then the distance beyond the edge in Exp-Golomb
-order 0).  The caller-facing order is the encoder's symbol order; the LIFO
-pass inside the encoder is not observable.
+order 0), stored in the bypass section described below.  The caller-facing
+order is the encoder's symbol order; the LIFO pass inside the encoder is not
+observable.
 
 A block coded against a shared table set that carries enough bits is split
 over L interleaved states (lanes, after Giesen, arXiv:1402.3392): element e
@@ -26,21 +27,34 @@ against a set of more than 256 tables (16 MiB of lookup), such as
 per-element tables, bisects each table's cumulative row instead, as
 decode_elementwise always does.
 
-The bypass section is packed and parsed in numpy, not record by record.
-Each record is a sign bit, then Exp-Golomb order 0 of n = distance + 1,
-2 * bit_length(n) bits in all (an exact uint64 count).  The packer places
-the records by a cumsum of their widths and ORs the sign bits and bodies
-into big-endian 64-bit words, splitting a body that crosses a word.  The
-reader follows the chain of record starts, end(p) = 2 * next1(p + 1) - p,
-through a "next 1" map of the section's bits, built lazily one window of
-2^16 record starts at a time; it then checks every record of the chain at
-once and reads each body from the 9 bytes at its leading 1.  Its position
-carries over from one call to the next, as decode_elementwise reads chunk by
-chunk.
+The bypass section holds the records in two runs, as HEVC groups its
+bypass bins (Sze and Budagavi, IEEE TCSVT 22(12), 2012).  With
+n = distance + 1 and k = bit_length(n) - 1, a record is 2k + 2 bits (an
+exact uint64 count) in two fields of k + 1 bits:
+
+- run A holds, for every escape in element order, k zeros and the leading
+  1 of n;
+- run B then holds, in the same order, the sign bit (1 below the coded
+  span, 0 above) and the k bits of n below the leading 1.
+
+The packer places the fields by a cumsum of their sizes and ORs them into
+big-endian 64-bit words, splitting a field that crosses a word.  The
+decoder knows the escape count E once the ANS decode is done and reads the
+section once, with no loop over records: the first E 1s of run A (one
+nonzero over the section's first half, where a valid run A ends) give
+every field size, and each run-B field is read from the two words that
+hold its start.  decode_elementwise keeps each chunk's escaped positions
+and tables and reads the section after its ANS loop.
+
+Format break: this layout replaced records written one after another
+(sign bit, then the Exp-Golomb code).  Streams without escapes kept their
+bytes.  A stream with escapes written in the older layout is unreadable: it
+raises StreamError or decodes to other symbols, as the payload carries no
+version to tell the two layouts apart.
 
 Payload layout (little-endian), preceded by a u32 symbol count in the
 serialized form: u32 ANS byte length, the ANS section, then the bypass
-records in element order, packed MSB-first and zero-padded to a byte.  A
+section (run A, then run B), packed MSB-first and zero-padded to a byte.  A
 coder state always lies in [2^16, 2^32), so the first u32 of the ANS section
 tells its two forms apart:
 
@@ -51,9 +65,10 @@ tells its two forms apart:
   ascending within a step.
 
 A decoder accepts a stream only when every lane ends at the encoder's
-initial state 2^16, every ANS word was consumed, and the bypass tail is zero
-padding of fewer than 8 bits.  So an accepted ANS section is always the exact
-encoding of the symbols it decodes to.  A decoder step is a bijection on the
+initial state 2^16, every ANS word was consumed, run A holds E prefixes of at
+most 63 zeros each, and the bypass tail after run B is zero padding of fewer
+than 8 bits.  So an accepted ANS section is always the exact encoding of the
+symbols it decodes to.  A decoder step is a bijection on the
 state range, though, so a corrupted word can turn the section into a valid
 encoding of other symbols, and a corrupted bypass record can decode to a
 wrong symbol; only a checksum would catch those.
@@ -157,23 +172,31 @@ def _record_bits(n) -> np.ndarray:
 
 
 def _pack_escapes(below, n, width) -> bytes:
-    """The bypass section: per record of `width` bits its sign bit,
-    bit_length(n) - 1 zeros and the bits of n, MSB-first, zero-padded to a
-    byte.  Bodies are OR-ed into big-endian 64-bit words; one that crosses a
-    word boundary is split."""
+    """The bypass section of records `width` bits wide: run A, then run B,
+    each with a field of width / 2 = bit_length(n) bits per record (see the
+    module docstring), zero-padded to a byte.  Run A is packed from its
+    bits; run B's fields are OR-ed into big-endian 64-bit words, split where
+    one crosses a word."""
     if not len(n):
         return b""
-    end = np.cumsum(width)
-    words = np.zeros((int(end[-1]) + 63) >> 6, dtype=np.uint64)
-    one = np.uint64(1)
-    sign = (end - width)[below]
-    _or_into(words, sign >> 6, one << (63 - (sign & 63)).astype(np.uint64))
-    last = end - 1  # a body ends at its record's end: shift its low bit there
-    shift = (63 - (last & 63)).astype(np.uint64)
-    _or_into(words, last >> 6, n << shift)
-    cross = shift > np.uint64(64) - (width >> 1).astype(np.uint64)
-    _or_into(words, (last >> 6)[cross] - 1, n[cross] >> (np.uint64(64) - shift[cross]))
-    return words.astype(">u8").tobytes()[: (int(end[-1]) + 7) >> 3]
+    end = np.cumsum(width >> 1)
+    total = int(end[-1])
+    run_a = np.zeros(total, dtype=bool)
+    run_a[end - 1] = True  # each prefix ends on its leading 1
+    run_a = np.packbits(run_a)
+    k = (width >> 1).astype(np.uint64) - np.uint64(1)
+    fields = n ^ (~below).astype(np.uint64) << k  # sign bit 0 above the span: clear the 1
+    end += total - 1  # the last bit of each field of run B
+    shift = (63 - (end & 63)).astype(np.uint64)
+    cross = shift > np.uint64(63) - k
+    high = fields[cross] >> (np.uint64(64) - shift[cross])  # the part in the word before
+    fields <<= shift
+    words = np.zeros((2 * total + 63) >> 6, dtype=np.uint64)
+    _or_into(words, end >> 6, fields)
+    _or_into(words, (end >> 6)[cross] - 1, high)
+    section = words.astype(">u8").view(np.uint8)[: (2 * total + 7) >> 3]
+    section[: len(run_a)] |= run_a
+    return section.tobytes()
 
 
 def _or_into(words, at, values):
@@ -183,102 +206,57 @@ def _or_into(words, at, values):
         words[at[first]] |= np.bitwise_or.reduceat(values, first)
 
 
-_WINDOW = 1 << 16  # record starts per next-1 map, so its temporaries stay bounded
+def _leading_ones(data: np.ndarray, count: int) -> np.ndarray:
+    """Bit positions of the first `count` 1s of the section, fewer if it has
+    fewer.  Run A of a valid section ends within its first half, so only
+    that half is unpacked unless it holds too few 1s."""
+    for stop in ((len(data) + 1) // 2, len(data)):
+        ones = np.flatnonzero(np.unpackbits(data[:stop]).view(bool))
+        if len(ones) >= count:
+            break
+    return ones[:count]
 
 
-class _BypassReader:
-    """Parses the bypass section k records at a time, in element order: a
-    record starting at bit p has its leading 1 at q = next1(p + 1) and ends
-    at 2q - p (see the module docstring)."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.n_bits = 8 * len(data)
-        self.pos = 0
-        self._base = 0  # bit of the window's first start
-        self._ends = memoryview(np.zeros(0, dtype=np.int32))
-        self._bytes = np.frombuffer(data + bytes(9), dtype=np.uint8)  # every body has 9 bytes
-
-    def _window(self, base: int):
-        """ends[r]: end of a record starting at bit base + r, relative to base;
-        a start with no 1 in the next 64 bits points past the window."""
-        span = min(self.n_bits - base, _WINDOW + 64)  # a start's leading 1 is <= 64 bits on
-        lo = base >> 3
-        raw = self._bytes[lo : (base + span + 7) >> 3]
-        ones = np.unpackbits(raw)[base - 8 * lo :][:span].view(bool).nonzero()[0].astype(np.int32)
-        nxt = np.full(span + 1, span + 64, dtype=np.int32)
-        if len(ones):
-            nxt[: ones[-1] + 1] = np.repeat(ones, np.diff(ones, prepend=-1))
-        starts = min(span, _WINDOW)
-        self._base = base
-        self._ends = memoryview(2 * nxt[1 : starts + 1] - np.arange(starts, dtype=np.int32))
-
-    def _chain(self, k: int) -> np.ndarray:
-        """Starts of the next k records and the end of the last; shorter when
-        the chain leaves the section."""
-        parts = [np.array([self.pos], dtype=np.int64)]
-        got = 0
-        p = self.pos
-        while got < k and p < self.n_bits:
-            r = p - self._base
-            if not 0 <= r < len(self._ends):
-                self._window(p)
-                r = 0
-            ends = self._ends
-            found = []
-            push = found.append
-            try:
-                for _ in range(k - got):
-                    r = ends[r]  # IndexError once the chain leaves the window
-                    push(r)
-            except IndexError:
-                pass
-            parts.append(np.array(found, dtype=np.int64) + self._base)
-            got += len(found)
-            p = self._base + r
-        return np.concatenate(parts)
-
-    def read(self, k: int):
-        """(below the coded span, n = distance beyond its edge + 1 as uint64)
-        of the next k records."""
-        chain = self._chain(k)
-        start, end = chain[:-1], chain[1:]
-        width = (end - start) >> 1  # body bits: from the leading 1 to the end
-        bad = (width > 64) | (end > self.n_bits)
-        if bad.any() or len(start) < k:
-            i = int(np.argmax(bad)) if bad.any() else len(start)
-            if i < len(start) and width[i] > 64 and start[i] + 65 <= self.n_bits:
-                raise StreamError("bypass run length out of range")
-            raise StreamError("bypass section exhausted")
-        self.pos = int(chain[-1])
-        data = self._bytes
-        below = (data[start >> 3] >> (7 - (start & 7)).astype(np.uint8)) & 1 == 1
-        lead = end - width
-        at = lead >> 3
-        head = np.lib.stride_tricks.sliding_window_view(data, 8)[at].view(">u8")[:, 0]
-        skip = (lead & 7).astype(np.uint64)
-        bits = head.astype(np.uint64) << skip | data[at + 8].astype(np.uint64) >> (8 - skip)
-        return below, bits >> (64 - width).astype(np.uint64)
-
-    def finish(self):
-        rest = self.n_bits - self.pos
-        if rest >= 8 or (rest and self.data[-1] & ((1 << rest) - 1)):
-            raise StreamError("bypass section runs past its last record")
+def _read_bypass(data: bytes, count: int):
+    """(below the coded span, n = distance beyond its edge + 1 as uint64) of
+    the section's `count` records; StreamError unless the section holds
+    exactly those records and zero padding of fewer than 8 bits."""
+    n_bits = 8 * len(data)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    edge = np.concatenate([[0], _leading_ones(raw, count) + 1])  # prefix starts, then run A's end
+    size = np.diff(edge)  # zeros before each leading 1, plus the 1
+    long = size > 64
+    if len(size) < count or long.any():
+        i = int(np.argmax(np.append(long, True)))  # the first prefix that breaks
+        if edge[i] + 64 <= n_bits:
+            raise StreamError("bypass run length out of range")
+        raise StreamError("bypass section exhausted")
+    run_a = int(edge[-1])
+    rest = n_bits - 2 * run_a
+    if rest < 0:
+        raise StreamError("bypass section exhausted")
+    if rest >= 8 or (rest and data[-1] & ((1 << rest) - 1)):
+        raise StreamError("bypass section runs past its last record")
+    words = np.zeros(((len(data) + 7) >> 3) + 1, dtype=">u8")  # and a zero word after
+    words.view(np.uint8)[: len(data)] = raw
+    words = words.astype(np.uint64)
+    at = run_a + edge[:-1]  # run B's fields have run A's sizes, in the same order
+    w, o = at >> 6, (at & 63).astype(np.uint64)
+    bits = words[w] << o | words[w + 1] >> np.uint64(1) >> (np.uint64(63) - o)  # from each start
+    below = bits >= _SIGN  # the field's first bit is its sign
+    k = (size - 1).astype(np.uint64)
+    return below, bits >> (np.uint64(63) - k) | np.uint64(1) << k
 
 
-def _symbols(j, offsets, n_coded, bypass: _BypassReader) -> np.ndarray:
-    """Symbols from decoded slot positions j; tail slots read their record."""
-    out = offsets + j
-    esc = np.flatnonzero(j >= n_coded)
-    if len(esc):
-        below, n = bypass.read(len(esc))
-        off = offsets[esc].view(np.uint64)
-        edge = off + n_coded[esc].view(np.uint64)
-        # exact in uint64: offset - n >= -2^63 and edge + n - 1 < 2^63
-        if np.any(n > np.where(below, off ^ _SIGN, _SIGN - edge)):
-            raise StreamError("escaped symbol does not fit int64")
-        out[esc] = np.where(below, off - n, edge + (n - np.uint64(1))).view(np.int64)
-    return out
+def _escaped_symbols(below, n, offsets, n_coded) -> np.ndarray:
+    """Symbols of escaped elements from their records, as _read_bypass gives
+    them, and their tables' offsets and coded counts."""
+    off = offsets.view(np.uint64)
+    edge = off + n_coded.view(np.uint64)
+    # exact in uint64: offset - n >= -2^63 and edge + n - 1 < 2^63
+    if np.any(n > np.where(below, off ^ _SIGN, _SIGN - edge)):
+        raise StreamError("escaped symbol does not fit int64")
+    return np.where(below, off - n, edge + (n - np.uint64(1))).view(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +296,7 @@ def _stream(ans: bytes, bypass: bytes, n: int) -> Bitstream:
 
 
 def _parse(stream: Bitstream):
-    """(final states, ANS words in decode order, bypass reader), header checked."""
+    """(final states, ANS words in decode order, bypass section), header checked."""
     payload = stream.payload
     if len(payload) < 8:
         raise StreamError("payload too short for the ANS section")
@@ -340,15 +318,14 @@ def _parse(stream: Bitstream):
     if (ans_len - head_len) % 2:
         raise StreamError("bad ANS section length")
     words = np.frombuffer(payload, dtype="<u2", count=(ans_len - head_len) // 2, offset=4 + head_len)
-    return states, words, _BypassReader(payload[4 + ans_len :])
+    return states, words, payload[4 + ans_len :]
 
 
-def _check_end(states, words_read: int, words, bypass: _BypassReader):
+def _check_end(states, words_read: int, words):
     if np.any(np.asarray(states) != _LOW):
         raise StreamError("ANS state does not end where the encoder started")
     if words_read != len(words):
         raise StreamError(f"{len(words) - words_read} ANS words left unread")
-    bypass.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +405,16 @@ def decode_elementwise(stream: Bitstream, chunk_tables) -> np.ndarray:
 
 
 def _decode_single(n, state, words, bypass, chunk_tables) -> np.ndarray:
-    """Symbols of a single-state stream, one bisect per symbol."""
+    """Symbols of a single-state stream, one bisect per symbol.  Each chunk
+    keeps only its escaped elements' positions and tables; their records are
+    read in one pass after the ANS loop."""
     word_list = words.tolist()
     n_words = len(word_list)
     wp = 0
-    parts = []
+    # per chunk: symbols (escapes still unread), and the escapes' positions,
+    # offsets and coded counts; the empty first entries let n = 0 concatenate
+    empty = np.zeros(0, dtype=np.int64)
+    parts, escapes = [empty], [(empty, empty, empty)]
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         flat, flat_list, rows, offs, nc = chunk_tables(lo, hi)
@@ -450,9 +432,15 @@ def _decode_single(n, state, words, bypass, chunk_tables) -> np.ndarray:
                 state = (state << 16) | word_list[wp]
                 wp += 1
             push(p)
-        parts.append(_symbols(np.array(found, dtype=np.int64) - rows, offs, nc, bypass))
-    _check_end([state], wp, words, bypass)
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        j = np.array(found, dtype=np.int64) - rows
+        parts.append(offs + j)
+        esc = np.flatnonzero(j >= nc)
+        escapes.append((lo + esc, offs[esc], nc[esc]))
+    out = np.concatenate(parts)
+    at, offs, nc = (np.concatenate(part) for part in zip(*escapes))
+    out[at] = _escaped_symbols(*_read_bypass(bypass, len(at)), offs, nc)
+    _check_end([state], wp, words)
+    return out
 
 
 def _decode_lanes(states, words, idx, table_set: CdfTableSet):
@@ -547,8 +535,11 @@ def decode(stream: Bitstream, table_indexes, table_set: CdfTableSet) -> np.ndarr
     else:
         return _decode_single(n, states[0], words, bypass, chunk)
     _, _, _, offsets, nc = chunk(0, n)
-    out = _symbols(j, offsets, nc, bypass)
-    _check_end(final, words_read, words, bypass)
+    esc = np.flatnonzero(j >= nc)  # tail slots: their symbols come from the bypass section
+    below, n_escape = _read_bypass(bypass, len(esc))  # before out, so their temporaries never meet
+    out = offsets + j
+    out[esc] = _escaped_symbols(below, n_escape, offsets[esc], nc[esc])
+    _check_end(final, words_read, words)
     return out
 
 

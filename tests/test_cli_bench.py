@@ -12,6 +12,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 import zipfile
 import zlib
 from pathlib import Path
@@ -851,6 +852,34 @@ class TestFailureExits:
             assert run_cli("encode", "--block", trained["block"], "--backend", "switch",
                            "--trained", prefix, "--out", tmp_path / "e.bits") == 2
         assert run_cli(*decode) == 4
+
+    @pytest.mark.parametrize("curve", [{"a": 1e308, "c": 1e308}, {"a": float("inf")},
+                                       {"c": float("-inf")}, {"a": True}, {"c": 10 ** 400}],
+                             ids=["overflowing", "infinite-a", "infinite-c", "bool", "huge-int"])
+    def test_non_finite_calibration_curve_exits_2_on_encode_and_4_on_decode(
+            self, curve, trained, tmp_path, capsys):
+        # 1e308 is finite, but a * log f + c overflows on the block; json
+        # writes an infinite float as Infinity and reads it back as one
+        sidecar = json.loads(Path(f"{trained['prefix']}.json").read_text())
+        bad = tmp_path / "bad"
+        Path(f"{bad}.tables").write_bytes(Path(f"{trained['prefix']}.tables").read_bytes())
+        Path(f"{bad}.json").write_text(json.dumps(
+            {**sidecar, "predictor": {**sidecar["predictor"], **curve}}))
+        stream = tmp_path / "s.bits"
+        assert run_cli("encode", "--block", trained["block"], "--backend", "switch",
+                       "--trained", trained["prefix"], "--out", stream) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("encode", "--block", trained["block"], "--backend", "switch",
+                           "--trained", bad, "--out", tmp_path / "e.bits") == 2
+            assert run_cli("decode", "--stream", stream, "--side", trained["block"],
+                           "--backend", "switch", "--trained", bad,
+                           "--out", tmp_path / "d.bin") == 4
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("error: ") == 2, err
+        assert "calibration curve" in err
 
     @pytest.mark.parametrize("entry", [
         {"ratio": 0.5, "tables": [-1]},

@@ -37,8 +37,9 @@ from swpc.rans_coder import (
 # Frozen from the first verified implementation run; guards payload drift.
 FROZEN_SMALL_HEX = "03000000040000003d622c00"
 # sha256 of the escape-heavy single-state stream in test_single_state_bytes_unchanged,
-# frozen before interleaved lanes were added.
-FROZEN_ESCAPE_SHA256 = "d953245e73f0e4dbf3688d82498157c0d3bca8ad82c8aa1258e6b558c872d073"
+# re-recorded when the bypass section moved to two runs: its ANS section and
+# length are those frozen before interleaved lanes were added.
+FROZEN_ESCAPE_SHA256 = "ff460da01fd8d3cf189a4d0d18327d02964713f098f4b50cd1f0e14f9c9b8697"
 
 
 def _set_of(models_radii):
@@ -243,8 +244,11 @@ def test_escape_beyond_int64_is_a_stream_error():
     set_ = build_lut_gm(4)[0]
     payload = encode([1000], [0], set_).payload
     ans_end = 4 + int.from_bytes(payload[:4], "little")
-    bypass = bytes(7) + b"\x01" + b"\xff" * 10  # sign 0, 62 zeros, 1, 62 ones
-    with pytest.raises(StreamError):
+    # run A: 62 zeros and the leading 1; run B: sign 0 and 62 ones, so
+    # n = 2^63 - 1 above the span; then 2 bits of padding
+    bypass = bytes(7) + b"\x02" + b"\xff" * 7 + b"\xfc"
+    assert _reference_read(bypass, 1) == [(False, 2**63 - 2)]
+    with pytest.raises(StreamError, match="int64"):
         decode(Bitstream(payload[:ans_end] + bypass, 1), [0], set_)
 
 
@@ -258,7 +262,7 @@ def test_escape_one_past_int64_is_a_stream_error(offset):
         assert decode(Bitstream(payload, 1), [0], set_).tolist() == [sym]
         ans_end = 4 + int.from_bytes(payload[:4], "little")
         dist = sym - (offset + 2) if sym > offset else offset - 1 - sym
-        past = _reference_pack([("0" if sym > offset else "1") + bypass_encode(dist + 1)])
+        past = _reference_pack([(sym < offset, dist + 1)])
         with pytest.raises(StreamError, match="int64"):
             decode(Bitstream(payload[:ans_end] + past, 1), [0], set_)
 
@@ -320,14 +324,13 @@ def _lane_reference(syms, idx, set_, lanes):
                 x >>= 16
             x = ((x // f) << 16) + x % f + start
         states.append(x)
-    bits = ""
+    records = []
     for s, i in zip(syms.tolist(), idx.tolist()):
         if s > set_[i].hi:
-            bits += "0" + bypass_encode(s - set_[i].hi - 1)
+            records.append((False, s - set_[i].hi - 1))
         elif s < set_[i].lo:
-            bits += "1" + bypass_encode(set_[i].lo - s - 1)
-    bits += "0" * (-len(bits) % 8)
-    bypass = bytes(int(bits[k : k + 8], 2) for k in range(0, len(bits), 8))
+            records.append((True, set_[i].lo - s - 1))
+    bypass = _reference_pack(records)
     ans = struct.pack(f"<{lanes + 1}I", lanes, *states)
     ans += b"".join(struct.pack("<H", w) for _, _, w in sorted(words))
     return struct.pack("<I", len(ans)) + ans + bypass
@@ -521,49 +524,63 @@ def test_symbols_encode_accepts_roundtrip(symbols, offset):
 # Bypass section against the string references
 
 
-def _reference_records(j, in_range, n_coded) -> list[str]:
-    """Bypass records of the escaped elements, in element order: sign 0 for
-    a symbol above the coded span, 1 below, then the distance beyond it."""
+def _reference_records(j, in_range, n_coded) -> list[tuple[bool, int]]:
+    """(below the coded span, distance beyond it) of the escaped elements,
+    in element order."""
     esc = np.flatnonzero(~in_range)
     return [
-        "0" + bypass_encode(d - edge) if d >= edge else "1" + bypass_encode(-d - 1)
+        (False, d - edge) if d >= edge else (True, -d - 1)
         for d, edge in zip(j[esc].tolist(), n_coded[esc].tolist())
     ]
 
 
-def _reference_pack(records: list[str]) -> bytes:
-    bits = "".join(records)
+def _two_runs(records) -> str:
+    """Bits of the bypass section of (below, distance) records: run A holds
+    each record's Exp-Golomb prefix, the k zeros and the leading 1 of
+    n = distance + 1; run B each sign bit, then the k bits of n below the 1."""
+    codes = [bypass_encode(d) for _, d in records]  # k zeros, then the k + 1 bits of n
+    run_a = "".join(c[: len(c) // 2 + 1] for c in codes)
+    run_b = "".join("01"[below] + c[len(c) // 2 + 1 :] for (below, _), c in zip(records, codes))
+    return run_a + run_b
+
+
+def _pad(bits: str) -> bytes:
+    """The bit string, MSB-first, zero-padded to a byte."""
     if not bits:
         return b""
     n_bytes = (len(bits) + 7) // 8
     return (int(bits, 2) << (8 * n_bytes - len(bits))).to_bytes(n_bytes, "big")
 
 
-class _ReferenceReader:
-    """Reads bypass records one Exp-Golomb code at a time from a bit string."""
+def _reference_pack(records) -> bytes:
+    return _pad(_two_runs(records))
 
-    def __init__(self, data: bytes):
-        self.bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
-        self.pos = 0
 
-    def read(self) -> tuple[bool, int]:
-        """(below the coded span, distance beyond its edge) of the next record."""
-        bits, p = self.bits, self.pos
-        one = bits.find("1", p + 1, p + 65)  # the code's leading 1, after at most 63 zeros
+def _reference_read(data: bytes, count: int) -> list[tuple[bool, int]]:
+    """(below the coded span, distance beyond its edge) of `count` records,
+    read one bit string search at a time: every prefix of run A, then every
+    field of run B, then the padding."""
+    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
+    pos = 0
+    zeros = []
+    for _ in range(count):
+        one = bits.find("1", pos, pos + 64)  # the leading 1, after at most 63 zeros
         if one < 0:
-            if p + 65 > len(bits):
+            if pos + 64 > len(bits):
                 raise StreamError("bypass section exhausted")
             raise StreamError("bypass run length out of range")
-        end = 2 * one - p  # as many body bits after the leading 1 as zeros before it
-        if end > len(bits):
+        zeros.append(one - pos)
+        pos = one + 1
+    records = []
+    for k in zeros:
+        if pos + 1 + k > len(bits):
             raise StreamError("bypass section exhausted")
-        self.pos = end
-        return bits[p] == "1", int(bits[one:end], 2) - 1
-
-    def finish(self):
-        rest = self.bits[self.pos :]
-        if len(rest) >= 8 or "1" in rest:
-            raise StreamError("bypass section runs past its last record")
+        records.append((bits[pos] == "1", int("1" + bits[pos + 1 : pos + 1 + k], 2) - 1))
+        pos += 1 + k
+    rest = bits[pos:]
+    if len(rest) >= 8 or "1" in rest:
+        raise StreamError("bypass section runs past its last record")
+    return records
 
 
 def _outcome(fn):
@@ -573,24 +590,15 @@ def _outcome(fn):
         return ("StreamError", str(exc))
 
 
-def _assert_readers_agree(section: bytes, groups):
-    """The reader reads `groups` records at a time; the reference reads the
-    same records one by one.  Values, or the error, must agree per group."""
-    new, ref = rc._BypassReader(section), _ReferenceReader(section)
-    for k in groups:
-        def ref_group():
-            return [ref.read() for _ in range(k)]
+def _assert_readers_agree(section: bytes, count: int):
+    """The reader and the reference read `count` records from the section:
+    the records, or the error, must agree."""
+    def new():
+        below, n = rc._read_bypass(section, count)
+        assert below.dtype == bool and n.dtype == np.uint64
+        return [(b, d - 1) for b, d in zip(below.tolist(), n.tolist())]
 
-        def new_group():
-            below, n = new.read(k)
-            assert below.dtype == bool and n.dtype == np.uint64
-            return [(b, d - 1) for b, d in zip(below.tolist(), n.tolist())]
-
-        want = _outcome(ref_group)
-        assert _outcome(new_group) == want
-        if isinstance(want, tuple):
-            return
-    assert _outcome(new.finish) == _outcome(ref.finish)
+    assert _outcome(new) == _outcome(lambda: _reference_read(section, count))
 
 
 _DISTANCES = sorted({0, 2**63 - 1, *(2**k - 1 for k in range(1, 64)), *(2**k for k in range(63))})
@@ -618,60 +626,114 @@ def test_packed_escapes_match_reference(offset):
         payload = encode(sym, idx, set_).payload
         assert payload.endswith(section)
         assert np.array_equal(decode(Bitstream(payload, len(sym)), idx, set_), sym)
-        _assert_readers_agree(section, [1, 2, len(records)])
+        assert _reference_read(section, len(records)) == records
+        for count in (0, 1, len(records) - 1, len(records), len(records) + 1):
+            _assert_readers_agree(section, count)
 
 
-def _records_section(rng, count, max_bits=64) -> str:
-    """Bit string of `count` valid records with random signs and lengths."""
+def test_hand_checked_two_run_section():
+    # one table coding 0 and 1; four of the six symbols escape, in element order:
+    #   2: above, distance 0, n = 1 = 1b:   k = 0, prefix "1",   field "0"
+    #  -1: below, distance 0, n = 1 = 1b:   k = 0, prefix "1",   field "1"
+    #   5: above, distance 3, n = 4 = 100b: k = 2, prefix "001", field "0" + "00"
+    #  -3: below, distance 2, n = 3 = 11b:  k = 1, prefix "01",  field "1" + "1"
+    # run A "1" "1" "001" "01" and run B "0" "1" "000" "11", then 2 bits of padding:
+    # 1100 1010 1000 1100 = ca 8c.  Before it: the symbol count 6, the ANS
+    # length 6, the final state and one 16-bit word.
+    set_ = CdfTableSet([QuantizedCdfTable(0, np.array([0, 30000, 60000, 1 << 16]))])
+    syms = [0, 2, -1, 5, -3, 1]
+    stream = encode(syms, [0] * 6, set_)
+    assert stream.payload.endswith(bytes.fromhex("ca8c"))
+    assert stream.to_bytes().hex() == "06000000" "06000000" "b0530100" "70f7" "ca8c"
+    assert decode(stream, [0] * 6, set_).tolist() == syms
+    assert _two_runs([(False, 0), (True, 0), (False, 3), (True, 2)]) == "1100101" + "0100011"
+
+
+def _random_records(rng, count, max_bits=64) -> list[tuple[bool, int]]:
+    """`count` (below, distance) records whose n = distance + 1 has a random
+    bit length of 1 to max_bits and random bits below its leading 1."""
     out = []
     for _ in range(count):
         length = int(rng.integers(1, max_bits + 1))
         n = 1 << (length - 1) | int(rng.integers(0, 2**62)) % (1 << (length - 1) | 1)
-        out.append(str(int(rng.integers(0, 2))) + "0" * (length - 1) + format(n, "b"))
-    return "".join(out)
+        out.append((bool(rng.integers(0, 2)), n - 1))
+    return out
 
 
 def test_reader_runs_of_63_and_64_zeros():
-    longest = "1" + "0" * 63 + "1" + "0" * 62 + "1"  # 63 zeros: n = 2^63 + 1, the longest record
-    too_long = "0" + "0" * 64 + "1" + "0" * 64  # 64 zeros: a run out of range
-    below, n = rc._BypassReader(_reference_pack([longest])).read(1)
+    longest = "0" * 63 + "1" + "1" + "0" * 62 + "1"  # 63 zeros: n = 2^63 + 1, the longest record
+    too_long = "0" * 64 + "1" + "0" * 65  # 64 zeros: a run out of range
+    below, n = rc._read_bypass(_pad(longest), 1)
     assert below.tolist() == [True] and n.tolist() == [2**63 + 1]
     with pytest.raises(StreamError, match="run length"):
-        rc._BypassReader(_reference_pack([too_long])).read(1)
-    for bits in (longest, too_long, longest + too_long, longest + longest, "1" + "0" * 64,
-                 "0" * 200, "1" + "0" * 63 + "1" + "1" * 63 + longest):
-        for groups in ([1, 1, 1], [2, 1], [3]):
-            _assert_readers_agree(_reference_pack([bits]), groups)
+        rc._read_bypass(_pad(too_long), 1)
+    with pytest.raises(StreamError, match="run length"):  # the second prefix is too long
+        rc._read_bypass(_pad("1" + "0" * 64 + "1" + "0" * 66), 2)
+    both = _two_runs([(True, 2**63), (False, 2**63 - 1)])
+    for bits in (longest, too_long, both, "1" + "0" * 64, "0" * 200, "1" * 130,
+                 "1" + "0" * 63 + "1" + "1" * 63 + longest):
+        for count in (0, 1, 2, 3):
+            _assert_readers_agree(_pad(bits), count)
 
 
 def test_reader_truncated_at_every_bit():
     rng = np.random.default_rng(13)
-    bits = _records_section(rng, 12) + "1" + "0" * 63 + "1" + "0" * 63  # ends on a 63-zero run
+    records = _random_records(rng, 12) + [(False, 2**63)]  # ends on a 63-zero prefix and field
+    bits = _two_runs(records)
+    assert bits[: len(bits) // 2].endswith("0" * 63 + "1")
     for cut in range(len(bits) + 1):
-        _assert_readers_agree(_reference_pack([bits[:cut]]), [5, 8])
-        _assert_readers_agree(_reference_pack([bits[:cut]]), [13])
+        for count in (12, 13):
+            _assert_readers_agree(_pad(bits[:cut]), count)
 
 
-@pytest.mark.parametrize("window", [1, 2, 7, 64, 65, 200])
-def test_reader_across_window_edges(window, monkeypatch):
-    monkeypatch.setattr(rc, "_WINDOW", window)
-    rng = np.random.default_rng(window)
-    longest = "0" + "0" * 63 + "1" * 64  # 63 zeros: the leading 1 is 64 bits after the start
-    bits = _records_section(rng, 60, max_bits=20) + longest * 3 + _records_section(rng, 20)
-    bits += "".join(longest + _records_section(rng, 1, max_bits=3) for _ in range(6))
-    section = _reference_pack([bits])
-    _assert_readers_agree(section, [1, 7, 3, 49, 35])
-    _assert_readers_agree(section, [95, 1])  # one record too many
-    _assert_readers_agree(section[:-3], [10, 85])
+def test_reader_fields_at_every_bit_offset_of_a_word():
+    # run-B fields of 63 and 64 bits alternate, so each pair moves the next
+    # field's start back one bit in its 64-bit word: over 64 pairs fields of
+    # both sizes start at every offset, and all but those at offset 0 cross
+    # into the next word; short fields then fill the words between
+    rng = np.random.default_rng(17)
+    records = [(bool(rng.integers(0, 2)),
+                (1 << (size - 1) | int.from_bytes(rng.bytes(8), "big") >> (65 - size)) - 1)
+               for size in [64, 63] * 64]
+    records += _random_records(rng, 200, max_bits=5)
+    section = _reference_pack(records)
+    sizes = np.array([len(bypass_encode(d)) // 2 + 1 for _, d in records])
+    assert sizes[:128].tolist() == [64, 63] * 64
+    starts = sizes.sum() + np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    for size in (63, 64):
+        assert set((starts[sizes == size] % 64).tolist()) == set(range(64))
+    below = np.array([b for b, _ in records])
+    n = np.array([d + 1 for _, d in records], dtype=np.uint64)
+    assert rc._pack_escapes(below, n, rc._record_bits(n)) == section
+    got_below, got_n = rc._read_bypass(section, len(records))
+    assert np.array_equal(got_below, below) and np.array_equal(got_n, n)
+    for count in (len(records) - 1, len(records), len(records) + 1):
+        _assert_readers_agree(section, count)
+        _assert_readers_agree(section[:-3], count)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=40), st.lists(st.integers(1, 12), min_size=1, max_size=6),
-       st.sampled_from([1, 3, 64, 1 << 16]))
-def test_reader_matches_reference_on_random_sections(section, groups, window):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rc, "_WINDOW", window)
-        _assert_readers_agree(section, groups)
+@given(st.binary(max_size=40), st.integers(0, 72))
+def test_reader_matches_reference_on_random_sections(section, count):
+    _assert_readers_agree(section, count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 2**64 - 2)), max_size=30),
+       st.integers(-1, 1), st.sampled_from(["none", "flip", "cut", "extend"]), st.data())
+def test_reader_matches_reference_on_damaged_sections(records, miscount, how, data):
+    section = _reference_pack(records)
+    if how == "flip" and section:
+        k = data.draw(st.integers(0, len(section) - 1))
+        section = section[:k] + bytes([section[k] ^ data.draw(st.integers(1, 255))]) + section[k + 1 :]
+    elif how == "cut":
+        section = section[: data.draw(st.integers(0, len(section)))]
+    elif how == "extend":
+        section += data.draw(st.binary(min_size=1, max_size=3))
+    count = max(0, len(records) + miscount)
+    _assert_readers_agree(section, count)
+    if how == "none" and not miscount:
+        assert _reference_read(section, count) == records
 
 
 @pytest.mark.parametrize("dist", [2**53 - 2, 2**54 - 2, 2**62 - 2])
@@ -683,6 +745,30 @@ def test_implied_bits_sizes_large_escapes_exactly(dist):
     payload = encode([dist + 1], [0], set_).payload
     ans_end = 4 + int.from_bytes(payload[:4], "little")
     assert len(payload) - ans_end == (record + 7) // 8
+
+
+def test_chunked_decode_reads_the_bypass_section_once(monkeypatch):
+    set_ = _set_of([(ProbModel.gaussian(1.0), 3)])  # codes -3..3
+    # chunks of 3: escapes in chunks 0, 1, 3, 4 and 5 (both sides, several
+    # record sizes), none in chunk 2, and a short last chunk
+    syms = np.array([0, 9, -1,  -40, 1, 2,  0, 1, -2,  3, 700, -5,  -10**6, 4, 0,  2**40, -3])
+    idx = np.zeros(len(syms), np.int64)
+    chunk = rc._shared_chunks(idx, set_)
+    monkeypatch.setattr(rc, "_CHUNK", 3)
+    calls = []
+    read = rc._read_bypass
+
+    def counting(data, count):
+        calls.append(count)
+        return read(data, count)
+
+    monkeypatch.setattr(rc, "_read_bypass", counting)
+    stream = rc.encode_elementwise(syms, chunk)
+    assert np.array_equal(decode_elementwise(stream, chunk), syms)
+    escaped = np.abs(syms) > 3
+    assert calls == [escaped.sum()] == [7]  # every escape, in one read
+    per_chunk = [escaped[lo : lo + 3].any() for lo in range(0, len(syms), 3)]
+    assert per_chunk == [True, True, False, True, True, True]
 
 
 # ---------------------------------------------------------------------------
