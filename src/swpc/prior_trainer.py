@@ -316,8 +316,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.lambda_ < 0:
-            raise ValueError("lambda_ must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be finite and > 0")
+        if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
+            raise ValueError("lambda_ must be finite and >= 0")
         if self.predictor_mode not in ("free-index", "calibration-curve"):
             raise ValueError(f"unknown predictor mode {self.predictor_mode!r}")
         if self.skip_epochs < 0:
@@ -781,6 +783,16 @@ def _family_tables(family: str, coords_rows: np.ndarray, uniques: np.ndarray):
         return rates, grads * scale[:, :, None], pmf
 
 
+def _epoch_tables(family: str, coords_rows: np.ndarray, uniques: np.ndarray, epoch: int, trace):
+    """_family_tables for the priors at the start of an epoch; priors thrown
+    out of their model's domain (such as an incomplete gamma argument that
+    is not finite) mean training diverged, as a non-finite loss does."""
+    try:
+        return _family_tables(family, coords_rows, uniques)
+    except ParameterDomainError as exc:
+        raise TrainingDivergedError(f"priors left the model domain at epoch {epoch}: {exc}", trace) from exc
+
+
 def _assignment_matrix(count: int, k: int, tau: float) -> np.ndarray:
     """Row a: weights over all priors when the index sits exactly at a+1."""
     sel, _, weights = _window(np.arange(1.0, count + 1.0), count, k, tau)
@@ -859,7 +871,7 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
         tau = schedule.tau(epoch)
         lr_scale = 0.01 if epoch >= 0.8 * config.epochs else (0.1 if epoch >= 0.5 * config.epochs else 1.0)
         opt.lr = config.lr * lr_scale
-        rates, grads, _ = _family_tables(config.family, coords, uniques)
+        rates, grads, _ = _epoch_tables(config.family, coords, uniques, epoch, trace)
 
         if calibration:
             ivals = slope * log_f + intercept
@@ -879,7 +891,7 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
 
         if z_block is not None:
             # z has its own symbol table; the main-block rates don't apply
-            z_rates, z_grads, _ = _family_tables(config.family, coords, z_uniques)
+            z_rates, z_grads, _ = _epoch_tables(config.family, coords, z_uniques, epoch, trace)
             z_loss, dlogits, z_dtheta = _hyper_pass(z_rates, z_grads, z_counts, logits)
             loss += z_loss
             dtheta += z_dtheta
@@ -896,7 +908,7 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
 
     final_tau = schedule.tau(config.epochs - 1)
     # rebuild the assignment under the final coordinates
-    rates, _, _ = _family_tables(config.family, coords, uniques)
+    rates, _, _ = _epoch_tables(config.family, coords, uniques, config.epochs, trace)
     shaped = primary.shape if n == primary.n_elements else (1, 1, n)
     if calibration:
         predictor = {"mode": "calibration-curve", "a": float(slope), "c": float(intercept)}

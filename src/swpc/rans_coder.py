@@ -12,10 +12,13 @@ A block coded against a shared table set that carries enough bits is split
 over L interleaved states (lanes, after Giesen, arXiv:1402.3392): element e
 goes to lane e % L at step e // L, and one numpy step advances every lane.
 L follows from every bit the stream carries: with B the interval bits
-sum(16 - log2 f) plus the bypass record bits (the sum of implied_bits), L is
-the largest power of two <= B / 6400, capped at 4096, so the lane states cost
-about 0.5% of the coded bits or less.  Below 64 lanes (about where a numpy
-step over the lanes stops beating the scalar loop) L = 1.  Per-element
+sum(16 - log2 f) plus the bypass record bits (the sum of implied_bits),
+L = floor(B / 6400), any integer, capped at 4096.  Each lane's 32 state bits
+are then 0.5% of its 6400 coded bits or less; in payload a lane costs less,
+since its state also holds coded bits: 20 to 32 bits each, about 25 on
+average, measured on the benchmark's shared-ggm and escape-gm codings.
+Below 64 lanes L = 1: a numpy step over the lanes beats the scalar loop
+from about 32 lanes on, and the floor keeps that margin.  Per-element
 dynamic coding (encode_elementwise) always uses L = 1.
 
 Decoding finds each symbol's slot in the set's cached uint8 slot lookup
@@ -98,7 +101,7 @@ __all__ = [
 
 _LOW = 1 << 16
 _MASK = _LOW - 1
-_LANE_BITS = 6400  # coded bits per lane: its 32 state bits are 0.5% of them
+_LANE_BITS = 6400  # coded bits per lane, L = B // 6400: its 32 state bits are 0.5% of them
 _MIN_LANES = 64
 _MAX_LANES = 4096
 _POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -220,32 +223,52 @@ def _leading_ones(data: np.ndarray, count: int) -> np.ndarray:
 def _read_bypass(data: bytes, count: int):
     """(below the coded span, n = distance beyond its edge + 1 as uint64) of
     the section's `count` records; StreamError unless the section holds
-    exactly those records and zero padding of fewer than 8 bits."""
+    exactly those records and zero padding of fewer than 8 bits.  Arrays
+    are reused and shifted in place, so at the peak it holds three 8-byte
+    and two 1-byte entries per record, and the section as 64-bit words."""
     n_bits = 8 * len(data)
     raw = np.frombuffer(data, dtype=np.uint8)
-    edge = np.concatenate([[0], _leading_ones(raw, count) + 1])  # prefix starts, then run A's end
-    size = np.diff(edge)  # zeros before each leading 1, plus the 1
-    long = size > 64
-    if len(size) < count or long.any():
-        i = int(np.argmax(np.append(long, True)))  # the first prefix that breaks
+    ends = _leading_ones(raw, count)  # each prefix's leading 1
+    size = np.empty(len(ends), dtype=np.int64)  # zeros before each leading 1, plus the 1
+    size[:1] = ends[:1] + 1
+    np.subtract(ends[1:], ends[:-1], out=size[1:])
+    if len(ends) < count or (len(size) and size.max() > 64):
+        edge = np.concatenate([[0], ends + 1])  # prefix starts, then run A's end
+        i = int(np.argmax(np.append(size > 64, True)))  # the first prefix that breaks
         if edge[i] + 64 <= n_bits:
             raise StreamError("bypass run length out of range")
         raise StreamError("bypass section exhausted")
-    run_a = int(edge[-1])
+    run_a = int(ends[-1]) + 1 if count else 0
     rest = n_bits - 2 * run_a
     if rest < 0:
         raise StreamError("bypass section exhausted")
     if rest >= 8 or (rest and data[-1] & ((1 << rest) - 1)):
         raise StreamError("bypass section runs past its last record")
+    size = size.astype(np.uint8)
     words = np.zeros(((len(data) + 7) >> 3) + 1, dtype=">u8")  # and a zero word after
     words.view(np.uint8)[: len(data)] = raw
     words = words.astype(np.uint64)
-    at = run_a + edge[:-1]  # run B's fields have run A's sizes, in the same order
-    w, o = at >> 6, (at & 63).astype(np.uint64)
-    bits = words[w] << o | words[w + 1] >> np.uint64(1) >> (np.uint64(63) - o)  # from each start
+    at = ends  # becomes each run-B field's start: the fields have run A's sizes, in order
+    at -= size
+    at += run_a + 1
+    shift = at.astype(np.uint8)
+    shift &= 63  # the start's offset in its word
+    at >>= 6
+    bits = words[at]  # from each start, the field's word and the next
+    bits <<= shift
+    at += 1
+    low = words[at]
+    del at, ends
+    shift ^= 63
+    low >>= 1
+    low >>= shift
+    bits |= low
+    del low
     below = bits >= _SIGN  # the field's first bit is its sign
-    k = (size - 1).astype(np.uint64)
-    return below, bits >> (np.uint64(63) - k) | np.uint64(1) << k
+    bits |= _SIGN  # and its place becomes n's leading 1
+    np.subtract(64, size, out=shift)  # 63 - k for the k bits of n below that 1
+    bits >>= shift
+    return below, bits
 
 
 def _escaped_symbols(below, n, offsets, n_coded) -> np.ndarray:
@@ -280,10 +303,8 @@ def _lane_count(freqs, bypass_bits: int) -> int:
     """Number of interleaved states for a block with these slot frequencies
     and this many bypass record bits."""
     bits = 16 * len(freqs) - float(np.log2(freqs).sum()) + bypass_bits
-    affordable = int(bits) // _LANE_BITS
-    if affordable < _MIN_LANES:
-        return 1
-    return min(_MAX_LANES, 1 << (affordable.bit_length() - 1))
+    lanes = min(_MAX_LANES, int(bits) // _LANE_BITS)
+    return lanes if lanes >= _MIN_LANES else 1
 
 
 # ---------------------------------------------------------------------------

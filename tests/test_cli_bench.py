@@ -178,6 +178,24 @@ class TestTrain:
         assert "diverged" in err
         assert "loss trace:" in err
 
+    def test_ggm_divergence_exits_3_with_trace(self, tmp_path, capsys):
+        code = run_cli("train", "--family", "ggm", "--m", 4, "--epochs", 5,
+                       "--lr", 1e6, "--out", tmp_path / "boom")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "diverged" in err and "loss trace:" in err and "error:" not in err, err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", -1), ("--lr", 0), ("--lr", "nan"), ("--lambda", "nan")])
+    def test_step_size_and_lambda_are_checked(self, tmp_path, capsys, flag, value):
+        code = run_cli("train", "--family", "ggm", "--m", 4, "--epochs", 5,
+                       flag, value, "--out", tmp_path / "bad")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("error: ") == 1, err
+        assert f"error: {flag[2:]}" in err, err  # named before any training step
+        assert not (tmp_path / "bad.tables").exists()
+
     def test_flags_beat_config_beat_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m": 5, "epochs": 40, "seed": 3}))

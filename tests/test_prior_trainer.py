@@ -744,6 +744,12 @@ class TestTrainConfig:
             pt.TrainConfig(family="gm", dims=(2,), epochs=5, k=0)
         with pytest.raises(ValueError):
             pt.TrainConfig(family="gm", dims=(2,), epochs=5, lambda_=-1.0)
+        for lr in (-1.0, 0.0, float("nan"), float("inf")):  # a step that climbs the loss, or none
+            with pytest.raises(ValueError, match="lr"):
+                pt.TrainConfig(family="gm", dims=(2,), epochs=5, lr=lr)
+        for lambda_ in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lambda_"):
+                pt.TrainConfig(family="gm", dims=(2,), epochs=5, lambda_=lambda_)
         with pytest.raises(ValueError):
             pt.TrainConfig(family="gm", dims=(2,), epochs=5,
                            predictor_mode="nope")
@@ -815,6 +821,16 @@ class TestTrainPriors:
         cfg = pt.TrainConfig(family="gm", dims=(2,), epochs=30, lr=1e6, seed=7)
         with pytest.raises(pt.TrainingDivergedError) as err:
             pt.train_priors([blk], cfg)
+        assert len(err.value.loss_trace) >= 1
+
+    def test_ggm_step_out_of_the_gamma_domain_is_divergence(self):
+        # the step throws alpha to where the incomplete gamma's argument is
+        # not finite: a ParameterDomainError inside the kernels
+        blk = ss.gen_block(ss.SourceSpec(family="ggm", shape=(1, 16, 16), seed=1))
+        cfg = pt.TrainConfig(family="ggm", dims=(4,), epochs=5, lr=1e6)
+        with pytest.raises(pt.TrainingDivergedError, match="model domain") as err:
+            pt.train_priors([blk], cfg)
+        assert isinstance(err.value.__cause__, pm.ParameterDomainError)
         assert len(err.value.loss_trace) >= 1
 
     def test_calibration_curve_predictor(self):

@@ -8,6 +8,7 @@ table-implied cross-entropy summed over the actual symbols.
 import hashlib
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,9 +364,25 @@ def test_lane_count_follows_interval_bits():
     assert rc._lane_count(ones(0), 0) == 1
     assert rc._lane_count(ones(25_599), 0) == 1  # below 64 lanes of 6400 bits
     assert rc._lane_count(ones(25_600), 0) == 64
-    assert rc._lane_count(ones(51_199), 0) == 64
+    assert rc._lane_count(ones(51_199), 0) == 127
     assert rc._lane_count(ones(51_200), 0) == 128
     assert rc._lane_count(ones(2_000_000), 0) == 4096
+
+
+def test_lane_count_spends_the_whole_budget():
+    # 32 state bits per lane are at most 0.5% of the coded bits B: L is the
+    # largest count with 32 * L <= B / 200, not rounded down any further
+    rng = np.random.default_rng(19)
+    for n in (0, 1, 1_000, 25_600, 30_000, 51_199, 100_000, 1_700_000):
+        freqs = rng.integers(1, 1 << 16, n) if n < 100_000 else np.ones(n, np.int64)
+        interval = 16 * n - float(np.log2(freqs).sum())
+        for bypass in (0, 1, 6_399, 409_600, 1_000_003, 27_000_000):
+            budget = int(interval + bypass)
+            lanes = rc._lane_count(freqs, bypass)
+            if 64 <= lanes < 4096:
+                assert 32 * lanes <= budget / 200 < 32 * (lanes + 1), (n, bypass, lanes)
+            else:
+                assert lanes == (1 if budget < 64 * 6400 else 4096), (n, bypass, lanes)
 
 
 def test_lane_count_counts_bypass_bits():
@@ -381,7 +398,7 @@ def test_lane_count_counts_bypass_bits():
     assert rc._lane_count(np.zeros(0, np.int64), 4096 * 6400) == 4096
 
 
-def test_large_block_uses_64_lanes_within_one_percent():
+def test_large_block_uses_86_lanes_within_half_a_percent():
     rng = np.random.default_rng(11)
     table = quantize_pmf(ProbModel.gaussian(1.0), 20)
     set_ = CdfTableSet([table])
@@ -389,10 +406,12 @@ def test_large_block_uses_64_lanes_within_one_percent():
     syms = rng.choice(np.arange(-20, 21), size=262_144, p=p / p.sum())
     idx = np.zeros(len(syms), np.int64)
     stream = encode(syms, idx, set_)
-    assert struct.unpack_from("<I", stream.payload, 4)[0] == 64
+    lanes = struct.unpack_from("<I", stream.payload, 4)[0]
+    assert lanes == 86
     assert np.array_equal(decode(stream, idx, set_), syms)
     ce = implied_bits(syms, idx, set_).sum()
-    assert 8 * len(stream.payload) <= ce * 1.01 + 64
+    header = 8 * 4 * (2 + lanes)  # ANS length, lane count, lane states
+    assert 8 * len(stream.payload) <= ce * 1.005 + header
 
 
 def _frozen_escape_input():
@@ -734,6 +753,31 @@ def test_reader_matches_reference_on_damaged_sections(records, miscount, how, da
     _assert_readers_agree(section, count)
     if how == "none" and not miscount:
         assert _reference_read(section, count) == records
+
+
+def test_reader_working_set_stays_under_50_bytes_per_escape():
+    # gm sources of sigma 100 to 1000 against the widest table of the gm LUT
+    # (sigma 60): most symbols escape, as in the escape-gm benchmark workload
+    rng = np.random.default_rng(23)
+    set_, _ = build_lut_gm(40)
+    syms = np.round(rng.normal(0, np.exp(rng.uniform(np.log(100), np.log(1000), 50_000))))
+    syms = syms.astype(np.int64)
+    idx = np.full(len(syms), len(set_) - 1)
+    payload = encode(syms, idx, set_).payload
+    section = payload[4 + struct.unpack_from("<I", payload)[0] :]
+    flat, _, rows, offs, nc = rc._shared_chunks(idx, set_)(0, len(syms))
+    j, in_range, _, _ = rc._slots(syms, flat, rows, offs, nc)
+    expect_below, expect_n = rc._escapes(j, in_range, nc)
+    count = len(expect_n)
+    assert count > len(syms) // 2
+    tracemalloc.start()
+    try:
+        below, n = rc._read_bypass(section, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(below, expect_below) and np.array_equal(n, expect_n)
+    assert peak <= 50 * count, peak / count
 
 
 @pytest.mark.parametrize("dist", [2**53 - 2, 2**54 - 2, 2**62 - 2])
