@@ -334,31 +334,43 @@ def _switch_side_info(block: cb.LatentBlock, prefix: str, use_skip: bool,
     return table_set, indexes, mask
 
 
+def _coder(ns, cfg: dict, block: cb.LatentBlock, encoding: bool):
+    """The chosen backend for a block, or for its side block when decoding:
+    (encode() -> (stream, report), decode(stream) -> (residuals, report),
+    the switch index grid or None)."""
+    backend = _resolve(ns, cfg, "backend", None)
+    action = "encode" if encoding else "decode"
+    if backend == "dynamic":
+        radius = _resolve(ns, cfg, "radius", None, _optional(int))
+        return (lambda: cb.backend_dynamic(block, radius=radius),
+                lambda s: cb.backend_dynamic_decode(s, block.truth_params, block.shape, radius=radius), None)
+    if backend == "lut":
+        if not ns.tables:
+            raise UsageError(f"lut {action} needs --tables")
+        table_set = _read_tables(ns.tables)
+        grid = _grid_of(table_set)
+        return (lambda: cb.backend_lut(block, grid, table_set),
+                lambda s: cb.backend_lut_decode(s, block.truth_params, grid, table_set, block.shape), None)
+    if backend == "switch":
+        if not ns.trained:
+            raise UsageError(f"switch {action} needs --trained PREFIX")
+        table_set, indexes, mask = _switch_side_info(
+            block, ns.trained, ns.use_skip_mask, ns.hyper, ns.indexes, encoding)
+        return (lambda: cb.backend_switch(block, indexes, mask, table_set),
+                lambda s: cb.backend_switch_decode(s, indexes, mask, table_set, block.shape), indexes)
+    raise UsageError("--backend must be dynamic, lut, or switch")
+
+
 def cmd_encode(ns) -> int:
     cfg = _load_config(ns.config)
     block = _read_block(ns.block)
-    backend = _resolve(ns, cfg, "backend", None)
-    if backend == "dynamic":
-        radius = _resolve(ns, cfg, "radius", None, _optional(int))
-        stream, report = cb.backend_dynamic(block, radius=radius)
-    elif backend == "lut":
-        if not ns.tables:
-            raise UsageError("lut encode needs --tables")
-        table_set = _read_tables(ns.tables)
-        stream, report = cb.backend_lut(block, _grid_of(table_set), table_set)
-    elif backend == "switch":
-        if not ns.trained:
-            raise UsageError("switch encode needs --trained PREFIX")
-        table_set, indexes, mask = _switch_side_info(
-            block, ns.trained, ns.use_skip_mask, ns.hyper, ns.indexes, encoding=True)
-        stream, report = cb.backend_switch(block, indexes, mask, table_set)
-        if ns.indexes:
-            payload = {"continuous": indexes.continuous}
-            if indexes.continuous2 is not None:
-                payload["continuous2"] = indexes.continuous2
-            np.savez(ns.indexes, **payload)
-    else:
-        raise UsageError("--backend must be dynamic, lut, or switch")
+    encode, _, indexes = _coder(ns, cfg, block, encoding=True)
+    stream, report = encode()
+    if ns.indexes and indexes is not None:
+        payload = {"continuous": indexes.continuous}
+        if indexes.continuous2 is not None:
+            payload["continuous2"] = indexes.continuous2
+        np.savez(ns.indexes, **payload)
     Path(ns.out).write_bytes(stream.to_bytes())
     if ns.report:
         Path(ns.report).write_text(report.to_json())
@@ -370,27 +382,9 @@ def cmd_encode(ns) -> int:
 def cmd_decode(ns) -> int:
     cfg = _load_config(ns.config)
     side = _read_block(ns.side)
-    backend = _resolve(ns, cfg, "backend", None)
     stream = rc.Bitstream.from_bytes(Path(ns.stream).read_bytes())
-    if backend == "dynamic":
-        radius = _resolve(ns, cfg, "radius", None, _optional(int))
-        residuals, _ = cb.backend_dynamic_decode(
-            stream, side.truth_params, side.shape, radius=radius)
-    elif backend == "lut":
-        if not ns.tables:
-            raise UsageError("lut decode needs --tables")
-        table_set = _read_tables(ns.tables)
-        residuals, _ = cb.backend_lut_decode(
-            stream, side.truth_params, _grid_of(table_set), table_set, side.shape)
-    elif backend == "switch":
-        if not ns.trained:
-            raise UsageError("switch decode needs --trained PREFIX")
-        table_set, indexes, mask = _switch_side_info(
-            side, ns.trained, ns.use_skip_mask, ns.hyper, ns.indexes, encoding=False)
-        residuals, _ = cb.backend_switch_decode(
-            stream, indexes, mask, table_set, side.shape)
-    else:
-        raise UsageError("--backend must be dynamic, lut, or switch")
+    _, decode, _ = _coder(ns, cfg, side, encoding=False)
+    residuals, _ = decode(stream)
     decoded = cb.LatentBlock(residuals, side.means, side.side_features,
                              truth_params=side.truth_params)
     Path(ns.out).write_bytes(ss.block_to_bytes(decoded))
@@ -595,6 +589,19 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
 
+    def backend(p):
+        """The flags that choose a backend and its side information, the same
+        for encode and decode."""
+        p.add_argument("--backend", choices=["dynamic", "lut", "switch"])
+        p.add_argument("--tables", help="table-set file (lut)")
+        p.add_argument("--trained", help="trained artifact prefix (switch)")
+        p.add_argument("--use-skip-mask", dest="use_skip_mask", action="store_true")
+        p.add_argument("--hyper", action="store_true",
+                       help="code with the trained per-channel hyper selection")
+        p.add_argument("--radius", type=int, help="fixed table radius (dynamic)")
+        p.add_argument("--indexes", help="index grid, saved by encode and read by decode "
+                       "(switch; free-index sets need it)")
+
     p = sub.add_parser("build-tables", help="precompute a LUT table set")
     common(p)
     p.add_argument("--family", choices=["gm", "ggm"])
@@ -632,14 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="entropy-code a block fixture")
     common(p)
     p.add_argument("--block", required=True)
-    p.add_argument("--backend", choices=["dynamic", "lut", "switch"])
-    p.add_argument("--tables", help="table-set file (lut)")
-    p.add_argument("--trained", help="trained artifact prefix (switch)")
-    p.add_argument("--use-skip-mask", dest="use_skip_mask", action="store_true")
-    p.add_argument("--hyper", action="store_true",
-                   help="code with the trained per-channel hyper selection")
-    p.add_argument("--radius", type=int, help="fixed table radius (dynamic)")
-    p.add_argument("--indexes", help="where to save the index grid (switch; free-index sets need it)")
+    backend(p)
     p.add_argument("--report", help="CodingReport JSON path")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_encode)
@@ -649,13 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", required=True)
     p.add_argument("--side", required=True,
                    help="block file providing shape and side information")
-    p.add_argument("--backend", choices=["dynamic", "lut", "switch"])
-    p.add_argument("--tables")
-    p.add_argument("--trained")
-    p.add_argument("--use-skip-mask", dest="use_skip_mask", action="store_true")
-    p.add_argument("--hyper", action="store_true")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--indexes", help="index grid saved at encode time (switch; free-index sets need it)")
+    backend(p)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_decode)
 

@@ -54,9 +54,6 @@ __all__ = [
 ]
 
 
-_HARDEN_CHUNK = 16384  # elements per pass of harden_index; the result does not depend on it
-
-
 def round_half_away(x):
     """Nearest integer with halves going away from zero, as float."""
     x = np.asarray(x, dtype=np.float64)
@@ -70,16 +67,10 @@ def harden_index(i, m: int):
     i = np.asarray(i, np.float64)
     if i.size and np.isnan(i.min()):
         raise ValueError("a NaN prior index has no table")
-    # on [1, m], round_half_away(x) is floor(x + 0.5), which the cast to int
-    # gives; chunks through one small buffer spare a full-size temporary
-    out = np.empty(i.shape, np.int64)
-    src, dst = i.reshape(-1), out.reshape(-1)
-    buf = np.empty(min(src.size, _HARDEN_CHUNK))
-    for lo in range(0, src.size, _HARDEN_CHUNK):
-        part = buf[:min(_HARDEN_CHUNK, src.size - lo)]
-        np.clip(src[lo:lo + _HARDEN_CHUNK], 1.0, float(m), out=part)
-        part += 0.5
-        dst[lo:lo + _HARDEN_CHUNK] = part
+    # on [1, m], round_half_away(x) is floor(x + 0.5), which the cast to int gives
+    out = np.clip(i, 1.0, float(m))
+    out += 0.5
+    out = out.astype(np.int64)
     return int(out) if out.ndim == 0 else out
 
 

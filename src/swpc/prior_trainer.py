@@ -12,20 +12,30 @@ cost more coded than skipped, so the hardened index alone decides whether
 an element is coded.  The Gumbel relaxation of a per-element mask and the
 skip_loss objective remain as differentiable surrogates of that choice.
 
-One kernel, _window_pass, computes every soft-assigned rate and gradient,
-by one of two strategies.  When the window covers all M priors (k = None),
-the softmax over e^(-|i - m|/tau) is two geometric series in e^(-1/tau),
-summed once per epoch as (M + 1, U) recurrence rows and looked up per
-element: O(n + M U) work and no (n, M) array.  A Top-K window with k < M
-is gathered per element instead, as k columns of length n, since a bounded
-window would need differences of the recurrences, and those cancel at
-small tau.
+Two kernels compute every soft-assigned rate and gradient.
+
+_window_pass runs wherever each element carries its own continuous index:
+calibration-curve epochs, skip_loss and the public rate functions.  When
+the window covers all M priors (k = None), the softmax over
+e^(-|i - m|/tau) is two geometric series in e^(-1/tau), summed once per
+epoch as (M + 1, U) recurrence rows and looked up per element: O(n + M U)
+work and no (n, M) array.  A Top-K window with k < M is gathered per
+element instead, as k columns of length n, since a bounded window would
+need differences of the recurrences, and those cancel at small tau.
+
+_counts_pass runs where the weights depend only on a row of elements:
+free-index epochs, whose rows are the priors the elements are assigned to,
+and hyperlatent reuse, whose rows are the channels.  It codes each row's
+symbol counts with that row's weights over the priors, in O(R M U) for R
+rows.  A free-index set's weight rows are the Kronecker product of one
+window per axis, so a 1-D set is the one-axis case of a 2-D grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -155,19 +165,23 @@ def model_from_coords(family: str, coords: np.ndarray) -> ProbModel:
 
 
 @dataclass(frozen=True)
-class PriorSet1D:
-    """M priors of one family, stored as unconstrained coordinate rows."""
+class _PriorSet:
+    """Priors of one family on one or more axes, stored as an (*axes, D)
+    array of unconstrained coordinates; flat table order is row-major."""
 
     family: str
     params: np.ndarray
+
+    _AXES = 1
 
     def __post_init__(self):
         params = np.array(self.params, dtype=np.float64)
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
-        if params.ndim != 2 or params.shape[0] < 1:
-            raise ValueError("params must be an (M, D) array with M >= 1")
-        if params.shape[1] != _coord_dim(self.family):
+        if params.ndim != self._AXES + 1 or min(params.shape[:-1]) < 1:
+            raise ValueError(f"params must be a {self._AXES + 1}-D array: the prior axes, "
+                             "each >= 1, then the coordinates")
+        if params.shape[-1] != _coord_dim(self.family):
             raise ValueError(f"{self.family} priors need {_coord_dim(self.family)} coordinates")
         if not np.isfinite(params).all():
             raise ValueError("prior coordinates must be finite")
@@ -175,6 +189,16 @@ class PriorSet1D:
     @property
     def m(self) -> int:
         return self.params.shape[0]
+
+    def models(self) -> list[ProbModel]:
+        """One model per prior, in flat table order."""
+        return [model_from_coords(self.family, row)
+                for row in self.params.reshape(-1, self.params.shape[-1])]
+
+
+@dataclass(frozen=True)
+class PriorSet1D(_PriorSet):
+    """M priors of one family, as an (M, D) array of coordinate rows."""
 
     def model(self, index: int) -> ProbModel:
         """One-based prior index, matching the soft-weight convention."""
@@ -182,31 +206,12 @@ class PriorSet1D:
             raise ValueError(f"prior index {index} out of [1, {self.m}]")
         return model_from_coords(self.family, self.params[index - 1])
 
-    def models(self) -> list[ProbModel]:
-        return [model_from_coords(self.family, row) for row in self.params]
-
 
 @dataclass(frozen=True)
-class PriorSet2D:
+class PriorSet2D(_PriorSet):
     """An M x N grid of priors; flat layout is row-major (i-1)*N + (j-1)."""
 
-    family: str
-    params: np.ndarray
-
-    def __post_init__(self):
-        params = np.array(self.params, dtype=np.float64)
-        params.flags.writeable = False
-        object.__setattr__(self, "params", params)
-        if params.ndim != 3 or params.shape[0] < 1 or params.shape[1] < 1:
-            raise ValueError("params must be an (M, N, D) array")
-        if params.shape[2] != _coord_dim(self.family):
-            raise ValueError(f"{self.family} priors need {_coord_dim(self.family)} coordinates")
-        if not np.isfinite(params).all():
-            raise ValueError("prior coordinates must be finite")
-
-    @property
-    def m(self) -> int:
-        return self.params.shape[0]
+    _AXES = 2
 
     @property
     def n(self) -> int:
@@ -216,10 +221,6 @@ class PriorSet2D:
         if not (1 <= i <= self.m and 1 <= j <= self.n):
             raise ValueError(f"prior index ({i}, {j}) out of grid")
         return model_from_coords(self.family, self.params[i - 1, j - 1])
-
-    def models(self) -> list[ProbModel]:
-        flat = self.params.reshape(-1, self.params.shape[2])
-        return [model_from_coords(self.family, row) for row in flat]
 
 
 @dataclass(frozen=True)
@@ -641,8 +642,8 @@ def skip_loss_grads(block: LatentBlock, prior_set: PriorSet1D, indexes: IndexGri
         raise ValueError("index grid shape must match the block")
     if indexes.is_2d:
         raise ValueError("skip training drives 1-D prior sets")
-    if lambda_ < 0:
-        raise ValueError("lambda_ must be >= 0")
+    if not (math.isfinite(lambda_) and lambda_ >= 0):
+        raise ValueError("lambda_ must be finite and >= 0")
     mask_soft = np.asarray(mask_soft, dtype=np.float64)
     if mask_soft.shape != block.shape:
         raise ValueError("mask shape must match the block")
@@ -829,23 +830,20 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
         raise ValueError("hyperlatent block needs at least one channel")
 
     flat = config.flat_count
-    two_d = len(config.dims) == 2
-    if config.k is not None and config.k > (config.dims[0] if not two_d else max(config.dims)):
+    if config.k is not None and config.k > max(config.dims):
         raise ValueError("k cannot exceed the per-dimension prior count")
     schedule = AnnealSchedule.for_set_size(max(config.dims))
 
-    if two_d:
-        base = init_prior_set_2d(config.dims[0], config.dims[1], float(np.abs(symbols).max()))
-        coords = base.params.reshape(flat, -1).copy()
-    else:
-        base = init_prior_set(config.family, config.dims[0], float(np.abs(symbols).max()))
-        coords = base.params.copy()
+    max_abs = float(np.abs(symbols).max())
+    base = (init_prior_set_2d(*config.dims, max_abs) if len(config.dims) == 2
+            else init_prior_set(config.family, config.dims[0], max_abs))
+    coords = base.params.reshape(flat, -1).copy()
 
     uniques, inverse = np.unique(symbols, return_inverse=True)
     n = symbols.size
     calibration = config.predictor_mode == "calibration-curve"
     if calibration:
-        if two_d:
+        if len(config.dims) == 2:
             raise ValueError("the calibration-curve predictor drives 1-D sets")
         log_f = log_features(features)
         span = log_f.max() - log_f.min()
@@ -862,10 +860,9 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
 
     opt = _Adam(coords.shape, config.lr)
     trace: list[float] = []
-    kk = flat if config.k is None else config.k
-    if two_d:
-        # per-dimension two-nearest selection, narrowed further by config.k
-        kk_dim = min(2 if config.k is None else config.k, min(config.dims))
+    # the prior window on each axis: every prior of a 1-D set, the two
+    # nearest on each axis of a grid, narrowed further by config.k
+    window = min(config.k or (flat if len(config.dims) == 1 else 2), *config.dims)
 
     for epoch in range(config.epochs):
         tau = schedule.tau(epoch)
@@ -876,18 +873,13 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
         if calibration:
             ivals = slope * log_f + intercept
             loss, dtheta, dslope, dintercept = _calibration_pass(
-                rates, grads, inverse, ivals, log_f, min(kk, config.dims[0]), tau)
+                rates, grads, inverse, ivals, log_f, window, tau)
         else:
             assignment = rates.argmin(axis=0)[inverse]
-            if two_d:
-                weight_rows = _grid_assignment_matrix(config.dims, kk_dim, tau)
-            else:
-                weight_rows = _assignment_matrix(flat, min(kk, flat), tau)
+            weight_rows = reduce(np.kron, [_assignment_matrix(d, window, tau) for d in config.dims])
             counts = np.bincount(assignment * len(uniques) + inverse,
                                  minlength=flat * len(uniques)).reshape(flat, -1)
-            loss = float(np.sum(counts * (weight_rows @ rates)))
-            touched = weight_rows.T @ counts
-            dtheta = np.einsum("mu,mud->md", touched, grads)
+            loss, _, dtheta = _counts_pass(weight_rows, counts, rates, grads)
 
         if z_block is not None:
             # z has its own symbol table; the main-block rates don't apply
@@ -916,10 +908,7 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
     else:
         predictor = {"mode": "free-index"}
         indexes = IndexGrid.from_tables(rates.argmin(axis=0)[inverse], config.dims, shaped)
-    if two_d:
-        prior_set = PriorSet2D(family=config.family, params=coords.reshape(config.dims + (-1,)))
-    else:
-        prior_set = PriorSet1D(family=config.family, params=coords)
+    prior_set = type(base)(family=config.family, params=coords.reshape(base.params.shape))
 
     hyper = HyperLogits(logits) if logits is not None else None
 
@@ -938,26 +927,28 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
     )
 
 
-def _grid_assignment_matrix(dims: tuple, k_dim: int, tau: float) -> np.ndarray:
-    """Flat-assignment weight rows for a 2-D grid: per-dimension windows."""
-    m, n = dims
-    return np.kron(_assignment_matrix(m, min(k_dim, m), tau), _assignment_matrix(n, min(k_dim, n), tau))
-
-
 def _calibration_pass(rates, grads, inverse, ivals, log_f, k, tau):
     """Loss and gradients when indexes come from the log-linear curve."""
     element_rates, di, _, dtheta = _window_pass(rates, grads, inverse, ivals, k, tau)
     return float(element_rates.sum()), dtheta, float(np.dot(di, log_f)), float(di.sum())
 
 
+def _counts_pass(weights, counts, rates, grads):
+    """Rate of symbol counts under weight rows over the priors: row r codes
+    counts[r] (U,) with prior weights weights[r] (M,).  Returns the loss,
+    d loss / d weights (row r's rate under each prior) and the gradient in
+    the prior coordinates."""
+    rate_sums = counts @ rates.T
+    loss = float((weights * rate_sums).sum(axis=1).sum())
+    return loss, rate_sums, np.einsum("mu,mud->md", weights.T @ counts, grads)
+
+
 def _hyper_pass(rates, grads, counts, logits):
     """Hyperlatent rate over tabulated symbols: loss plus both gradients."""
     weights = _softmax(logits, axis=1)
-    rate_sums = counts @ rates.T
-    channel_rates = (weights * rate_sums).sum(axis=1)
-    dlogits = weights * (rate_sums - channel_rates[:, None])
-    dtheta = np.einsum("mu,mud->md", weights.T @ counts, grads)
-    return float(channel_rates.sum()), dlogits, dtheta
+    loss, rate_sums, dtheta = _counts_pass(weights, counts, rates, grads)
+    dlogits = weights * (rate_sums - (weights * rate_sums).sum(axis=1)[:, None])
+    return loss, dlogits, dtheta
 
 
 def _train_skip(symbols, rates, inverse, indexes, lambda_):
@@ -983,9 +974,5 @@ def export_tables(prior_set: PriorSet1D | PriorSet2D) -> CdfTableSet:
         raise ParameterDomainError("prior coordinates map outside the model parameter domain")
     ks = np.arange(-MAX_RADIUS, MAX_RADIUS + 1)
     masses = INTEGER_PMF[prior_set.family](ks[None, :], *params)
-    meta = {"family": prior_set.family}
-    if isinstance(prior_set, PriorSet2D):
-        meta["dims"] = [prior_set.m, prior_set.n]
-    else:
-        meta["dims"] = [prior_set.m]
+    meta = {"family": prior_set.family, "dims": list(prior_set.params.shape[:-1])}
     return CdfTableSet.from_rows(-MAX_RADIUS, cumulative_rows(masses), meta=meta)

@@ -46,8 +46,9 @@ decoder knows the escape count E once the ANS decode is done and reads the
 section once, with no loop over records: the first E 1s of run A (one
 nonzero over the section's first half, where a valid run A ends) give
 every field size, and each run-B field is read from the two words that
-hold its start.  decode_elementwise keeps each chunk's escaped positions
-and tables and reads the section after its ANS loop.
+hold its start.  Every decoder ends in one tail: its ANS loop gives each
+element's slot and table, tail slots mark the escapes, the section is read
+once, and the end check follows.
 
 Format break: this layout replaced records written one after another
 (sign bit, then the Exp-Golomb code).  Streams without escapes kept their
@@ -342,13 +343,6 @@ def _parse(stream: Bitstream):
     return states, words, payload[4 + ans_len :]
 
 
-def _check_end(states, words_read: int, words):
-    if np.any(np.asarray(states) != _LOW):
-        raise StreamError("ANS state does not end where the encoder started")
-    if words_read != len(words):
-        raise StreamError(f"{len(words) - words_read} ANS words left unread")
-
-
 # ---------------------------------------------------------------------------
 # Encode / decode
 
@@ -422,20 +416,36 @@ def decode_elementwise(stream: Bitstream, chunk_tables) -> np.ndarray:
     states, words, bypass = _parse(stream)
     if len(states) != 1:
         raise StreamError("an interleaved stream needs decode() with its shared table set")
-    return _decode_single(stream.symbol_count, states[0], words, bypass, chunk_tables)
+    return _decoded_symbols(_decode_single(stream.symbol_count, states, words, chunk_tables),
+                            words, bypass)
 
 
-def _decode_single(n, state, words, bypass, chunk_tables) -> np.ndarray:
-    """Symbols of a single-state stream, one bisect per symbol.  Each chunk
-    keeps only its escaped elements' positions and tables; their records are
-    read in one pass after the ANS loop."""
+def _decoded_symbols(decoded, words, bypass) -> np.ndarray:
+    """Symbols from a decoder's (final states, words read, slot position j,
+    offset and coded count per element): tail slots take their symbols from
+    the bypass section, read once, and then the end is checked."""
+    final, words_read, j, offsets, nc = decoded
+    esc = np.flatnonzero(j >= nc)
+    below, n_escape = _read_bypass(bypass, len(esc))  # before out, so their temporaries never meet
+    out = offsets + j
+    out[esc] = _escaped_symbols(below, n_escape, offsets[esc], nc[esc])
+    if np.any(np.asarray(final) != _LOW):
+        raise StreamError("ANS state does not end where the encoder started")
+    if words_read != len(words):
+        raise StreamError(f"{len(words) - words_read} ANS words left unread")
+    return out
+
+
+def _decode_single(n, states, words, chunk_tables):
+    """_decode_lanes for a single-state stream, one bisect per symbol, with
+    tables that arrive per chunk."""
     word_list = words.tolist()
     n_words = len(word_list)
+    state = states[0]
     wp = 0
-    # per chunk: symbols (escapes still unread), and the escapes' positions,
-    # offsets and coded counts; the empty first entries let n = 0 concatenate
+    # per chunk: slot positions, offsets, coded counts; the empty entry lets n = 0 concatenate
     empty = np.zeros(0, dtype=np.int64)
-    parts, escapes = [empty], [(empty, empty, empty)]
+    parts = [(empty, empty, empty)]
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         flat, flat_list, rows, offs, nc = chunk_tables(lo, hi)
@@ -453,21 +463,15 @@ def _decode_single(n, state, words, bypass, chunk_tables) -> np.ndarray:
                 state = (state << 16) | word_list[wp]
                 wp += 1
             push(p)
-        j = np.array(found, dtype=np.int64) - rows
-        parts.append(offs + j)
-        esc = np.flatnonzero(j >= nc)
-        escapes.append((lo + esc, offs[esc], nc[esc]))
-    out = np.concatenate(parts)
-    at, offs, nc = (np.concatenate(part) for part in zip(*escapes))
-    out[at] = _escaped_symbols(*_read_bypass(bypass, len(at)), offs, nc)
-    _check_end([state], wp, words)
-    return out
+        parts.append((np.array(found, dtype=np.int64) - rows, offs, nc))
+    return ([state], wp, *(np.concatenate(part) for part in zip(*parts)))
 
 
 def _decode_lanes(states, words, idx, table_set: CdfTableSet):
-    """(final states, words read, slot position j per element) of an
-    interleaved ANS section; slots come from the set's slot lookup."""
-    flat, _, rows, _, _ = table_set.flat_view()
+    """(final states, words read, and per element the slot position j, the
+    table's offset and its coded count) of an interleaved ANS section;
+    slots come from the set's slot lookup."""
+    flat, _, rows, offsets, n_coded = table_set.flat_view()
     freq = np.diff(flat)
     lookup = table_set.slot_lookup().ravel()
     words = words.astype(np.int64)
@@ -496,13 +500,12 @@ def _decode_lanes(states, words, idx, table_set: CdfTableSet):
                 raise StreamError("ANS words exhausted")
             x[low] = (x[low] << 16) | words[wp:end]
             wp = end
-    return state, wp, j
+    return state, wp, j, offsets[idx], n_coded[idx]
 
 
 def _decode_slots(states, words, idx, table_set: CdfTableSet):
-    """(final state, words read, slot position j per element) of a
-    single-state ANS section; slots come from the set's slot lookup."""
-    flat, flat_list, rows, _, _ = table_set.flat_view()
+    """_decode_lanes for a single-state ANS section."""
+    flat, flat_list, rows, offsets, n_coded = table_set.flat_view()
     freq = np.diff(flat).tolist()
     lookup = memoryview(table_set.slot_lookup()).cast("B")
     word_list = words.tolist()
@@ -522,7 +525,7 @@ def _decode_slots(states, words, idx, table_set: CdfTableSet):
             state = (state << 16) | word_list[wp]
             wp += 1
         push(s)
-    return [state], wp, np.array(found, dtype=np.int64)
+    return [state], wp, np.array(found, dtype=np.int64), offsets[idx], n_coded[idx]
 
 
 def encode(symbols, table_indexes, table_set: CdfTableSet) -> Bitstream:
@@ -547,21 +550,14 @@ def decode(stream: Bitstream, table_indexes, table_set: CdfTableSet) -> np.ndarr
     """Exact inverse of encode given the same indexes and table set."""
     n = stream.symbol_count
     idx = _checked_indexes(table_indexes, n, table_set)
-    chunk = _shared_chunks(idx, table_set)
     states, words, bypass = _parse(stream)
     if len(states) > 1:
-        final, words_read, j = _decode_lanes(states, words, idx, table_set)
+        decoded = _decode_lanes(states, words, idx, table_set)
     elif len(table_set) <= _LOOKUP_TABLES:
-        final, words_read, j = _decode_slots(states, words, idx, table_set)
+        decoded = _decode_slots(states, words, idx, table_set)
     else:
-        return _decode_single(n, states[0], words, bypass, chunk)
-    _, _, _, offsets, nc = chunk(0, n)
-    esc = np.flatnonzero(j >= nc)  # tail slots: their symbols come from the bypass section
-    below, n_escape = _read_bypass(bypass, len(esc))  # before out, so their temporaries never meet
-    out = offsets + j
-    out[esc] = _escaped_symbols(below, n_escape, offsets[esc], nc[esc])
-    _check_end(final, words_read, words)
-    return out
+        decoded = _decode_single(n, states, words, _shared_chunks(idx, table_set))
+    return _decoded_symbols(decoded, words, bypass)
 
 
 def _checked_indexes(table_indexes, expect_len, table_set) -> np.ndarray:

@@ -80,3 +80,40 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree):
+    """(name, statement) for each private top-level function, class or
+    constant of a module; dunder names such as __all__ are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _referenced_names(node):
+    """Names a statement reads, bare or as an attribute (module._name)."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_every_private_helper_is_used():
+    """A private helper that no other statement of the package reads is a
+    leftover of a refactor: delete it or use it."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(swpc.__file__).parent.glob("*.py"))}
+    statements = [(name, node) for name, tree in trees.items() for node in tree.body]
+    orphans = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            if not any(node is not definition and name in _referenced_names(node)
+                       for _, node in statements):
+                orphans.append(f"{module}: {name} (line {definition.lineno})")
+    assert not orphans, f"private helpers that nothing else in swpc uses: {orphans}"

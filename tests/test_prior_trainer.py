@@ -678,6 +678,17 @@ class TestSkipLoss:
         with pytest.raises(ValueError):
             pt.skip_loss(block, ps, grid2, mask, 0.5, 0.4, 0.3)
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("lambda_", [float("nan"), float("inf"), -0.1])
+    def test_lambda_must_be_finite_and_non_negative(self, seed, lambda_):
+        block = ss.gen_block(ss.SourceSpec(family="gm", shape=(1, 8, 8), seed=seed))
+        ps = gm_set(1.0, 2.0, 3.0, 4.0)
+        indexes = cb.IndexGrid.from_continuous(np.full(block.shape, 3.0), ps.m)
+        mask = np.full(block.shape, 0.5)
+        for objective in (pt.skip_loss, pt.skip_loss_grads):
+            with pytest.raises(ValueError, match="lambda_ must be finite and >= 0"):
+                objective(block, ps, indexes, mask, lambda_, 0.4, 0.3, k=2)
+
 
 class TestInitPriorSet:
     def test_gm_scales_strictly_increase(self):
@@ -1027,3 +1038,47 @@ class TestFrozenTraining:
             # the curve may move in the last bits when the kernel sums in another order
             assert res.predictor["a"] == pytest.approx(a, rel=1e-12)
             assert res.predictor["c"] == pytest.approx(c, rel=1e-12)
+
+
+class TestFrozenPriorSets:
+    """Trained bytes that TestFrozenTraining's ggm 1-D sets do not reach: a
+    2-D gmm grid (Kronecker weight rows) and a gm set trained with hyper
+    reuse and skip.  Recorded before the free-index epoch and the hyper pass
+    shared one counts kernel; the digests are of serialize_table_set."""
+
+    GRID = {
+        None: "1229374b4b29e7b7986feca76c59896279b61a4d350e9d88325a0d55339291e8",
+        1: "008a0856ef1f14ebb3036a13383b35385387488939177a2d1168c418b2884c93",
+    }
+
+    HYPER = {
+        "free-index": (
+            "957a330534024449f81877a017dc0df69743b0ddf97ef57807cde106c2601060", [2, 2, 2], None),
+        "calibration-curve": (
+            "25ad1c553ceeb569eb409ccf96aeb8a55b50f686db1eb44d75c7b4261037d115", [4, 4, 4],
+            (0.9407866313029427, 2.4675291998927853)),
+    }
+
+    @pytest.mark.parametrize("k", list(GRID))
+    def test_gmm_grid(self, k):
+        blk = ss.gen_block(ss.SourceSpec("gmm", (2, 30, 30), seed=31, mode="nonzero-center",
+                                         comp_mean_range=(-5, 5), comp_sigma_range=(0.5, 4)))
+        res = pt.train_priors([blk], pt.TrainConfig(family="gmm", dims=(4, 3), epochs=40, seed=4, k=k))
+        tables = pt.export_tables(res.prior_set)
+        assert hashlib.sha256(ct.serialize_table_set(tables)).hexdigest() == self.GRID[k]
+        assert tables.meta["dims"] == [4, 3]
+
+    @pytest.mark.parametrize("mode", list(HYPER))
+    def test_hyper_reuse_with_skip(self, mode):
+        digest, selected, curve = self.HYPER[mode]
+        blk = ss.gen_block(ss.SourceSpec("gm", (2, 32, 32), seed=5))
+        z = ss.gen_block(ss.SourceSpec("gm", (3, 8, 8), seed=6, sigma_range=(0.5, 6)))
+        cfg = pt.TrainConfig(family="gm", dims=(6,), epochs=30, skip_epochs=1, lambda_=0.05,
+                             predictor_mode=mode)
+        res = pt.train_priors([blk], cfg, z_block=z)
+        tables = pt.export_tables(res.prior_set)
+        assert hashlib.sha256(ct.serialize_table_set(tables)).hexdigest() == digest
+        assert res.hyper_logits.selected().tolist() == selected
+        assert res.skip_head.tables == (0, 1, 2, 3)
+        if curve is not None:
+            assert (res.predictor["a"], res.predictor["c"]) == pytest.approx(curve, rel=1e-12)
