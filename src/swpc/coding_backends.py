@@ -61,16 +61,21 @@ def round_half_away(x):
 
 
 def harden_index(i, m: int):
-    """Integer prior index in [1, m]: round(clip(i, 1, m)); NaN has none."""
+    """Integer prior index in [1, m]: round(clip(i, 1, m)); NaN has none.
+    The work is done in the memory of the int64 result, viewed as float64,
+    so no temporary of the input's size is made."""
     if m < 1:
         raise ValueError("m must be >= 1")
     i = np.asarray(i, np.float64)
     if i.size and np.isnan(i.min()):
         raise ValueError("a NaN prior index has no table")
-    # on [1, m], round_half_away(x) is floor(x + 0.5), which the cast to int gives
-    out = np.clip(i, 1.0, float(m))
-    out += 0.5
-    out = out.astype(np.int64)
+    out = np.empty(i.shape, np.int64)
+    x = out.view(np.float64)
+    np.clip(i, 1.0, float(m), out=x)
+    # on [1, m], round_half_away(x) is floor(x + 0.5), which the cast to int gives;
+    # a 1-D cast onto the same memory runs element by element, with no copy
+    x += 0.5
+    np.copyto(out.reshape(-1), x.reshape(-1), casting="unsafe")
     return int(out) if out.ndim == 0 else out
 
 

@@ -293,6 +293,11 @@ class TrainConfig:
     k = None means full-M weighting (no Top-K truncation); any positive
     skip_epochs adds skip mode: after training, each table whose elements
     cost more coded than skipped joins the skipped members of the set.
+    skip_epochs acts only as > 0: its size changes nothing beyond that.
+
+    seed changes nothing: training draws no random numbers, so two configs
+    that differ only in seed train byte-identical sets.  It is kept so that
+    callers that pass it keep working.
     """
 
     family: str

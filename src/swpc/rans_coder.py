@@ -40,10 +40,14 @@ exact uint64 count) in two fields of k + 1 bits:
 - run B then holds, in the same order, the sign bit (1 below the coded
   span, 0 above) and the k bits of n below the leading 1.
 
-The packer places the fields by a cumsum of their sizes and ORs them into
-big-endian 64-bit words, splitting a field that crosses a word.  The
-decoder knows the escape count E once the ANS decode is done and reads the
-section once, with no loop over records: the first E 1s of run A (one
+The writer sizes a record from the exponent np.frexp gives float(n),
+corrected by one exact uint64 comparison where the float rounds n up to a
+power of two.  It places the fields by a cumsum of their sizes and adds
+the run-B fields into big-endian 64-bit words with np.add.at: no two
+fields share a bit, so the sum is their OR.
+
+The decoder knows the escape count E once the ANS decode is done and reads
+the section once, with no loop over records: the first E 1s of run A (one
 nonzero over the section's first half, where a valid run A ends) give
 every field size, and each run-B field is read from the two words that
 hold its start.  Every decoder ends in one tail: its ANS loop gives each
@@ -107,6 +111,7 @@ _MIN_LANES = 64
 _MAX_LANES = 4096
 _POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 _SIGN = _POWERS[63]
+_FAR = 1 << 62  # two int64 values in [-2^62, 2^62) differ by less than 2^63
 _LOOKUP_TABLES = 256  # largest set whose 2^16-byte-per-table slot lookup decode() builds
 _CHUNK = 16384  # elements per chunk of lazily built tables: bounds memory, not the bytes
 
@@ -158,56 +163,66 @@ def bypass_decode(bits: str) -> int:
     return int(bits[zeros:], 2) - 1
 
 
-def _escapes(j, in_range, n_coded):
+def _escapes(j, esc, n_coded):
     """(below the coded span, n = distance beyond its edge + 1 as uint64) of
-    the escaped elements, in element order."""
-    esc = ~in_range
-    je = j[esc]
-    below = je < 0
-    dist = np.where(below, ~je, je - n_coded[esc])  # ~j = -j - 1; both fit int64
-    return below, dist.view(np.uint64) + np.uint64(1)
+    the escaped elements, at indexes `esc`, in element order."""
+    j = j[esc]
+    below = j < 0
+    sign = j >> 63  # all ones below the span, else zero
+    j ^= sign  # ~j = -j - 1 below the span, j above it
+    np.invert(sign, out=sign)
+    sign &= n_coded[esc]
+    j -= sign  # and above it, j - n_coded; both fit int64
+    n = j.view(np.uint64)
+    n += np.uint64(1)
+    return below, n
 
 
 def _record_bits(n) -> np.ndarray:
     """Bits of each bypass record: the sign bit, then Exp-Golomb order 0 of
-    n - 1, that is 2 * bit_length(n) in all.  bit_length(n) counts the
-    powers of two <= n, compared exactly in uint64."""
-    return 2 * np.searchsorted(_POWERS, n, side="right")
+    n - 1, that is 2 * bit_length(n) in all.  bit_length(n) is the exponent
+    np.frexp gives float(n), one too high where the float rounds n up to the
+    next power of two (2^53 <= n); one exact uint64 comparison takes it back."""
+    e = np.frexp(n)[1]
+    e -= n < _POWERS[e - 1]
+    e <<= 1
+    return e
 
 
 def _pack_escapes(below, n, width) -> bytes:
     """The bypass section of records `width` bits wide: run A, then run B,
     each with a field of width / 2 = bit_length(n) bits per record (see the
     module docstring), zero-padded to a byte.  Run A is packed from its
-    bits; run B's fields are OR-ed into big-endian 64-bit words, split where
-    one crosses a word."""
+    bits.  A run-B field goes into big-endian 64-bit words in two parts: the
+    bits in the word holding its last bit, and the bits before that word's
+    start, zero unless the field crosses into it.  No two fields share a
+    bit, so np.add.at places the parts as an OR would, in numpy's indexed
+    fast loop."""
     if not len(n):
         return b""
-    end = np.cumsum(width >> 1)
+    size = width >> 1
+    end = np.cumsum(size)
     total = int(end[-1])
     run_a = np.zeros(total, dtype=bool)
     run_a[end - 1] = True  # each prefix ends on its leading 1
     run_a = np.packbits(run_a)
-    k = (width >> 1).astype(np.uint64) - np.uint64(1)
-    fields = n ^ (~below).astype(np.uint64) << k  # sign bit 0 above the span: clear the 1
+    fields = (~below).astype(np.uint64)
+    fields <<= size.astype(np.uint64) - np.uint64(1)
+    fields ^= n  # sign bit 0 above the span: clear the leading 1 of n
     end += total - 1  # the last bit of each field of run B
     shift = (63 - (end & 63)).astype(np.uint64)
-    cross = shift > np.uint64(63) - k
-    high = fields[cross] >> (np.uint64(64) - shift[cross])  # the part in the word before
-    fields <<= shift
-    words = np.zeros((2 * total + 63) >> 6, dtype=np.uint64)
-    _or_into(words, end >> 6, fields)
-    _or_into(words, (end >> 6)[cross] - 1, high)
-    section = words.astype(">u8").view(np.uint8)[: (2 * total + 7) >> 3]
+    words = np.zeros(((2 * total + 63) >> 6) + 1, dtype=np.uint64)  # after one zero word
+    end >>= 6
+    end += 1  # the word holding the last bit, past the zero word
+    np.add.at(words, end, fields << shift)
+    end -= 1
+    fields >>= np.uint64(1)
+    shift ^= np.uint64(63)
+    fields >>= shift  # the bits `<< shift` pushed out, for the word before
+    np.add.at(words, end, fields)
+    section = words[1:].astype(">u8").view(np.uint8)[: (2 * total + 7) >> 3]
     section[: len(run_a)] |= run_a
     return section.tobytes()
-
-
-def _or_into(words, at, values):
-    """words[at] |= values for non-decreasing word indexes `at`."""
-    if len(at):
-        first = np.flatnonzero(np.diff(at, prepend=-1))
-        words[at[first]] |= np.bitwise_or.reduceat(values, first)
 
 
 def _leading_ones(data: np.ndarray, count: int) -> np.ndarray:
@@ -288,16 +303,28 @@ def _escaped_symbols(below, n, offsets, n_coded) -> np.ndarray:
 
 
 def _slots(sym, flat, rows, offsets, n_coded):
-    """(j = symbol - offset, in coded span, slot start, slot frequency);
-    symbols outside the coded span take the tail slot.  ValueError when
-    symbol - offset does not fit int64 (it would wrap)."""
+    """(j = symbol - offset, indexes of the escaped elements, slot start,
+    slot frequency).  One unsigned min(j, n_coded) is j inside the coded
+    span and n_coded, the tail slot, outside it (a negative j wraps above
+    2^63), so one comparison finds the escapes.  ValueError when
+    symbol - offset does not fit int64 (it would wrap); only a symbol or an
+    offset outside [-2^62, 2^62) can make it so, and only then is it checked."""
     j = sym - offsets
-    if np.any((sym ^ offsets) & (sym ^ j) < 0):  # operand signs differ, result sign flipped
+    if (_far(sym) or _far(offsets)) and np.any((sym ^ offsets) & (sym ^ j) < 0):
+        # operand signs differ, result sign flipped
         raise ValueError("symbol too far from its table's offset: symbol - offset overflows int64")
-    in_range = (j >= 0) & (j < n_coded)
-    base = rows + np.where(in_range, j, n_coded)
+    slot = np.minimum(j.view(np.uint64), n_coded.view(np.uint64))
+    esc = np.flatnonzero(slot == n_coded.view(np.uint64))
+    base = slot.view(np.int64)
+    base += rows
     starts = flat[base]
-    return j, in_range, starts, flat[base + 1] - starts
+    base += 1
+    return j, esc, starts, flat[base] - starts
+
+
+def _far(a) -> bool:
+    """Whether an int64 array holds a value outside [-2^62, 2^62)."""
+    return bool(len(a)) and not (-_FAR <= a.min() and a.max() < _FAR)
 
 
 def _lane_count(freqs, bypass_bits: int) -> int:
@@ -403,8 +430,8 @@ def encode_elementwise(symbols, chunk_tables) -> Bitstream:
     for lo in range(((n - 1) // _CHUNK) * _CHUNK, -1, -_CHUNK) if n else []:
         hi = min(lo + _CHUNK, n)
         flat, _, rows, offs, nc = chunk_tables(lo, hi)
-        j, in_range, starts, freqs = _slots(sym[lo:hi], flat, rows, offs, nc)
-        escapes.append(_escapes(j, in_range, nc))
+        j, esc, starts, freqs = _slots(sym[lo:hi], flat, rows, offs, nc)
+        escapes.append(_escapes(j, esc, nc))
         state = _encode_single(starts, freqs, state, words)
     below, n_escape = (np.concatenate(part[::-1]) for part in zip(*escapes))
     bypass = _pack_escapes(below, n_escape, _record_bits(n_escape))
@@ -534,8 +561,8 @@ def encode(symbols, table_indexes, table_set: CdfTableSet) -> Bitstream:
     n = len(sym)
     chunk = _shared_chunks(_checked_indexes(table_indexes, n, table_set), table_set)
     flat, _, rows, offsets, nc = chunk(0, n)
-    j, in_range, starts, freqs = _slots(sym, flat, rows, offsets, nc)
-    below, n_escape = _escapes(j, in_range, nc)
+    j, esc, starts, freqs = _slots(sym, flat, rows, offsets, nc)
+    below, n_escape = _escapes(j, esc, nc)
     width = _record_bits(n_escape)
     lanes = _lane_count(freqs, int(width.sum()))
     if lanes == 1:
@@ -589,8 +616,7 @@ def implied_bits(symbols, table_indexes, table_set: CdfTableSet) -> np.ndarray:
     sym = np.asarray(symbols, dtype=np.int64).ravel()
     idx = _checked_indexes(table_indexes, len(sym), table_set)
     flat, _, rows, offsets, nc = _shared_chunks(idx, table_set)(0, len(sym))
-    j, in_range, _, freqs = _slots(sym, flat, rows, offsets, nc)
+    j, esc, _, freqs = _slots(sym, flat, rows, offsets, nc)
     bits = -np.log2(freqs / TOTAL_FREQ)
-    if not in_range.all():
-        bits[~in_range] += _record_bits(_escapes(j, in_range, nc)[1])
+    bits[esc] += _record_bits(_escapes(j, esc, nc)[1])
     return bits

@@ -689,6 +689,19 @@ class TestSkipLoss:
             with pytest.raises(ValueError, match="lambda_ must be finite and >= 0"):
                 objective(block, ps, indexes, mask, lambda_, 0.4, 0.3, k=2)
 
+    # Open defect: the full window gives the narrowest prior a tiny nonzero
+    # weight on every element, and the floor policy raises for any nonzero
+    # weight on a floored symbol ("prior 1 gives symbol -115 probability
+    # < 2^-32"), even for a set scored on its own training block.
+    @pytest.mark.xfail(strict=True, raises=pm.InfiniteRateError,
+                       reason="k=None floors a symbol its narrowest prior meets with nonzero weight")
+    @pytest.mark.parametrize("objective", [pt.skip_loss, pt.skip_loss_grads])
+    def test_full_window_scores_a_set_on_its_own_training_block(self, objective):
+        block = ss.gen_block(ss.SourceSpec("gm", (1, 32, 32), seed=4))
+        result = pt.train_priors(block, pt.TrainConfig("gm", (12,), 20, predictor_mode="free-index"))
+        objective(block, result.prior_set, result.indexes, np.ones(block.shape), 0.01, 0.3, 0.3,
+                  k=None)
+
 
 class TestInitPriorSet:
     def test_gm_scales_strictly_increase(self):

@@ -517,6 +517,27 @@ def test_symbols_whose_slot_distance_overflows_int64_are_rejected():
     zero = CdfTableSet([QuantizedCdfTable(0, np.array([0, 30000, 1 << 16]))])
     assert decode(encode([-(2**63)], [0], zero), [0], zero).tolist() == [-(2**63)]
     assert np.isfinite(implied_bits([-(2**63)], [0], zero)).all()
+    # offsets beyond +-2^62 make small symbols wrap: the check opens from the table side
+    # too, and at 2^62 itself, where symbol - offset = 2^62 + 2^62 wraps
+    for offset, wrap, fits in (
+        (2**63 - 200, [-201, -(2**62), -(2**63)], [-200, 0, 2**63 - 200, 2**63 - 1]),
+        (-(2**63) + 200, [200, 2**62, 2**63 - 1], [199, 0, -(2**63) + 201, -(2**63)]),
+        (-(2**62), [2**62, 2**63 - 1], [2**62 - 1, -(2**63)]),
+    ):
+        far = CdfTableSet.from_rows(offset, np.array([[0, 30000, 60000, 1 << 16]]))
+        far_chunk = rc._shared_chunks(np.zeros(1, np.int64), far)
+        for sym in wrap:
+            with pytest.raises(ValueError, match="overflows int64"):
+                encode([sym], [0], far)
+            with pytest.raises(ValueError, match="overflows int64"):
+                rc.encode_elementwise([sym], far_chunk)
+            with pytest.raises(ValueError, match="overflows int64"):
+                implied_bits([sym], [0], far)
+        for sym in fits:
+            assert decode(encode([sym], [0], far), [0], far).tolist() == [sym]
+            stream = rc.encode_elementwise([sym], far_chunk)
+            assert decode_elementwise(stream, far_chunk).tolist() == [sym]
+            assert np.isfinite(implied_bits([sym], [0], far)).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -543,13 +564,12 @@ def test_symbols_encode_accepts_roundtrip(symbols, offset):
 # Bypass section against the string references
 
 
-def _reference_records(j, in_range, n_coded) -> list[tuple[bool, int]]:
+def _reference_records(j, n_coded) -> list[tuple[bool, int]]:
     """(below the coded span, distance beyond it) of the escaped elements,
-    in element order."""
-    esc = np.flatnonzero(~in_range)
+    those with j outside [0, n_coded), in element order."""
     return [
         (False, d - edge) if d >= edge else (True, -d - 1)
-        for d, edge in zip(j[esc].tolist(), n_coded[esc].tolist())
+        for d, edge in zip(j.tolist(), n_coded.tolist()) if not 0 <= d < edge
     ]
 
 
@@ -637,10 +657,12 @@ def test_packed_escapes_match_reference(offset):
         sym = np.array(syms, dtype=np.int64)[order]
         idx = np.zeros(len(sym), np.int64)
         flat, _, rows, offs, nc = rc._shared_chunks(idx, set_)(0, len(sym))
-        j, in_range, _, _ = rc._slots(sym, flat, rows, offs, nc)
-        records = _reference_records(j, in_range, nc)
+        j, esc, _, _ = rc._slots(sym, flat, rows, offs, nc)
+        records = _reference_records(j, nc)
+        assert esc.tolist() == [e for e, (d, edge) in enumerate(zip(j.tolist(), nc.tolist()))
+                                if not 0 <= d < edge]
         section = _reference_pack(records)
-        below, n = rc._escapes(j, in_range, nc)
+        below, n = rc._escapes(j, esc, nc)
         assert rc._pack_escapes(below, n, rc._record_bits(n)) == section
         payload = encode(sym, idx, set_).payload
         assert payload.endswith(section)
@@ -766,8 +788,8 @@ def test_reader_working_set_stays_under_50_bytes_per_escape():
     payload = encode(syms, idx, set_).payload
     section = payload[4 + struct.unpack_from("<I", payload)[0] :]
     flat, _, rows, offs, nc = rc._shared_chunks(idx, set_)(0, len(syms))
-    j, in_range, _, _ = rc._slots(syms, flat, rows, offs, nc)
-    expect_below, expect_n = rc._escapes(j, in_range, nc)
+    j, esc, _, _ = rc._slots(syms, flat, rows, offs, nc)
+    expect_below, expect_n = rc._escapes(j, esc, nc)
     count = len(expect_n)
     assert count > len(syms) // 2
     tracemalloc.start()
