@@ -20,10 +20,8 @@ cumulative[1:-1] as u16, table after table; the leading 0 and the final 2^16
 of each row are implicit.  A length-prefixed UTF-8 JSON blob with grid axes
 or training provenance may follow.  A CRC32 (zlib) of all the bytes before
 it closes the payload, so a changed byte, or any burst of changed bits no
-longer than 32, fails the check (a ParseError).  Version 1 (per table an
-i32 offset, a u16 entry count and the entries cumulative[1:] as u32, then
-the blob, with no checksum) is still read, through the same array checks,
-but not written.
+longer than 32, fails the check (a ParseError).  Version 1 (32-bit entries,
+no checksum) is no longer read: it raises a VersionError.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ __all__ = [
 TOTAL_FREQ = 1 << 16
 
 _MAGIC = b"SWPC"
-_VERSION = 2  # written; version 1 is still read
+_VERSION = 2  # the one version read and written
 _FAMILY_TAGS = {"gm": 0, "ggm": 1, "gmm": 2, "learned": 3}
 _TAG_FAMILIES = {v: k for k, v in _FAMILY_TAGS.items()}
 
@@ -606,20 +604,8 @@ class _Reader:
         return len(self.data) - self.pos
 
 
-def _read_v1_rows(r: _Reader, count: int):
-    """(offsets, n_coded, flat) of version-1 tables: per table an i32
-    offset, a u16 entry count and the entries cumulative[1:] as u32."""
-    offsets, n_coded, rows = [], [], []
-    for _ in range(count):
-        offset, n_entries = struct.unpack("<iH", r.take(6))
-        offsets.append(offset)
-        n_coded.append(n_entries - 1)
-        rows += [np.zeros(1, np.int64), r.array("<u4", n_entries)]  # cast by concatenate
-    return offsets, n_coded, np.concatenate(rows) if rows else []
-
-
-def _read_v2_rows(r: _Reader, count: int):
-    """(offsets, n_coded, flat) of version-2 tables: all i32 offsets, all u8
+def _read_rows(r: _Reader, count: int):
+    """(offsets, n_coded, flat) of the tables: all i32 offsets, all u8
     inner counts, then every row's cumulative[1:-1] as u16."""
     offsets = r.array("<i4", count)
     n_coded = r.array("u1", count).astype(np.int64)
@@ -642,28 +628,29 @@ def _read_meta(blob: bytes) -> dict:
 
 
 def deserialize_table_set(data: bytes) -> CdfTableSet:
-    """The set a version-2 or version-1 payload holds; ParseError (or a
-    subclass) for anything else."""
+    """The set a version-2 payload holds; ParseError (or a subclass) for
+    anything else."""
     data = bytes(data)
     r = _Reader(data)
     if r.take(4) != _MAGIC:
         raise MagicError("bad magic; not a table-set payload")
     version, family_tag, count = struct.unpack("<HBI", r.take(7))
-    if version not in (1, 2):
-        raise VersionError(f"unsupported version {version}")
+    if version != _VERSION:
+        why = "is no longer read" if version == 1 else "is not supported"
+        raise VersionError(f"table-set version {version} {why}; rebuild the tables with "
+                           "build-tables or train")
     if family_tag not in _TAG_FAMILIES:
         raise ParseError(f"unknown family tag {family_tag}")
-    offsets, n_coded, flat = (_read_v1_rows if version == 1 else _read_v2_rows)(r, count)
-    crc_len = 4 if version == 2 else 0
+    offsets, n_coded, flat = _read_rows(r, count)
     blob = None
-    if r.remaining > crc_len:
+    if r.remaining > 4:
         (blob_len,) = struct.unpack("<I", r.take(4))
         blob = r.take(blob_len)
-    if r.remaining < crc_len:
+    if r.remaining < 4:
         raise TruncatedError(f"{r.remaining} bytes left for the 4-byte checksum")
-    if r.remaining > crc_len:
-        raise TruncatedError(f"{r.remaining - crc_len} trailing bytes after metadata")
-    if crc_len and zlib.crc32(memoryview(data)[:-4]) != struct.unpack("<I", data[-4:])[0]:
+    if r.remaining > 4:
+        raise TruncatedError(f"{r.remaining - 4} trailing bytes after metadata")
+    if zlib.crc32(memoryview(data)[:-4]) != struct.unpack("<I", data[-4:])[0]:
         raise ParseError("checksum mismatch: the table set is corrupted")
     meta = {"family": _TAG_FAMILIES[family_tag]}
     if blob is not None:

@@ -299,22 +299,20 @@ def _switch_side_info(block: cb.LatentBlock, prefix: str, use_skip: bool,
         if not entry:
             raise UsageError("--hyper needs a trained artifact with hyper logits")
         chosen = entry.get("selected") if isinstance(entry, dict) else None
-        if not isinstance(chosen, list):
-            raise ValueError(f"trained sidecar {prefix}.json holds no list of hyper selections")
+        count = len(table_set)
+        if not (isinstance(chosen, list)  # one-based flat tables, not bools
+                and all(type(s) is int and 1 <= s <= count for s in chosen)):
+            raise ValueError(f"trained sidecar {prefix}.json holds no list of hyper selections "
+                             f"in [1, {count}]")
         if len(chosen) != block.channels:
             raise UsageError("hyper selection does not match the block's channels")
-        cont = np.broadcast_to(np.asarray(chosen, np.float64)[:, None, None], block.shape)
-        indexes = cb.IndexGrid(cont, dims[0])
+        tables = np.broadcast_to(np.array(chosen)[:, None, None] - 1, block.shape)
+        indexes = cb.IndexGrid.from_tables(tables, dims, block.shape)
     elif indexes_path and not encoding:
         indexes = _read_index_grid(indexes_path, dims)
     elif sidecar["predictor"]["mode"] == "calibration-curve":
-        a, c = sidecar["predictor"]["a"], sidecar["predictor"]["c"]
-        with np.errstate(over="ignore", invalid="ignore"):
-            curve = a * cb.log_features(block.side_features) + c
-        if not np.isfinite(curve).all():
-            raise ValueError(f"trained sidecar {prefix}.json: its calibration curve overflows "
-                             "on this block")
-        indexes = cb.IndexGrid(curve, dims[0])
+        indexes = cb.IndexGrid.from_curve(sidecar["predictor"]["a"], sidecar["predictor"]["c"],
+                                          block.side_features, dims[0])
     elif not indexes_path:
         raise UsageError("a free-index set codes only with --indexes at both ends")
     else:
@@ -416,9 +414,10 @@ BENCH_COLUMNS = [
 
 
 def _median_ns(fn, trials: int) -> int:
+    """Median time of `trials` calls of fn, after one untimed warm-up call."""
     fn()  # warm-up
     samples = []
-    for _ in range(max(trials, 5)):
+    for _ in range(trials):
         t0 = time.perf_counter_ns()
         fn()
         samples.append(time.perf_counter_ns() - t0)
@@ -474,6 +473,8 @@ def cmd_bench(ns) -> int:
     cfg = _load_config(ns.config)
     seed = _seed(ns, cfg)
     trials = _resolve(ns, cfg, "trials", 5, int)
+    if trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {trials}")
     backends = [b.strip() for b in
                 str(_resolve(ns, cfg, "backends", "dynamic,lut,switch")).split(",")
                 if b.strip()]
@@ -517,10 +518,9 @@ def cmd_bench(ns) -> int:
                 lambda_=_resolve(ns, cfg, "rd_lambda", 1.0, float))
             result = pt.train_priors([block], config)
             table_set = pt.export_tables(result.prior_set)
-            a, c = result.predictor["a"], result.predictor["c"]
-
             def build_indexes():
-                return cb.IndexGrid(a * cb.log_features(block.side_features) + c, m)
+                curve = result.predictor["a"], result.predictor["c"]
+                return cb.IndexGrid.from_curve(*curve, block.side_features, m)
 
             indexes = build_indexes()
             index_ns = _median_ns(build_indexes, trials)

@@ -196,6 +196,18 @@ class IndexGrid:
         return cls(continuous, m, second, n)
 
     @classmethod
+    def from_curve(cls, a, c, features, m: int) -> "IndexGrid":
+        """The 1-D grid of the calibration curve a * log_features(features) + c;
+        ValueError when the curve is not finite at some feature."""
+        curve = log_features(features)
+        with np.errstate(over="ignore", invalid="ignore"):
+            curve *= a
+            curve += c
+        if not np.isfinite(curve).all():
+            raise ValueError(f"the calibration curve {a} * log f + {c} is not finite on this block")
+        return cls(curve, m)
+
+    @classmethod
     def from_tables(cls, tables, dims, shape) -> "IndexGrid":
         """The grid whose elements select the given zero-based flat tables
         of a set of dims (m,) or (m, n), laid out in the block shape."""

@@ -909,7 +909,7 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
     shaped = primary.shape if n == primary.n_elements else (1, 1, n)
     if calibration:
         predictor = {"mode": "calibration-curve", "a": float(slope), "c": float(intercept)}
-        indexes = IndexGrid((slope * log_f + intercept).reshape(shaped), config.dims[0])
+        indexes = IndexGrid.from_curve(slope, intercept, features.reshape(shaped), config.dims[0])
     else:
         predictor = {"mode": "free-index"}
         indexes = IndexGrid.from_tables(rates.argmin(axis=0)[inverse], config.dims, shaped)

@@ -578,18 +578,20 @@ def test_frozen_ggm_lut_bytes():
     assert digest == "d82646e82211a81809caf70366085ad0a2f0e40da6261093c906cf3bc1244752"
 
 
-def test_frozen_ggm_lut_version_1_bytes_still_read():
+def test_frozen_ggm_lut_version_1_bytes_are_refused():
     # sha256 of the version-1 bytes of the same set, recorded before the bin
-    # masses moved from the in-house incomplete gamma to scipy
+    # masses moved from the in-house incomplete gamma to scipy; version 1 has
+    # no checksum, so it is refused rather than read
     set_ = build_lut_ggm(5, 10)[0]
     v1 = serialize_v1(set_)
     assert hashlib.sha256(v1).hexdigest() == \
         "925c977645c25ad59ff6c4f49248323878282778d2f67ec5e02e57ec11268a89"
-    assert deserialize_table_set(v1) == set_
+    with pytest.raises(VersionError, match="version 1 is no longer read.*build-tables or train"):
+        deserialize_table_set(v1)
     assert len(serialize_table_set(set_)) < 0.51 * len(v1)
 
 
-def test_version_1_reads_to_equal_sets():
+def test_version_1_payloads_are_refused():
     rng = np.random.default_rng(23)
     for _ in range(50):
         tables = [QuantizedCdfTable(int(rng.integers(-200, 200)),
@@ -597,7 +599,8 @@ def test_version_1_reads_to_equal_sets():
                                         rng.gamma(0.5, 1.0, int(rng.integers(2, 40)))))]))
                   for _ in range(int(rng.integers(0, 6)))]
         set_ = CdfTableSet(tables, {"family": "gmm", "note": [1, 2]} if rng.random() < 0.5 else None)
-        assert deserialize_table_set(serialize_v1(set_)) == set_
+        with pytest.raises(VersionError):
+            deserialize_table_set(serialize_v1(set_))
 
 
 def test_serialized_size_is_the_wire_length():
@@ -637,9 +640,10 @@ _LUT_META = st.fixed_dictionaries(
 
 @st.composite
 def _table_set_payloads(draw):
-    """A valid serialized set, version 2 or version 1, with a random metadata
-    blob (JSON or raw bytes; inside the checksum in version 2), then
-    truncated, byte-flipped, extended, or left whole."""
+    """A valid version-2 serialized set, or the version-1 bytes of one
+    (refused whole), with a random metadata blob (JSON or raw bytes; inside
+    the checksum in version 2), then truncated, byte-flipped, extended, or
+    left whole."""
     tables = []
     for _ in range(draw(st.integers(0, 3))):
         masses = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=12))

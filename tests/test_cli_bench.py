@@ -25,6 +25,7 @@ import swpc.cli_bench as cli
 import swpc.coding_backends as cb
 import swpc.rans_coder as rc
 import swpc.synth_source as ss
+from wire_v1 import serialize_v1
 
 
 def run_cli(*argv) -> int:
@@ -82,6 +83,16 @@ def free_trained(workdir):
                    "--save-block", block)
     assert code == 0
     return {"prefix": prefix, "block": block}
+
+
+@pytest.fixture(scope="module")
+def hyper_trained(workdir):
+    """Switch artifact of M=4 gm priors whose sidecar selects a prior per
+    hyperlatent channel, with its z block."""
+    prefix = workdir / "hyper" / "hy"
+    assert run_cli("train", "--family", "gm", "--m", 4, "--epochs", 40, "--seed", 33,
+                   "--reuse-hyper", "--out", prefix) == 0
+    return {"prefix": prefix, "block": Path(f"{prefix}.z.bin")}
 
 
 def derived_skip_mask(prefix, block: cb.LatentBlock) -> cb.SkipMask:
@@ -383,6 +394,25 @@ class TestCodeRoundTrips:
                        "--out", masked) == 0
         assert plain.read_bytes() == masked.read_bytes()
 
+    def test_hyper_on_a_two_dim_set_codes_its_flat_tables(self, tmp_path):
+        # a 2-D set's hyper selections are one-based flat tables over all M x N
+        prefix = tmp_path / "g23"
+        assert run_cli("train", "--family", "gmm", "--two-dim", 2, 3, "--epochs", 10,
+                       "--seed", 3, "--reuse-hyper", "--out", prefix) == 0
+        sidecar = json.loads(Path(f"{prefix}.json").read_text())
+        selected = [6, 1, 4, 3]
+        Path(f"{prefix}.json").write_text(json.dumps({**sidecar, "hyper": {"selected": selected}}))
+        z_path, stream, dec = Path(f"{prefix}.z.bin"), tmp_path / "z.bits", tmp_path / "z.bin"
+        args = ["--backend", "switch", "--trained", prefix, "--hyper"]
+        assert run_cli("encode", "--block", z_path, *args, "--out", stream) == 0
+        assert run_cli("decode", "--stream", stream, "--side", z_path, *args, "--out", dec) == 0
+        assert run_cli("verify", "--block", z_path, "--decoded", dec) == 0
+        z = ss.block_from_bytes(z_path.read_bytes())
+        tables = np.broadcast_to(np.array(selected)[:, None, None] - 1, z.shape)
+        grid = cb.IndexGrid.from_tables(tables, [2, 3], z.shape)
+        table_set = ct.deserialize_table_set(Path(f"{prefix}.tables").read_bytes())
+        assert stream.read_bytes() == cb.backend_switch(z, grid, None, table_set)[0].to_bytes()
+
     def test_hyper_reuses_main_tables(self, tmp_path):
         prefix = tmp_path / "hy"
         assert run_cli("train", "--family", "gm", "--m", 5, "--epochs", 80,
@@ -581,6 +611,26 @@ class TestFailureExits:
             assert codes[-1] == 0 or err.startswith("error: "), err
         assert set(codes) <= {0, 4}
         assert codes[-len(cuts):] == [4] * len(cuts)  # a cut loses words or records
+
+    def test_version_1_table_file_exits_4(self, tmp_path, capsys):
+        # version 1 has no checksum, so a damaged file could load as a
+        # different set: both ends refuse it rather than code with it
+        table_set, grid = ct.build_lut_ggm(5, 10)
+        block = ss.gen_block(ss.SourceSpec(family="ggm", shape=(1, 8, 8), seed=3))
+        side, stream, tables = tmp_path / "b.bin", tmp_path / "s.bits", tmp_path / "v1.tables"
+        side.write_bytes(ss.block_to_bytes(block))
+        stream.write_bytes(cb.backend_lut(block, grid, table_set)[0].to_bytes())
+        tables.write_bytes(serialize_v1(table_set))
+        lut = ["--backend", "lut", "--tables", tables]
+        capsys.readouterr()
+        assert run_cli("encode", "--block", side, *lut, "--out", tmp_path / "e.bits") == 4
+        assert run_cli("decode", "--stream", stream, "--side", side, *lut,
+                       "--out", tmp_path / "d.bin") == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2, lines
+        assert all(line.startswith("error: ") and "version 1 is no longer read" in line
+                   for line in lines), lines
+        assert not (tmp_path / "e.bits").exists() and not (tmp_path / "d.bin").exists()
 
     def test_corrupted_table_files_exit_4(self, trained, tmp_path, capsys):
         # a .tables file from build-tables and one from train, each with
@@ -931,6 +981,30 @@ class TestFailureExits:
         if "mask" in entry:
             assert "older format" in err
 
+    @pytest.mark.parametrize("value", [0, -1, 5, 99, 2.5, 1.0, True, 2 ** 70, "1"],
+                             ids=["zero", "negative", "past-end", "far-past-end", "fraction",
+                                  "float", "bool", "huge", "string"])
+    def test_malformed_hyper_selection_exits_2_on_encode_and_4_on_decode(
+            self, value, hyper_trained, tmp_path, capsys):
+        prefix, block = hyper_trained["prefix"], hyper_trained["block"]
+        stream = tmp_path / "s.bits"
+        assert run_cli("encode", "--block", block, "--backend", "switch", "--trained", prefix,
+                       "--hyper", "--out", stream) == 0
+        bad = tmp_path / "bad"
+        Path(f"{bad}.tables").write_bytes(Path(f"{prefix}.tables").read_bytes())
+        sidecar = json.loads(Path(f"{prefix}.json").read_text())
+        selected = sidecar["hyper"]["selected"]
+        Path(f"{bad}.json").write_text(json.dumps(
+            {**sidecar, "hyper": {"selected": [value, *selected[1:]]}}))
+        args = ["--backend", "switch", "--trained", bad, "--hyper"]
+        capsys.readouterr()
+        assert run_cli("encode", "--block", block, *args, "--out", tmp_path / "e.bits") == 2
+        assert run_cli("decode", "--stream", stream, "--side", block, *args,
+                       "--out", tmp_path / "d.bin") == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("error: ") == 2, err
+        assert err.count("hyper selections in [1, 4]") == 2, err
+
 
 @pytest.fixture(scope="module")
 def bench_files(workdir):
@@ -1010,6 +1084,39 @@ class TestBenchReport:
         assert run_cli("bench", "--block", path, "--backends", "switch", "--m", 4,
                        "--epochs", 10, "--trials", 1, "--out", tmp_path / "b.csv") == 0
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_bench_times_exactly_trials_calls(self, trials, tmp_path, monkeypatch):
+        # per backend: one call for the report, one warm-up, then `trials` timed
+        calls = {"encode": 0, "decode": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(cb, "backend_dynamic", counted("encode", cb.backend_dynamic))
+        monkeypatch.setattr(cb, "backend_dynamic_decode",
+                            counted("decode", cb.backend_dynamic_decode))
+        src = write_source(tmp_path / "src.json", family="gm", shape=(1, 8, 8), seed=3)
+        assert run_cli("bench", "--source", src, "--backends", "dynamic", "--trials", trials,
+                       "--out", tmp_path / "b.csv") == 0
+        assert calls == {"encode": 2 + trials, "decode": 1 + trials}
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_bench_refuses_fewer_than_one_trial(self, trials, tmp_path, capsys):
+        src = write_source(tmp_path / "src.json", family="gm", shape=(1, 8, 8), seed=3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": trials}))
+        capsys.readouterr()
+        assert run_cli("bench", "--source", src, "--backends", "dynamic", "--trials", trials,
+                       "--out", tmp_path / "b.csv") == 2
+        assert run_cli("bench", "--source", src, "--backends", "dynamic", "--config", cfg,
+                       "--out", tmp_path / "c.csv") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("error: --trials must be at least 1") == 2, err
+        assert not (tmp_path / "b.csv").exists() and not (tmp_path / "c.csv").exists()
 
     def test_report_renders_table(self, bench_files, tmp_path, capsys):
         out = tmp_path / "report.txt"

@@ -1,5 +1,6 @@
-"""The version-1 table-set writer, for tests: swpc still reads version 1 but
-writes only version 2.
+"""The version-1 table-set writer, for tests: swpc writes and reads only
+version 2 and refuses version 1, but frozen digests of trained tables are of
+their version-1 bytes.
 
 Version 1 is little-endian: magic "SWPC", version u16 = 1, family tag u8,
 table count u32, then per table an i32 offset, a u16 entry count and the
