@@ -29,6 +29,11 @@ and hyperlatent reuse, whose rows are the channels.  It codes each row's
 symbol counts with that row's weights over the priors, in O(R M U) for R
 rows.  A free-index set's weight rows are the Kronecker product of one
 window per axis, so a 1-D set is the one-axis case of a 2-D grid.
+
+Both kernels floor as _family_tables does (prob_models.floored_rate_bits):
+a probability under 2^-32 costs 32 bits with zero gradient, so the training
+loss and every soft rate here are finite for any weights.  Only the exact
+rate of one model, prob_models.rate_bits, raises below the floor.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .prob_models import (
     MAX_RADIUS,
     PMF_GRADS,
     PROB_FLOOR,
-    InfiniteRateError,
     ParameterDomainError,
     ProbModel,
     floored_rate_bits,
@@ -513,27 +517,16 @@ def _geometric_pass(rates, inverse, ivals, tau, element_weights=None):
     return element_rates, di, touched
 
 
-def _check_floor(pmf, touched, uniques):
-    """Raise where a prior under the 2^-32 floor carries weight on a symbol."""
-    bad = np.argwhere((pmf < PROB_FLOOR) & (touched > 0.0))
-    if len(bad):
-        m_bad, u_bad = bad[0]
-        raise InfiniteRateError(
-            f"prior {m_bad + 1} gives symbol {int(uniques[u_bad])} probability < 2^-32")
-
-
 def _rate_pass(symbols, prior_set: PriorSet1D, ivals, tau: float, k: int, element_weights=None):
-    """(rates, d/d prior coords, d/d i) for raw symbols; the kernel floors,
-    but the public rate functions raise on a floored prior with weight."""
+    """(rates, d/d prior coords, d/d i) for raw symbols, floored as in training."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     if not 1 <= k <= prior_set.m:
         raise ValueError("k must satisfy 1 <= k <= m")
     uniques, inverse = np.unique(symbols, return_inverse=True)
-    rates, grads, pmf = _family_tables(prior_set.family, prior_set.params, uniques)
-    element_rates, di, touched, dtheta = _window_pass(
+    rates, grads = _family_tables(prior_set.family, prior_set.params, uniques)
+    element_rates, di, _, dtheta = _window_pass(
         rates, grads, inverse.ravel(), ivals, k, tau, element_weights)
-    _check_floor(pmf, touched, uniques)
     return element_rates, dtheta, di
 
 
@@ -609,8 +602,7 @@ def hyper_rate_grads(z_block: LatentBlock, prior_set: PriorSet1D, logits: HyperL
     if logits.channels != z_block.channels:
         raise ValueError("logits must have one row per hyperlatent channel")
     uniques, counts = _channel_counts(z_block)
-    rates, grads, pmf = _family_tables(prior_set.family, prior_set.params, uniques)
-    _check_floor(pmf, logits.weights().T @ counts, uniques)
+    rates, grads = _family_tables(prior_set.family, prior_set.params, uniques)
     return _hyper_pass(rates, grads, counts, logits.logits)
 
 
@@ -773,11 +765,9 @@ def _as_blocks(blocks) -> list[LatentBlock]:
 
 
 def _family_tables(family: str, coords_rows: np.ndarray, uniques: np.ndarray):
-    """Per-prior floored rates, rate gradients, and raw pmf over uniques.
-
-    Returns (rates (A, U), grads (A, U, D), pmf (A, U)); gradients are zero
-    wherever the probability sits on the 2^-32 floor, like the rate itself.
-    """
+    """Per-prior floored rates (A, U) and rate gradients (A, U, D) over
+    uniques; gradients are zero wherever the probability sits on the 2^-32
+    floor, like the rate itself."""
     k = uniques.astype(np.float64)[None, :]
     # divergent coordinate values overflow exp on purpose; the NaN loss they
     # produce is caught by the trainer, so the numpy warnings are noise
@@ -786,7 +776,7 @@ def _family_tables(family: str, coords_rows: np.ndarray, uniques: np.ndarray):
         floored = pmf < PROB_FLOOR
         rates = floored_rate_bits(pmf)
         scale = np.where(floored, 0.0, -1.0 / (np.maximum(pmf, PROB_FLOOR) * _LN2))
-        return rates, grads * scale[:, :, None], pmf
+        return rates, grads * scale[:, :, None]
 
 
 def _epoch_tables(family: str, coords_rows: np.ndarray, uniques: np.ndarray, epoch: int, trace):
@@ -873,7 +863,7 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
         tau = schedule.tau(epoch)
         lr_scale = 0.01 if epoch >= 0.8 * config.epochs else (0.1 if epoch >= 0.5 * config.epochs else 1.0)
         opt.lr = config.lr * lr_scale
-        rates, grads, _ = _epoch_tables(config.family, coords, uniques, epoch, trace)
+        rates, grads = _epoch_tables(config.family, coords, uniques, epoch, trace)
 
         if calibration:
             ivals = slope * log_f + intercept
@@ -888,7 +878,7 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
 
         if z_block is not None:
             # z has its own symbol table; the main-block rates don't apply
-            z_rates, z_grads, _ = _epoch_tables(config.family, coords, z_uniques, epoch, trace)
+            z_rates, z_grads = _epoch_tables(config.family, coords, z_uniques, epoch, trace)
             z_loss, dlogits, z_dtheta = _hyper_pass(z_rates, z_grads, z_counts, logits)
             loss += z_loss
             dtheta += z_dtheta
@@ -905,7 +895,7 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
 
     final_tau = schedule.tau(config.epochs - 1)
     # rebuild the assignment under the final coordinates
-    rates, _, _ = _epoch_tables(config.family, coords, uniques, config.epochs, trace)
+    rates, _ = _epoch_tables(config.family, coords, uniques, config.epochs, trace)
     shaped = primary.shape if n == primary.n_elements else (1, 1, n)
     if calibration:
         predictor = {"mode": "calibration-curve", "a": float(slope), "c": float(intercept)}

@@ -598,7 +598,8 @@ def pmf_integer(model: ProbModel, k):
 def rate_bits(model: ProbModel, k) -> float:
     """Ideal code length -log2 pmf_integer(model, k), in bits.
 
-    Raises InfiniteRateError when the mass falls below the 2^-32 floor.
+    The exact rate of one model: raises InfiniteRateError when the mass
+    falls below the 2^-32 floor (the floor policy is at floored_rate_bits).
     """
     p = pmf_integer(model, k)
     if np.ndim(p) != 0:
@@ -609,7 +610,17 @@ def rate_bits(model: ProbModel, k) -> float:
 
 
 def floored_rate_bits(pmf):
-    """-log2(max(pmf, 2^-32)) elementwise; the training-side rate kernel."""
+    """-log2(max(pmf, 2^-32)) elementwise: the one floor policy for rates.
+
+    Three layers meet the 2^-32 floor:
+    - rate_bits and grad_rate_params, the exact rate of one model, raise
+      InfiniteRateError below it;
+    - every soft or aggregate rate (the prior trainer's loss and its public
+      rate functions) and the oracle cap a floored mass here at 32 bits,
+      with zero gradient;
+    - the coder never fails: each coded slot has at least 2^-16, and
+      symbols out of a table's span escape at a finite cost.
+    """
     return -np.log2(np.maximum(np.asarray(pmf, np.float64), PROB_FLOOR))
 
 
@@ -621,6 +632,7 @@ def gmm_effective_mean(params: GmmParams) -> float:
 def grad_rate_params(model: ProbModel, k) -> np.ndarray:
     """Gradient of rate_bits(model, k) w.r.t. the trainable coordinates.
 
+    Raises InfiniteRateError below the 2^-32 floor, as rate_bits does.
     Coordinate order: gm -> [log sigma]; ggm -> [log beta, log alpha];
     gmm -> [weight logits (K), means (K), log sigmas (K)].
     """

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from math import prod
+from math import isfinite, prod
+from numbers import Real
 
 import numpy as np
 
@@ -71,6 +72,8 @@ class SourceSpec:
             value = getattr(self, f"{name}_range")
             if not (isinstance(value, (tuple, list)) and len(value) == 2):
                 raise ValueError(f"{name}_range must be a (lo, hi) pair")
+            if not all(isinstance(v, Real) and not isinstance(v, bool) and isfinite(v) for v in value):
+                raise ValueError(f"{name}_range bounds must be finite real numbers")
         for name, (lo, hi) in (
             ("sigma_range", self.sigma_range),
             ("alpha_range", self.alpha_range),
@@ -105,6 +108,10 @@ class SourceSpec:
             raise ValueError(f"bad source spec: {exc}") from exc
 
 
+# rounded samples must lie strictly inside (-2^63, 2^63) to fit int64
+_INT64_LIMIT = 2.0 ** 63
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
@@ -121,33 +128,44 @@ def _ggm_sample(rng, beta, alpha):
 
 
 def gen_block(spec: SourceSpec) -> LatentBlock:
-    """Draw parameters, then samples, then round; deterministic per seed."""
+    """Draw parameters, then samples, then round; deterministic per seed.
+
+    ValueError when the ranges draw a sample that is not finite or does not
+    fit an int64 residual once rounded.
+    """
     rng = _rng(spec.seed)
     shape = spec.shape
-    if spec.family == "gm":
-        sigma = _log_uniform(rng, *spec.sigma_range, shape)
-        y = sigma * rng.standard_normal(shape)
-        truth = {"family": "gm", "sigma": sigma}
-    elif spec.family == "ggm":
-        beta = rng.uniform(*spec.beta_range, shape)
-        alpha = _log_uniform(rng, *spec.alpha_range, shape)
-        y = _ggm_sample(rng, beta, alpha)
-        truth = {"family": "ggm", "beta": beta, "alpha": alpha}
-    else:
-        k = spec.components
-        weights = rng.dirichlet(np.ones(k), size=shape)
-        comp_means = rng.uniform(*spec.comp_mean_range, shape + (k,))
-        if spec.mode == "zero-center":
-            # keep each element's mixture centered so residuals stay symmetric
-            comp_means -= np.sum(weights * comp_means, axis=-1, keepdims=True)
-        comp_sigmas = _log_uniform(rng, *spec.comp_sigma_range, shape + (k,))
-        pick = (rng.random(shape + (1,)) < np.cumsum(weights, axis=-1)).argmax(axis=-1)
-        pick = pick[..., None]
-        mean_picked = np.take_along_axis(comp_means, pick, axis=-1)[..., 0]
-        sigma_picked = np.take_along_axis(comp_sigmas, pick, axis=-1)[..., 0]
-        y = mean_picked + sigma_picked * rng.standard_normal(shape)
-        truth = {"family": "gmm", "weights": weights, "means": comp_means, "sigmas": comp_sigmas}
-    residuals = round_half_away(y).astype(np.int64)
+    # extreme ranges overflow the draws; the range check below rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.family == "gm":
+            sigma = _log_uniform(rng, *spec.sigma_range, shape)
+            y = sigma * rng.standard_normal(shape)
+            truth = {"family": "gm", "sigma": sigma}
+        elif spec.family == "ggm":
+            beta = rng.uniform(*spec.beta_range, shape)
+            alpha = _log_uniform(rng, *spec.alpha_range, shape)
+            y = _ggm_sample(rng, beta, alpha)
+            truth = {"family": "ggm", "beta": beta, "alpha": alpha}
+        else:
+            k = spec.components
+            weights = rng.dirichlet(np.ones(k), size=shape)
+            comp_means = rng.uniform(*spec.comp_mean_range, shape + (k,))
+            if spec.mode == "zero-center":
+                # keep each element's mixture centered so residuals stay symmetric
+                comp_means -= np.sum(weights * comp_means, axis=-1, keepdims=True)
+            comp_sigmas = _log_uniform(rng, *spec.comp_sigma_range, shape + (k,))
+            pick = (rng.random(shape + (1,)) < np.cumsum(weights, axis=-1)).argmax(axis=-1)
+            pick = pick[..., None]
+            mean_picked = np.take_along_axis(comp_means, pick, axis=-1)[..., 0]
+            sigma_picked = np.take_along_axis(comp_sigmas, pick, axis=-1)[..., 0]
+            y = mean_picked + sigma_picked * rng.standard_normal(shape)
+            truth = {"family": "gmm", "weights": weights, "means": comp_means, "sigmas": comp_sigmas}
+        rounded = round_half_away(y)
+    lo, hi = rounded.min(), rounded.max()
+    if not (-_INT64_LIMIT < lo and hi < _INT64_LIMIT):
+        raise ValueError("the source's ranges draw samples that are not finite or "
+                         "do not fit int64 residuals")
+    residuals = rounded.astype(np.int64)
     means = (
         rng.uniform(*spec.mean_range, shape)
         if spec.mode == "zero-center"

@@ -761,6 +761,12 @@ class TestFailureExits:
         (["train", "--family", "gm", "--m", 2, "--epochs", 4, "--source", "{input}",
           "--out", "{out}"], b'{"family": "gm", "shape": [1, 8, 8], "sigma_range": 5}',
          2, "sigma_range"),
+        (["train", "--family", "gm", "--m", 2, "--epochs", 4, "--source", "{input}",
+          "--out", "{out}"], b'{"family": "gm", "shape": [1, 8, 8], "mean_range": [0, Infinity]}',
+         2, "mean_range bounds must be finite"),
+        (["train", "--family", "gm", "--m", 2, "--epochs", 4, "--source", "{input}",
+          "--out", "{out}"], b'{"family": "gm", "shape": [1, 8, 8], "sigma_range": [1e19, 1e19]}',
+         2, "do not fit int64"),
         (["decode", "--stream", "{lut_stream}", "--side", "{input}", "--backend", "lut",
           "--tables", "{tables}", "--out", "{out}"], "truthless", 4, "truth"),
         (["encode", "--block", "{trained_block}", "--backend", "switch", "--trained",
@@ -776,6 +782,7 @@ class TestFailureExits:
             "encode-out", "encode-report", "encode-indexes", "decode-out", "build-tables-out",
             "bench-out", "train-save-block", "report-not-utf8", "report-row-not-object",
             "source-unknown-field", "source-not-object", "source-range-not-pair",
+            "source-range-not-finite", "source-samples-overflow-int64",
             "lut-decode-truthless-side", "hyper-entry-encode", "hyper-entry-decode",
             "index-file-header", "unknown-predictor-mode-decode"])
     def test_malformed_input_or_unwritable_output_exits_2_or_4(self, command, data, code,

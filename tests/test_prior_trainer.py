@@ -197,10 +197,18 @@ class TestWeightedRate:
         expected = sum(w[m] * pm.rate_bits(ps.model(m + 1), -2) for m in range(3))
         assert abs(pt.weighted_rate(-2, ps, i, tau) - expected) < 1e-9
 
-    def test_zero_probability_with_nonzero_weight_raises(self):
+    def test_floored_prior_with_nonzero_weight_costs_32_bits(self):
+        # prior 1 floors symbol 3 but keeps weight: it costs 32 bits, no gradient
         ps = gm_set(0.05, 5.0)
-        with pytest.raises(pm.InfiniteRateError):
-            pt.weighted_rate(3, ps, 1.5, 0.5)
+        assert pm.pmf_integer(ps.model(1), 3) < pm.PROB_FLOOR
+        w = np.exp(-np.abs(1.5 - np.arange(1, 3)) / 0.5)
+        w /= w.sum()
+        rates = [pm.floored_rate_bits(pm.pmf_integer(ps.model(m), 3)) for m in (1, 2)]
+        assert rates[0] == 32.0
+        rate, dtheta, _ = pt.weighted_rate_grads(3, ps, 1.5, 0.5)
+        assert rate == pytest.approx(float(np.dot(w, rates)), rel=1e-12)
+        assert (dtheta[0] == 0.0).all()
+        np.testing.assert_allclose(dtheta[1], w[1] * pm.grad_rate_params(ps.model(2), 3), rtol=1e-12)
 
     def test_underflowed_weight_skips_floored_prior(self):
         ps = gm_set(5.0, 0.05)
@@ -223,7 +231,7 @@ class TestFullWindowPass:
         ps = random_valid_set(rng, m, family="ggm")
         symbols = rng.integers(-6, 7, size=n)
         uniques, inverse = np.unique(symbols, return_inverse=True)
-        rates, grads, _ = pt._family_tables("ggm", ps.params, uniques)
+        rates, grads = pt._family_tables("ggm", ps.params, uniques)
         ivals = rng.uniform(-20.0, m + 20.0, size=n)
         kind = rng.integers(0, 3, size=n)  # exact integers and half-integers too
         ivals = np.where(kind == 1, np.round(ivals), np.where(kind == 2, np.floor(ivals) + 0.5, ivals))
@@ -248,7 +256,7 @@ class TestFullWindowPass:
         ps = gm_set(1.0, 1.0, 1.0)
         assert pt.weighted_rate_grads(0, ps, 2.0, 0.5)[2] == pytest.approx(0.0, abs=1e-15)
         ps = gm_set(0.9, 3.0, 11.0)
-        rates, _, _ = pt._family_tables("gm", ps.params, np.array([2]))
+        rates, _ = pt._family_tables("gm", ps.params, np.array([2]))
         for tau in (1e-4, 0.05, 0.7, 30.0):
             w = pt.soft_weights(2.0, 3, tau)
             signs = np.array([1.0, 0.0, -1.0])  # sign(i - m') at i = 2
@@ -534,11 +542,22 @@ class TestHyperRate:
         fd_check(at_logits, raw.ravel(), dlogits.ravel())
         fd_check(at_coords, ps.params.ravel(), dtheta.ravel())
 
-    def test_floored_prior_with_live_weight_raises(self):
+    def test_floored_prior_with_live_weight_costs_32_bits(self):
         ps = gm_set(0.05, 5.0)
         z = self.z_block()
-        with pytest.raises(pm.InfiniteRateError):
-            pt.hyper_rate(z, ps, pt.HyperLogits(np.zeros((2, 2))))
+        symbols = [int(s) for s in z.residuals.ravel()]
+        floored = {(m, s) for m in (1, 2) for s in symbols
+                   if pm.pmf_integer(ps.model(m), s) < pm.PROB_FLOOR}
+        assert (1, 3) in floored
+        expected = 0.5 * sum(pm.floored_rate_bits(pm.pmf_integer(ps.model(m), s))
+                             for m in (1, 2) for s in symbols)
+        # a floored pair adds 32 bits and nothing to the gradient
+        expected_grad = [0.5 * sum(pm.grad_rate_params(ps.model(m), s) for s in symbols
+                                   if (m, s) not in floored) for m in (1, 2)]
+        rate, _, dtheta = pt.hyper_rate_grads(z, ps, pt.HyperLogits(np.zeros((2, 2))))
+        assert rate == pytest.approx(expected, rel=1e-12)
+        assert pt.hyper_rate(z, ps, pt.HyperLogits(np.zeros((2, 2)))) == rate
+        np.testing.assert_allclose(dtheta, np.array(expected_grad), rtol=1e-9)
 
     def test_floored_prior_with_dead_weight_passes(self):
         ps = gm_set(0.05, 5.0)
@@ -689,18 +708,39 @@ class TestSkipLoss:
             with pytest.raises(ValueError, match="lambda_ must be finite and >= 0"):
                 objective(block, ps, indexes, mask, lambda_, 0.4, 0.3, k=2)
 
-    # Open defect: the full window gives the narrowest prior a tiny nonzero
-    # weight on every element, and the floor policy raises for any nonzero
-    # weight on a floored symbol ("prior 1 gives symbol -115 probability
-    # < 2^-32"), even for a set scored on its own training block.
-    @pytest.mark.xfail(strict=True, raises=pm.InfiniteRateError,
-                       reason="k=None floors a symbol its narrowest prior meets with nonzero weight")
-    @pytest.mark.parametrize("objective", [pt.skip_loss, pt.skip_loss_grads])
-    def test_full_window_scores_a_set_on_its_own_training_block(self, objective):
+    @staticmethod
+    def own_block_case():
+        # the full window gives the narrowest prior a tiny nonzero weight on
+        # every element, and it floors symbol -115
         block = ss.gen_block(ss.SourceSpec("gm", (1, 32, 32), seed=4))
         result = pt.train_priors(block, pt.TrainConfig("gm", (12,), 20, predictor_mode="free-index"))
-        objective(block, result.prior_set, result.indexes, np.ones(block.shape), 0.01, 0.3, 0.3,
-                  k=None)
+        return block, result
+
+    @pytest.mark.parametrize("objective", [pt.skip_loss, pt.skip_loss_grads])
+    def test_full_window_scores_a_set_on_its_own_training_block(self, objective):
+        block, result = self.own_block_case()
+        out = objective(block, result.prior_set, result.indexes, np.ones(block.shape), 0.01, 0.3,
+                        0.3, k=None)
+        for value in (out if isinstance(out, tuple) else (out,)):
+            if value is not None:
+                assert np.isfinite(value).all()
+
+    def test_full_window_loss_is_the_floored_brute_force_sum(self):
+        block, result = self.own_block_case()
+        models = result.prior_set.models()
+        m = len(models)
+        floored_pairs = 0
+        expected = 0.0
+        for s, i in zip(block.residuals.ravel(), result.indexes.continuous.ravel()):
+            w = np.exp(-np.abs(i - np.arange(1, m + 1)) / 0.3)
+            w /= w.sum()
+            pmf = np.array([pm.pmf_integer(model, int(s)) for model in models])
+            floored_pairs += int((pmf < pm.PROB_FLOOR).sum())
+            expected += float(np.dot(w, pm.floored_rate_bits(pmf)))
+        assert floored_pairs > 0
+        got = pt.skip_loss(block, result.prior_set, result.indexes, np.ones(block.shape), 0.0,
+                           0.3, 0.3, k=None)
+        assert got == pytest.approx(expected, rel=1e-9)
 
 
 class TestInitPriorSet:

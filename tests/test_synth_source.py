@@ -80,6 +80,11 @@ class TestSourceSpec:
             SourceSpec(family="gm", shape=(1, 2, 2), seed=0, sigma_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             SourceSpec(family="gm", shape=(1, 2, 2), seed=0, feature_noise=-0.1)
+        for field, bounds in [("mean_range", (-np.inf, np.inf)), ("sigma_range", (1.0, np.inf)),
+                              ("mean_range", (0.0, np.nan)), ("beta_range", (0.5, "3")),
+                              ("alpha_range", (True, 2.0))]:
+            with pytest.raises(ValueError, match=f"{field} bounds must be finite real numbers"):
+                SourceSpec(family="gm", shape=(1, 2, 2), seed=0, **{field: bounds})
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +106,18 @@ class TestGenBlock:
         spec_a = SourceSpec(family="gm", shape=(2, 8, 9), seed=7)
         spec_b = SourceSpec(family="gm", shape=(2, 8, 9), seed=8)
         assert _digest(gen_block(spec_a)) != _digest(gen_block(spec_b))
+
+    @pytest.mark.parametrize("family, field, bounds", [
+        ("gm", "sigma_range", (1e19, 1e19)),
+        ("ggm", "beta_range", (0.01, 0.01)),
+        ("ggm", "alpha_range", (1e30, 1e30)),
+        ("gmm", "comp_sigma_range", (1e300, 1e300)),
+    ])
+    def test_samples_that_do_not_fit_int64_raise(self, family, field, bounds):
+        # these used to cast to -2^63 with only a RuntimeWarning
+        spec = SourceSpec(family=family, shape=(1, 4, 4), seed=1, **{field: bounds})
+        with pytest.raises(ValueError, match="do not fit int64"):
+            gen_block(spec)
 
     def test_tiny_sigma_gives_zero_residuals(self):
         spec = SourceSpec(family="gm", shape=(2, 10, 10), seed=1, sigma_range=(1e-6, 1e-6))
