@@ -34,6 +34,14 @@ Both kernels floor as _family_tables does (prob_models.floored_rate_bits):
 a probability under 2^-32 costs 32 bits with zero gradient, so the training
 loss and every soft rate here are finite for any weights.  Only the exact
 rate of one model, prob_models.rate_bits, raises below the floor.
+
+An epoch's element-sized work arrays live for one train_priors call.  The
+call keeps one _Work, from which _window_pass takes every per-element array
+it writes with out=, so only the first epoch allocates them and later epochs
+map no fresh memory; a pass given no _Work, as the public rate functions
+call it, allocates its own.  A free-index epoch reads no per-element array:
+it puts each symbol's count, taken once per call, on the symbol's cheapest
+prior.
 """
 
 from __future__ import annotations
@@ -122,11 +130,13 @@ class TrainingDivergedError(RuntimeError):
 # matching the gradient order of prob_models.PMF_GRADS.
 
 
-def _softmax(x, axis=-1):
+def _softmax(x, axis=-1, out=None, row=None):
+    """Softmax along axis, written into out when given (out may be x); row,
+    when given, holds the reduced max and then the sum, with keepdims."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    shifted = np.subtract(x, x.max(axis=axis, keepdims=True, out=row), out=out)
+    e = np.exp(shifted, out=shifted)
+    return np.divide(e, e.sum(axis=axis, keepdims=True, out=row), out=e)
 
 
 # Per parameter, the map from its coordinates to its values; a mixture (the
@@ -394,17 +404,39 @@ def _window(ivals: np.ndarray, m: int, k: int, tau: float):
     return sel, offset, _softmax(-np.abs(offset) / tau, axis=1)
 
 
-def _window_start(ivals: np.ndarray, m: int, k: int) -> np.ndarray:
+def _window_start(ivals: np.ndarray, m: int, k: int, out=None) -> np.ndarray:
     """First prior (one-based, as floats) of each element's k-wide window."""
-    return np.fmin(np.fmax(np.ceil(ivals - k / 2.0), 1.0), m - k + 1.0)
+    out = np.ceil(np.subtract(ivals, k / 2.0, out=out), out=out)
+    return np.fmin(np.fmax(out, 1.0, out=out), m - k + 1.0, out=out)
 
 
-def _window_pass(rates, grads, inverse, ivals, k, tau, element_weights=None):
+class _Work:
+    """Element-sized work arrays that outlive one pass.  The first request
+    for a name allocates it and later requests get the same memory, so a
+    train_priors call that keeps one _Work allocates in its first epoch
+    only.  A pass given no _Work makes its own."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def arrays(self, shape, names: str, dtype=np.float64) -> list:
+        """One uninitialized array of shape and dtype per space-separated name."""
+        out = []
+        for name in names.split():
+            key = (name, shape, dtype)
+            if key not in self._arrays:
+                self._arrays[key] = np.empty(shape, dtype)
+            out.append(self._arrays[key])
+        return out
+
+
+def _window_pass(rates, grads, inverse, ivals, k, tau, element_weights=None, work=None):
     """Top-K rates over _family_tables output for the symbols inverse indexes.
 
     Returns per-element rates and d rate / d i, the (M, U) prior weight on
     each symbol scaled by the optional per-element weights, and the
-    gradient of the weighted rate sum in the prior coordinates.
+    gradient of the weighted rate sum in the prior coordinates.  The
+    per-element results live in work's arrays when work is given.
 
     Two strategies give the same numbers: a window over every prior
     (k == M) is summed by _geometric_pass in O(n + M U), and a narrower one
@@ -416,34 +448,48 @@ def _window_pass(rates, grads, inverse, ivals, k, tau, element_weights=None):
     # they produce is caught by the trainer, so the numpy warnings are noise
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if k == rates.shape[0]:
-            element_rates, di, touched = _geometric_pass(rates, inverse, ivals, tau, element_weights)
+            element_rates, di, touched = _geometric_pass(rates, inverse, ivals, tau, element_weights, work)
         else:
-            element_rates, di, touched = _gathered_pass(rates, inverse, ivals, k, tau, element_weights)
+            element_rates, di, touched = _gathered_pass(rates, inverse, ivals, k, tau, element_weights, work)
         return element_rates, di, touched, np.einsum("mu,mud->md", touched, grads)
 
 
-def _gathered_pass(rates, inverse, ivals, k, tau, element_weights=None):
+def _gathered_pass(rates, inverse, ivals, k, tau, element_weights=None, work=None):
     """_window_pass over each element's k-prior window, held as k contiguous
     columns of length n.  The window sums run over the leading axis, so
     they add the columns in order, as numpy reduces a trailing axis of
-    fewer than 8 entries."""
+    fewer than 8 entries.  The cells and the gathered rates are held
+    (element, column) instead, the order in which bincount must sum each
+    cell's weights."""
     m, u = rates.shape
-    start = _window_start(ivals, m, k)
+    n = len(ivals)
+    work = _Work() if work is None else work
+    start, element_rates, di = work.arrays(n, "start element_rates di")
+    offsets, weights, weighted, spare = work.arrays((k, n), "offsets weights weighted spare")
+    cells, = work.arrays((n, k), "cells", np.int64)
+    spare_rows = spare.reshape(n, k)  # the same memory, one row per element
     steps = np.arange(k)[:, None]
-    cells = (start.astype(np.int64) - 1 + steps) * u + inverse
-    offsets = ivals - (start + steps)
-    weights = _softmax(-np.abs(offsets) / tau, axis=0)
-    weighted = weights * rates.ravel()[cells]
-    signs = np.sign(offsets)
-    element_rates = weighted.sum(axis=0)
-    mean_sign = (weights * signs).sum(axis=0)
+    start = _window_start(ivals, m, k, out=start)
+    np.copyto(cells, start[:, None], casting="unsafe")
+    cells += steps.T - 1
+    cells *= u
+    cells += inverse[:, None]
+    offsets = np.subtract(ivals, np.add(start, steps, out=offsets), out=offsets)
+    weights = np.divide(np.negative(np.abs(offsets, out=weights), out=weights), tau, out=weights)
+    # start is spent: it holds the softmax's reduced rows, then mean_sign
+    weights = _softmax(weights, axis=0, out=weights, row=start[None, :])
+    weighted = np.multiply(weights, np.take(rates.ravel(), cells, out=spare_rows, mode="clip").T,
+                           out=weighted)
+    signs = np.sign(offsets, out=offsets)
+    element_rates = weighted.sum(axis=0, out=element_rates)
+    mean_sign = np.multiply(weights, signs, out=spare).sum(axis=0, out=start)
     # d pi_m / d i = pi_m (mean_l pi_l s_l - s_m) / tau under the softmax
-    di = (weighted * (mean_sign - signs)).sum(axis=0) / tau
+    di = np.multiply(weighted, np.subtract(mean_sign, signs, out=spare), out=spare).sum(axis=0, out=di)
+    di /= tau
     if element_weights is not None:
-        weights = weights * element_weights
-    # cells in (element, column) order, so each cell sums its weights element by element
-    touched = np.bincount(cells.T.ravel(), weights=weights.T.ravel(),
-                          minlength=m * u).reshape(m, u)
+        weights *= element_weights
+    np.copyto(spare_rows, weights.T)
+    touched = np.bincount(cells.ravel(), weights=spare.ravel(), minlength=m * u).reshape(m, u)
     return element_rates, di, touched
 
 
@@ -463,7 +509,7 @@ def _right_sums(x, d):
     return out
 
 
-def _geometric_pass(rates, inverse, ivals, tau, element_weights=None):
+def _geometric_pass(rates, inverse, ivals, tau, element_weights=None, work=None):
     """_window_pass over all M priors, as two geometric series in d = e^(-1/tau).
 
     Priors 1..t lie at or left of i and t+1..M right of it, so the weight
@@ -472,25 +518,43 @@ def _geometric_pass(rates, inverse, ivals, tau, element_weights=None):
     and plain sums of each side are per-split rows of a recurrence, looked
     up per element; the exponents are shifted by the nearest prior, as
     _softmax shifts by the max, and an absent side weighs exactly 0.
+
+    Each per-element value is written into one of work's arrays, named by
+    the value that first fills it; a spent array takes a later value, named
+    after it, with the np.where of the formula as a masked copy.
     """
     m, u = rates.shape
+    n = len(ivals)
+    work = _Work() if work is None else work
+    (t, left, right, nearest, inv_z, r_left, r_right, element_rates, w_c, r_c, w_l, di,
+     spare) = work.arrays(n, "t left right nearest inv_z r_left r_right element_rates w_c r_c w_l di spare")
+    split, cell, below = work.arrays(n, "split cell below", np.int64)
+    center, absent = work.arrays(n, "center absent", np.bool_)
     d = math.exp(-1.0 / tau)
     # fmax/fmin send a NaN index to t = 0, whose NaN distance surfaces in the loss
-    t = np.fmin(np.fmax(np.floor(ivals), 0.0), float(m))
-    left = np.where(t >= 1.0, ivals - t, np.inf)
-    right = np.where(t < m, t + 1.0 - ivals, np.inf)
-    nearest = np.minimum(left, right)
-    e_left = np.exp((nearest - left) / tau)
-    e_right = np.exp((nearest - right) / tau)
-    split = t.astype(np.int64)
-    cell = split * u + inverse
+    t = np.fmin(np.fmax(np.floor(ivals, out=t), 0.0, out=t), float(m), out=t)
+    left = np.subtract(ivals, t, out=left)
+    np.copyto(left, np.inf, where=np.less(t, 1.0, out=absent))
+    right = np.subtract(np.add(t, 1.0, out=right), ivals, out=right)
+    np.copyto(right, np.inf, where=np.greater_equal(t, float(m), out=absent))
+    center = np.equal(left, 0.0, out=center)
+    nearest = np.minimum(left, right, out=nearest)
+    e_left = np.exp(np.divide(np.subtract(nearest, left, out=left), tau, out=left), out=left)
+    e_right = np.exp(np.divide(np.subtract(nearest, right, out=right), tau, out=right), out=right)
+    np.copyto(split, t, casting="unsafe")
+    cell = np.add(np.multiply(split, u, out=cell), inverse, out=cell)
     rate_left, rate_right = _left_sums(rates, d).ravel(), _right_sums(rates, d).ravel()
     norms_left, norms_right = _left_sums(np.ones(m), d), _right_sums(np.ones(m), d)
-    norm_left, norm_right = norms_left[split], norms_right[split]
-    inv_z = 1.0 / (e_left * norm_left + e_right * norm_right)
-    w_left, w_right = e_left * inv_z, e_right * inv_z
-    r_left, r_right = w_left * rate_left[cell], w_right * rate_right[cell]
-    element_rates = r_left + r_right
+    norm_left = np.take(norms_left, split, out=t, mode="clip")
+    norm_right = np.take(norms_right, split, out=nearest, mode="clip")
+    inv_z = np.add(np.multiply(e_left, norm_left, out=inv_z),
+                   np.multiply(e_right, norm_right, out=spare), out=inv_z)
+    inv_z = np.divide(1.0, inv_z, out=inv_z)
+    w_left = np.multiply(e_left, inv_z, out=e_left)
+    w_right = np.multiply(e_right, inv_z, out=e_right)
+    r_left = np.multiply(w_left, np.take(rate_left, cell, out=r_left, mode="clip"), out=r_left)
+    r_right = np.multiply(w_right, np.take(rate_right, cell, out=r_right, mode="clip"), out=r_right)
+    element_rates = np.add(r_left, r_right, out=element_rates)
 
     # d rate / d i, with W and R the weight and rate-weighted sums of the
     # priors strictly left of, right of and exactly at i (sign +1, -1, 0):
@@ -498,19 +562,32 @@ def _geometric_pass(rates, inverse, ivals, tau, element_weights=None):
     # An index on prior t takes it out of the left side, which then starts
     # at prior t - 1 with weight d.  Unlike rate * mean_sign - sum w r sign,
     # this form does not cancel at small tau.
-    center = left == 0.0
-    below = np.maximum(cell - u, 0)
-    w_c = np.where(center, inv_z, 0.0)
-    r_c = np.where(center, inv_z * rates.ravel()[below], 0.0)
-    w_l = np.where(center, d * inv_z * norms_left[np.maximum(split - 1, 0)], w_left * norm_left)
-    r_l = np.where(center, d * inv_z * rate_left[below], r_left)
-    w_r = w_right * norm_right
-    di = (-(2.0 * w_r + w_c) * r_l + (2.0 * w_l + w_c) * r_right + (w_l - w_r) * r_c) / tau
+    below = np.maximum(np.subtract(cell, u, out=below), 0, out=below)
+    w_c.fill(0.0)
+    np.copyto(w_c, inv_z, where=center)
+    r_c.fill(0.0)
+    np.copyto(r_c, np.multiply(inv_z, np.take(rates.ravel(), below, out=spare, mode="clip"), out=spare),
+              where=center)
+    w_l = np.multiply(w_left, norm_left, out=w_l)
+    d_inv_z = np.multiply(d, inv_z, out=norm_left)
+    previous = np.maximum(np.subtract(split, 1, out=split), 0, out=split)
+    np.copyto(w_l, np.multiply(d_inv_z, np.take(norms_left, previous, out=spare, mode="clip"), out=spare),
+              where=center)
+    r_l = r_left
+    np.copyto(r_l, np.multiply(d_inv_z, np.take(rate_left, below, out=spare, mode="clip"), out=spare),
+              where=center)
+    w_r = np.multiply(w_right, norm_right, out=norm_right)
+    di = np.add(np.multiply(2.0, w_r, out=di), w_c, out=di)
+    di = np.multiply(np.negative(di, out=di), r_l, out=di)
+    di += np.multiply(np.add(np.multiply(2.0, w_l, out=spare), w_c, out=spare), r_right, out=spare)
+    di += np.multiply(np.subtract(w_l, w_r, out=spare), r_c, out=spare)
+    di /= tau
 
     # touched: bin each element's side weights by split, then spread them
     # over the priors with the recurrences run the other way
     if element_weights is not None:
-        w_left, w_right = w_left * element_weights, w_right * element_weights
+        w_left *= element_weights
+        w_right *= element_weights
     from_left = np.bincount(cell, weights=w_left, minlength=(m + 1) * u).reshape(m + 1, u)
     from_right = np.bincount(cell, weights=w_right, minlength=(m + 1) * u).reshape(m + 1, u)
     touched = _right_sums(from_left[1:], d)[:m] + _left_sums(from_right[:m], d)[1:]
@@ -845,6 +922,10 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
         slope = (config.dims[0] - 1) / span if span > 0 else 0.0
         intercept = 1.0 - slope * log_f.min() if span > 0 else (config.dims[0] + 1) / 2.0
         curve_opt = _Adam(2, config.lr)
+        # the epochs' element-sized arrays; the passes fill work's in the first epoch
+        ivals, work = np.empty(n), _Work()
+    else:
+        symbol_counts = np.bincount(inverse, minlength=len(uniques))
 
     z_uniques = z_counts = None
     logits = None
@@ -866,14 +947,14 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
         rates, grads = _epoch_tables(config.family, coords, uniques, epoch, trace)
 
         if calibration:
-            ivals = slope * log_f + intercept
+            np.add(np.multiply(slope, log_f, out=ivals), intercept, out=ivals)
             loss, dtheta, dslope, dintercept = _calibration_pass(
-                rates, grads, inverse, ivals, log_f, window, tau)
+                rates, grads, inverse, ivals, log_f, window, tau, work)
         else:
-            assignment = rates.argmin(axis=0)[inverse]
+            # each symbol's elements all go to the prior that codes it cheapest
             weight_rows = reduce(np.kron, [_assignment_matrix(d, window, tau) for d in config.dims])
-            counts = np.bincount(assignment * len(uniques) + inverse,
-                                 minlength=flat * len(uniques)).reshape(flat, -1)
+            counts = np.zeros((flat, len(uniques)), dtype=symbol_counts.dtype)
+            counts[rates.argmin(axis=0), np.arange(len(uniques))] = symbol_counts
             loss, _, dtheta = _counts_pass(weight_rows, counts, rates, grads)
 
         if z_block is not None:
@@ -922,9 +1003,9 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
     )
 
 
-def _calibration_pass(rates, grads, inverse, ivals, log_f, k, tau):
+def _calibration_pass(rates, grads, inverse, ivals, log_f, k, tau, work=None):
     """Loss and gradients when indexes come from the log-linear curve."""
-    element_rates, di, _, dtheta = _window_pass(rates, grads, inverse, ivals, k, tau)
+    element_rates, di, _, dtheta = _window_pass(rates, grads, inverse, ivals, k, tau, work=work)
     return float(element_rates.sum()), dtheta, float(np.dot(di, log_f)), float(di.sum())
 
 

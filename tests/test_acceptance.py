@@ -94,14 +94,20 @@ def field_index_grid(block: cb.LatentBlock, result, m: int) -> cb.IndexGrid:
         a * np.log(block.side_features) + c, m)
 
 
-def median_ns(fn, reps: int) -> float:
-    fn()
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
+def paired_median_ns(fn_a, fn_b, reps: int) -> tuple[float, float]:
+    """Median wall times of fn_a and fn_b over reps calls each, called in
+    turn (a, b, a, b, ...) after one warm-up call each, so that a burst of
+    load on the machine falls on both sides alike."""
+    fns = (fn_a, fn_b)
+    samples = ([], [])
+    for fn in fns:
         fn()
-        samples.append(time.perf_counter_ns() - t0)
-    return statistics.median(samples)
+    for _ in range(reps):
+        for fn, side in zip(fns, samples):
+            t0 = time.perf_counter_ns()
+            fn()
+            side.append(time.perf_counter_ns() - t0)
+    return statistics.median(samples[0]), statistics.median(samples[1])
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +491,8 @@ def test_08_skip_mode_behavior():
                                                          mask, tables)
         assert report_masked.symbols_coded < report_plain.symbols_coded
 
-        t_plain = median_ns(
-            lambda: cb.backend_switch(block, indexes, None, tables), 9)
-        t_masked = median_ns(
+        t_plain, t_masked = paired_median_ns(
+            lambda: cb.backend_switch(block, indexes, None, tables),
             lambda: cb.backend_switch(block, indexes, mask, tables), 9)
         assert t_masked < t_plain, \
             f"masked encode {t_masked:.0f} ns vs plain {t_plain:.0f} ns"
@@ -530,10 +535,9 @@ def test_10_index_build_cost(ggm_field, trained_sweep):
     betas = np.asarray(block.truth_params["beta"], np.float64).ravel()
     alphas = np.asarray(block.truth_params["alpha"], np.float64).ravel()
     with verdict(10, "index-build cost ordering"):
-        t_switch = median_ns(
+        t_switch, t_lut = paired_median_ns(
             lambda: cb.IndexGrid.from_continuous(
-                a * np.log(block.side_features) + c, 40), 7)
-        t_lut = median_ns(
+                a * np.log(block.side_features) + c, 40),
             lambda: ct.lut_search_ggm(lut_grid, betas, alphas), 7)
         assert t_switch < t_lut, \
             f"hardening {t_switch:.0f} ns vs LUT search {t_lut:.0f} ns"

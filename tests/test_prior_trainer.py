@@ -10,6 +10,7 @@ with the exact Philox draw protocol used below (mean 0.0547) and frozen.
 import hashlib
 import itertools
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -1135,3 +1136,31 @@ class TestFrozenPriorSets:
         assert res.skip_head.tables == (0, 1, 2, 3)
         if curve is not None:
             assert (res.predictor["a"], res.predictor["c"]) == pytest.approx(curve, rel=1e-12)
+
+
+class TestEpochFaults:
+    """Epochs after the first map no fresh memory: the passes' element-sized
+    work arrays live for the whole train_priors call, so ten more epochs
+    add almost no minor page faults."""
+
+    MAX_FAULTS_PER_EPOCH = 64
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        return ss.gen_block(ss.SourceSpec(family="ggm", shape=(4, 128, 128), seed=1,
+                                          beta_range=(0.7, 2.5), alpha_range=(0.05, 10.0)))
+
+    @pytest.mark.parametrize("mode,k", [("calibration-curve", None), ("calibration-curve", 2),
+                                        ("free-index", None)])
+    def test_ten_more_epochs_add_no_faults(self, block, mode, k):
+        def faults(epochs):
+            config = pt.TrainConfig(family="ggm", dims=(40,), epochs=epochs, k=k,
+                                    predictor_mode=mode)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            pt.train_priors([block], config)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(3)  # warm-up: imports, kernel caches and the allocator's heap
+        short, long = faults(3), faults(13)
+        assert long - short <= 10 * self.MAX_FAULTS_PER_EPOCH, \
+            f"13 epochs took {long} minor faults, 3 epochs {short}"
