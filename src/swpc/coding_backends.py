@@ -482,12 +482,11 @@ def backend_switch_decode(stream: Bitstream, indexes: IndexGrid,
     _switch_check(indexes, tuple(shape), table_set)
     t0 = time.perf_counter_ns()
     idx = indexes.flat_table_indexes()
+    if mask is None:
+        return rans_decode(stream, idx, table_set).reshape(shape), time.perf_counter_ns() - t0
+    kept = mask.hard.ravel() == 1
     out = np.zeros(int(np.prod(shape)), dtype=np.int64)
-    if mask is not None:
-        kept = mask.hard.ravel() == 1
-        out[kept] = rans_decode(stream, idx[kept], table_set)
-    else:
-        out[:] = rans_decode(stream, idx, table_set)
+    out[kept] = rans_decode(stream, idx[kept], table_set)
     return out.reshape(shape), time.perf_counter_ns() - t0
 
 

@@ -21,6 +21,32 @@ Below 64 lanes L = 1: a numpy step over the lanes beats the scalar loop
 from about 32 lanes on, and the floor keeps that margin.  Per-element
 dynamic coding (encode_elementwise) always uses L = 1.
 
+The interval bits are counted per slot: np.add.at counts the elements
+each slot of the set codes (a slot is a table's interval, at its position
+in the set's flat cumulative array), and B = 16 n - sum over the used slots
+of count * log2 f, in one dot product, plus the record bits.  The counts
+are integers and add up exactly, so B, and with it L, is the same whatever
+the chunks the counts were taken in; and a chunk's count costs its own
+length, not the set's, as a per-element set can be large.
+
+The shared-set coder works in chunks of at most _WORK = 8192 elements,
+each a whole number of lane steps.  The encoder walks the block twice:
+once to gather each chunk's slots for the slot counts and the record bits,
+then from the last chunk to the first, gathering the slots again (cheaper
+than keeping them), packing the chunk's records into the bypass section and
+running the lanes over it.  The decoders write each chunk's slots into the
+array they return and turn them into symbols at once; the escapes are
+filled from the bypass section after the ANS decode, read one chunk's
+records at a time.  So what grows with the block is only what a call
+returns (the payload, or the decoded symbols) and, in a decode, the
+positions and tables of the escapes, 24 bytes each, until the section is
+read.  A chunk's int64 arrays are 64 KiB, under glibc's default mmap
+threshold of 128 KiB, so they come from the heap, whose pages stay mapped
+from call to call; block-sized temporaries were mapped afresh, and faulted
+in page by page, on every call.  The per-element dynamic path builds its
+tables _CHUNK = 16384 elements at a time, as before: in 8192-element chunks
+it ran slower.
+
 Decoding finds each symbol's slot in the set's cached uint8 slot lookup
 (entry [t, v] is the interval of table t holding v): the lane decoder
 gathers a step of lanes at once, and a single-state stream against a shared
@@ -42,17 +68,20 @@ exact uint64 count) in two fields of k + 1 bits:
 
 The writer sizes a record from the exponent np.frexp gives float(n),
 corrected by one exact uint64 comparison where the float rounds n up to a
-power of two.  It places the fields by a cumsum of their sizes and adds
-the run-B fields into big-endian 64-bit words with np.add.at: no two
-fields share a bit, so the sum is their OR.
+power of two.  Once the first pass has summed the sizes, run A's length is
+known, so each chunk's fields are placed where they belong: by a cumsum of
+their sizes, added into 64-bit words with np.add.at (no two fields share a
+bit, so the sum is their OR), and the words are stored big-endian at the
+end.
 
-The decoder knows the escape count E once the ANS decode is done and reads
-the section once, with no loop over records: the first E 1s of run A (one
-nonzero over the section's first half, where a valid run A ends) give
-every field size, and each run-B field is read from the two words that
-hold its start.  Every decoder ends in one tail: its ANS loop gives each
-element's slot and table, tail slots mark the escapes, the section is read
-once, and the end check follows.
+The decoder knows the escape count E once the ANS decode is done.  It finds
+the E-th 1 of the section by counting bits; in a valid section it ends run
+A, so this gives run B's start and lets the padding be checked.  Each
+chunk's records are then read with no loop over records: the 1s of its
+stretch of run A give the field sizes, and each run-B field is read from
+the two words that hold its start.  Every decoder ends in one tail: its ANS
+loop gives each element's slot and table, tail slots mark the escapes, the
+section is read once, in order.
 
 Format break: this layout replaced records written one after another
 (sign bit, then the Exp-Golomb code).  Streams without escapes kept their
@@ -111,9 +140,22 @@ _MIN_LANES = 64
 _MAX_LANES = 4096
 _POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 _SIGN = _POWERS[63]
+_POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
 _FAR = 1 << 62  # two int64 values in [-2^62, 2^62) differ by less than 2^63
 _LOOKUP_TABLES = 256  # largest set whose 2^16-byte-per-table slot lookup decode() builds
+_WORK = 8192  # elements per work chunk of the shared-set coder: 64 KiB per int64 array
 _CHUNK = 16384  # elements per chunk of lazily built tables: bounds memory, not the bytes
+
+
+def _constant(value) -> np.ndarray:
+    """A read-only 0-d int64 array: as the operand of a ufunc on a lane step
+    it costs less than a Python int, which numpy converts on every call."""
+    out = np.array(value, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+_C16, _CLOW, _CMASK = _constant(16), _constant(_LOW), _constant(_MASK)
 
 
 class StreamError(ValueError):
@@ -189,84 +231,156 @@ def _record_bits(n) -> np.ndarray:
     return e
 
 
-def _pack_escapes(below, n, width) -> bytes:
-    """The bypass section of records `width` bits wide: run A, then run B,
-    each with a field of width / 2 = bit_length(n) bits per record (see the
-    module docstring), zero-padded to a byte.  Run A is packed from its
-    bits.  A run-B field goes into big-endian 64-bit words in two parts: the
-    bits in the word holding its last bit, and the bits before that word's
-    start, zero unless the field crosses into it.  No two fields share a
-    bit, so np.add.at places the parts as an OR would, in numpy's indexed
-    fast loop."""
-    if not len(n):
-        return b""
+def _section_words(run_a: int) -> np.ndarray:
+    """Zeroed 64-bit words for a bypass section whose run A is `run_a` bits:
+    one zero word, then the section's words."""
+    return np.zeros(((2 * run_a + 63) >> 6) + 1, dtype=np.uint64)
+
+
+def _pack_escapes(words, below, n, width, start: int, run_a: int) -> None:
+    """Add records `width` bits wide into the section words: their run-A
+    prefixes start at bit `start` of the section, and run A is `run_a` bits
+    long.  A prefix is its leading 1, at its last bit.  A run-B field goes
+    into the words in two parts: the bits in the word holding its last bit,
+    and the bits before that word's start, zero unless the field crosses
+    into it.  No two fields share a bit, so np.add.at places the parts as an
+    OR would, in numpy's indexed fast loop."""
     size = width >> 1
-    end = np.cumsum(size)
-    total = int(end[-1])
-    run_a = np.zeros(total, dtype=bool)
-    run_a[end - 1] = True  # each prefix ends on its leading 1
-    run_a = np.packbits(run_a)
+    end = np.cumsum(size, dtype=np.int64)
+    end += start - 1  # each prefix's leading 1
+    at = end >> 6
+    at += 1  # its word, past the zero word
+    np.add.at(words, at, _POWERS[63 - (end & 63)])
     fields = (~below).astype(np.uint64)
     fields <<= size.astype(np.uint64) - np.uint64(1)
     fields ^= n  # sign bit 0 above the span: clear the leading 1 of n
-    end += total - 1  # the last bit of each field of run B
+    end += run_a  # the last bit of each field of run B
     shift = (63 - (end & 63)).astype(np.uint64)
-    words = np.zeros(((2 * total + 63) >> 6) + 1, dtype=np.uint64)  # after one zero word
-    end >>= 6
-    end += 1  # the word holding the last bit, past the zero word
-    np.add.at(words, end, fields << shift)
-    end -= 1
+    np.right_shift(end, 6, out=at)
+    at += 1
+    np.add.at(words, at, fields << shift)
+    at -= 1
     fields >>= np.uint64(1)
     shift ^= np.uint64(63)
     fields >>= shift  # the bits `<< shift` pushed out, for the word before
-    np.add.at(words, end, fields)
-    section = words[1:].astype(">u8").view(np.uint8)[: (2 * total + 7) >> 3]
-    section[: len(run_a)] |= run_a
-    return section.tobytes()
+    np.add.at(words, at, fields)
 
 
-def _leading_ones(data: np.ndarray, count: int) -> np.ndarray:
-    """Bit positions of the first `count` 1s of the section, fewer if it has
-    fewer.  Run A of a valid section ends within its first half, so only
-    that half is unpacked unless it holds too few 1s."""
-    for stop in ((len(data) + 1) // 2, len(data)):
-        ones = np.flatnonzero(np.unpackbits(data[:stop]).view(bool))
-        if len(ones) >= count:
-            break
-    return ones[:count]
+def _section_bytes(words, run_a: int):
+    """The section the words hold, MSB-first and zero-padded to a byte, as
+    a view into them: they are stored big-endian in place."""
+    if words.dtype != np.dtype(">u8"):
+        words.byteswap(inplace=True)
+    return words.view(np.uint8)[8 : 8 + ((2 * run_a + 7) >> 3)]
 
 
-def _read_bypass(data: bytes, count: int):
-    """(below the coded span, n = distance beyond its edge + 1 as uint64) of
-    the section's `count` records; StreamError unless the section holds
-    exactly those records and zero padding of fewer than 8 bits.  Arrays
-    are reused and shifted in place, so at the peak it holds three 8-byte
-    and two 1-byte entries per record, and the section as 64-bit words."""
-    n_bits = 8 * len(data)
-    raw = np.frombuffer(data, dtype=np.uint8)
-    ends = _leading_ones(raw, count)  # each prefix's leading 1
-    size = np.empty(len(ends), dtype=np.int64)  # zeros before each leading 1, plus the 1
-    size[:1] = ends[:1] + 1
-    np.subtract(ends[1:], ends[:-1], out=size[1:])
-    if len(ends) < count or (len(size) and size.max() > 64):
-        edge = np.concatenate([[0], ends + 1])  # prefix starts, then run A's end
-        i = int(np.argmax(np.append(size > 64, True)))  # the first prefix that breaks
-        if edge[i] + 64 <= n_bits:
+def _run_a_bits(raw: np.ndarray, count: int) -> int:
+    """Length of run A in a section of `count` records: the bit after its
+    count-th 1, found by counting 1s per byte, _WORK bytes at a time.
+    StreamError unless that 1 exists and run B then ends in zero padding of
+    fewer than 8 bits."""
+    run_a = 0
+    if count:
+        seen = 0
+        for lo in range(0, len(raw), _WORK):
+            ones = _POP8[raw[lo : lo + _WORK]]
+            here = int(ones.sum())
+            if seen + here >= count:
+                total = np.cumsum(ones)
+                at = int(np.searchsorted(total, count - seen))  # the byte holding it
+                rank = count - seen - int(total[at] - ones[at])  # its rank in that byte
+                bits = np.flatnonzero(np.unpackbits(raw[lo + at : lo + at + 1]).view(bool))
+                run_a = 8 * (lo + at) + int(bits[rank - 1]) + 1
+                break
+            seen += here
+        else:
+            _bypass_error(raw, count)
+    rest = 8 * len(raw) - 2 * run_a
+    if not 0 <= rest < 8 or (rest and int(raw[-1]) & ((1 << rest) - 1)):
+        _bypass_error(raw, count)
+    return run_a
+
+
+def _bypass_error(raw: np.ndarray, count: int):
+    """Raise the StreamError of the section's first fault, as a
+    record-by-record read meets it: a prefix with no 1 in the 64 bits from
+    its start, then run B running past the end, then bits after run B."""
+    n_bits = 8 * len(raw)
+    ends = np.flatnonzero(np.unpackbits(raw).view(bool))[:count]
+    size = np.diff(ends, prepend=-1)
+    bad = np.flatnonzero(size > 64)
+    first = int(bad[0]) if len(bad) else len(ends)  # the first prefix that breaks, if any
+    if first < count:
+        start = int(ends[first - 1]) + 1 if first else 0
+        if start + 64 <= n_bits:
             raise StreamError("bypass run length out of range")
         raise StreamError("bypass section exhausted")
-    run_a = int(ends[-1]) + 1 if count else 0
-    rest = n_bits - 2 * run_a
-    if rest < 0:
+    if count and 2 * (int(ends[-1]) + 1) > n_bits:
         raise StreamError("bypass section exhausted")
-    if rest >= 8 or (rest and data[-1] & ((1 << rest) - 1)):
-        raise StreamError("bypass section runs past its last record")
-    size = size.astype(np.uint8)
-    words = np.zeros(((len(data) + 7) >> 3) + 1, dtype=">u8")  # and a zero word after
-    words.view(np.uint8)[: len(data)] = raw
-    words = words.astype(np.uint64)
-    at = ends  # becomes each run-B field's start: the fields have run A's sizes, in order
+    raise StreamError("bypass section runs past its last record")
+
+
+def _read_bypass(data, counts):
+    """Iterator over the records of the section, in pieces of counts[0],
+    counts[1], ... records: per piece (below the coded span, n = distance
+    beyond its edge + 1 as uint64).  StreamError unless the section holds
+    exactly sum(counts) records and zero padding of fewer than 8 bits; run
+    A's length and the padding are checked before it returns, each prefix
+    as its piece is read.
+
+    A piece unpacks only the bytes of run A that hold its prefixes, about
+    its share of run A at a time and at most _WORK 1s per unpack, and
+    converts to words only the bytes of run B that hold its fields, so the
+    working set follows the largest piece, not the section."""
+    counts = list(counts)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    total = sum(counts)
+    run_a = _run_a_bits(raw, total)
+    return _bypass_pieces(raw, counts, total, run_a)
+
+
+def _bypass_pieces(raw, counts, total: int, run_a: int):
+    found = np.zeros(0, dtype=np.int64)  # 1s of run A unpacked and not yet used
+    scanned = 0  # bytes of run A unpacked
+    last = -1  # the previous prefix's leading 1
+    for count in counts:
+        if not count:
+            yield np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
+            continue
+        parts = [found]
+        have = len(found)
+        while have < count:  # run A holds `total` 1s, so this stops within it
+            size = min(max(1, _WORK >> 3), (count - have) * run_a // (8 * total) + 1)
+            ones = np.flatnonzero(np.unpackbits(raw[scanned : scanned + size]).view(bool))
+            ones += 8 * scanned
+            parts.append(ones)
+            have += len(ones)
+            scanned += size
+        found = np.concatenate(parts) if len(parts) > 1 else found
+        ends, found = found[:count], found[count:]
+        size = np.empty(count, dtype=np.int64)  # zeros before each leading 1, plus the 1
+        size[0] = ends[0] - last
+        np.subtract(ends[1:], ends[:-1], out=size[1:])
+        last = int(ends[-1])
+        if size.max() > 64:
+            _bypass_error(raw, total)
+        yield _fields(raw, ends, size.astype(np.uint8), run_a)
+
+
+def _fields(raw, ends, size, run_a: int):
+    """(below, n) of the records whose prefixes end at `ends`, with these
+    sizes, from their run-B fields: each field has its prefix's size and
+    starts run_a bits after it, and is read from the two 64-bit words that
+    hold its start.  `ends` is overwritten."""
+    stop = ((run_a + int(ends[-1])) >> 3) + 1  # past the byte of the last field's last bit
+    at = ends
     at -= size
-    at += run_a + 1
+    at += run_a + 1  # each field's start
+    first = int(at[0]) >> 3
+    words = np.zeros(((stop - first + 7) >> 3) + 1, dtype=">u8")  # and a zero word after
+    words.view(np.uint8)[: stop - first] = raw[first:stop]
+    words = words.astype(np.uint64)
+    at -= 8 * first
     shift = at.astype(np.uint8)
     shift &= 63  # the start's offset in its word
     at >>= 6
@@ -274,7 +388,6 @@ def _read_bypass(data: bytes, count: int):
     bits <<= shift
     at += 1
     low = words[at]
-    del at, ends
     shift ^= 63
     low >>= 1
     low >>= shift
@@ -302,24 +415,31 @@ def _escaped_symbols(below, n, offsets, n_coded) -> np.ndarray:
 # Table gather
 
 
-def _slots(sym, flat, rows, offsets, n_coded):
-    """(j = symbol - offset, indexes of the escaped elements, slot start,
-    slot frequency).  One unsigned min(j, n_coded) is j inside the coded
-    span and n_coded, the tail slot, outside it (a negative j wraps above
-    2^63), so one comparison finds the escapes.  ValueError when
-    symbol - offset does not fit int64 (it would wrap); only a symbol or an
-    offset outside [-2^62, 2^62) can make it so, and only then is it checked."""
+def _slots(sym, rows, offsets, n_coded, far: bool):
+    """(j = symbol - offset, indexes of the escaped elements, position of
+    each element's slot in the flat cumulative array).  One unsigned
+    min(j, n_coded) is j inside the coded span and n_coded, the tail slot,
+    outside it (a negative j wraps above 2^63), so one comparison finds the
+    escapes.  ValueError when symbol - offset does not fit int64 (it would
+    wrap); only a symbol or an offset outside [-2^62, 2^62) can make it so,
+    and it is checked only when `far` says the caller saw one (_far)."""
     j = sym - offsets
-    if (_far(sym) or _far(offsets)) and np.any((sym ^ offsets) & (sym ^ j) < 0):
+    if far and np.any((sym ^ offsets) & (sym ^ j) < 0):
         # operand signs differ, result sign flipped
         raise ValueError("symbol too far from its table's offset: symbol - offset overflows int64")
     slot = np.minimum(j.view(np.uint64), n_coded.view(np.uint64))
     esc = np.flatnonzero(slot == n_coded.view(np.uint64))
-    base = slot.view(np.int64)
-    base += rows
-    starts = flat[base]
-    base += 1
-    return j, esc, starts, flat[base] - starts
+    pos = slot.view(np.int64)
+    pos += rows
+    return j, esc, pos
+
+
+def _interval(flat, pos):
+    """(start, frequency) of the slots at these flat positions; pos is
+    overwritten."""
+    starts = flat[pos]
+    pos += 1
+    return starts, flat[pos] - starts
 
 
 def _far(a) -> bool:
@@ -327,11 +447,18 @@ def _far(a) -> bool:
     return bool(len(a)) and not (-_FAR <= a.min() and a.max() < _FAR)
 
 
-def _lane_count(freqs, bypass_bits: int) -> int:
-    """Number of interleaved states for a block with these slot frequencies
-    and this many bypass record bits."""
-    bits = 16 * len(freqs) - float(np.log2(freqs).sum()) + bypass_bits
-    lanes = min(_MAX_LANES, int(bits) // _LANE_BITS)
+def _interval_bits(counts, flat) -> float:
+    """Interval bits sum(16 - log2 f) of the elements coded in each slot:
+    counts[p] elements in the slot that starts at flat[p]."""
+    used = np.flatnonzero(counts > 0)
+    count = counts[used]
+    return 16 * int(count.sum()) - float(count @ np.log2(flat[used + 1] - flat[used]))
+
+
+def _lane_count(interval_bits: float, bypass_bits: int) -> int:
+    """Number of interleaved states for a block that carries these interval
+    and bypass record bits."""
+    lanes = min(_MAX_LANES, int(interval_bits + bypass_bits) // _LANE_BITS)
     return lanes if lanes >= _MIN_LANES else 1
 
 
@@ -339,8 +466,11 @@ def _lane_count(freqs, bypass_bits: int) -> int:
 # Payload sections
 
 
-def _stream(ans: bytes, bypass: bytes, n: int) -> Bitstream:
-    payload = struct.pack("<I", len(ans)) + ans + bypass
+def _stream(head: bytes, words, bypass, n: int) -> Bitstream:
+    """The payload of an ANS section of these states and 16-bit word arrays
+    (in decode order), then the bypass section."""
+    ans_len = len(head) + 2 * sum(len(w) for w in words)
+    payload = b"".join([struct.pack("<I", ans_len), head, *words, bypass])
     return Bitstream(payload=payload, symbol_count=n)
 
 
@@ -367,7 +497,7 @@ def _parse(stream: Bitstream):
     if (ans_len - head_len) % 2:
         raise StreamError("bad ANS section length")
     words = np.frombuffer(payload, dtype="<u2", count=(ans_len - head_len) // 2, offset=4 + head_len)
-    return states, words, payload[4 + ans_len :]
+    return states, words, memoryview(payload)[4 + ans_len :]
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +511,10 @@ def _parse(stream: Bitstream):
 # whole block's tables never live in memory at once.
 
 
-def _single_ans(state: int, words: list) -> bytes:
-    """ANS section of one state, from the words in emission order."""
-    return struct.pack("<I", state) + np.asarray(words[::-1], dtype="<u2").tobytes()
-
-
-def _encode_single(starts, freqs, state: int, words: list) -> int:
-    """Push symbols onto one state, last first; emitted words are appended."""
+def _encode_single(starts, freqs, state: int):
+    """Push a chunk onto one state, last symbol first: (the state, the
+    words it emitted, in decode order)."""
+    words = []
     emit = words.append
     for f, start in zip(reversed(freqs.tolist()), reversed(starts.tolist())):
         if state >= (f << 16):
@@ -395,47 +522,66 @@ def _encode_single(starts, freqs, state: int, words: list) -> int:
             state >>= 16
         q, r = divmod(state, f)
         state = (q << 16) + r + start
-    return state
+    return state, np.array(words[::-1], dtype="<u2")
 
 
-def _encode_lanes(starts, freqs, lanes: int) -> bytes:
-    """ANS section of `lanes` interleaved states, one numpy step per group."""
+def _encode_lanes(starts, freqs, state):
+    """Push a lane-aligned chunk onto the lane states, in place, one numpy
+    step per group, last first: (the states, the words they emitted, in
+    decode order).  The words are the states flushed whole; the cast to
+    uint16 keeps their low 16 bits."""
+    lanes = len(state)
     n = len(freqs)
-    state = np.full(lanes, _LOW, dtype=np.int64)
-    limits = freqs << 16
+    limits = freqs << _C16
     spare = _LOW - freqs  # (x // f << 16) + x % f == x + (x // f) * (2^16 - f)
     steps = []
     for lo in range(((n - 1) // lanes) * lanes, -1, -lanes):
         hi = lo + lanes
-        x = state[: n - lo]
+        x = state if hi <= n else state[: n - lo]
         flush = x >= limits[lo:hi]
-        steps.append(x[flush] & _MASK)
-        np.right_shift(x, 16, out=x, where=flush)
+        w = x[flush]
+        steps.append(w)
+        x[flush] = w >> _C16
         q = x // freqs[lo:hi]
         q *= spare[lo:hi]
         x += q
         x += starts[lo:hi]
-    words = np.concatenate(steps[::-1]).astype("<u2")
-    return struct.pack(f"<{lanes + 1}I", lanes, *state.tolist()) + words.tobytes()
+    return state, np.concatenate(steps[::-1], dtype=np.uint16, casting="unsafe")
+
+
+def _encode_chunks(sym, chunk_tables, step: int, state, records, checked: bool):
+    """Code the chunks of `step` elements, last first, onto the state (an
+    int for one state, else the lane states), handing each chunk's escape
+    records to records(below, n, width): (the final state, the words of
+    each chunk in decode order).  Unless the caller `checked` that no
+    symbol - offset wraps, each chunk is checked."""
+    coder = _encode_lanes if isinstance(state, np.ndarray) else _encode_single
+    n = len(sym)
+    ans = []  # words per chunk, last chunk first
+    for lo in range(((n - 1) // step) * step, -1, -step) if n else []:
+        flat, _, rows, offs, nc = chunk_tables(lo, min(lo + step, n))
+        s = sym[lo : lo + step]
+        j, esc, pos = _slots(s, rows, offs, nc, not checked and (_far(s) or _far(offs)))
+        if len(esc):
+            below, n_escape = _escapes(j, esc, nc)
+            records(below, n_escape, _record_bits(n_escape))
+        state, words = coder(*_interval(flat, pos), state)
+        ans.append(words)
+    return state, ans[::-1]
 
 
 def encode_elementwise(symbols, chunk_tables) -> Bitstream:
     """Code symbols whose tables arrive lazily per chunk of _CHUNK elements."""
     sym = np.asarray(symbols, dtype=np.int64).ravel()
-    n = len(sym)
-    state = _LOW
-    words = []
-    # (below, n) per chunk, last chunk first; the empty pair makes n = 0 concatenate
-    escapes = [(np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64))]
-    for lo in range(((n - 1) // _CHUNK) * _CHUNK, -1, -_CHUNK) if n else []:
-        hi = min(lo + _CHUNK, n)
-        flat, _, rows, offs, nc = chunk_tables(lo, hi)
-        j, esc, starts, freqs = _slots(sym[lo:hi], flat, rows, offs, nc)
-        escapes.append(_escapes(j, esc, nc))
-        state = _encode_single(starts, freqs, state, words)
-    below, n_escape = (np.concatenate(part[::-1]) for part in zip(*escapes))
-    bypass = _pack_escapes(below, n_escape, _record_bits(n_escape))
-    return _stream(_single_ans(state, words), bypass, n)
+    records = []  # (below, n, width) per chunk with escapes, last chunk first
+    state, words = _encode_chunks(sym, chunk_tables, _CHUNK, _LOW, lambda *r: records.append(r), False)
+    run_a = sum(int(width.sum()) for _, _, width in records) >> 1
+    section = _section_words(run_a)
+    start = 0
+    for below, n_escape, width in reversed(records):
+        _pack_escapes(section, below, n_escape, width, start, run_a)
+        start += int(width.sum()) >> 1
+    return _stream(struct.pack("<I", state), words, _section_bytes(section, run_a), len(sym))
 
 
 def decode_elementwise(stream: Bitstream, chunk_tables) -> np.ndarray:
@@ -443,38 +589,48 @@ def decode_elementwise(stream: Bitstream, chunk_tables) -> np.ndarray:
     states, words, bypass = _parse(stream)
     if len(states) != 1:
         raise StreamError("an interleaved stream needs decode() with its shared table set")
-    return _decoded_symbols(_decode_single(stream.symbol_count, states, words, chunk_tables),
-                            words, bypass)
+    out = np.empty(stream.symbol_count, dtype=np.int64)
+    return _decoded_symbols(out, _decode_single(states, words, chunk_tables, out, _CHUNK), bypass)
 
 
-def _decoded_symbols(decoded, words, bypass) -> np.ndarray:
-    """Symbols from a decoder's (final states, words read, slot position j,
-    offset and coded count per element): tail slots take their symbols from
-    the bypass section, read once, and then the end is checked."""
-    final, words_read, j, offsets, nc = decoded
-    esc = np.flatnonzero(j >= nc)
-    below, n_escape = _read_bypass(bypass, len(esc))  # before out, so their temporaries never meet
-    out = offsets + j
-    out[esc] = _escaped_symbols(below, n_escape, offsets[esc], nc[esc])
+def _decoded_symbols(out, chunks, bypass) -> np.ndarray:
+    """Symbols from a decoder's chunks: `chunks` yields, in element order,
+    each chunk's start and its tables' offsets and coded counts once out
+    holds the chunk's slot positions j, and checks the ANS section's end
+    after the last.  The offsets are added chunk by chunk; tail slots mark
+    the escapes, whose symbols come from the bypass section, read once, in
+    order."""
+    escapes = []  # per chunk with escapes: (their positions, offsets, coded counts)
+    for lo, offs, nc in chunks:
+        j = out[lo : lo + len(offs)]
+        esc = np.flatnonzero(j >= nc)
+        j += offs
+        if len(esc):
+            escapes.append((esc + lo, offs[esc], nc[esc]))
+    records = _read_bypass(bypass, [len(esc) for esc, _, _ in escapes])
+    for (esc, offs, nc), (below, n_escape) in zip(escapes, records):
+        out[esc] = _escaped_symbols(below, n_escape, offs, nc)
+    return out
+
+
+def _ans_end(final, words_read: int, words) -> None:
+    """StreamError unless every state ends at the encoder's initial 2^16
+    and every ANS word was read."""
     if np.any(np.asarray(final) != _LOW):
         raise StreamError("ANS state does not end where the encoder started")
     if words_read != len(words):
         raise StreamError(f"{len(words) - words_read} ANS words left unread")
-    return out
 
 
-def _decode_single(n, states, words, chunk_tables):
+def _decode_single(states, words, chunk_tables, out, chunk: int):
     """_decode_lanes for a single-state stream, one bisect per symbol, with
-    tables that arrive per chunk."""
+    tables that arrive per chunk of `chunk` elements."""
     word_list = words.tolist()
     n_words = len(word_list)
     state = states[0]
     wp = 0
-    # per chunk: slot positions, offsets, coded counts; the empty entry lets n = 0 concatenate
-    empty = np.zeros(0, dtype=np.int64)
-    parts = [(empty, empty, empty)]
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
+    for lo in range(0, len(out), chunk):
+        hi = min(lo + chunk, len(out))
         flat, flat_list, rows, offs, nc = chunk_tables(lo, hi)
         fl = flat_list if flat_list is not None else memoryview(flat)
         found = []
@@ -490,47 +646,56 @@ def _decode_single(n, states, words, chunk_tables):
                 state = (state << 16) | word_list[wp]
                 wp += 1
             push(p)
-        parts.append((np.array(found, dtype=np.int64) - rows, offs, nc))
-    return ([state], wp, *(np.concatenate(part) for part in zip(*parts)))
+        j = out[lo:hi]
+        j[:] = found
+        j -= rows
+        yield lo, offs, nc
+    _ans_end([state], wp, words)
 
 
-def _decode_lanes(states, words, idx, table_set: CdfTableSet):
-    """(final states, words read, and per element the slot position j, the
-    table's offset and its coded count) of an interleaved ANS section;
-    slots come from the set's slot lookup."""
+def _decode_lanes(states, words, idx, table_set: CdfTableSet, out):
+    """Decode an interleaved ANS section in lane-aligned chunks: write each
+    element's slot position j into out, and yield each chunk's start and its
+    tables' offsets and coded counts; slots come from the set's slot lookup."""
     flat, _, rows, offsets, n_coded = table_set.flat_view()
     freq = np.diff(flat)
     lookup = table_set.slot_lookup().ravel()
-    words = words.astype(np.int64)
     lanes = len(states)
     n = len(idx)
     state = np.array(states, dtype=np.int64)
-    base = idx << 16
-    row = rows[idx]
-    j = np.empty(n, dtype=np.int64)
     wp = 0
-    for lo in range(0, n, lanes):
-        hi = lo + lanes
-        x = state[: n - lo]
-        v = x & _MASK
-        s = lookup[base[lo:hi] + v]
-        j[lo:hi] = s
-        p = row[lo:hi] + s
-        x >>= 16
-        x *= freq[p]
-        x += v
-        x -= flat[p]
-        low = (x < _LOW).nonzero()[0]
-        if len(low):
-            end = wp + len(low)
-            if end > len(words):
-                raise StreamError("ANS words exhausted")
-            x[low] = (x[low] << 16) | words[wp:end]
-            wp = end
-    return state, wp, j, offsets[idx], n_coded[idx]
+    step = max(1, _WORK // lanes) * lanes
+    for lo in range(0, n, step):
+        s = idx[lo : lo + step]
+        m = len(s)
+        base = s << _C16
+        row = rows[s]
+        j = out[lo : lo + m]
+        chunk_words = words[wp : wp + m].astype(np.int64)  # a lane step reads at most one word a lane
+        first = wp
+        for a in range(0, m, lanes):
+            b = a + lanes
+            x = state if b <= m else state[: m - a]
+            v = x & _CMASK
+            slot = j[a:b]
+            slot[...] = lookup[base[a:b] + v]
+            p = row[a:b] + slot
+            x >>= _C16
+            x *= freq[p]
+            x += v
+            x -= flat[p]
+            low = (x < _CLOW).nonzero()[0]
+            if len(low):
+                end = wp + len(low)
+                if end > len(words):
+                    raise StreamError("ANS words exhausted")
+                x[low] = (x[low] << _C16) | chunk_words[wp - first : end - first]
+                wp = end
+        yield lo, offsets[s], n_coded[s]
+    _ans_end(state, wp, words)
 
 
-def _decode_slots(states, words, idx, table_set: CdfTableSet):
+def _decode_slots(states, words, idx, table_set: CdfTableSet, out):
     """_decode_lanes for a single-state ANS section."""
     flat, flat_list, rows, offsets, n_coded = table_set.flat_view()
     freq = np.diff(flat).tolist()
@@ -539,38 +704,58 @@ def _decode_slots(states, words, idx, table_set: CdfTableSet):
     n_words = len(word_list)
     state = states[0]
     wp = 0
-    found = []
-    push = found.append
-    for b, r in zip((idx << 16).tolist(), rows[idx].tolist()):
-        v = state & _MASK
-        s = lookup[b + v]
-        p = r + s
-        state = freq[p] * (state >> 16) + v - flat_list[p]
-        if state < _LOW:
-            if wp >= n_words:
-                raise StreamError("ANS words exhausted")
-            state = (state << 16) | word_list[wp]
-            wp += 1
-        push(s)
-    return [state], wp, np.array(found, dtype=np.int64), offsets[idx], n_coded[idx]
+    for lo in range(0, len(idx), _WORK):
+        s = idx[lo : lo + _WORK]
+        found = []
+        push = found.append
+        for b, r in zip((s << 16).tolist(), rows[s].tolist()):
+            v = state & _MASK
+            slot = lookup[b + v]
+            p = r + slot
+            state = freq[p] * (state >> 16) + v - flat_list[p]
+            if state < _LOW:
+                if wp >= n_words:
+                    raise StreamError("ANS words exhausted")
+                state = (state << 16) | word_list[wp]
+                wp += 1
+            push(slot)
+        out[lo : lo + len(s)] = found
+        yield lo, offsets[s], n_coded[s]
+    _ans_end([state], wp, words)
 
 
 def encode(symbols, table_indexes, table_set: CdfTableSet) -> Bitstream:
     """Code symbols against per-symbol tables; deterministic payload."""
     sym = np.asarray(symbols, dtype=np.int64).ravel()
     n = len(sym)
-    chunk = _shared_chunks(_checked_indexes(table_indexes, n, table_set), table_set)
-    flat, _, rows, offsets, nc = chunk(0, n)
-    j, esc, starts, freqs = _slots(sym, flat, rows, offsets, nc)
-    below, n_escape = _escapes(j, esc, nc)
-    width = _record_bits(n_escape)
-    lanes = _lane_count(freqs, int(width.sum()))
+    tables = _shared_chunks(_checked_indexes(table_indexes, n, table_set), table_set)
+    flat, _, _, offsets, _ = table_set.flat_view()
+    far = _far(sym) or _far(offsets)  # checked in this pass; the second gathers the same slots
+    counts = np.zeros(len(flat), dtype=np.int64)  # elements coded per slot
+    run_a = 0
+    for lo in range(0, n, _WORK):
+        _, _, rows, offs, nc = tables(lo, lo + _WORK)
+        j, esc, pos = _slots(sym[lo : lo + _WORK], rows, offs, nc, far)
+        np.add.at(counts, pos, 1)
+        if len(esc):
+            run_a += int(_record_bits(_escapes(j, esc, nc)[1]).sum()) >> 1
+    lanes = _lane_count(_interval_bits(counts, flat), 2 * run_a)
+    section = _section_words(run_a)
+    start = run_a  # run-A bit where the records of the chunks coded so far begin
+
+    def place(below, n_escape, width):
+        nonlocal start
+        start -= int(width.sum()) >> 1
+        _pack_escapes(section, below, n_escape, width, start, run_a)
+
     if lanes == 1:
-        words = []
-        ans = _single_ans(_encode_single(starts, freqs, _LOW, words), words)
+        state, words = _encode_chunks(sym, tables, _WORK, _LOW, place, True)
+        head = struct.pack("<I", state)
     else:
-        ans = _encode_lanes(starts, freqs, lanes)
-    return _stream(ans, _pack_escapes(below, n_escape, width), n)
+        state = np.full(lanes, _LOW, dtype=np.int64)
+        state, words = _encode_chunks(sym, tables, max(1, _WORK // lanes) * lanes, state, place, True)
+        head = struct.pack(f"<{lanes + 1}I", lanes, *state.tolist())
+    return _stream(head, words, _section_bytes(section, run_a), n)
 
 
 def decode(stream: Bitstream, table_indexes, table_set: CdfTableSet) -> np.ndarray:
@@ -578,13 +763,14 @@ def decode(stream: Bitstream, table_indexes, table_set: CdfTableSet) -> np.ndarr
     n = stream.symbol_count
     idx = _checked_indexes(table_indexes, n, table_set)
     states, words, bypass = _parse(stream)
+    out = np.empty(n, dtype=np.int64)
     if len(states) > 1:
-        decoded = _decode_lanes(states, words, idx, table_set)
+        chunks = _decode_lanes(states, words, idx, table_set, out)
     elif len(table_set) <= _LOOKUP_TABLES:
-        decoded = _decode_slots(states, words, idx, table_set)
+        chunks = _decode_slots(states, words, idx, table_set, out)
     else:
-        decoded = _decode_single(n, states, words, _shared_chunks(idx, table_set))
-    return _decoded_symbols(decoded, words, bypass)
+        chunks = _decode_single(states, words, _shared_chunks(idx, table_set), out, _WORK)
+    return _decoded_symbols(out, chunks, bypass)
 
 
 def _checked_indexes(table_indexes, expect_len, table_set) -> np.ndarray:
@@ -616,7 +802,7 @@ def implied_bits(symbols, table_indexes, table_set: CdfTableSet) -> np.ndarray:
     sym = np.asarray(symbols, dtype=np.int64).ravel()
     idx = _checked_indexes(table_indexes, len(sym), table_set)
     flat, _, rows, offsets, nc = _shared_chunks(idx, table_set)(0, len(sym))
-    j, esc, _, freqs = _slots(sym, flat, rows, offsets, nc)
-    bits = -np.log2(freqs / TOTAL_FREQ)
+    j, esc, pos = _slots(sym, rows, offsets, nc, _far(sym) or _far(offsets))
+    bits = -np.log2(_interval(flat, pos)[1] / TOTAL_FREQ)
     bits[esc] += _record_bits(_escapes(j, esc, nc)[1])
     return bits

@@ -6,6 +6,7 @@ table-implied cross-entropy summed over the actual symbols.
 """
 
 import hashlib
+import resource
 import struct
 import time
 import tracemalloc
@@ -21,9 +22,13 @@ from swpc.cdf_tables import (
     QuantizedCdfTable,
     allocate_frequencies,
     build_lut_gm,
+    build_lut_ggm,
+    lut_search_gm,
+    lut_search_ggm,
     quantize_pmf,
 )
 from swpc.prob_models import ProbModel
+from swpc.synth_source import SourceSpec, gen_block
 from swpc.rans_coder import (
     Bitstream,
     StreamError,
@@ -357,16 +362,25 @@ def test_lanes_match_reference_and_roundtrip(lanes, monkeypatch):
         decode_elementwise(stream, lambda lo, hi: None)
 
 
+def _lanes_for(freqs, bypass_bits):
+    """The lane count of a block whose elements code in slots of these
+    frequencies, by the module's rule: elements counted per slot, the counts
+    dotted with the slots' bit costs."""
+    values, counts = np.unique(np.asarray(freqs, np.int64), return_counts=True)
+    flat = np.concatenate([[0], np.cumsum(values)])  # slot p has frequency values[p]
+    return rc._lane_count(rc._interval_bits(counts, flat), bypass_bits)
+
+
 def test_lane_count_follows_interval_bits():
     def ones(n):  # slot frequency 1 costs 16 interval bits
         return np.ones(n, np.int64)
 
-    assert rc._lane_count(ones(0), 0) == 1
-    assert rc._lane_count(ones(25_599), 0) == 1  # below 64 lanes of 6400 bits
-    assert rc._lane_count(ones(25_600), 0) == 64
-    assert rc._lane_count(ones(51_199), 0) == 127
-    assert rc._lane_count(ones(51_200), 0) == 128
-    assert rc._lane_count(ones(2_000_000), 0) == 4096
+    assert _lanes_for(ones(0), 0) == 1
+    assert _lanes_for(ones(25_599), 0) == 1  # below 64 lanes of 6400 bits
+    assert _lanes_for(ones(25_600), 0) == 64
+    assert _lanes_for(ones(51_199), 0) == 127
+    assert _lanes_for(ones(51_200), 0) == 128
+    assert _lanes_for(ones(2_000_000), 0) == 4096
 
 
 def test_lane_count_spends_the_whole_budget():
@@ -378,7 +392,7 @@ def test_lane_count_spends_the_whole_budget():
         interval = 16 * n - float(np.log2(freqs).sum())
         for bypass in (0, 1, 6_399, 409_600, 1_000_003, 27_000_000):
             budget = int(interval + bypass)
-            lanes = rc._lane_count(freqs, bypass)
+            lanes = _lanes_for(freqs, bypass)
             if 64 <= lanes < 4096:
                 assert 32 * lanes <= budget / 200 < 32 * (lanes + 1), (n, bypass, lanes)
             else:
@@ -390,12 +404,12 @@ def test_lane_count_counts_bypass_bits():
     # lift the total to exactly 64 lanes of 6400 bits, or to one bit short
     interval = 16 * 1_000
     half = np.full(1_000, 1 << 15, np.int64)  # frequency 2^15 costs 1 interval bit
-    assert rc._lane_count(np.ones(1_000, np.int64), 0) == 1
-    assert rc._lane_count(np.ones(1_000, np.int64), 64 * 6400 - interval) == 64
-    assert rc._lane_count(np.ones(1_000, np.int64), 64 * 6400 - interval - 1) == 1
-    assert rc._lane_count(half, 64 * 6400 - 1_000) == 64
-    assert rc._lane_count(half, 64 * 6400 - 1_001) == 1
-    assert rc._lane_count(np.zeros(0, np.int64), 4096 * 6400) == 4096
+    assert _lanes_for(np.ones(1_000, np.int64), 0) == 1
+    assert _lanes_for(np.ones(1_000, np.int64), 64 * 6400 - interval) == 64
+    assert _lanes_for(np.ones(1_000, np.int64), 64 * 6400 - interval - 1) == 1
+    assert _lanes_for(half, 64 * 6400 - 1_000) == 64
+    assert _lanes_for(half, 64 * 6400 - 1_001) == 1
+    assert _lanes_for(np.zeros(0, np.int64), 4096 * 6400) == 4096
 
 
 def test_large_block_uses_86_lanes_within_half_a_percent():
@@ -629,15 +643,45 @@ def _outcome(fn):
         return ("StreamError", str(exc))
 
 
-def _assert_readers_agree(section: bytes, count: int):
-    """The reader and the reference read `count` records from the section:
-    the records, or the error, must agree."""
-    def new():
-        below, n = rc._read_bypass(section, count)
-        assert below.dtype == bool and n.dtype == np.uint64
-        return [(b, d - 1) for b, d in zip(below.tolist(), n.tolist())]
+def _read(section: bytes, counts):
+    """(below, n) of the section's records, read by _read_bypass in pieces
+    of these counts and joined."""
+    pieces = list(rc._read_bypass(section, counts))
+    assert [len(n) for _, n in pieces] == list(counts)
+    assert all(b.dtype == bool and n.dtype == np.uint64 for b, n in pieces)
+    return (np.concatenate([np.zeros(0, bool)] + [b for b, _ in pieces]),
+            np.concatenate([np.zeros(0, np.uint64)] + [n for _, n in pieces]))
 
-    assert _outcome(new) == _outcome(lambda: _reference_read(section, count))
+
+def _in_pieces(count: int, piece: int) -> list[int]:
+    return [piece] * (count // piece) + [count % piece]
+
+
+def _packed(below, n, piece: int = 0) -> bytes:
+    """The bypass section of these records, packed by _pack_escapes in
+    pieces of `piece` records (all at once for 0), last piece first as the
+    encoder packs them."""
+    width = rc._record_bits(n)
+    run_a = int(width.sum()) >> 1
+    words = rc._section_words(run_a)
+    piece = piece or max(1, len(n))
+    for lo in reversed(range(0, len(n), piece)):
+        hi = lo + piece
+        rc._pack_escapes(words, below[lo:hi], n[lo:hi], width[lo:hi], int(width[:lo].sum()) >> 1, run_a)
+    return bytes(rc._section_bytes(words, run_a))
+
+
+def _assert_readers_agree(section: bytes, count: int):
+    """The reader, in one piece and in pieces of 1 and of 3 records, and the
+    reference read `count` records from the section: the records, or the
+    error, must agree."""
+    expect = _outcome(lambda: _reference_read(section, count))
+    for counts in ([count], _in_pieces(count, 1), _in_pieces(count, 3)):
+        def new():
+            below, n = _read(section, counts)
+            return [(b, d - 1) for b, d in zip(below.tolist(), n.tolist())]
+
+        assert _outcome(new) == expect, counts
 
 
 _DISTANCES = sorted({0, 2**63 - 1, *(2**k - 1 for k in range(1, 64)), *(2**k for k in range(63))})
@@ -656,14 +700,14 @@ def test_packed_escapes_match_reference(offset):
     for order in (np.arange(len(syms)), rng.permutation(len(syms))):  # records at every bit offset
         sym = np.array(syms, dtype=np.int64)[order]
         idx = np.zeros(len(sym), np.int64)
-        flat, _, rows, offs, nc = rc._shared_chunks(idx, set_)(0, len(sym))
-        j, esc, _, _ = rc._slots(sym, flat, rows, offs, nc)
+        _, _, rows, offs, nc = rc._shared_chunks(idx, set_)(0, len(sym))
+        j, esc, _ = rc._slots(sym, rows, offs, nc, True)
         records = _reference_records(j, nc)
         assert esc.tolist() == [e for e, (d, edge) in enumerate(zip(j.tolist(), nc.tolist()))
                                 if not 0 <= d < edge]
         section = _reference_pack(records)
         below, n = rc._escapes(j, esc, nc)
-        assert rc._pack_escapes(below, n, rc._record_bits(n)) == section
+        assert _packed(below, n) == _packed(below, n, 3) == _packed(below, n, 1) == section
         payload = encode(sym, idx, set_).payload
         assert payload.endswith(section)
         assert np.array_equal(decode(Bitstream(payload, len(sym)), idx, set_), sym)
@@ -704,12 +748,12 @@ def _random_records(rng, count, max_bits=64) -> list[tuple[bool, int]]:
 def test_reader_runs_of_63_and_64_zeros():
     longest = "0" * 63 + "1" + "1" + "0" * 62 + "1"  # 63 zeros: n = 2^63 + 1, the longest record
     too_long = "0" * 64 + "1" + "0" * 65  # 64 zeros: a run out of range
-    below, n = rc._read_bypass(_pad(longest), 1)
+    below, n = _read(_pad(longest), [1])
     assert below.tolist() == [True] and n.tolist() == [2**63 + 1]
     with pytest.raises(StreamError, match="run length"):
-        rc._read_bypass(_pad(too_long), 1)
+        _read(_pad(too_long), [1])
     with pytest.raises(StreamError, match="run length"):  # the second prefix is too long
-        rc._read_bypass(_pad("1" + "0" * 64 + "1" + "0" * 66), 2)
+        _read(_pad("1" + "0" * 64 + "1" + "0" * 66), [2])
     both = _two_runs([(True, 2**63), (False, 2**63 - 1)])
     for bits in (longest, too_long, both, "1" + "0" * 64, "0" * 200, "1" * 130,
                  "1" + "0" * 63 + "1" + "1" * 63 + longest):
@@ -745,9 +789,10 @@ def test_reader_fields_at_every_bit_offset_of_a_word():
         assert set((starts[sizes == size] % 64).tolist()) == set(range(64))
     below = np.array([b for b, _ in records])
     n = np.array([d + 1 for _, d in records], dtype=np.uint64)
-    assert rc._pack_escapes(below, n, rc._record_bits(n)) == section
-    got_below, got_n = rc._read_bypass(section, len(records))
-    assert np.array_equal(got_below, below) and np.array_equal(got_n, n)
+    assert _packed(below, n) == _packed(below, n, 7) == section
+    for counts in ([len(records)], _in_pieces(len(records), 7)):
+        got_below, got_n = _read(section, counts)
+        assert np.array_equal(got_below, below) and np.array_equal(got_n, n)
     for count in (len(records) - 1, len(records), len(records) + 1):
         _assert_readers_agree(section, count)
         _assert_readers_agree(section[:-3], count)
@@ -777,9 +822,11 @@ def test_reader_matches_reference_on_damaged_sections(records, miscount, how, da
         assert _reference_read(section, count) == records
 
 
-def test_reader_working_set_stays_under_50_bytes_per_escape():
+def test_reader_working_set_stays_under_21_bytes_per_escape():
     # gm sources of sigma 100 to 1000 against the widest table of the gm LUT
-    # (sigma 60): most symbols escape, as in the escape-gm benchmark workload
+    # (sigma 60): most symbols escape, as in the escape-gm benchmark workload.
+    # Read as the decoder reads it, one work chunk's escapes per piece, the
+    # peak is the records read (9 bytes each) and one piece's working set
     rng = np.random.default_rng(23)
     set_, _ = build_lut_gm(40)
     syms = np.round(rng.normal(0, np.exp(rng.uniform(np.log(100), np.log(1000), 50_000))))
@@ -787,19 +834,21 @@ def test_reader_working_set_stays_under_50_bytes_per_escape():
     idx = np.full(len(syms), len(set_) - 1)
     payload = encode(syms, idx, set_).payload
     section = payload[4 + struct.unpack_from("<I", payload)[0] :]
-    flat, _, rows, offs, nc = rc._shared_chunks(idx, set_)(0, len(syms))
-    j, esc, _, _ = rc._slots(syms, flat, rows, offs, nc)
+    _, _, rows, offs, nc = rc._shared_chunks(idx, set_)(0, len(syms))
+    j, esc, _ = rc._slots(syms, rows, offs, nc, True)
     expect_below, expect_n = rc._escapes(j, esc, nc)
     count = len(expect_n)
     assert count > len(syms) // 2
+    counts = np.bincount(esc // rc._WORK).tolist()
     tracemalloc.start()
     try:
-        below, n = rc._read_bypass(section, count)
+        pieces = list(rc._read_bypass(section, counts))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(below, expect_below) and np.array_equal(n, expect_n)
-    assert peak <= 50 * count, peak / count
+    assert np.array_equal(np.concatenate([b for b, _ in pieces]), expect_below)
+    assert np.array_equal(np.concatenate([n for _, n in pieces]), expect_n)
+    assert peak <= 21 * count, peak / count
 
 
 @pytest.mark.parametrize("dist", [2**53 - 2, 2**54 - 2, 2**62 - 2])
@@ -824,17 +873,18 @@ def test_chunked_decode_reads_the_bypass_section_once(monkeypatch):
     calls = []
     read = rc._read_bypass
 
-    def counting(data, count):
-        calls.append(count)
-        return read(data, count)
+    def counting(data, counts):
+        calls.append(list(counts))
+        return read(data, calls[-1])
 
     monkeypatch.setattr(rc, "_read_bypass", counting)
     stream = rc.encode_elementwise(syms, chunk)
     assert np.array_equal(decode_elementwise(stream, chunk), syms)
     escaped = np.abs(syms) > 3
-    assert calls == [escaped.sum()] == [7]  # every escape, in one read
-    per_chunk = [escaped[lo : lo + 3].any() for lo in range(0, len(syms), 3)]
-    assert per_chunk == [True, True, False, True, True, True]
+    per_chunk = [int(escaped[lo : lo + 3].sum()) for lo in range(0, len(syms), 3)]
+    assert per_chunk == [1, 1, 0, 2, 2, 1]
+    # one read of every escape, in element order: one piece per chunk with escapes
+    assert calls == [[1, 1, 2, 2, 1]] and sum(calls[0]) == escaped.sum() == 7
 
 
 # ---------------------------------------------------------------------------
@@ -993,3 +1043,161 @@ def test_ans_word_count_is_checked_on_every_route(route, monkeypatch):
     for bad, message in ((ans[:-2], "ANS words exhausted"), (ans + b"\x01\x00", "1 ANS words left unread")):
         with pytest.raises(StreamError, match=message):
             decoder(Bitstream(struct.pack("<I", len(bad)) + bad + tail, len(syms)))
+
+
+# ---------------------------------------------------------------------------
+# Work chunks
+
+
+def _escapes_at_chunk_edges(rng, set_, idx, step, lanes):
+    """Symbols for these tables that escape on both sides of every chunk
+    edge (every `step` elements) and of every tenth lane edge, below and
+    above the coded span with records of several sizes, and at random in
+    between."""
+    n = len(idx)
+    lo = np.array([set_[i].lo for i in idx])
+    hi = np.array([set_[i].hi for i in idx])
+    syms = rng.integers(lo, hi + 1)
+    edge = np.arange(n)
+    at = ((edge % step == 0) | (edge % step == step - 1)
+          | (edge // lanes % 10 == 0) | (rng.random(n) < 0.3))
+    far = rng.choice([0, 1, 200, 2**40], n)
+    syms = np.where(at, np.where(edge % 2 == 0, hi + 1 + far, lo - 1 - far), syms)
+    return syms, at
+
+
+@pytest.mark.parametrize("chunk", [7, 13])
+@pytest.mark.parametrize("lanes", [2, 3, 5])
+def test_small_chunks_match_the_lane_reference(chunk, lanes, monkeypatch):
+    monkeypatch.setattr(rc, "_WORK", chunk)
+    monkeypatch.setattr(rc, "_lane_count", lambda interval_bits, bypass_bits: lanes)
+    rng = np.random.default_rng(100 * chunk + lanes)
+    set_ = _random_set(rng, 3)
+    step = max(1, chunk // lanes) * lanes  # elements per lane-aligned chunk
+    for n in (lanes, lanes + 1, step + 1, 2 * step - 1, 3 * step + lanes - 1, 200):
+        idx = rng.integers(0, 3, n)
+        syms, escaped = _escapes_at_chunk_edges(rng, set_, idx, step, lanes)
+        if n > step:
+            assert escaped[step - 1] and escaped[step]  # both sides of a chunk edge
+        stream = encode(syms, idx, set_)
+        assert stream.payload == _lane_reference(syms, idx, set_, lanes)
+        assert np.array_equal(decode(stream, idx, set_), syms)
+
+
+def test_lane_count_and_bytes_do_not_depend_on_the_chunk(monkeypatch):
+    rng = np.random.default_rng(20)
+    small = _random_set(rng, 4)
+    small_idx = rng.integers(0, 4, 3000)
+    cases = [(_frozen_escape_input(), 64), ((rng.integers(-60, 60, 3000), small_idx, small), 1)]
+    default = rc._WORK
+    lane_count = rc._lane_count
+    seen = []
+
+    def spy(interval_bits, bypass_bits):
+        seen.append((interval_bits, bypass_bits))
+        return lane_count(interval_bits, bypass_bits)
+
+    monkeypatch.setattr(rc, "_lane_count", spy)
+    for (syms, idx, set_), min_lanes in cases:
+        seen.clear()
+        payloads = set()
+        for chunk in (7, 13, default):
+            monkeypatch.setattr(rc, "_WORK", chunk)
+            stream = encode(syms, idx, set_)
+            payloads.add(stream.payload)
+            assert np.array_equal(decode(stream, idx, set_), syms)
+        lanes = struct.unpack_from("<I", stream.payload, 4)[0]
+        assert (lanes >= 1 << 16) == (min_lanes == 1) and lanes >= min_lanes
+        assert len(payloads) == 1
+        assert len(seen) == 3 and len(set(seen)) == 1  # the same bits, to the last float bit
+
+
+def _coders(route, idx, set_):
+    """(encoder, decoder) of symbols with these indexes, by route."""
+    if route == "elementwise":
+        chunk = rc._shared_chunks(idx, set_)
+        return (lambda s: rc.encode_elementwise(s, chunk),
+                lambda stream: decode_elementwise(stream, chunk))
+    return lambda s: encode(s, idx, set_), lambda stream: decode(stream, idx, set_)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from(["single", "lanes", "elementwise"]),
+       st.sampled_from([7, 13]), st.data())
+def test_damaged_streams_in_small_chunks_decode_exactly_or_raise(seed, route, chunk, data):
+    syms, idx, set_ = _escape_heavy(seed, 160)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rc, "_WORK", chunk)
+        mp.setattr(rc, "_CHUNK", chunk)  # the chunks of encode_elementwise
+        if route == "lanes":
+            mp.setattr(rc, "_lane_count", lambda interval_bits, bypass_bits: 3)
+        encoder, decoder = _coders(route, idx, set_)
+        payload = encoder(syms).payload
+        assert np.array_equal(decoder(Bitstream(payload, len(syms))), syms)
+        if data.draw(st.booleans()):
+            bad = data.draw(_bad_tails(payload))
+        else:  # a flipped byte anywhere, the ANS section included
+            k = data.draw(st.integers(0, len(payload) - 1))
+            bad = payload[:k] + bytes([payload[k] ^ data.draw(st.integers(1, 255))]) + payload[k + 1 :]
+        _decodes_exactly_or_raises(bad, len(syms), decoder, encoder)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_payloads(), st.integers(min_value=0, max_value=2**31), st.sampled_from([7, 13]))
+def test_random_payloads_in_small_chunks_raise_only_stream_errors(case, seed, chunk):
+    n, data = case
+    rng = np.random.default_rng(seed)
+    set_ = _random_set(rng, 3)
+    idx = rng.integers(0, 3, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rc, "_WORK", chunk)
+        try:
+            out = decode(Bitstream.from_bytes(data), idx, set_)
+            assert len(out) == n
+        except StreamError:
+            pass
+
+
+# ---------------------------------------------------------------------------
+# Memory faults per call
+
+
+class TestCallFaults:
+    """After two warm-up calls in one process, an encode or a decode maps no
+    fresh memory beyond what it returns: its minor page faults are at most
+    64 plus 1.1 times the pages of the payload or of the decoded symbols."""
+
+    @staticmethod
+    def _faults() -> int:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    @staticmethod
+    def _block(case):
+        """(symbols, LUT indexes, table set): most symbols escape in gm."""
+        if case == "gm":
+            block = gen_block(SourceSpec(family="gm", shape=(4, 128, 128), seed=1,
+                                         sigma_range=(100.0, 1000.0)))
+            set_, grid = build_lut_gm(40)
+            return block.residuals.ravel(), lut_search_gm(grid, block.truth_params["sigma"].ravel()), set_
+        block = gen_block(SourceSpec(family="ggm", shape=(4, 256, 256), seed=1,
+                                     beta_range=(0.7, 2.5), alpha_range=(0.05, 10.0)))
+        set_, grid = build_lut_ggm(5, 10)
+        truth = block.truth_params
+        return block.residuals.ravel(), lut_search_ggm(grid, truth["beta"].ravel(), truth["alpha"].ravel()), set_
+
+    @pytest.mark.parametrize("case", ["gm", "ggm"])
+    def test_warm_calls_fault_in_only_what_they_return(self, case):
+        syms, idx, set_ = self._block(case)
+        for _ in range(2):
+            decode(encode(syms, idx, set_), idx, set_)
+        page = resource.getpagesize()
+        before = self._faults()
+        stream = encode(syms, idx, set_)
+        encoded = self._faults()
+        out = decode(stream, idx, set_)
+        decoded = self._faults()
+        assert np.array_equal(out, syms)
+        payload_pages = -(-len(stream.payload) // page)
+        out_pages = -(-out.nbytes // page)
+        assert encoded - before <= 64 + 1.1 * payload_pages, (encoded - before, payload_pages)
+        assert decoded - encoded <= 64 + 1.1 * out_pages, (decoded - encoded, out_pages)
