@@ -41,7 +41,6 @@ __all__ = [
     "CodingReport",
     "round_half_away",
     "harden_index",
-    "harden_index_2d",
     "log_features",
     "backend_dynamic",
     "backend_dynamic_decode",
@@ -77,10 +76,6 @@ def harden_index(i, m: int):
     x += 0.5
     np.copyto(out.reshape(-1), x.reshape(-1), casting="unsafe")
     return int(out) if out.ndim == 0 else out
-
-
-def harden_index_2d(i, j, m: int, n: int):
-    return harden_index(i, m), harden_index(j, n)
 
 
 def log_features(features) -> np.ndarray:

@@ -77,17 +77,12 @@ __all__ = [
     "TrainResult",
     "model_from_coords",
     "soft_weights",
-    "soft_weights_2d",
-    "top_k_indices",
-    "top2_indices",
-    "top2_pairs_2d",
     "weighted_rate",
     "topk_rate",
     "weighted_rate_grads",
     "topk_rate_grads",
     "gumbel_mask",
     "gumbel_mask_grad",
-    "hyper_rate",
     "hyper_rate_grads",
     "skip_loss",
     "skip_loss_grads",
@@ -291,9 +286,6 @@ class HyperLogits:
     def channels(self) -> int:
         return self.logits.shape[0]
 
-    def weights(self) -> np.ndarray:
-        return _softmax(self.logits, axis=1)
-
     def selected(self) -> np.ndarray:
         """One-based prior index per channel: the post-training argmax."""
         return self.logits.argmax(axis=1) + 1
@@ -361,35 +353,6 @@ def soft_weights(i: float, m: int, tau: float) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     return _window(np.array([float(i)]), m, m, tau)[2][0]
-
-
-def soft_weights_2d(i: float, j: float, m: int, n: int, tau: float) -> np.ndarray:
-    """Outer product of the per-dimension weight vectors; sums to 1."""
-    return np.outer(soft_weights(i, m, tau), soft_weights(j, n, tau))
-
-
-def top_k_indices(i: float, m: int, k: int) -> np.ndarray:
-    """The k prior indexes nearest to i, nearest first, ties to smaller m."""
-    if not 1 <= k <= m:
-        raise ValueError("k must satisfy 1 <= k <= m")
-    candidates = np.arange(1, m + 1, dtype=np.int64)
-    order = np.lexsort((candidates, np.abs(float(i) - candidates)))
-    return candidates[order[:k]]
-
-
-def top2_indices(i: float, m: int) -> tuple[int, int]:
-    """Floor and ceiling of clip(i, 1, m); equal when the clip is integral."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    c = min(max(float(i), 1.0), float(m))
-    return int(math.floor(c)), int(math.ceil(c))
-
-
-def top2_pairs_2d(i: float, j: float, m: int, n: int) -> list[tuple[int, int]]:
-    """Per-dimension two-nearest selection: at most 4 grid cells."""
-    rows = sorted(set(top2_indices(i, m)))
-    cols = sorted(set(top2_indices(j, n)))
-    return [(r, c) for r in rows for c in cols]
 
 
 def _window(ivals: np.ndarray, m: int, k: int, tau: float):
@@ -665,11 +628,6 @@ def gumbel_mask_grad(b, t: float, noise_seed: int = 0):
 
 # ---------------------------------------------------------------------------
 # Losses
-
-
-def hyper_rate(z_block: LatentBlock, prior_set: PriorSet1D, logits: HyperLogits) -> float:
-    """Hyperlatent rate reusing the prior set: per-channel softmax over all M."""
-    return hyper_rate_grads(z_block, prior_set, logits)[0]
 
 
 def hyper_rate_grads(z_block: LatentBlock, prior_set: PriorSet1D, logits: HyperLogits):

@@ -51,7 +51,6 @@ __all__ = [
     "pmf_integer",
     "rate_bits",
     "floored_rate_bits",
-    "gmm_effective_mean",
     "grad_rate_params",
     "regularized_lower_gamma",
     "regularized_lower_gamma_with_da",
@@ -622,11 +621,6 @@ def floored_rate_bits(pmf):
       symbols out of a table's span escape at a finite cost.
     """
     return -np.log2(np.maximum(np.asarray(pmf, np.float64), PROB_FLOOR))
-
-
-def gmm_effective_mean(params: GmmParams) -> float:
-    """Weighted component mean: the quantization center of a mixture."""
-    return float(np.dot(params.weights, params.means))
 
 
 def grad_rate_params(model: ProbModel, k) -> np.ndarray:

@@ -128,8 +128,6 @@ __all__ = [
     "decode",
     "encode_elementwise",
     "decode_elementwise",
-    "bypass_encode",
-    "bypass_decode",
     "implied_bits",
 ]
 
@@ -180,29 +178,6 @@ class Bitstream:
     @property
     def bit_length(self) -> int:
         return 8 * (4 + len(self.payload))
-
-
-# ---------------------------------------------------------------------------
-# Bypass records (sign bit, then Exp-Golomb order 0)
-
-
-def bypass_encode(value: int) -> str:
-    """Exp-Golomb order-0 pattern for a nonnegative integer."""
-    if value < 0:
-        raise ValueError("bypass values are nonnegative")
-    n = value + 1
-    body = bin(n)[2:]
-    return "0" * (len(body) - 1) + body
-
-
-def bypass_decode(bits: str) -> int:
-    """Inverse of bypass_encode; the string must be exactly one code."""
-    zeros = 0
-    while zeros < len(bits) and bits[zeros] == "0":
-        zeros += 1
-    if len(bits) != 2 * zeros + 1:
-        raise StreamError("not a single Exp-Golomb code")
-    return int(bits[zeros:], 2) - 1
 
 
 def _escapes(j, esc, n_coded):
@@ -761,6 +736,8 @@ def encode(symbols, table_indexes, table_set: CdfTableSet) -> Bitstream:
 def decode(stream: Bitstream, table_indexes, table_set: CdfTableSet) -> np.ndarray:
     """Exact inverse of encode given the same indexes and table set."""
     n = stream.symbol_count
+    if np.size(table_indexes) != n:  # a damaged count: rejected before anything of its size is made
+        raise StreamError(f"stream holds {n} symbols, the indexes {np.size(table_indexes)}")
     idx = _checked_indexes(table_indexes, n, table_set)
     states, words, bypass = _parse(stream)
     out = np.empty(n, dtype=np.int64)

@@ -25,8 +25,6 @@ __all__ = [
     "gen_block",
     "oracle_rate",
     "oracle_bits_per_element",
-    "RateHistogram",
-    "rate_histogram",
     "block_to_bytes",
     "block_from_bytes",
 ]
@@ -195,60 +193,6 @@ def oracle_rate(block: LatentBlock) -> float:
     if block.n_elements == 0:
         return 0.0
     return float(oracle_bits_per_element(block).sum())
-
-
-# ---------------------------------------------------------------------------
-# Rate histograms
-
-
-@dataclass(frozen=True)
-class RateHistogram:
-    """Log-binned per-element rate frequencies, optionally split by mask."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-    kept_counts: np.ndarray | None = None
-    skipped_counts: np.ndarray | None = None
-
-    def to_json(self) -> str:
-        out = {"edges": self.edges.tolist(), "counts": self.counts.tolist()}
-        if self.kept_counts is not None:
-            out["kept_counts"] = self.kept_counts.tolist()
-            out["skipped_counts"] = self.skipped_counts.tolist()
-        return json.dumps(out)
-
-
-def rate_histogram(block: LatentBlock, per_element_bits=None, mask=None,
-                   n_bins: int = 64) -> RateHistogram:
-    """Histogram per-element rates on log-spaced bins.
-
-    Rates default to the truth-model oracle; pass a backend's estimated
-    bits to summarize what was actually coded.  A skip mask adds split
-    counts (kept vs skipped elements).
-    """
-    bits = (
-        np.asarray(per_element_bits, dtype=np.float64).ravel()
-        if per_element_bits is not None
-        else oracle_bits_per_element(block).ravel()
-    )
-    if bits.size != block.n_elements:
-        raise ValueError("per_element_bits must have one entry per element")
-    floor = 2.0 ** -16
-    clipped = np.maximum(bits, floor)
-    lo, hi = float(clipped.min()), float(clipped.max())
-    if lo == hi:
-        hi = lo * 2.0
-    edges = np.exp(np.linspace(np.log(lo), np.log(hi), n_bins + 1))
-    edges[0], edges[-1] = lo, hi  # exp(log(x)) may round past x at either end
-    counts, _ = np.histogram(clipped, bins=edges)
-    kept = skipped = None
-    if mask is not None:
-        hard = np.asarray(mask.hard if hasattr(mask, "hard") else mask).ravel()
-        if hard.shape != clipped.shape:
-            raise ValueError("mask must have one entry per element")
-        kept, _ = np.histogram(clipped[hard == 1], bins=edges)
-        skipped, _ = np.histogram(clipped[hard == 0], bins=edges)
-    return RateHistogram(edges=edges, counts=counts, kept_counts=kept, skipped_counts=skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from swpc.coding_backends import (
     backend_switch,
     backend_switch_decode,
     harden_index,
-    harden_index_2d,
     log_features,
     prune_hyper_channels,
     restore_pruned_channels,
@@ -103,11 +102,6 @@ class TestRounding:
         feats = np.array([-1.0, 0.0, 1e-12, 1.0, 7.5])
         logs = log_features(feats)
         assert logs.tolist() == np.log([1e-12, 1e-12, 1e-12, 1.0, 7.5]).tolist()
-
-    def test_harden_2d(self):
-        i, j = harden_index_2d(np.array([0.2, 5.7]), np.array([3.49, 9.0]), 4, 3)
-        assert i.tolist() == [1, 4]
-        assert j.tolist() == [3, 3]
 
     @pytest.mark.parametrize("m", [2, 5, 10, 40])
     def test_harden_matches_weight_argmax(self, m):
@@ -550,6 +544,34 @@ class TestBackendSwitch:
             backend_switch(block, IndexGrid.from_continuous(np.ones(block.shape), 2), None, table_set)
         with pytest.raises(ValueError):
             backend_switch(block, grid, SkipMask.keep_all((1, 2, 2)), table_set)
+
+
+def _coded(route):
+    """(stream, decoder of a stream) for one small block on a backend route."""
+    if route == "dynamic":
+        block = _gm_block(np.array([[[1, -2], [0, 3]]], np.int64), 2.0)
+        stream, _ = backend_dynamic(block)
+        return stream, lambda s: backend_dynamic_decode(s, block.truth_params, block.shape)
+    if route == "lut":
+        table_set, grid = build_lut_gm(8)
+        block = gen_block(SourceSpec(family="gm", shape=(1, 6, 6), seed=4))
+        stream, _ = backend_lut(block, grid, table_set)
+        return stream, lambda s: backend_lut_decode(s, block.truth_params, grid, table_set, block.shape)
+    block, grid, table_set = _switch_fixture()
+    mask = SkipMask.from_soft((block.residuals != 0).astype(float)) if route == "masked switch" else None
+    stream, _ = backend_switch(block, grid, mask, table_set)
+    return stream, lambda s: backend_switch_decode(s, grid, mask, table_set, block.shape)
+
+
+@pytest.mark.parametrize("miscount", [1, -1, 2**20])
+@pytest.mark.parametrize("route", ["dynamic", "lut", "switch", "masked switch"])
+def test_wrong_symbol_count_is_a_stream_error(route, miscount):
+    """The count word is part of the stream: a wrong one is damage, not a
+    caller's mistake, on every backend."""
+    stream, decode = _coded(route)
+    decode(stream)
+    with pytest.raises(StreamError, match="stream holds"):
+        decode(Bitstream(stream.payload, stream.symbol_count + miscount))
 
 
 # ---------------------------------------------------------------------------

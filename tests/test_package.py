@@ -8,13 +8,16 @@ import pytest
 
 import swpc
 
-# swpc.__all__ as it stood when each name was still listed by hand; none of
-# these may disappear from the package.
+# swpc.__all__ as it stood when each name was still listed by hand, less the
+# eleven names that only tests called (bypass_encode, bypass_decode,
+# gmm_effective_mean, harden_index_2d, soft_weights_2d, top_k_indices,
+# top2_indices, top2_pairs_2d, hyper_rate, rate_histogram, RateHistogram);
+# none of these may disappear from the package.
 NAMES_BEFORE = [
     "__version__",
     "PROB_FLOOR", "GaussianParams", "GeneralizedGaussianParams", "GmmParams", "InfiniteRateError",
     "ParameterDomainError", "ProbModel", "cdf_eval", "floored_rate_bits", "ggm_alpha_for_std",
-    "ggm_std", "gmm_effective_mean", "grad_rate_params", "model_std", "pmf_integer", "rate_bits",
+    "ggm_std", "grad_rate_params", "model_std", "pmf_integer", "rate_bits",
     "regularized_lower_gamma", "regularized_lower_gamma_with_da", "support_radius",
     "GGM_ALPHA_RANGE", "GGM_BETA_RANGE", "GM_SIGMA_RANGE", "MAX_RADIUS", "TOTAL_FREQ",
     "CapacityError", "CdfTableSet", "LutGrid", "MagicError", "ParseError", "QuantizedCdfTable",
@@ -22,27 +25,26 @@ NAMES_BEFORE = [
     "cumulative_rows", "build_lut_ggm", "build_lut_gm", "deserialize_table_set", "lut_search",
     "lut_search_ggm", "lut_search_gm", "quantize_pmf", "serialize_table_set",
     "table_set_16bit_bytes", "tables_from_masses",
-    "Bitstream", "StreamError", "bypass_decode", "bypass_encode", "decode", "decode_elementwise",
+    "Bitstream", "StreamError", "decode", "decode_elementwise",
     "encode", "encode_elementwise", "implied_bits",
     "CodingReport", "IndexGrid", "LatentBlock", "SkipMask", "backend_dynamic",
     "backend_dynamic_decode", "backend_lut", "backend_lut_decode", "backend_switch",
-    "backend_switch_decode", "harden_index", "harden_index_2d", "prune_hyper_channels",
+    "backend_switch_decode", "harden_index", "prune_hyper_channels",
     "restore_pruned_channels", "round_half_away",
     "AnnealSchedule", "HyperLogits", "PriorSet1D", "PriorSet2D", "SkipHead", "TrainConfig",
     "TrainResult", "TrainingDivergedError", "export_tables", "gumbel_mask", "gumbel_mask_grad",
-    "hyper_rate", "hyper_rate_grads", "init_prior_set", "init_prior_set_2d", "model_from_coords",
-    "skip_loss", "skip_loss_grads", "soft_weights", "soft_weights_2d", "top2_indices",
-    "top2_pairs_2d", "top_k_indices", "topk_rate", "topk_rate_grads", "train_priors",
+    "hyper_rate_grads", "init_prior_set", "init_prior_set_2d", "model_from_coords",
+    "skip_loss", "skip_loss_grads", "soft_weights", "topk_rate", "topk_rate_grads", "train_priors",
     "weighted_rate", "weighted_rate_grads",
-    "RateHistogram", "SourceSpec", "block_from_bytes", "block_to_bytes", "gen_block",
-    "oracle_bits_per_element", "oracle_rate", "rate_histogram",
+    "SourceSpec", "block_from_bytes", "block_to_bytes", "gen_block",
+    "oracle_bits_per_element", "oracle_rate",
 ]
 
 SUBMODULES = ["prob_models", "cdf_tables", "rans_coder", "coding_backends", "prior_trainer", "synth_source"]
 
 
 def test_names_before_still_import():
-    assert len(NAMES_BEFORE) == 106
+    assert len(NAMES_BEFORE) == 95
     namespace = {}
     exec("from swpc import *", namespace)
     for name in NAMES_BEFORE:
@@ -82,19 +84,15 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-def _private_definitions(tree):
-    """(name, statement) for each private top-level function, class or
-    constant of a module; dunder names such as __all__ are not private."""
+def _definitions(tree):
+    """(name, statement) for each top-level function, class or constant of
+    a module."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            for name in [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]:
                 yield name, node
 
 
@@ -109,11 +107,38 @@ def test_every_private_helper_is_used():
     leftover of a refactor: delete it or use it."""
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(Path(swpc.__file__).parent.glob("*.py"))}
-    statements = [(name, node) for name, tree in trees.items() for node in tree.body]
+    statements = [(node, _referenced_names(node)) for tree in trees.values() for node in tree.body]
     orphans = []
     for module, tree in trees.items():
-        for name, definition in _private_definitions(tree):
-            if not any(node is not definition and name in _referenced_names(node)
-                       for _, node in statements):
+        for name, definition in _definitions(tree):
+            private = name.startswith("_") and not name.startswith("__")  # __all__ is not private
+            if private and not any(node is not definition and name in names for node, names in statements):
                 orphans.append(f"{module}: {name} (line {definition.lineno})")
     assert not orphans, f"private helpers that nothing else in swpc uses: {orphans}"
+
+
+# Callers of the public surface, read only: the package itself, the demos,
+# the benchmark and the acceptance suite.  Unit tests are not callers.
+_ROOT = Path(__file__).resolve().parent.parent
+CALLERS = [*sorted(Path(swpc.__file__).parent.glob("*.py")), *sorted((_ROOT / "demos").glob("*.py")),
+           *sorted((_ROOT / "perfbench").glob("*.py")), _ROOT / "tests" / "test_acceptance.py"]
+# grad_rate_params is the exact gradient of one model's rate: nothing codes or
+# trains with it, but the trainer tests compare the rate kernel against it.
+NO_CALLER_NEEDED = {"grad_rate_params"}
+
+
+def test_every_public_name_has_a_caller():
+    """A public name that only unit tests read widens the surface for no
+    caller: each name in a submodule's __all__ is read by some statement of
+    CALLERS other than its own definition."""
+    trees = {path.resolve(): ast.parse(path.read_text()) for path in CALLERS}
+    statements = [(node, _referenced_names(node)) for tree in trees.values() for node in tree.body]
+    uncalled = []
+    for module in SUBMODULES:
+        mod = importlib.import_module(f"swpc.{module}")
+        defined = dict(_definitions(trees[Path(mod.__file__).resolve()]))
+        for name in sorted(set(mod.__all__) - NO_CALLER_NEEDED):
+            if not any(node is not defined.get(name) and name in names for node, names in statements):
+                uncalled.append(f"{module}.{name}")
+    assert not uncalled, (
+        f"public names that no package code, demo, benchmark or acceptance test reads: {uncalled}")

@@ -104,79 +104,16 @@ class TestSoftWeights:
             pt.soft_weights(1.0, 0, 0.5)
 
 
-class TestSoftWeights2D:
-    def test_product_structure(self):
-        rng = np.random.default_rng(np.random.Philox(5))
-        for _ in range(20):
-            m, n = rng.integers(1, 9, size=2)
-            i = rng.uniform(0, m + 1)
-            j = rng.uniform(0, n + 1)
-            tau = rng.uniform(0.05, 2.0)
-            grid = pt.soft_weights_2d(i, j, int(m), int(n), tau)
-            outer = np.outer(pt.soft_weights(i, int(m), tau),
-                             pt.soft_weights(j, int(n), tau))
-            assert np.array_equal(grid, outer)
-            assert abs(grid.sum() - 1.0) <= 1e-12
-
-    def test_symmetric_quarter(self):
-        grid = pt.soft_weights_2d(1.5, 1.5, 2, 2, 0.9)
-        assert np.allclose(grid, 0.25, atol=1e-12)
-
-    def test_marginals_are_1d_weights(self):
-        grid = pt.soft_weights_2d(2.3, 1.8, 4, 3, 0.6)
-        assert np.allclose(grid.sum(axis=0), pt.soft_weights(1.8, 3, 0.6),
-                           atol=1e-12)
-        assert np.allclose(grid.sum(axis=1), pt.soft_weights(2.3, 4, 0.6),
-                           atol=1e-12)
-
-
 class TestTopKSelection:
-    def test_nearest_pair(self):
-        assert set(pt.top_k_indices(3.7, 10, 2)) == {3, 4}
-
-    def test_boundary(self):
-        assert set(pt.top_k_indices(0.2, 10, 2)) == {1, 2}
-
-    def test_four_nearest_order(self):
-        assert list(pt.top_k_indices(5.5, 10, 4)) == [5, 6, 4, 7]
-
-    @given(i=st.floats(-2.0, 14.0), m=st.integers(1, 12), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_brute_force_sort(self, i, m, data):
-        k = data.draw(st.integers(1, m))
-        got = list(pt.top_k_indices(i, m, k))
-        expected = sorted(range(1, m + 1), key=lambda c: (abs(i - c), c))[:k]
-        assert got == expected
-
     @given(i=st.floats(-2.0, 14.0), m=st.integers(1, 12), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_rate_window_selects_top_k(self, i, m, data):
         k = data.draw(st.integers(1, m))
         i = data.draw(st.sampled_from([i, round(i * 2) / 2]))  # half-integer ties
         sel, _, weights = pt._window(np.array([i]), m, k, 0.5)
-        assert (sel[0] + 1).tolist() == sorted(pt.top_k_indices(i, m, k))
+        expected = sorted(range(1, m + 1), key=lambda c: (abs(i - c), c))[:k]
+        assert (sel[0] + 1).tolist() == sorted(expected)
         assert abs(weights.sum() - 1.0) <= 1e-12
-
-    def test_k_validation(self):
-        with pytest.raises(ValueError):
-            pt.top_k_indices(1.0, 3, 0)
-        with pytest.raises(ValueError):
-            pt.top_k_indices(1.0, 3, 4)
-
-    def test_top2_floor_ceil(self):
-        assert pt.top2_indices(3.7, 10) == (3, 4)
-        assert pt.top2_indices(5.0, 10) == (5, 5)
-        assert pt.top2_indices(-2.0, 10) == (1, 1)
-
-    def test_top2_pairs_at_most_four_cells(self):
-        assert len(pt.top2_pairs_2d(2.5, 3.5, 5, 5)) == 4
-        assert pt.top2_pairs_2d(2.0, 3.5, 5, 5) == [(2, 3), (2, 4)]
-        assert pt.top2_pairs_2d(1.0, 1.0, 5, 5) == [(1, 1)]
-        rng = np.random.default_rng(np.random.Philox(6))
-        for _ in range(50):
-            pairs = pt.top2_pairs_2d(rng.uniform(-1, 7), rng.uniform(-1, 7), 5, 6)
-            assert 1 <= len(pairs) <= 4
-            assert len(set(pairs)) == len(pairs)
 
 
 class TestWeightedRate:
@@ -500,7 +437,7 @@ class TestHyperRate:
         logits = pt.HyperLogits(np.tile([20.0, -20.0, -20.0], (2, 1)))
         expected = sum(pm.rate_bits(ps.model(1), int(s))
                        for s in z.residuals.ravel())
-        assert abs(pt.hyper_rate(z, ps, logits) - expected) < 1e-6
+        assert abs(pt.hyper_rate_grads(z, ps, logits)[0] - expected) < 1e-6
 
     def test_uniform_logits_average(self):
         ps = gm_set(1.5, 6.0)
@@ -509,7 +446,7 @@ class TestHyperRate:
         totals = [sum(pm.rate_bits(ps.model(m), int(s))
                       for s in z.residuals.ravel()) for m in (1, 2)]
         expected = 0.5 * totals[0] + 0.5 * totals[1]
-        assert abs(pt.hyper_rate(z, ps, logits) - expected) < 1e-9
+        assert abs(pt.hyper_rate_grads(z, ps, logits)[0] - expected) < 1e-9
 
     def test_random_logits_brute_force(self):
         rng = np.random.default_rng(np.random.Philox(22))
@@ -525,7 +462,7 @@ class TestHyperRate:
             for m in range(3):
                 expected += w[c, m] * sum(pm.rate_bits(ps.model(m + 1), int(s))
                                           for s in per_channel[c])
-        assert abs(pt.hyper_rate(z, ps, logits) - expected) < 1e-7
+        assert abs(pt.hyper_rate_grads(z, ps, logits)[0] - expected) < 1e-7
 
     def test_gradients_match_fd(self):
         ps = gm_set(1.2, 3.5, 8.0)
@@ -534,11 +471,11 @@ class TestHyperRate:
         _, dlogits, dtheta = pt.hyper_rate_grads(z, ps, pt.HyperLogits(raw))
 
         def at_logits(x):
-            return pt.hyper_rate(z, ps, pt.HyperLogits(x.reshape(2, 3)))
+            return pt.hyper_rate_grads(z, ps, pt.HyperLogits(x.reshape(2, 3)))[0]
 
         def at_coords(x):
             moved = pt.PriorSet1D(family="gm", params=x.reshape(3, 1))
-            return pt.hyper_rate(z, moved, pt.HyperLogits(raw))
+            return pt.hyper_rate_grads(z, moved, pt.HyperLogits(raw))[0]
 
         fd_check(at_logits, raw.ravel(), dlogits.ravel())
         fd_check(at_coords, ps.params.ravel(), dtheta.ravel())
@@ -557,22 +494,21 @@ class TestHyperRate:
                                    if (m, s) not in floored) for m in (1, 2)]
         rate, _, dtheta = pt.hyper_rate_grads(z, ps, pt.HyperLogits(np.zeros((2, 2))))
         assert rate == pytest.approx(expected, rel=1e-12)
-        assert pt.hyper_rate(z, ps, pt.HyperLogits(np.zeros((2, 2)))) == rate
         np.testing.assert_allclose(dtheta, np.array(expected_grad), rtol=1e-9)
 
     def test_floored_prior_with_dead_weight_passes(self):
         ps = gm_set(0.05, 5.0)
         z = self.z_block()
         logits = pt.HyperLogits(np.tile([-800.0, 800.0], (2, 1)))
-        assert pt.hyper_rate(z, ps, logits) > 0.0
+        assert pt.hyper_rate_grads(z, ps, logits)[0] > 0.0
 
     def test_shape_validation(self):
         ps = gm_set(1.0, 2.0)
         z = self.z_block()
         with pytest.raises(ValueError):
-            pt.hyper_rate(z, ps, pt.HyperLogits(np.zeros((2, 3))))
+            pt.hyper_rate_grads(z, ps, pt.HyperLogits(np.zeros((2, 3))))
         with pytest.raises(ValueError):
-            pt.hyper_rate(z, ps, pt.HyperLogits(np.zeros((1, 2))))
+            pt.hyper_rate_grads(z, ps, pt.HyperLogits(np.zeros((1, 2))))
 
 
 def skip_fixture():
@@ -613,7 +549,7 @@ class TestSkipLoss:
         with_z = pt.skip_loss(block, ps, indexes, mask, 0.7, 0.4, 0.3,
                               z_block=z, z_logits=logits)
         without = pt.skip_loss(block, ps, indexes, mask, 0.7, 0.4, 0.3)
-        assert abs(with_z - without - pt.hyper_rate(z, ps, logits)) < 1e-9
+        assert abs(with_z - without - pt.hyper_rate_grads(z, ps, logits)[0]) < 1e-9
 
     def test_zero_lambda_minimized_by_full_skip(self):
         block, ps, indexes = skip_fixture()

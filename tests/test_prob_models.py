@@ -21,7 +21,6 @@ from swpc.prob_models import (
     ParameterDomainError,
     ProbModel,
     cdf_eval,
-    gmm_effective_mean,
     grad_rate_params,
     pmf_integer,
     rate_bits,
@@ -264,12 +263,6 @@ def test_floored_rate_matches_rate_in_support():
 
 # ---------------------------------------------------------------------------
 # Mixture helpers
-
-
-def test_gmm_effective_mean():
-    assert gmm_effective_mean(pm.GmmParams((0.5, 0.5), (-2.0, 2.0), (1.0, 1.0))) == 0.0
-    assert gmm_effective_mean(pm.GmmParams((0.2, 0.8), (0.0, 5.0), (1.0, 1.0))) == pytest.approx(4.0)
-    assert gmm_effective_mean(pm.GmmParams((1.0,), (3.25,), (0.5,))) == pytest.approx(3.25)
 
 
 def test_model_std_mixture():

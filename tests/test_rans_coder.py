@@ -32,8 +32,6 @@ from swpc.synth_source import SourceSpec, gen_block
 from swpc.rans_coder import (
     Bitstream,
     StreamError,
-    bypass_decode,
-    bypass_encode,
     decode,
     decode_elementwise,
     encode,
@@ -68,26 +66,11 @@ def _random_set(rng, n_tables):
 # Bypass codes
 
 
-def test_exp_golomb_patterns():
-    assert bypass_encode(0) == "1"
-    assert bypass_encode(1) == "010"
-    assert bypass_encode(2) == "011"
-    assert bypass_encode(3) == "00100"
-
-
-def test_exp_golomb_roundtrip():
-    rng = np.random.default_rng(1)
-    for v in [0, 1, 2, 3, 100, 2**24 - 1, *rng.integers(0, 2**24, 200).tolist()]:
-        assert bypass_decode(bypass_encode(int(v))) == v
-
-
-def test_exp_golomb_rejects():
-    with pytest.raises(ValueError):
-        bypass_encode(-1)
-    with pytest.raises(StreamError):
-        bypass_decode("01")
-    with pytest.raises(StreamError):
-        bypass_decode("11")
+def _exp_golomb(value: int) -> str:
+    """Exp-Golomb order-0 code of a nonnegative integer, the reference the
+    bypass section is checked against: k zeros, then the k + 1 bits of n = value + 1."""
+    body = bin(value + 1)[2:]
+    return "0" * (len(body) - 1) + body
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +267,7 @@ def test_implied_bits_values():
     assert bits[0] == pytest.approx(-np.log2(table.freq(5) / 65536))
     assert bits[1] == pytest.approx(-np.log2(table.freq(10) / 65536))
     tail_bits = -np.log2(table.freq(table.tail_slot) / 65536)
-    assert bits[2] == pytest.approx(tail_bits + 1 + len(bypass_encode(1)))
+    assert bits[2] == pytest.approx(tail_bits + 1 + len(_exp_golomb(1)))
 
 
 def test_efficiency_within_one_percent():
@@ -591,7 +574,7 @@ def _two_runs(records) -> str:
     """Bits of the bypass section of (below, distance) records: run A holds
     each record's Exp-Golomb prefix, the k zeros and the leading 1 of
     n = distance + 1; run B each sign bit, then the k bits of n below the 1."""
-    codes = [bypass_encode(d) for _, d in records]  # k zeros, then the k + 1 bits of n
+    codes = [_exp_golomb(d) for _, d in records]
     run_a = "".join(c[: len(c) // 2 + 1] for c in codes)
     run_b = "".join("01"[below] + c[len(c) // 2 + 1 :] for (below, _), c in zip(records, codes))
     return run_a + run_b
@@ -782,7 +765,7 @@ def test_reader_fields_at_every_bit_offset_of_a_word():
                for size in [64, 63] * 64]
     records += _random_records(rng, 200, max_bits=5)
     section = _reference_pack(records)
-    sizes = np.array([len(bypass_encode(d)) // 2 + 1 for _, d in records])
+    sizes = np.array([len(_exp_golomb(d)) // 2 + 1 for _, d in records])
     assert sizes[:128].tolist() == [64, 63] * 64
     starts = sizes.sum() + np.concatenate([[0], np.cumsum(sizes)[:-1]])
     for size in (63, 64):
@@ -854,7 +837,7 @@ def test_reader_working_set_stays_under_21_bytes_per_escape():
 @pytest.mark.parametrize("dist", [2**53 - 2, 2**54 - 2, 2**62 - 2])
 def test_implied_bits_sizes_large_escapes_exactly(dist):
     set_ = CdfTableSet([QuantizedCdfTable(0, np.array([0, 30000, 1 << 16]))])  # codes only 0
-    record = 1 + len(bypass_encode(dist))  # sign bit, then Exp-Golomb
+    record = 1 + len(_exp_golomb(dist))  # sign bit, then Exp-Golomb
     tail = -np.log2((65536 - 30000) / 65536)
     assert implied_bits([dist + 1], [0], set_)[0] == pytest.approx(tail + record)
     payload = encode([dist + 1], [0], set_).payload

@@ -1,7 +1,6 @@
 """Tests for the synthetic latent source and its rate oracles."""
 
 import hashlib
-import json
 import struct
 import time
 
@@ -10,16 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swpc.coding_backends import LatentBlock, SkipMask
+from swpc.coding_backends import LatentBlock
 from swpc.synth_source import (
-    RateHistogram,
     SourceSpec,
     block_from_bytes,
     block_to_bytes,
     gen_block,
     oracle_bits_per_element,
     oracle_rate,
-    rate_histogram,
 )
 
 # Frozen oracles, computed independently with scipy.stats / scipy.special:
@@ -219,67 +216,6 @@ class TestOracleRate:
         bits = oracle_bits_per_element(block)
         assert bits.shape == block.shape
         assert oracle_rate(block) == pytest.approx(bits.sum())
-
-
-# ---------------------------------------------------------------------------
-# Rate histograms
-
-
-class TestRateHistogram:
-    def test_counts_cover_every_element(self):
-        block = gen_block(SourceSpec(family="gm", shape=(2, 20, 20), seed=6))
-        hist = rate_histogram(block)
-        assert hist.counts.sum() == block.n_elements
-        assert len(hist.edges) == len(hist.counts) + 1
-        assert hist.kept_counts is None
-
-    def test_constant_rates_collapse_to_one_bin(self):
-        block = _block_with_sigma(np.zeros((1, 4, 4), np.int64), 1.0)
-        hist = rate_histogram(block, n_bins=8)
-        assert hist.counts.sum() == 16
-        assert hist.counts[0] == 16
-
-    def test_two_scale_block_fills_two_bins(self):
-        sigma = np.concatenate([np.full(8, 0.3), np.full(8, 30.0)]).reshape(1, 4, 4)
-        block = _block_with_sigma(np.zeros((1, 4, 4), np.int64), sigma)
-        hist = rate_histogram(block, n_bins=4)
-        assert hist.counts.sum() == 16
-        assert hist.counts[0] == 8 and hist.counts[-1] == 8
-        assert hist.counts[1] == 0
-
-    def test_mask_splits_counts(self):
-        block = gen_block(SourceSpec(family="gm", shape=(1, 8, 8), seed=10))
-        soft = np.zeros(block.shape)
-        soft[:, :4, :] = 1.0
-        mask = SkipMask.from_soft(soft)
-        hist = rate_histogram(block, mask=mask)
-        assert hist.kept_counts.sum() == 32
-        assert hist.skipped_counts.sum() == 32
-        assert np.array_equal(hist.kept_counts + hist.skipped_counts, hist.counts)
-
-    def test_explicit_bits_override_oracle(self):
-        block = gen_block(SourceSpec(family="gm", shape=(1, 4, 4), seed=1))
-        hist = rate_histogram(block, per_element_bits=np.full(16, 3.0))
-        assert hist.counts[0] == 16
-
-    def test_rejects_mismatched_lengths(self):
-        block = gen_block(SourceSpec(family="gm", shape=(1, 4, 4), seed=1))
-        with pytest.raises(ValueError):
-            rate_histogram(block, per_element_bits=np.ones(5))
-        with pytest.raises(ValueError):
-            rate_histogram(block, mask=np.ones((1, 2, 2)))
-
-    def test_json_shape(self):
-        block = gen_block(SourceSpec(family="gm", shape=(1, 4, 4), seed=1))
-        plain = json.loads(rate_histogram(block).to_json())
-        assert set(plain) == {"edges", "counts"}
-        masked = rate_histogram(block, mask=np.ones((1, 4, 4), np.int64))
-        split = json.loads(masked.to_json())
-        assert set(split) == {"edges", "counts", "kept_counts", "skipped_counts"}
-
-    def test_histogram_type(self):
-        block = gen_block(SourceSpec(family="gm", shape=(1, 4, 4), seed=1))
-        assert isinstance(rate_histogram(block), RateHistogram)
 
 
 # ---------------------------------------------------------------------------
