@@ -103,6 +103,13 @@ class TestRounding:
         logs = log_features(feats)
         assert logs.tolist() == np.log([1e-12, 1e-12, 1e-12, 1.0, 7.5]).tolist()
 
+    def test_harden_2d(self):
+        # each axis of a 2-D grid hardens on its own, then flattens row-major
+        grid = IndexGrid(np.array([0.2, 5.7]), 4, np.array([3.49, 9.0]), 3)
+        assert grid.hardened.tolist() == [1, 4]
+        assert grid.hardened2.tolist() == [3, 3]
+        assert grid.flat_table_indexes().tolist() == [(1 - 1) * 3 + 2, (4 - 1) * 3 + 2]
+
     @pytest.mark.parametrize("m", [2, 5, 10, 40])
     def test_harden_matches_weight_argmax(self, m):
         """round(clip(i,1,m)) is the argmax of exp(-|i-m'|/tau) off ties."""

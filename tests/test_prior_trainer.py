@@ -104,7 +104,76 @@ class TestSoftWeights:
             pt.soft_weights(1.0, 0, 0.5)
 
 
+def _window_priors(i, m, k, tau=0.5):
+    """(one-based priors, weights) of the rate window at a single index."""
+    sel, _, weights = pt._window(np.array([float(i)]), m, k, tau)
+    return (sel[0] + 1).tolist(), weights[0]
+
+
+class TestWindowGrid2D:
+    """A grid's window is the Kronecker product of one assignment matrix per
+    axis, as train_priors builds it: each row the outer product of the
+    per-axis soft weights of a grid cell."""
+
+    def test_product_structure(self):
+        rng = np.random.default_rng(np.random.Philox(5))
+        for _ in range(20):
+            m, n = (int(d) for d in rng.integers(1, 9, size=2))
+            tau = rng.uniform(0.05, 2.0)
+            rows = np.kron(pt._assignment_matrix(m, m, tau), pt._assignment_matrix(n, n, tau))
+            for a, b in itertools.product(range(m), range(n)):
+                outer = np.outer(pt.soft_weights(a + 1, m, tau), pt.soft_weights(b + 1, n, tau))
+                np.testing.assert_allclose(rows[a * n + b], outer.ravel(), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_symmetric_quarter(self):
+        w = pt.soft_weights(1.5, 2, 0.9)
+        assert np.allclose(np.outer(w, w), 0.25, atol=1e-12)
+
+    def test_marginals_are_1d_weights(self):
+        first, second = pt._assignment_matrix(4, 2, 0.6), pt._assignment_matrix(3, 2, 0.6)
+        rows = np.kron(first, second).reshape(4, 3, 4, 3)
+        for a, b in itertools.product(range(4), range(3)):
+            assert np.allclose(rows[a, b].sum(axis=1), first[a], atol=1e-12)
+            assert np.allclose(rows[a, b].sum(axis=0), second[b], atol=1e-12)
+
+    def test_top2_window_at_most_four_cells(self):
+        rows = np.kron(pt._assignment_matrix(5, 2, 0.5), pt._assignment_matrix(6, 2, 0.5))
+        live = (rows > 0).sum(axis=1)
+        assert live.max() == 4 and live.min() >= 1
+        # cell (a, b) = (3, 4) weighs its two nearest rows times its two nearest columns
+        assert np.flatnonzero(rows[(3 - 1) * 6 + (4 - 1)]).tolist() == [
+            (a - 1) * 6 + (b - 1) for a in (2, 3) for b in (3, 4)]
+
+
 class TestTopKSelection:
+    def test_nearest_pair(self):
+        assert _window_priors(3.7, 10, 2)[0] == [3, 4]
+
+    def test_boundary(self):
+        assert _window_priors(0.2, 10, 2)[0] == [1, 2]
+        assert _window_priors(12.0, 10, 3)[0] == [8, 9, 10]
+
+    def test_four_nearest_order(self):
+        priors, weights = _window_priors(5.5, 10, 4)
+        by_weight = np.array(priors)[np.argsort(-weights, kind="stable")]
+        assert by_weight.tolist() == [5, 6, 4, 7]
+
+    def test_top2_floor_ceil(self):
+        priors, weights = _window_priors(3.7, 10, 2)
+        assert priors == [3, 4] and weights[1] > weights[0]
+        priors, weights = _window_priors(5.0, 10, 2)
+        assert 5 in priors and priors[int(np.argmax(weights))] == 5
+        priors, weights = _window_priors(-2.0, 10, 2)
+        assert priors == [1, 2] and weights[0] > weights[1]
+
+    def test_k_validation(self):
+        ps = gm_set(1.0, 2.0, 3.0)
+        with pytest.raises(ValueError):
+            pt.topk_rate(1, ps, 1.0, 0.5, 0)
+        with pytest.raises(ValueError):
+            pt.topk_rate(1, ps, 1.0, 0.5, 4)
+
     @given(i=st.floats(-2.0, 14.0), m=st.integers(1, 12), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_rate_window_selects_top_k(self, i, m, data):

@@ -73,6 +73,44 @@ def _exp_golomb(value: int) -> str:
     return "0" * (len(body) - 1) + body
 
 
+# one table coding 0 and 1: symbol 2 + d escapes above with distance d,
+# symbol -1 - d below with distance d
+_TWO_SYMBOL_SET = CdfTableSet([QuantizedCdfTable(0, np.array([0, 30000, 60000, 1 << 16]))])
+
+
+@pytest.mark.parametrize("dist, code", [(0, "1"), (1, "010"), (2, "011"), (3, "00100")])
+def test_exp_golomb_patterns(dist, code):
+    """A lone escape's section is its prefix (k zeros and the leading 1),
+    its sign bit, then the k low bits of n = distance + 1, zero-padded."""
+    assert _exp_golomb(dist) == code
+    k = len(code) // 2
+    stream = encode([2 + dist], [0], _TWO_SYMBOL_SET)
+    assert stream.payload.endswith(_pad(code[: k + 1] + "0" + code[k + 1 :]))
+    tail = -np.log2(_TWO_SYMBOL_SET.tables[0].freq(_TWO_SYMBOL_SET.tables[0].tail_slot) / 65536)
+    assert implied_bits([2 + dist], [0], _TWO_SYMBOL_SET)[0] == pytest.approx(tail + 1 + len(code))
+
+
+def test_exp_golomb_roundtrip():
+    rng = np.random.default_rng(1)
+    dists = [0, 1, 2, 3, 100, 2**24 - 1, *rng.integers(0, 2**24, 200).tolist()]
+    below = rng.integers(0, 2, len(dists)).astype(bool)
+    syms = np.where(below, -1 - np.array(dists), 2 + np.array(dists))
+    idx = np.zeros(len(syms), np.int64)
+    stream = encode(syms, idx, _TWO_SYMBOL_SET)
+    records = list(zip(below.tolist(), dists))
+    section = _reference_pack(records)
+    assert stream.payload.endswith(section)
+    assert _reference_read(section, len(records)) == records
+    assert np.array_equal(decode(stream, idx, _TWO_SYMBOL_SET), syms)
+
+
+def test_exp_golomb_rejects():
+    with pytest.raises(StreamError, match="exhausted"):
+        _read(_pad("0000001"), [1])  # k = 6: a field of 7 bits, 1 bit left
+    with pytest.raises(StreamError, match="past its last record"):
+        _read(_pad("11001"), [1])  # one record, then a 1 where padding belongs
+
+
 # ---------------------------------------------------------------------------
 # Streams
 
