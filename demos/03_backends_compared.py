@@ -13,7 +13,6 @@ table storage against rate.
 import numpy as np
 
 from swpc import (
-    IndexGrid,
     SourceSpec,
     TrainConfig,
     backend_dynamic,

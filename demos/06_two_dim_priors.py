@@ -7,8 +7,6 @@ mean wanders.  Giving the prior set two index axes (a mean axis and a
 spread axis) turns the ladder into a grid and recovers the rate.
 """
 
-import numpy as np
-
 from swpc import (
     SourceSpec,
     TrainConfig,

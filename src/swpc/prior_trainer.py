@@ -933,8 +933,11 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
             intercept += delta[1]
 
     final_tau = schedule.tau(config.epochs - 1)
-    # rebuild the assignment under the final coordinates
-    rates, _ = _epoch_tables(config.family, coords, uniques, config.epochs, trace)
+    # the rates under the final coordinates: free-index indexes and skip mode
+    # read them.  Otherwise the widest symbol's alone show a last step out of
+    # the model domain, as the gamma argument grows with |k|.
+    final = uniques if not calibration or config.skip_epochs > 0 else uniques[[np.abs(uniques).argmax()]]
+    rates, _ = _epoch_tables(config.family, coords, final, config.epochs, trace)
     shaped = primary.shape if n == primary.n_elements else (1, 1, n)
     if calibration:
         predictor = {"mode": "calibration-curve", "a": float(slope), "c": float(intercept)}

@@ -10,13 +10,16 @@ import json
 import math
 import struct
 import time
+import warnings
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swpc.cdf_tables as ct
 from swpc.cdf_tables import (
     GGM_ALPHA_RANGE,
     GGM_BETA_RANGE,
@@ -425,6 +428,108 @@ def test_ggm_search_matches_exhaustive_scan():
     ai = np.argmin(np.abs(np.log(alphas)[:, None] - np.log(grid.alphas)[None, :]), axis=1)
     assert np.array_equal(got, bi * len(grid.alphas) + ai)
     assert np.array_equal(lut_search(grid, (betas, alphas)), got)
+
+
+def _probes(samples: np.ndarray, log: bool) -> np.ndarray:
+    """Values around every midpoint of an axis, and beyond both ends.
+
+    On a linear axis: each midpoint exactly and one ulp either side.  On a
+    log axis a float rarely has its log exactly on a midpoint, so: every
+    float from the last whose log lies below the midpoint to the first whose
+    log lies above it, stepping an ulp at a time from exp(midpoint)."""
+    edges = np.log(samples) if log else samples
+    values = []
+    for mid in (0.5 * (edges[:-1] + edges[1:])).tolist():
+        if not log:
+            values += [np.nextafter(mid, -np.inf), mid, np.nextafter(mid, np.inf)]
+            continue
+        lo = hi = math.exp(mid)
+        while math.log(lo) >= mid:
+            lo = np.nextafter(lo, 0.0)
+        while math.log(hi) <= mid:
+            hi = np.nextafter(hi, np.inf)
+        while lo <= hi:
+            values.append(lo)
+            lo = np.nextafter(lo, np.inf)
+    below = [samples[0] / 3, 5e-324] if log else [samples[0] - 1.0, -np.inf]
+    values += below + [samples[-1] * 3, 1.7e308, np.inf]
+    return np.array(values, np.float64)
+
+
+def _nearest(samples: np.ndarray, values: np.ndarray, log: bool) -> list[int]:
+    """Brute force over every sample: the one nearest each value in exact
+    arithmetic (in log space on a log axis), ties to the smaller index.  The
+    boundary the search uses is the rounded midpoint 0.5 * (e[i] + e[i+1]),
+    which can sit an ulp off the exact one: a value between the two goes by
+    the rounded midpoint, and one on it to the smaller index."""
+    edges = (np.log(samples) if log else samples).tolist()
+    mids = (0.5 * (np.array(edges[:-1]) + np.array(edges[1:]))).tolist()
+    exact = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(edges, edges[1:])]
+    out = []
+    for x in (np.log(values) if log else values).tolist():
+        if math.isinf(x):
+            out.append(0 if x < 0 else len(edges) - 1)
+            continue
+        dist = [abs(Fraction(x) - Fraction(e)) for e in edges]
+        want = dist.index(min(dist))
+        for i in (want - 1, want):  # the midpoints either side of the nearest sample
+            if 0 <= i < len(mids) and min(Fraction(mids[i]), exact[i]) <= x <= max(Fraction(mids[i]), exact[i]):
+                want = i if x <= mids[i] else i + 1
+        out.append(want)
+    return out
+
+
+def _geometric(lo: float, hi: float, count: int) -> np.ndarray:
+    return np.exp(np.linspace(np.log(lo), np.log(hi), count))
+
+
+SEARCH_GRIDS = {
+    "ggm-5x10": lambda: build_lut_ggm(5, 10)[1],
+    "gm-40": lambda: build_lut_gm(40)[1],
+    "gm-2": lambda: build_lut_gm(2)[1],
+    "gm-longest-counted": lambda: LutGrid("gm", sigmas=_geometric(0.11, 60.0, ct._COUNTED_MIDPOINTS + 1)),
+    "gm-300": lambda: build_lut_gm(300)[1],
+    "ggm-300x2": lambda: LutGrid("ggm", betas=np.linspace(0.5, 3.0, 300), alphas=np.array([0.01, 60.0])),
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_GRIDS)
+def test_search_is_the_nearest_sample_at_every_midpoint(name):
+    # both routes: axes of at most _COUNTED_MIDPOINTS midpoints count them,
+    # longer ones binary-search
+    grid = SEARCH_GRIDS[name]()
+    fields = ["sigmas"] if grid.family == "gm" else ["betas", "alphas"]
+    axes = [(getattr(grid, field), field != "betas") for field in fields]  # (samples, log-spaced)
+    probes = [_probes(samples, log) for samples, log in axes]
+    nearest = [np.array(_nearest(samples, values, log)) for (samples, log), values in zip(axes, probes)]
+    # every probe of each axis against every probe of the other
+    values = [v.ravel() for v in np.meshgrid(*probes, indexing="ij")]
+    want = np.ravel_multi_index(np.meshgrid(*nearest, indexing="ij"), [len(s) for s, _ in axes]).ravel()
+    got = lut_search(grid, tuple(values))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(lut_search(grid, np.stack(values)), want)  # one row per axis
+    # scalars and models give the same index, one call each
+    for i in range(0, len(want), max(1, len(want) // 200)):
+        point = [float(v[i]) for v in values]
+        assert lut_search(grid, tuple(point)) == want[i]
+        if all(math.isfinite(p) and p > 0 for p in point):
+            assert lut_search(grid, ProbModel.from_values(grid.family, point)) == want[i]
+
+
+@pytest.mark.parametrize("params", [
+    (np.nan,), (0.0,), (-1.0,), (-np.inf,),
+    (np.nan, 1.0), (1.0, np.nan), (1.0, 0.0), (1.0, -1.0), (1.0, -np.inf),
+], ids=["sigma-nan", "sigma-zero", "sigma-negative", "sigma-minus-inf", "beta-nan", "alpha-nan",
+        "alpha-zero", "alpha-negative", "alpha-minus-inf"])
+def test_search_rejects_nan_and_nonpositive_log_parameters(params):
+    # NaN compares false with every midpoint, so it would pick a table silently
+    grid = build_lut_gm(40)[1] if len(params) == 1 else build_lut_ggm(5, 10)[1]
+    arrays = tuple(np.array([1.0, p, 2.0]) for p in params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for query in (params, arrays):
+            with pytest.raises(ValueError, match="LUT search needs"):
+                lut_search(grid, query)
 
 
 # ---------------------------------------------------------------------------

@@ -693,6 +693,34 @@ class TestFailureExits:
         assert run_cli("verify", "--block", trained["block"],
                        "--decoded", bad) == 4
 
+    @pytest.mark.parametrize("name, value", [("beta", np.nan), ("alpha", np.nan), ("alpha", 0.0),
+                                             ("alpha", -1.0)],
+                             ids=["beta-nan", "alpha-nan", "alpha-zero", "alpha-negative"])
+    def test_invalid_lut_parameters_exit_2_on_encode_and_4_on_decode(self, name, value, trained,
+                                                                      tmp_path, capsys):
+        # a block container holds any f64 truth; NaN would snap to a table silently
+        tables, stream = tmp_path / "ggm.tables", tmp_path / "s.bits"
+        assert run_cli("build-tables", "--family", "ggm", "--beta", 5, "--alpha", 10,
+                       "--out", tables) == 0
+        assert run_cli("encode", "--block", trained["block"], "--backend", "lut",
+                       "--tables", tables, "--out", stream) == 0
+        block = ss.block_from_bytes(trained["block"].read_bytes())
+        truth = {**block.truth_params, name: block.truth_params[name].copy()}
+        truth[name][1, 2, 3] = value
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(ss.block_to_bytes(cb.LatentBlock(block.residuals, block.means,
+                                                         block.side_features, truth_params=truth)))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("encode", "--block", bad, "--backend", "lut", "--tables", tables,
+                           "--out", tmp_path / "e.bits") == 2
+            assert run_cli("decode", "--stream", stream, "--side", bad, "--backend", "lut",
+                           "--tables", tables, "--out", tmp_path / "d.bin") == 4
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count(f"error: LUT search needs every {name}") == 2, err
+
     def test_lut_encode_without_tables_exits_2(self, trained, tmp_path):
         assert run_cli("encode", "--block", trained["block"], "--backend",
                        "lut", "--out", tmp_path / "s.bits") == 2

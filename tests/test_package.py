@@ -67,7 +67,13 @@ def test_all_has_no_duplicates_and_only_submodule_names():
     assert sorted(swpc.__all__) == sorted(set(listed)) == sorted(listed)
 
 
-@pytest.mark.parametrize("path", sorted((Path(swpc.__file__).parent).glob("*.py")), ids=lambda p: p.stem)
+_ROOT = Path(__file__).resolve().parent.parent
+# the package, the tests and the demos; every stem is distinct
+SOURCES = sorted([*Path(swpc.__file__).parent.glob("*.py"), *(_ROOT / "tests").glob("*.py"),
+                  *(_ROOT / "demos").glob("*.py")])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text())
     imported = {}
@@ -119,7 +125,6 @@ def test_every_private_helper_is_used():
 
 # Callers of the public surface, read only: the package itself, the demos,
 # the benchmark and the acceptance suite.  Unit tests are not callers.
-_ROOT = Path(__file__).resolve().parent.parent
 CALLERS = [*sorted(Path(swpc.__file__).parent.glob("*.py")), *sorted((_ROOT / "demos").glob("*.py")),
            *sorted((_ROOT / "perfbench").glob("*.py")), _ROOT / "tests" / "test_acceptance.py"]
 # grad_rate_params is the exact gradient of one model's rate: nothing codes or

@@ -903,6 +903,25 @@ class TestTrainPriors:
         assert isinstance(err.value.__cause__, pm.ParameterDomainError)
         assert len(err.value.loss_trace) >= 1
 
+    def test_last_step_out_of_the_gamma_domain_is_divergence(self):
+        # one epoch: only the check after the last step sees the bad priors,
+        # and calibration mode without skip reads no final rates
+        blk = ss.gen_block(ss.SourceSpec(family="ggm", shape=(1, 16, 16), seed=1))
+        cfg = pt.TrainConfig(family="ggm", dims=(4,), epochs=1, lr=1e6,
+                             predictor_mode="calibration-curve")
+        with pytest.raises(pt.TrainingDivergedError, match="model domain at epoch 1") as err:
+            pt.train_priors([blk], cfg)
+        assert len(err.value.loss_trace) == 1
+
+    def test_widest_symbol_fails_whenever_its_table_does(self):
+        # (|k| / alpha)^beta overflows at the widest symbol first, which is
+        # why that symbol alone checks the final priors
+        coords = np.log([[6.0, 1e-50]])  # beta 6, alpha 1e-50
+        pt._epoch_tables("ggm", coords, np.array([-1, 0, 1]), 0, [])
+        for uniques in (np.arange(-200, 2), np.array([-200])):
+            with pytest.raises(pt.TrainingDivergedError, match="model domain"):
+                pt._epoch_tables("ggm", coords, uniques, 0, [])
+
     def test_calibration_curve_predictor(self):
         blk = ss.gen_block(ss.SourceSpec(family="gm", shape=(2, 40, 40),
                                          seed=21, sigma_range=(0.5, 8.0)))
