@@ -146,10 +146,6 @@ class QuantizedCdfTable:
         _check_rows(cum, np.array([len(cum) - 2]))
 
     @property
-    def n_intervals(self) -> int:
-        return len(self.cumulative) - 1
-
-    @property
     def n_coded(self) -> int:
         return len(self.cumulative) - 2
 
@@ -160,25 +156,6 @@ class QuantizedCdfTable:
     @property
     def hi(self) -> int:
         return self.offset + self.n_coded - 1
-
-    @property
-    def tail_slot(self) -> int:
-        return self.n_coded
-
-    def slot_for(self, symbol: int) -> int:
-        j = symbol - self.offset
-        if 0 <= j < self.n_coded:
-            return j
-        return self.tail_slot
-
-    def freq(self, slot: int) -> int:
-        return int(self.cumulative[slot + 1] - self.cumulative[slot])
-
-    def start(self, slot: int) -> int:
-        return int(self.cumulative[slot])
-
-    def implied_bits(self, slot: int) -> float:
-        return -float(np.log2(self.freq(slot) / TOTAL_FREQ))
 
     def __eq__(self, other):
         if not isinstance(other, QuantizedCdfTable):
@@ -455,10 +432,6 @@ class LutGrid:
     def n_tables(self) -> int:
         return math.prod(len(samples) for samples in self.axes)
 
-    def model_for(self, index: int) -> ProbModel:
-        cell = np.unravel_index(index, [len(samples) for samples in self.axes])
-        return ProbModel.from_values(self.family, [samples[i] for samples, i in zip(self.axes, cell)])
-
     def to_meta(self) -> dict:
         return {"kind": "lut", **{field: [float(s) for s in getattr(self, field)]
                                   for _, field, _, _ in _lut_axes(self.family)}}
@@ -527,26 +500,24 @@ def _axis_cells(name: str, samples: np.ndarray, values, log: bool) -> np.ndarray
     return cells
 
 
-def lut_search(grid: LutGrid, model):
+def lut_search(grid: LutGrid, params):
     """Table index whose grid sample is nearest to the given parameters.
 
-    Accepts a ProbModel of the grid's family or a parameter tuple in
-    FAMILY_PARAMS order ((sigma,) for gm, (beta, alpha) for ggm); scalar
-    parameters give an int, arrays an int64 index array.
+    params is a tuple or list of one entry per grid axis, in FAMILY_PARAMS
+    order ((sigma,) for gm, (beta, alpha) for ggm); scalar entries give an
+    int, arrays an int64 index array.
 
     On each axis the cell is the number of midpoints strictly below the
     value (in log space on the sigma and alpha axes): the nearest sample,
     ties to the smaller index, values beyond either end clamped to it.  An
     axis of at most _COUNTED_MIDPOINTS midpoints counts them, one compare
     per midpoint over all values; a longer axis binary-searches them.
-    ValueError for a NaN parameter, or a sigma or alpha <= 0.
+    ValueError for params in any other form, a NaN parameter, or a sigma or
+    alpha <= 0.
     """
-    if isinstance(model, ProbModel):
-        if grid.family != model.family:
-            raise ValueError(f"grid family {grid.family!r} does not match model family {model.family!r}")
-        params = [getattr(model.params, name) for name in FAMILY_PARAMS[model.family]]
-    else:
-        params = model if isinstance(model, (tuple, list)) else np.atleast_1d(np.asarray(model, np.float64))
+    if not isinstance(params, (tuple, list)):
+        raise ValueError(f"LUT search takes a tuple or list of one parameter per {grid.family} grid axis "
+                         f"({', '.join(FAMILY_PARAMS[grid.family])}), not a {type(params).__name__}")
     index = None
     for (name, field, _, log), values in zip(_lut_axes(grid.family), params, strict=True):
         samples = getattr(grid, field)
@@ -610,11 +581,9 @@ def serialize_table_set(table_set: CdfTableSet) -> bytes:
 
 
 def serialized_size(table_set: CdfTableSet) -> int:
-    """len(serialize_table_set(table_set)), from the set's arrays; cached."""
+    """len(serialize_table_set(table_set)); cached on the set."""
     if table_set._size is None:
-        # header, offsets and counts, inner entries, blob, checksum
-        table_set._size = (11 + 5 * len(table_set) + 2 * int(table_set._n_coded.sum())
-                           + len(_meta_blob(table_set)) + 4)
+        table_set._size = len(serialize_table_set(table_set))
     return table_set._size
 
 

@@ -184,13 +184,8 @@ def cmd_train(ns) -> int:
     block = ss.gen_block(spec)
     z_block = None
     if _resolve(ns, cfg, "reuse_hyper", False, _strict_bool):
-        z_source = _resolve(ns, cfg, "z_source", None)
-        if z_source:
-            z_spec = ss.SourceSpec.from_json(Path(z_source).read_text())
-        else:
-            z_spec = ss.SourceSpec(family="gm", shape=(4, 16, 16), seed=seed + 1000,
-                                   sigma_range=(0.5, 6.0))
-        z_block = ss.gen_block(z_spec)
+        z_block = ss.gen_block(ss.SourceSpec(family="gm", shape=(4, 16, 16), seed=seed + 1000,
+                                             sigma_range=(0.5, 6.0)))
 
     config = pt.TrainConfig(
         family=family, dims=dims, epochs=epochs, seed=seed, lr=lr,
@@ -630,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="jointly select priors for a hyperlatent block")
     p.add_argument("--mode", choices=["free-index", "calibration-curve"])
     p.add_argument("--source", help="source spec JSON; omit for the default field")
-    p.add_argument("--z-source", dest="z_source")
     p.add_argument("--save-block", dest="save_block",
                    help="also write the generated training block")
     p.add_argument("--out", required=True, help="artifact prefix")

@@ -138,12 +138,12 @@ class LatentBlock:
     def n_elements(self) -> int:
         return self.residuals.size
 
-    def reconstruction(self) -> np.ndarray:
-        """Decoded values: residual plus the stored center."""
-        return self.residuals + self.means
-
 
 def _check_truth(params: dict, shape: tuple):
+    """The block shape, and per element the rules GaussianParams,
+    GeneralizedGaussianParams and GmmParams state for one model: every value
+    finite, every parameter but a mixture mean > 0, and each element's
+    mixture weights summing to 1 within 1e-9."""
     family = params.get("family")
     names = FAMILY_PARAMS.get(family) if isinstance(family, str) else None
     if names is None:
@@ -153,6 +153,12 @@ def _check_truth(params: dict, shape: tuple):
         arr = np.asarray(params.get(key))
         if arr.ndim != ndim or arr.shape[:len(shape)] != shape:
             raise ValueError(f"truth_params[{key!r}] does not match the block shape")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"truth_params[{key!r}] must be finite")
+        if key != "means" and not np.greater(arr, 0).all():
+            raise ValueError(f"truth_params[{key!r}] must be > 0")
+    if "weights" in names and not np.all(np.abs(np.sum(params["weights"], axis=-1) - 1.0) <= 1e-9):
+        raise ValueError("truth_params['weights'] must sum to 1 within 1e-9 at every element")
 
 
 @dataclass(frozen=True)
@@ -227,11 +233,6 @@ class IndexGrid:
         """One-based index in [1, m] per element."""
         return _frozen((self._flat // (self.n or 1) + 1).reshape(self.continuous.shape))
 
-    @property
-    def hardened2(self) -> np.ndarray | None:
-        """One-based second-axis index in [1, n] per element of a 2-D grid."""
-        return _frozen((self._flat % self.n + 1).reshape(self.continuous.shape)) if self.is_2d else None
-
     def flat_table_indexes(self) -> np.ndarray:
         """Zero-based table index per element, in coding order (read-only)."""
         return self._flat
@@ -303,13 +304,6 @@ class CodingReport:
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CodingReport":
-        return cls(**json.loads(text))
-
-    def with_decode_nanos(self, nanos: int) -> "CodingReport":
-        return dataclasses.replace(self, decode_nanos=int(nanos))
 
 
 def _report(stream: Bitstream, n_total: int, n_coded: int, table_count: int,

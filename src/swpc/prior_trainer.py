@@ -209,12 +209,6 @@ class _PriorSet:
 class PriorSet1D(_PriorSet):
     """M priors of one family, as an (M, D) array of coordinate rows."""
 
-    def model(self, index: int) -> ProbModel:
-        """One-based prior index, matching the soft-weight convention."""
-        if not 1 <= index <= self.m:
-            raise ValueError(f"prior index {index} out of [1, {self.m}]")
-        return model_from_coords(self.family, self.params[index - 1])
-
 
 @dataclass(frozen=True)
 class PriorSet2D(_PriorSet):
@@ -225,11 +219,6 @@ class PriorSet2D(_PriorSet):
     @property
     def n(self) -> int:
         return self.params.shape[1]
-
-    def model(self, i: int, j: int) -> ProbModel:
-        if not (1 <= i <= self.m and 1 <= j <= self.n):
-            raise ValueError(f"prior index ({i}, {j}) out of grid")
-        return model_from_coords(self.family, self.params[i - 1, j - 1])
 
 
 @dataclass(frozen=True)

@@ -151,14 +151,6 @@ class GmmParams:
         _require(all(s > 0 for s in self.sigmas), "sigmas must be > 0")
         _require(abs(sum(self.weights) - 1.0) <= 1e-9, f"weights sum to {sum(self.weights)}, expected 1")
 
-    @property
-    def component_count(self) -> int:
-        return len(self.weights)
-
-    @property
-    def components(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple(zip(self.weights, self.means, self.sigmas))
-
 
 _PARAM_TYPES = {"gm": GaussianParams, "ggm": GeneralizedGaussianParams, "gmm": GmmParams}
 

@@ -97,7 +97,6 @@ def test_point_mass_gets_everything_but_floors():
     assert np.diff(table.cumulative).tolist() == [1, 65533, 1, 1]
     assert table.offset == -1
     assert table.n_coded == 3
-    assert table.tail_slot == 3
 
 
 def test_gaussian_r5_frozen_table():
@@ -146,7 +145,7 @@ def test_total_variation_bound():
         tail = max(0.0, 1.0 - masses.sum())
         target = np.concatenate([masses, [tail]])
         tv = 0.5 * np.sum(np.abs(np.diff(table.cumulative) / TOTAL - target))
-        assert tv <= table.n_intervals / TOTAL
+        assert tv <= (len(table.cumulative) - 1) / TOTAL
 
 
 def test_allocate_matches_independent_oracle():
@@ -263,15 +262,7 @@ def test_table_validation_errors():
 def test_table_accessors():
     table = quantize_pmf(ProbModel.gaussian(1.0), 5)
     assert (table.lo, table.hi) == (-5, 5)
-    assert table.n_intervals == 12 and table.n_coded == 11
-    assert table.slot_for(-5) == 0
-    assert table.slot_for(0) == 5
-    assert table.slot_for(5) == 10
-    assert table.slot_for(6) == table.tail_slot == 11
-    assert table.slot_for(-300) == 11
-    assert table.freq(5) == SIGMA1_R5_FREQS[5]
-    assert table.start(5) == sum(SIGMA1_R5_FREQS[:5])
-    assert table.implied_bits(5) == pytest.approx(-math.log2(SIGMA1_R5_FREQS[5] / TOTAL))
+    assert table.n_coded == 11
     assert not table.cumulative.flags.writeable
 
 
@@ -319,6 +310,12 @@ def test_gm_grid_m2_is_exactly_the_range():
     assert len(set_) == 2
 
 
+def _grid_model(grid: LutGrid, index: int) -> ProbModel:
+    """The model at a flat table index: row-major over the grid's axes."""
+    cell = np.unravel_index(index, [len(samples) for samples in grid.axes])
+    return ProbModel.from_values(grid.family, [samples[i] for samples, i in zip(grid.axes, cell)])
+
+
 def test_gm_grid_m3_middle_sample():
     _, grid = build_lut_gm(3)
     assert grid.sigmas[1] == pytest.approx(GM_M3_MIDDLE, rel=0, abs=1e-15)
@@ -330,20 +327,20 @@ def test_gm_grid_sorted_and_tables_match_quantize():
     set_, grid = build_lut_gm(6)
     assert np.all(np.diff(grid.sigmas) > 0)
     for i in (0, 3, 5):
-        assert set_[i] == quantize_pmf(grid.model_for(i), 127)
+        assert set_[i] == quantize_pmf(_grid_model(grid, i), 127)
 
 
 def test_ggm_grid_corners_row_major():
     set_, grid = build_lut_ggm(2, 2)
     assert len(set_) == 4
-    pairs = [(grid.model_for(i).params.beta, grid.model_for(i).params.alpha) for i in range(4)]
+    pairs = [(_grid_model(grid, i).params.beta, _grid_model(grid, i).params.alpha) for i in range(4)]
     assert pairs == [
         (GGM_BETA_RANGE[0], GGM_ALPHA_RANGE[0]),
         (GGM_BETA_RANGE[0], GGM_ALPHA_RANGE[1]),
         (GGM_BETA_RANGE[1], GGM_ALPHA_RANGE[0]),
         (GGM_BETA_RANGE[1], GGM_ALPHA_RANGE[1]),
     ]
-    assert set_[2] == quantize_pmf(grid.model_for(2), 127)
+    assert set_[2] == quantize_pmf(_grid_model(grid, 2), 127)
 
 
 def test_grid_count_and_shape_errors():
@@ -376,7 +373,7 @@ def test_grid_meta_roundtrip():
 
 def test_search_log_nearest_and_clamp():
     grid = LutGrid("gm", sigmas=np.array(GM_SIGMA_RANGE))
-    assert lut_search(grid, ProbModel.gaussian(0.2)) == 0
+    assert lut_search(grid, (0.2,)) == 0
     assert lut_search(grid, (1000.0,)) == 1
     assert lut_search(grid, (0.001,)) == 0
     assert lut_search(grid, (60.0,)) == 1
@@ -386,13 +383,18 @@ def test_search_log_nearest_and_clamp():
 def test_search_tie_breaks_to_smaller_index():
     grid = LutGrid("gm", sigmas=np.array([1.0, 4.0]))
     # 2.0 is the exact log-midpoint of 1 and 4
-    assert lut_search(grid, ProbModel.gaussian(2.0)) == 0
+    assert lut_search(grid, [2.0]) == 0
 
 
-def test_search_family_mismatch():
-    grid = LutGrid("gm", sigmas=np.array([1.0, 4.0]))
-    with pytest.raises(ValueError):
-        lut_search(grid, ProbModel.generalized_gaussian(1.0, 1.0))
+@pytest.mark.parametrize("params", [
+    ProbModel.gaussian(5.0), np.array([5.0]), np.array([1.0, 5.0, 30.0]), np.array([[1.0, 5.0, 30.0]]),
+    5.0,
+], ids=["model", "one-element-array", "bare-array", "row-per-axis-array", "scalar"])
+def test_search_takes_only_a_tuple_or_list_per_axis(params):
+    # a bare array was read as one parameter per element: [5.0] gave a table
+    # silently and three sigmas a zip() error
+    with pytest.raises(ValueError, match="tuple or list of one parameter per gm grid axis"):
+        lut_search(build_lut_gm(40)[1], params)
 
 
 @pytest.mark.parametrize("family, params", [("gm", (1.0, 2.0)), ("ggm", (1.0,)), ("ggm", (1.0, 2.0, 3.0))])
@@ -507,13 +509,10 @@ def test_search_is_the_nearest_sample_at_every_midpoint(name):
     want = np.ravel_multi_index(np.meshgrid(*nearest, indexing="ij"), [len(s) for s, _ in axes]).ravel()
     got = lut_search(grid, tuple(values))
     assert got.dtype == np.int64 and np.array_equal(got, want)
-    assert np.array_equal(lut_search(grid, np.stack(values)), want)  # one row per axis
-    # scalars and models give the same index, one call each
+    assert np.array_equal(lut_search(grid, list(values)), want)
+    # scalars give the same index, one call each
     for i in range(0, len(want), max(1, len(want) // 200)):
-        point = [float(v[i]) for v in values]
-        assert lut_search(grid, tuple(point)) == want[i]
-        if all(math.isfinite(p) and p > 0 for p in point):
-            assert lut_search(grid, ProbModel.from_values(grid.family, point)) == want[i]
+        assert lut_search(grid, tuple(float(v[i]) for v in values)) == want[i]
 
 
 @pytest.mark.parametrize("params", [

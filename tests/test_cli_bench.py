@@ -6,9 +6,12 @@ Commands run in-process through main(argv) so the suite stays fast; one
 test goes through a real subprocess to cover the module entry point.
 """
 
+import argparse
+import ast
 import csv
 import io
 import json
+import struct
 import subprocess
 import sys
 import time
@@ -25,6 +28,7 @@ import swpc.cli_bench as cli
 import swpc.coding_backends as cb
 import swpc.rans_coder as rc
 import swpc.synth_source as ss
+from swpc.prob_models import FAMILY_PARAMS
 from wire_v1 import serialize_v1
 
 
@@ -93,6 +97,16 @@ def hyper_trained(workdir):
     assert run_cli("train", "--family", "gm", "--m", 4, "--epochs", 40, "--seed", 33,
                    "--reuse-hyper", "--out", prefix) == 0
     return {"prefix": prefix, "block": Path(f"{prefix}.z.bin")}
+
+
+def patched_truth(data: bytes, name: str, index: tuple, value: float) -> bytes:
+    """A block container with one f64 of a truth array replaced.  The truth
+    arrays end the container, in FAMILY_PARAMS order (see block_to_bytes)."""
+    truth = ss.block_from_bytes(data).truth_params
+    names = FAMILY_PARAMS[truth["family"]]
+    pos = len(data) - 8 * sum(truth[key].size for key in names[names.index(name):])
+    pos += 8 * int(np.ravel_multi_index(index, truth[name].shape))
+    return data[:pos] + struct.pack("<d", value) + data[pos + 8:]
 
 
 def derived_skip_mask(prefix, block: cb.LatentBlock) -> cb.SkipMask:
@@ -207,6 +221,17 @@ class TestTrain:
         assert f"error: {flag[2:]}" in err, err  # named before any training step
         assert not (tmp_path / "bad.tables").exists()
 
+    def test_topk_flag_trains_as_the_config_key_does(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"topk": 2}))
+        base = ["train", "--family", "gm", "--m", 4, "--epochs", 20, "--seed", 6]
+        assert run_cli(*base, "--topk", 2, "--out", tmp_path / "flag") == 0
+        assert run_cli(*base, "--config", cfg, "--out", tmp_path / "config") == 0
+        assert run_cli(*base, "--out", tmp_path / "full") == 0
+        tables = {name: (tmp_path / f"{name}.tables").read_bytes()
+                  for name in ("flag", "config", "full")}
+        assert tables["flag"] == tables["config"] != tables["full"]
+
     def test_flags_beat_config_beat_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m": 5, "epochs": 40, "seed": 3}))
@@ -264,6 +289,20 @@ class TestCodeRoundTrips:
                        "--out", dec) == 0
         assert run_cli("verify", "--block", trained["block"],
                        "--decoded", dec) == 0
+
+    def test_dynamic_with_a_fixed_radius(self, tmp_path):
+        block = tmp_path / "block.bin"
+        spec = ss.SourceSpec(family="ggm", shape=(2, 16, 16), seed=8)
+        block.write_bytes(ss.block_to_bytes(ss.gen_block(spec)))
+        default = tmp_path / "default.bits"
+        assert run_cli("encode", "--block", block, "--backend", "dynamic", "--out", default) == 0
+        stream, dec = tmp_path / "s.bits", tmp_path / "d.bin"
+        assert run_cli("encode", "--block", block, "--backend", "dynamic", "--radius", 20,
+                       "--out", stream) == 0
+        assert run_cli("decode", "--stream", stream, "--side", block, "--backend", "dynamic",
+                       "--radius", 20, "--out", dec) == 0
+        assert run_cli("verify", "--block", block, "--decoded", dec) == 0
+        assert stream.read_bytes() != default.read_bytes()
 
     def test_lut(self, trained, tmp_path):
         tables = tmp_path / "ggm.tables"
@@ -704,12 +743,8 @@ class TestFailureExits:
                        "--out", tables) == 0
         assert run_cli("encode", "--block", trained["block"], "--backend", "lut",
                        "--tables", tables, "--out", stream) == 0
-        block = ss.block_from_bytes(trained["block"].read_bytes())
-        truth = {**block.truth_params, name: block.truth_params[name].copy()}
-        truth[name][1, 2, 3] = value
         bad = tmp_path / "bad.bin"
-        bad.write_bytes(ss.block_to_bytes(cb.LatentBlock(block.residuals, block.means,
-                                                         block.side_features, truth_params=truth)))
+        bad.write_bytes(patched_truth(trained["block"].read_bytes(), name, (1, 2, 3), value))
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -719,7 +754,40 @@ class TestFailureExits:
                            "--tables", tables, "--out", tmp_path / "d.bin") == 4
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
-        assert "Traceback" not in err and err.count(f"error: LUT search needs every {name}") == 2, err
+        assert "Traceback" not in err and err.count(f"error: truth_params[{name!r}] must be") == 2, err
+
+    @pytest.mark.parametrize("family, name, index, value, rule", [
+        ("gm", "sigma", (0, 1, 2), -1.0, "be > 0"),
+        ("gm", "sigma", (0, 1, 2), np.nan, "be finite"),
+        ("ggm", "beta", (1, 0, 3), 0.0, "be > 0"),
+        ("ggm", "alpha", (1, 0, 3), np.inf, "be finite"),
+        ("gmm", "sigmas", (0, 2, 1, 1), -1.0, "be > 0"),
+        ("gmm", "weights", (0, 2, 1, 0), -0.5, "be > 0"),
+        ("gmm", "weights", (0, 2, 1, 0), 2.0, "sum to 1"),
+        ("gmm", "means", (0, 2, 1, 1), np.nan, "be finite"),
+    ], ids=["gm-sigma-negative", "gm-sigma-nan", "ggm-beta-zero", "ggm-alpha-inf",
+            "gmm-sigma-negative", "gmm-weight-negative", "gmm-weights-sum", "gmm-mean-nan"])
+    def test_invalid_truth_exits_2_on_encode_and_bench_and_4_on_decode(self, family, name, index,
+                                                                        value, rule, tmp_path, capsys):
+        # a negative sigma or weight coded silently, and a NaN only after
+        # RuntimeWarnings; the container is refused where it is read
+        good, bad, stream = tmp_path / "good.bin", tmp_path / "bad.bin", tmp_path / "s.bits"
+        good.write_bytes(ss.block_to_bytes(ss.gen_block(ss.SourceSpec(family=family, shape=(2, 4, 8),
+                                                                      seed=3))))
+        bad.write_bytes(patched_truth(good.read_bytes(), name, index, value))
+        assert run_cli("encode", "--block", good, "--backend", "dynamic", "--out", stream) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("encode", "--block", bad, "--backend", "dynamic",
+                           "--out", tmp_path / "e.bits") == 2
+            assert run_cli("bench", "--block", bad, "--backends", "dynamic", "--trials", 1,
+                           "--out", tmp_path / "b.csv") == 2
+            assert run_cli("decode", "--stream", stream, "--side", bad, "--backend", "dynamic",
+                           "--out", tmp_path / "d.bin") == 4
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count(f"error: truth_params[{name!r}] must {rule}") == 3, err
 
     def test_lut_encode_without_tables_exits_2(self, trained, tmp_path):
         assert run_cli("encode", "--block", trained["block"], "--backend",
@@ -1208,6 +1276,19 @@ class TestFullChain:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert "tables: 8" in result.stdout
+
+    def test_every_flag_is_exercised(self):
+        """Each option of each subcommand appears as a quoted literal in some
+        test file, so no flag goes untried."""
+        literals = {node.value for path in Path(__file__).parent.glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        untried = [f"{command} {option}" for command, parser in subparsers.choices.items()
+                   for action in parser._actions for option in action.option_strings
+                   if option not in ("-h", "--help") and option not in literals]
+        assert not untried, f"CLI flags no test passes: {untried}"
 
     def test_help_lists_subcommands(self):
         result = subprocess.run(

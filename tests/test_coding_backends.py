@@ -107,7 +107,7 @@ class TestRounding:
         # each axis of a 2-D grid hardens on its own, then flattens row-major
         grid = IndexGrid(np.array([0.2, 5.7]), 4, np.array([3.49, 9.0]), 3)
         assert grid.hardened.tolist() == [1, 4]
-        assert grid.hardened2.tolist() == [3, 3]
+        assert (grid.flat_table_indexes() % 3 + 1).tolist() == [3, 3]
         assert grid.flat_table_indexes().tolist() == [(1 - 1) * 3 + 2, (4 - 1) * 3 + 2]
 
     @pytest.mark.parametrize("m", [2, 5, 10, 40])
@@ -151,14 +151,6 @@ class TestLatentBlock:
                 truth_params={"family": "other"},
             )
 
-    def test_reconstruction_adds_means(self):
-        block = LatentBlock(
-            residuals=np.array([[[2, -1]]], np.int64),
-            means=np.array([[[0.25, 0.5]]]),
-            side_features=np.ones((1, 1, 2)),
-        )
-        assert block.reconstruction().tolist() == [[[2.25, -0.5]]]
-
     def test_arrays_are_frozen(self):
         block = _gm_block(np.zeros((1, 2, 2), np.int64), 1.0)
         with pytest.raises(ValueError):
@@ -191,12 +183,12 @@ class TestIndexGrid:
         # be neither passed in nor changed
         grid = IndexGrid(np.array([[[2.6, 0.2]]]), 5, np.array([[[1.0, 4.4]]]), 4)
         assert grid.hardened.tolist() == [[[3, 1]]]
-        assert grid.hardened2.tolist() == [[[1, 4]]]
+        assert (grid.flat_table_indexes() % 4 + 1).reshape(grid.continuous.shape).tolist() == [[[1, 4]]]
         with pytest.raises(TypeError):
             IndexGrid(np.array([2.6]), np.array([2]), 5, None, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             grid.hardened = np.array([[[2, 1]]])
-        for view in (grid.hardened, grid.hardened2, grid.flat_table_indexes()):
+        for view in (grid.hardened, grid.flat_table_indexes()):
             with pytest.raises(ValueError):
                 view[..., 0] = 1
 
@@ -312,14 +304,11 @@ class TestCodingReport:
 
     def test_json_roundtrip(self):
         report = self._report()
-        assert CodingReport.from_json(report.to_json()) == report
+        assert CodingReport(**json.loads(report.to_json())) == report
 
     def test_skip_ratio_must_match_counts(self):
         with pytest.raises(ValueError):
             self._report(skip_ratio=0.5)
-
-    def test_with_decode_nanos(self):
-        assert self._report().with_decode_nanos(999).decode_nanos == 999
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def mle_sigma(symbols):
 
 
 def rate_of(prior_set, index, symbol):
-    return pm.rate_bits(prior_set.model(index), symbol)
+    return pm.rate_bits(prior_set.models()[index - 1], symbol)
 
 
 def block_of(residuals, sigma=1.0):
@@ -188,34 +188,34 @@ class TestTopKSelection:
 class TestWeightedRate:
     def test_equal_probability_degenerate(self):
         ps = gm_set(2.0, 2.0)
-        expected = pm.rate_bits(ps.model(1), 1)
+        expected = pm.rate_bits(ps.models()[0], 1)
         assert abs(pt.weighted_rate(1, ps, 1.5, 0.3) - expected) < 1e-12
 
     def test_one_hot_collapse(self):
         ps = gm_set(0.9, 3.0, 11.0)
         got = pt.weighted_rate(2, ps, 2.2, 1e-4)
-        assert abs(got - pm.rate_bits(ps.model(2), 2)) < 1e-6
+        assert abs(got - pm.rate_bits(ps.models()[1], 2)) < 1e-6
 
     def test_brute_force_summation(self):
         ps = gm_set(1.1, 4.2, 9.7)
         i, tau = 2.2, 0.7
         w = np.exp(-np.abs(i - np.arange(1, 4)) / tau)
         w /= w.sum()
-        expected = sum(w[m] * pm.rate_bits(ps.model(m + 1), -2) for m in range(3))
+        expected = sum(w[m] * pm.rate_bits(ps.models()[m], -2) for m in range(3))
         assert abs(pt.weighted_rate(-2, ps, i, tau) - expected) < 1e-9
 
     def test_floored_prior_with_nonzero_weight_costs_32_bits(self):
         # prior 1 floors symbol 3 but keeps weight: it costs 32 bits, no gradient
         ps = gm_set(0.05, 5.0)
-        assert pm.pmf_integer(ps.model(1), 3) < pm.PROB_FLOOR
+        assert pm.pmf_integer(ps.models()[0], 3) < pm.PROB_FLOOR
         w = np.exp(-np.abs(1.5 - np.arange(1, 3)) / 0.5)
         w /= w.sum()
-        rates = [pm.floored_rate_bits(pm.pmf_integer(ps.model(m), 3)) for m in (1, 2)]
+        rates = [pm.floored_rate_bits(pm.pmf_integer(ps.models()[m - 1], 3)) for m in (1, 2)]
         assert rates[0] == 32.0
         rate, dtheta, _ = pt.weighted_rate_grads(3, ps, 1.5, 0.5)
         assert rate == pytest.approx(float(np.dot(w, rates)), rel=1e-12)
         assert (dtheta[0] == 0.0).all()
-        np.testing.assert_allclose(dtheta[1], w[1] * pm.grad_rate_params(ps.model(2), 3), rtol=1e-12)
+        np.testing.assert_allclose(dtheta[1], w[1] * pm.grad_rate_params(ps.models()[1], 3), rtol=1e-12)
 
     def test_underflowed_weight_skips_floored_prior(self):
         ps = gm_set(5.0, 0.05)
@@ -225,7 +225,7 @@ class TestWeightedRate:
         # prior 2 floors symbol 3, but its weight underflows to exactly 0
         ps = gm_set(5.0, 0.05)
         full = pt.weighted_rate(3, ps, 1.0, 1e-4)
-        assert full == pytest.approx(pm.rate_bits(ps.model(1), 3), abs=1e-12)
+        assert full == pytest.approx(pm.rate_bits(ps.models()[0], 3), abs=1e-12)
         assert pt.topk_rate(3, ps, 1.0, 1e-4, k=2) == full
         assert pt.topk_rate_grads(3, ps, 1.0, 1e-4, k=2)[0] == full
 
@@ -348,7 +348,7 @@ class TestTopkRate:
     def test_small_tau_nearest_prior(self):
         ps = gm_set(0.9, 3.0, 11.0, 20.0)
         got = pt.topk_rate(1, ps, 3.3, 1e-4, 2)
-        assert abs(got - pm.rate_bits(ps.model(3), 1)) < 1e-6
+        assert abs(got - pm.rate_bits(ps.models()[2], 1)) < 1e-6
 
     def test_renormalized_pair(self):
         ps = gm_set(1.0, 4.0, 9.0)
@@ -356,7 +356,7 @@ class TestTopkRate:
         d = np.abs(i - np.array([2.0, 1.0]))
         w = np.exp(-d / tau)
         w /= w.sum()
-        expected = w[0] * pm.rate_bits(ps.model(2), 1) + w[1] * pm.rate_bits(ps.model(1), 1)
+        expected = w[0] * pm.rate_bits(ps.models()[1], 1) + w[1] * pm.rate_bits(ps.models()[0], 1)
         assert abs(pt.topk_rate(1, ps, i, tau, 2) - expected) < 1e-12
 
     def test_top2_vs_full_mean_gap_frozen(self):
@@ -504,7 +504,7 @@ class TestHyperRate:
         ps = gm_set(1.0, 4.0, 9.0)
         z = self.z_block()
         logits = pt.HyperLogits(np.tile([20.0, -20.0, -20.0], (2, 1)))
-        expected = sum(pm.rate_bits(ps.model(1), int(s))
+        expected = sum(pm.rate_bits(ps.models()[0], int(s))
                        for s in z.residuals.ravel())
         assert abs(pt.hyper_rate_grads(z, ps, logits)[0] - expected) < 1e-6
 
@@ -512,7 +512,7 @@ class TestHyperRate:
         ps = gm_set(1.5, 6.0)
         z = self.z_block()
         logits = pt.HyperLogits(np.zeros((2, 2)))
-        totals = [sum(pm.rate_bits(ps.model(m), int(s))
+        totals = [sum(pm.rate_bits(ps.models()[m - 1], int(s))
                       for s in z.residuals.ravel()) for m in (1, 2)]
         expected = 0.5 * totals[0] + 0.5 * totals[1]
         assert abs(pt.hyper_rate_grads(z, ps, logits)[0] - expected) < 1e-9
@@ -529,7 +529,7 @@ class TestHyperRate:
         expected = 0.0
         for c in range(2):
             for m in range(3):
-                expected += w[c, m] * sum(pm.rate_bits(ps.model(m + 1), int(s))
+                expected += w[c, m] * sum(pm.rate_bits(ps.models()[m], int(s))
                                           for s in per_channel[c])
         assert abs(pt.hyper_rate_grads(z, ps, logits)[0] - expected) < 1e-7
 
@@ -554,12 +554,12 @@ class TestHyperRate:
         z = self.z_block()
         symbols = [int(s) for s in z.residuals.ravel()]
         floored = {(m, s) for m in (1, 2) for s in symbols
-                   if pm.pmf_integer(ps.model(m), s) < pm.PROB_FLOOR}
+                   if pm.pmf_integer(ps.models()[m - 1], s) < pm.PROB_FLOOR}
         assert (1, 3) in floored
-        expected = 0.5 * sum(pm.floored_rate_bits(pm.pmf_integer(ps.model(m), s))
+        expected = 0.5 * sum(pm.floored_rate_bits(pm.pmf_integer(ps.models()[m - 1], s))
                              for m in (1, 2) for s in symbols)
         # a floored pair adds 32 bits and nothing to the gradient
-        expected_grad = [0.5 * sum(pm.grad_rate_params(ps.model(m), s) for s in symbols
+        expected_grad = [0.5 * sum(pm.grad_rate_params(ps.models()[m - 1], s) for s in symbols
                                    if (m, s) not in floored) for m in (1, 2)]
         rate, _, dtheta = pt.hyper_rate_grads(z, ps, pt.HyperLogits(np.zeros((2, 2))))
         assert rate == pytest.approx(expected, rel=1e-12)
@@ -965,10 +965,11 @@ class TestTrainPriors:
         g = res.indexes
         assert g.n == 3
         assert g.hardened.min() >= 1 and g.hardened.max() <= 4
-        assert g.hardened2.min() >= 1 and g.hardened2.max() <= 3
+        second = g.flat_table_indexes() % g.n + 1
+        assert second.min() >= 1 and second.max() <= 3
         tabs = pt.export_tables(res.prior_set)
         assert len(tabs.tables) == 12
-        q = ct.quantize_pmf(res.prior_set.model(2, 3), support_radius=127)
+        q = ct.quantize_pmf(pt.model_from_coords("gmm", res.prior_set.params[1, 2]), support_radius=127)
         pos = (2 - 1) * 3 + (3 - 1)
         assert np.array_equal(q.cumulative, tabs.tables[pos].cumulative)
         assert q.offset == tabs.tables[pos].offset
@@ -1060,7 +1061,7 @@ class TestExportTables:
         ps = pt.init_prior_set("ggm", 5, 11.0)
         tabs = pt.export_tables(ps)
         for m in range(1, 6):
-            q = ct.quantize_pmf(ps.model(m), support_radius=127)
+            q = ct.quantize_pmf(ps.models()[m - 1], support_radius=127)
             assert np.array_equal(q.cumulative, tabs.tables[m - 1].cumulative)
 
     def test_scale_outside_model_domain_raises(self):

@@ -293,7 +293,7 @@ def _coords_and_builder(model):
             lambda c: ProbModel.generalized_gaussian(math.exp(c[0]), math.exp(c[1])),
         )
     p = model.params
-    kc = p.component_count
+    kc = len(p.weights)
     coords = np.concatenate([np.log(p.weights), p.means, np.log(p.sigmas)])
 
     def build(c):

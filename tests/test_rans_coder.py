@@ -62,6 +62,15 @@ def _random_set(rng, n_tables):
     return CdfTableSet(tables)
 
 
+def _interval(table: QuantizedCdfTable, symbol: int) -> tuple[int, int]:
+    """(start, frequency) of the interval a symbol codes in, read from the
+    table's offset and cumulative: its own, or the tail when it escapes."""
+    slot = symbol - table.offset
+    if not 0 <= slot < table.n_coded:
+        slot = table.n_coded
+    return int(table.cumulative[slot]), int(table.cumulative[slot + 1] - table.cumulative[slot])
+
+
 # ---------------------------------------------------------------------------
 # Bypass codes
 
@@ -86,7 +95,7 @@ def test_exp_golomb_patterns(dist, code):
     k = len(code) // 2
     stream = encode([2 + dist], [0], _TWO_SYMBOL_SET)
     assert stream.payload.endswith(_pad(code[: k + 1] + "0" + code[k + 1 :]))
-    tail = -np.log2(_TWO_SYMBOL_SET.tables[0].freq(_TWO_SYMBOL_SET.tables[0].tail_slot) / 65536)
+    tail = -np.log2(_interval(_TWO_SYMBOL_SET[0], 2 + dist)[1] / 65536)
     assert implied_bits([2 + dist], [0], _TWO_SYMBOL_SET)[0] == pytest.approx(tail + 1 + len(code))
 
 
@@ -302,9 +311,9 @@ def test_implied_bits_values():
     table = quantize_pmf(ProbModel.gaussian(1.0), 5)
     set_ = CdfTableSet([table])
     bits = implied_bits([0, 5, 7], [0, 0, 0], set_)
-    assert bits[0] == pytest.approx(-np.log2(table.freq(5) / 65536))
-    assert bits[1] == pytest.approx(-np.log2(table.freq(10) / 65536))
-    tail_bits = -np.log2(table.freq(table.tail_slot) / 65536)
+    assert bits[0] == pytest.approx(-np.log2(_interval(table, 0)[1] / 65536))
+    assert bits[1] == pytest.approx(-np.log2(_interval(table, 5)[1] / 65536))
+    tail_bits = -np.log2(_interval(table, 7)[1] / 65536)
     assert bits[2] == pytest.approx(tail_bits + 1 + len(_exp_golomb(1)))
 
 
@@ -312,7 +321,8 @@ def test_efficiency_within_one_percent():
     rng = np.random.default_rng(6)
     table = quantize_pmf(ProbModel.gaussian(5.0), 40)
     set_ = CdfTableSet([table])
-    p = np.diff(table.cumulative)[:-1] / (65536 - table.freq(table.tail_slot))
+    freqs = np.diff(table.cumulative)
+    p = freqs[:-1] / (65536 - freqs[-1])
     syms = rng.choice(np.arange(-40, 41), size=100_000, p=p / p.sum())
     idx = np.zeros(len(syms), np.int64)
     stream = encode(syms, idx, set_)
@@ -344,8 +354,7 @@ def _lane_reference(syms, idx, set_, lanes):
         x = 1 << 16
         for e in reversed(range(lane, n, lanes)):
             table = set_[int(idx[e])]
-            slot = table.slot_for(int(syms[e]))
-            f, start = table.freq(slot), table.start(slot)
+            start, f = _interval(table, int(syms[e]))
             if x >= f << 16:
                 words.append((e // lanes, lane, x & 0xFFFF))
                 x >>= 16
@@ -990,9 +999,9 @@ def _no_lookup(self):
 
 def test_single_state_lookup_at_slot_255(monkeypatch):
     set_, _ = build_lut_gm(40)
-    widest = max(range(len(set_)), key=lambda t: set_[t].n_intervals)
+    widest = max(range(len(set_)), key=lambda t: set_[t].n_coded)
     table = set_[widest]
-    assert table.n_intervals == 256 and table.tail_slot == 255
+    assert table.n_coded == 255  # 256 intervals: the tail is slot 255
     rng = np.random.default_rng(14)
     syms = np.concatenate([[table.lo, table.hi, table.hi + 1, table.lo - 1, 10**9, -(10**9)],
                            rng.integers(table.lo - 400, table.hi + 400, 4000)])
