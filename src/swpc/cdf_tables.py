@@ -239,7 +239,7 @@ class CdfTableSet:
         self._tables = None
         self._flat_view = None
         self._lookup = None
-        self._size = None
+        self._size_without_meta = None
 
     @property
     def tables(self) -> tuple:
@@ -581,10 +581,12 @@ def serialize_table_set(table_set: CdfTableSet) -> bytes:
 
 
 def serialized_size(table_set: CdfTableSet) -> int:
-    """len(serialize_table_set(table_set)); cached on the set."""
-    if table_set._size is None:
-        table_set._size = len(serialize_table_set(table_set))
-    return table_set._size
+    """len(serialize_table_set(table_set)).  The length of everything but the
+    metadata blob is cached on the set; the blob is measured on every call,
+    because `meta` is a plain dict that a caller may edit."""
+    if table_set._size_without_meta is None:
+        table_set._size_without_meta = len(serialize_table_set(table_set)) - len(_meta_blob(table_set))
+    return table_set._size_without_meta + len(_meta_blob(table_set))
 
 
 class _Reader:

@@ -495,8 +495,7 @@ def _encode_single(starts, freqs, state: int):
         if state >= (f << 16):
             emit(state & _MASK)
             state >>= 16
-        q, r = divmod(state, f)
-        state = (q << 16) + r + start
+        state += (state // f) * (_LOW - f) + start  # (q << 16) + r + start
     return state, np.array(words[::-1], dtype="<u2")
 
 

@@ -717,6 +717,16 @@ def test_serialized_size_is_the_wire_length():
         assert serialized_size(set_) == serialized_size(set_)
 
 
+def test_serialized_size_follows_a_meta_edit():
+    # `meta` is a plain dict, so an edit after the first call must show
+    set_ = build_lut_gm(4)[0]
+    before = serialized_size(set_)
+    set_.meta["note"] = "x" * 100
+    assert serialized_size(set_) == len(serialize_table_set(set_)) > before
+    del set_.meta["note"]
+    assert serialized_size(set_) == len(serialize_table_set(set_)) == before
+
+
 def test_any_single_byte_change_of_a_v2_payload_is_a_parse_error():
     set_ = CdfTableSet([quantize_pmf(ProbModel.gaussian(0.4), 1),
                         quantize_pmf(ProbModel.gaussian(2.0), 6)], {"family": "gm", "k": [1, 2]})

@@ -376,6 +376,43 @@ def test_gamma_order_derivative_vs_mpmath():
         assert p == pytest.approx(float(gammainc(a, x)), abs=1e-12)
 
 
+def test_gamma_order_derivative_across_the_route_switch():
+    # x on both sides of a + 1 and of 3.5, where the series hands over to the
+    # continued fraction; same oracle as above, one row per a, x in the order
+    # a + 0.5, a + 1, a + 2, 3.4, 3.6, a + 5
+    frozen = {
+        0.4: (-0.41092278488496354934, -0.23084017843729109097, -0.075261112351551505023,
+              -0.025226615469421660886, -0.020319242388539540512, -0.002967507149354650867),
+        0.5: (-0.38983726432851057751, -0.23019434201736077171, -0.079975877305173841908,
+              -0.031041023714153925101, -0.025172179671049893672, -0.0034768004896314049238),
+        1.0: (-0.31928530066306921823, -0.22082542621185950585, -0.09648294199134635264,
+              -0.0679959355659932544, -0.056931975818544805976, -0.0062321847223548529714),
+        1.43: (-0.28230101632795763341, -0.21049568790682728895, -0.10452919329598654331,
+               -0.10690616601471036017, -0.091902231945155945399, -0.0087564534720862212907),
+        2.5: (-0.2275485512782608162, -0.18723544734078909924, -0.11274911902573893832,
+              -0.19542391525092932223, -0.17908863104220501801, -0.015031077737381760683),
+        10.0: (-0.12264418627727564124, -0.11569395739153052931, -0.097177972037179651258,
+               -0.0031532635722092633847, -0.0044656835464900237867, -0.040080778467116257749),
+    }
+    for a, row in frozen.items():
+        for x, expect in zip((a + 0.5, a + 1.0, a + 2.0, 3.4, 3.6, a + 5.0), row):
+            p, dp = regularized_lower_gamma_with_da(a, x)
+            assert dp == pytest.approx(expect, rel=1e-8), (a, x)
+            assert p == pytest.approx(float(gammainc(a, x)), abs=1e-12), (a, x)
+
+
+def test_gamma_order_derivative_is_never_a_partial_sum():
+    # the series needs about 1,100 terms here, past the kernel's 500; a
+    # truncated sum gave dP/da = -0.00220028 and P = 0.2401043
+    expect = -0.002200634855248509387  # same oracle as above
+    try:
+        p, dp = regularized_lower_gamma_with_da(20000.0, 19900.0)
+    except ParameterDomainError:
+        return
+    assert dp == pytest.approx(expect, rel=1e-8)
+    assert p == pytest.approx(float(gammainc(20000.0, 19900.0)), abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Validation and support sizing
 
