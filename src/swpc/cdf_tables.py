@@ -300,13 +300,19 @@ def table_set_16bit_bytes(table_set: CdfTableSet) -> int:
 # Quantization
 
 
-def _ranks_of(keys: np.ndarray, descending: bool) -> np.ndarray:
-    order = np.argsort(-keys if descending else keys, axis=-1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(
-        ranks, order, np.broadcast_to(np.arange(keys.shape[-1]), order.shape).copy(), axis=-1
-    )
-    return ranks
+def _first_in_order(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mask of each row's counts[i] smallest keys, ties to the earlier
+    position: what a stable ascending sort would rank first, found by
+    selection.  Every count is at least 1 and below the row length."""
+    k = int(counts.max())
+    head = np.partition(keys, k - 1, axis=-1)[:, :k]
+    head.sort(axis=-1)
+    cut = np.take_along_axis(head, counts[:, None] - 1, axis=-1)
+    below = keys < cut
+    at = keys == cut
+    # at the cut, the earliest positions take the counts left
+    left = counts - below.sum(axis=-1)
+    return below | (at & (np.cumsum(at, axis=-1) <= left[:, None]))
 
 
 def allocate_frequencies(masses: np.ndarray) -> np.ndarray:
@@ -326,20 +332,30 @@ def allocate_frequencies(masses: np.ndarray) -> np.ndarray:
     n_int = masses.shape[-1]
     if n_int > 256:
         raise CapacityError(f"{n_int} intervals exceed the 256 cap")
-    total = masses.sum(axis=-1, keepdims=True)
+    freqs = _allocate(masses, masses.sum(axis=-1, keepdims=True), n_int)
+    return freqs[0] if squeeze else freqs
+
+
+def _allocate(masses, total, n_int, valid=None):
+    """allocate_frequencies of rows of masses that sum to `total` (a column)
+    over n_int intervals each.  With a `valid` mask, a row's intervals are
+    its valid entries only: its other entries must hold 0, get 0 counts,
+    and no total may be 0."""
     norm = np.where(total > 0, masses / np.where(total > 0, total, 1.0), 1.0 / n_int)
     raw = TOTAL_FREQ * norm
     base = np.floor(raw).astype(np.int64)
     frac = raw - base
     bumped = base < 1
     freqs = np.maximum(base, 1)
+    if valid is not None:
+        freqs *= valid
     deficit = TOTAL_FREQ - freqs.sum(axis=-1)
-    # only rows with counts left to give, or to take back, are ranked
+    # only the rows with counts left to give, or to take back, are looked at
     rows = np.nonzero(deficit > 0)[0]
     if rows.size:
-        # bumped intervals are already over target; they sort last
-        ranks = _ranks_of(np.where(bumped[rows], -1.0, frac[rows]), descending=True)
-        freqs[rows] += (ranks < deficit[rows, None]) & ~bumped[rows]
+        # largest remainders first; bumped intervals (and invalid ones) are
+        # never taken, as a row owes fewer counts than it has other intervals
+        freqs[rows] += _first_in_order(np.where(bumped[rows], 1.0, -frac[rows]), deficit[rows])
     rows = np.nonzero(deficit < 0)[0]
     if rows.size:
         # take back round-robin from smallest remainders, 1 per interval per
@@ -347,7 +363,7 @@ def allocate_frequencies(masses: np.ndarray) -> np.ndarray:
         # spare capacity 2^16 + owe - n exceeds owe, so owe + 1 rounds
         # would take more than owe: the round count is at most owe.
         owe = -deficit[rows]
-        cap = freqs[rows] - 1
+        cap = np.maximum(freqs[rows] - 1, 0)
         lo = np.zeros(len(owe), np.int64)
         hi = owe.copy()
         while np.any(lo < hi):
@@ -357,20 +373,60 @@ def allocate_frequencies(masses: np.ndarray) -> np.ndarray:
             hi = np.where(fits, hi, mid - 1)
         take = np.minimum(cap, lo[:, None])
         rem = owe - take.sum(axis=-1)
-        part = cap > lo[:, None]
-        ranks = _ranks_of(np.where(part, frac[rows], np.inf), descending=False)
-        take += (ranks < rem[:, None]) & part
+        # the last, partial round: fewer than the intervals it could take from
+        last = np.nonzero(rem)[0]
+        if last.size:
+            part = cap[last] > lo[last, None]
+            take[last] += _first_in_order(np.where(part, frac[rows[last]], np.inf), rem[last])
         freqs[rows] -= take
-    return freqs[0] if squeeze else freqs
+    return freqs
 
 
-def cumulative_rows(masses: np.ndarray) -> np.ndarray:
+def cumulative_rows(masses: np.ndarray, radii=None, out=None) -> np.ndarray:
     """Cumulative rows (leading 0, coded bins, tail) for rows of bin masses;
-    the tail takes the mass left over, then allocate_frequencies rounds."""
+    the tail takes the mass left over, then allocate_frequencies rounds.
+
+    Without radii every column of a row is a bin, and the rows come back as
+    one 2-D array.  With radii, one per row, the rows are windows over
+    k = [-R..R] (2R + 1 columns) and row i's bins are [-radii[i], radii[i]]
+    only: its table has 2 radii[i] + 3 entries, and the tables come back to
+    back in one flat array, in row order, or are written into the flat
+    array `out`.  A row's columns outside its window are never read.  Each
+    row's sums run over its own bins in order, so a row gets the same table
+    whatever the other rows are.
+    """
     masses = np.asarray(masses, dtype=np.float64)
-    tail = np.maximum(0.0, 1.0 - masses.sum(axis=-1, keepdims=True))
-    freqs = allocate_frequencies(np.concatenate([masses, tail], axis=-1))
-    return np.concatenate([np.zeros((len(freqs), 1), np.int64), np.cumsum(freqs, axis=-1)], axis=-1)
+    n, width = masses.shape
+    if width + 1 > 256:
+        raise CapacityError(f"{width + 1} intervals exceed the 256 cap")
+    padded = np.zeros((n, width + 1))  # each row's bins, then its tail
+    if radii is None:
+        first, count = np.zeros(n, np.int64), np.full(n, width)
+        valid = None
+        padded[:, :width] = masses
+    else:
+        radii = np.asarray(radii, np.int64)
+        first, count = width // 2 - radii, 2 * radii + 1
+        cols = np.arange(width + 1)
+        valid = (cols >= first[:, None]) & (cols <= (first + count)[:, None])
+        np.copyto(padded[:, :width], masses, where=valid[:, :width])
+    bounds = [0, *(np.flatnonzero(np.diff(count)) + 1).tolist(), n]
+    runs = [(i, j, int(first[i]), int(count[i])) for i, j in zip(bounds[:-1], bounds[1:]) if i < j]
+    total = np.empty((n, 1))
+    for i, j, f, c in runs:  # rows with one window
+        row = padded[i:j, f : f + c + 1]
+        np.maximum(0.0, 1.0 - row[:, :c].sum(axis=-1), out=row[:, c])
+        row.sum(axis=-1, out=total[i:j, 0])
+    freqs = _allocate(padded, total, (count + 1)[:, None], valid)
+    if out is None:
+        out = np.empty(int(np.sum(count + 2)), np.int64)
+    start = 0
+    for i, j, f, c in runs:
+        block = out[start : start + (j - i) * (c + 2)].reshape(j - i, c + 2)
+        block[:, 0] = 0
+        np.cumsum(freqs[i:j, f : f + c + 1], axis=-1, out=block[:, 1:])
+        start += block.size
+    return out if radii is not None else out.reshape(n, width + 2)
 
 
 def quantize_pmf(model: ProbModel, support_radius: int = MAX_RADIUS) -> QuantizedCdfTable:

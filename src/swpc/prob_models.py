@@ -21,17 +21,18 @@ built on it.  The switch point sends each element to whichever of the two
 converges in fewer iterations; an element that has not converged in 500
 iterations raises `ParameterDomainError` rather than return a partial sum.
 
-Per-element dynamic tables, LUTs and exported prior sets ask
-`ggm_integer_pmf` for the symmetric window k = [-r..r] as one row of shape
-(1, 2r+1), with one parameter pair per table row.  For that shape the kernel
-takes a window route: u = (x/alpha)^beta at the half-axis edges
-0.5 .. r+0.5, each edge through P(a, u) only where a body bin or the center
-needs it and Q(a, u) only where a tail bin does, then neighbouring edges
-differenced, halved and mirrored.  These are the general path's operations
-on the same inputs, so the masses are bit-identical to it at about a
-quarter of the incomplete-gamma calls.  `ggm_pmf_grads` does the same for
-the trainer's (1, U) row of unique symbols: its forward-mode d/da runs
-once per row on the unique half-axis edges, not twice per bin.
+Per-element dynamic tables ask `WINDOW_PMF` for a batch of rows, each with
+its own radius r and window k = [-r..r]; LUTs and exported prior sets ask
+`ggm_integer_pmf` for the symmetric row k = [-r..r] of shape (1, 2r+1), with
+one parameter pair per table row, which is the same with every radius r.
+ggm takes one window route for both: u = (x/alpha)^beta at the half-axis
+edges 0.5 .. r+0.5 of each row, each edge through P(a, u) only where a body
+bin or the center needs it and Q(a, u) only where a tail bin does, then
+neighbouring edges differenced, halved and mirrored.  These are the general
+path's operations on the same inputs, so the masses are bit-identical to it
+at about a quarter of the incomplete-gamma calls.  `ggm_pmf_grads` does the
+same for the trainer's (1, U) row of unique symbols: its forward-mode d/da
+runs once per row on the unique half-axis edges, not twice per bin.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ __all__ = [
     "support_radius",
     "FAMILY_PARAMS",
     "INTEGER_PMF",
+    "WINDOW_PMF",
     "PMF_GRADS",
     "STD",
     "SUPPORT_RADIUS",
@@ -392,27 +394,43 @@ def gaussian_integer_pmf(k, sigma):
     return np.where(m == 0, center, off)
 
 
-def _ggm_window_pmf(r, beta, alpha):
-    # Masses over k = [-r..r] for parameter columns of shape (n, 1).  Each
-    # half-axis edge 0.5 .. r+0.5 is evaluated once per row; bin j >= 1 lies
-    # between edges j-1 and j, and the center bin between 0 and edge 0.  The
-    # operations and their inputs are those of the general path in
-    # ggm_integer_pmf, so the masses are bit-identical to it.
+def _ggm_window_pmf(radii, beta, alpha):
+    """Masses over k = [-R..R], R the largest radius, for one parameter pair
+    (columns of shape (n, 1)) and one radius per row; row i is exact on its
+    own window [-radii[i], radii[i]], and its columns outside it are not
+    defined.
+
+    Each half-axis edge 0.5 .. r+0.5 of a row is evaluated once: bin j >= 1
+    lies between edges j-1 and j, and the center bin between 0 and edge 0.
+    The operations and their inputs are those of the general path in
+    ggm_integer_pmf, so the masses are bit-identical to it.
+    """
+    beta, alpha = (np.asarray(v, np.float64) for v in (beta, alpha))
+    radii = np.asarray(radii).reshape(-1, 1)
+    r = int(radii.max())
     a = 1.0 / beta
-    u = _ggm_u(np.arange(r + 1) + 0.5, beta, alpha)
-    _validate_gamma_args(a, u)
-    a = np.broadcast_to(a, u.shape)
+    edges = np.arange(r + 1)
+    # an edge beyond a row's window may overflow; it is never read.  u rises
+    # along a row, so its last edge inside the window is its largest
+    with np.errstate(over="ignore"):
+        u = _ggm_u(edges + 0.5, beta, alpha)
+    _validate_gamma_args(a, np.take_along_axis(u, radii, axis=1))
     # bin j >= 1 takes Q(a, u_{j-1}) - Q(a, u_j) when both edges sit at
-    # u >= a+1, P(a, u_j) - P(a, u_{j-1}) otherwise; the center is P(a, u_0)
+    # u >= a+1, P(a, u_j) - P(a, u_{j-1}) otherwise; the center is P(a, u_0).
+    # Only the edges of bins inside a row's window are evaluated.
     far = u >= a + 1.0
+    a = np.broadcast_to(a, u.shape)
     tail = far[:, :-1] & far[:, 1:]
-    body = ~tail
-    need_p = np.ones(u.shape, dtype=bool)
-    need_p[:, 1:] = body
+    inside = edges[1:] <= radii
+    body = ~tail & inside
+    tail_in = tail & inside
+    need_p = np.zeros(u.shape, dtype=bool)
+    need_p[:, 0] = True
+    need_p[:, 1:] |= body
     need_p[:, :-1] |= body
     need_q = np.zeros(u.shape, dtype=bool)
-    need_q[:, 1:] = tail
-    need_q[:, :-1] |= tail
+    need_q[:, 1:] = tail_in
+    need_q[:, :-1] |= tail_in
     p = np.zeros(u.shape)
     q = np.zeros(u.shape)
     p[need_p] = gammainc(a[need_p], u[need_p])
@@ -428,17 +446,18 @@ def ggm_integer_pmf(k, beta, alpha):
     """Unit-bin mass under the generalized Gaussian, symmetric in k.
 
     When k is the symmetric row [-r..r] of shape (1, 2r+1) and the
-    parameters hold one value per row, as for per-element and exported
-    tables, each half-axis edge 0.5 .. r+0.5 goes through the incomplete
-    gamma once (P where a body bin needs it, Q where a tail bin does) and
-    the bins are neighbouring differences, mirrored.  The result is
-    bit-identical to the general path, which serves every other k.
+    parameters hold one value per row, as for LUTs and exported tables, the
+    rows go through _ggm_window_pmf, each with radius r: every half-axis
+    edge 0.5 .. r+0.5 goes through the incomplete gamma once (P where a body
+    bin needs it, Q where a tail bin does) and the bins are neighbouring
+    differences, mirrored.  The result is bit-identical to the general
+    path, which serves every other k.
     """
     k, beta, alpha = (np.asarray(v, np.float64) for v in (k, beta, alpha))
     rows = np.broadcast_shapes(beta.shape, alpha.shape, (1, 1))
     r = k.size // 2
     if k.shape == (1, 2 * r + 1) and rows[1:] == (1,) and np.array_equal(k[0], np.arange(-r, r + 1)):
-        return _ggm_window_pmf(r, np.broadcast_to(beta, rows), np.broadcast_to(alpha, rows))
+        return _ggm_window_pmf(np.full(rows[0], r), np.broadcast_to(beta, rows), np.broadcast_to(alpha, rows))
     k, beta, alpha = np.broadcast_arrays(k, beta, alpha)
     a = 1.0 / beta
     m = np.abs(k)
@@ -571,6 +590,28 @@ FAMILY_PARAMS = {"gm": ("sigma",), "ggm": ("beta", "alpha"), "gmm": ("weights", 
 
 # Unit-bin mass kernel per family: kernel(k, *parameters).
 INTEGER_PMF = {"gm": gaussian_integer_pmf, "ggm": ggm_integer_pmf, "gmm": gmm_integer_pmf}
+
+
+def _full_window(kernel):
+    def window(radii, *params):
+        r = int(np.max(radii))
+        # a bin beyond a row's window may overflow to an infinite edge: the
+        # kernel gives it mass 0, and the row never reads it
+        with np.errstate(over="ignore"):
+            return kernel(np.arange(-r, r + 1)[None, :], *params)
+    return window
+
+
+# Window mass kernel per family: kernel(radii, *parameters), with one radius
+# and one parameter set per row (parameters as columns, as INTEGER_PMF takes
+# them for a row of k): the masses over k = [-R..R], R the largest radius,
+# row i exact on [-radii[i], radii[i]].  ggm evaluates only the edges inside
+# each row's window; gm and gmm evaluate every row over all of [-R..R].
+WINDOW_PMF = {
+    "gm": _full_window(gaussian_integer_pmf),
+    "ggm": _ggm_window_pmf,
+    "gmm": _full_window(gmm_integer_pmf),
+}
 
 # Bin mass and coordinate gradients per family: kernel(k, *parameters).
 PMF_GRADS = {"gm": gaussian_pmf_grads, "ggm": ggm_pmf_grads, "gmm": gmm_pmf_grads}

@@ -43,9 +43,14 @@ positions and tables of the escapes, 24 bytes each, until the section is
 read.  A chunk's int64 arrays are 64 KiB, under glibc's default mmap
 threshold of 128 KiB, so they come from the heap, whose pages stay mapped
 from call to call; block-sized temporaries were mapped afresh, and faulted
-in page by page, on every call.  The per-element dynamic path builds its
-tables _CHUNK = 16384 elements at a time, as before: in 8192-element chunks
-it ran slower.
+in page by page, on every call.  The per-element dynamic path
+(encode_elementwise, decode_elementwise) asks its callback for the tables
+of _CHUNK = 16384 elements at a time, so one chunk's flat array is all the
+tables that live at once: 4.3 MB at the mean radius of 15 of the
+benchmark's dynamic-ggm block.  The coder reads a table only through its
+element's row start, so the callback may lay the chunk's tables out in any
+order: the dynamic backend sorts them by radius, and builds them in batches
+of bounded size.
 
 Decoding finds each symbol's slot in the set's cached uint8 slot lookup
 (entry [t, v] is the interval of table t holding v): the lane decoder

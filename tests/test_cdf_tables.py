@@ -197,6 +197,59 @@ def test_allocate_mixed_batch_matches_oracle():
         assert freqs.tolist() == lr_allocate(list(row))
 
 
+def _tie_at_cut(masses):
+    """'give' or 'take' when the row's last count moved, in lr_allocate's
+    order, goes to a remainder equal to that of the first interval passed
+    over, so only the position decides between them; else None."""
+    n = len(masses)
+    total = sum(masses)
+    raw = [TOTAL * (m / total) for m in masses]
+    base = [math.floor(r) for r in raw]
+    frac = [r - b for r, b in zip(raw, base)]
+    f = [max(1, b) for b in base]
+    deficit = TOTAL - sum(f)
+    if deficit > 0:
+        ranked = sorted(frac[i] for i in range(n) if base[i] >= 1)[::-1]
+        return "give" if ranked[deficit - 1] == ranked[deficit] else None
+    owe = -deficit
+    while owe > 0:
+        ranked = sorted(frac[i] for i in range(n) if f[i] >= 2)
+        if owe < len(ranked):
+            return "take" if ranked[owe - 1] == ranked[owe] else None
+        f = [x - (x >= 2) for x in f]
+        owe -= len(ranked)
+    return None
+
+
+def test_allocate_ties_at_the_cut_match_the_oracle():
+    # rows whose remainders tie exactly where the counts stop, in both
+    # branches: mirrored gm / ggm windows with their tail, and repeated values
+    rows = []
+    for radius in (3, 8, 20, 60, 127):
+        ks = np.arange(-radius, radius + 1)
+        for sigma in (0.2, 0.6, 1.7, 4.0, 15.0):
+            rows.append(gaussian_integer_pmf(ks, sigma))
+        for beta, alpha in ((0.7, 0.3), (1.0, 2.0), (2.2, 9.0), (0.9, 0.05)):
+            rows.append(ggm_integer_pmf(ks, beta, alpha))
+    rows = [np.append(m, max(0.0, 1.0 - m.sum())) for m in rows]
+    for n in (3, 6, 7, 12, 255):
+        rows += [np.full(n, 0.3), np.tile([0.5, 0.2, 0.3], n)[:n], np.repeat([1e-9, 0.4], [n - 2, 2])]
+    rows.append(np.repeat([1e-9, 0.25, 0.7], [200, 3, 3]))
+    ties = [_tie_at_cut(list(m)) for m in rows]
+    assert ties.count("give") >= 10 and ties.count("take") >= 10
+    for m in rows:
+        assert allocate_frequencies(m).tolist() == lr_allocate(list(m))
+    # the same rows as one batch per length
+    for n in {len(m) for m in rows}:
+        batch = np.array([m for m in rows if len(m) == n])
+        assert allocate_frequencies(batch).tolist() == [lr_allocate(list(m)) for m in batch]
+
+
+def test_cumulative_rows_of_no_rows():
+    assert ct.cumulative_rows(np.zeros((0, 13))).shape == (0, 15)
+    assert ct.cumulative_rows(np.zeros((0, 13)), np.zeros(0, np.int64)).shape == (0,)
+
+
 def test_allocate_uniform_and_zero_rows():
     assert allocate_frequencies(np.full(256, 1 / 256)).tolist() == [256] * 256
     assert allocate_frequencies(np.zeros(8)).tolist() == [8192] * 8

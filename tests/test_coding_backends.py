@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from swpc.coding_backends import (
     restore_pruned_channels,
     round_half_away,
 )
-from swpc.prob_models import GaussianParams, ProbModel, gaussian_integer_pmf
+from swpc.prob_models import FAMILY_PARAMS, GaussianParams, ProbModel, gaussian_integer_pmf
 from swpc.rans_coder import Bitstream, StreamError, encode
 from swpc.synth_source import SourceSpec, gen_block, oracle_rate
 
@@ -335,6 +336,86 @@ class TestBackendDynamic:
         stream, _ = backend_dynamic(block)
         digest = hashlib.sha256(stream.to_bytes()).hexdigest()
         assert digest == "3dadf6d954ee953accac66024c3beda131423f12a2b4193b280efcb3ba56d522"
+
+    @pytest.mark.parametrize("mode, family, digest", [
+        ("zero-center", "gm", "bbc289450537bdafe40215ff287274a306f21257243394e57fc1b49f31cd27e8"),
+        ("zero-center", "gmm", "40a47057ba068e5721768cb6b42df531a3330274d55a2c1df99abf83c5867ea0"),
+        ("nonzero-center", "gmm", "356d4217eb6886a8e4bf673bddebb6dffa1956972c8d457866e0b7709af63e58"),
+    ])
+    def test_frozen_mixed_radius_stream_bytes(self, mode, family, digest):
+        # 18,432 elements over more than one table chunk, with each element's
+        # own support radius: 127 distinct radii (gm), 38 and 34 (gmm)
+        block = gen_block(SourceSpec(family, (2, 96, 96), mode=mode, seed=1))
+        stream, _ = backend_dynamic(block)
+        assert hashlib.sha256(stream.to_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("family", ["gm", "ggm", "gmm"])
+    def test_chunk_rows_are_per_element_quantize_pmf(self, family, monkeypatch):
+        """Every table the chunk builder serves is the element's own
+        quantize_pmf table at its support radius, over chunks that split
+        radius runs."""
+        block = gen_block(SourceSpec(family, (1, 9, 11), seed=5))
+        truth = cb._flat_truth(block.truth_params, block.shape)
+        radii = cb._dynamic_radii(truth, None)
+        served = []
+        build = cb._dynamic_chunk_builder
+
+        def recording(truth, radii):
+            chunk = build(truth, radii)
+
+            def tables(lo, hi):
+                served.append((lo, chunk(lo, hi)))
+                return served[-1][1]
+            return tables
+
+        monkeypatch.setattr(rc, "_CHUNK", 40)
+        monkeypatch.setattr(cb, "_dynamic_chunk_builder", recording)
+        backend_dynamic(block)
+        assert sorted(lo for lo, _ in served) == [0, 40, 80]
+        assert len(np.unique(radii)) >= 10
+        for lo, (flat, _, rows, offs, nc) in served:
+            for i, (row, off, n_coded) in enumerate(zip(rows, offs, nc)):
+                r = int(radii[lo + i])
+                model = ProbModel.from_values(family, [truth[key][lo + i] for key in FAMILY_PARAMS[family]])
+                assert (off, n_coded) == (-r, 2 * r + 1)
+                assert flat[row : row + 2 * r + 3].tolist() == quantize_pmf(model, r).cumulative.tolist()
+
+    @pytest.mark.parametrize("family, narrow, wide", [
+        ("gm", {"sigma": 1e-307}, {"sigma": 30.0}),
+        ("ggm", {"beta": 200.0, "alpha": 1.0}, {"beta": 1.0, "alpha": 30.0}),
+    ])
+    def test_narrow_tables_beside_wide_ones(self, family, narrow, wide):
+        # beyond a radius-1 element's own window its bin edges overflow
+        # float64; built beside radius-127 elements, its table never reads them
+        truth = {"family": family,
+                 **{key: np.array([[[narrow[key], wide[key], wide[key], narrow[key]]]]) for key in narrow}}
+        block = LatentBlock(np.array([[[0, 40, -3, 1]]]), np.zeros((1, 1, 4)), np.ones((1, 1, 4)), truth)
+        radii = cb._dynamic_radii(cb._flat_truth(truth, block.shape), None)
+        assert radii.tolist() == [1, 127, 127, 1]
+        stream, _ = backend_dynamic(block)
+        models = [ProbModel.from_values(family, [truth[key].ravel()[i] for key in narrow]) for i in range(4)]
+        tables = CdfTableSet(quantize_pmf(model, r) for model, r in zip(models, radii.tolist()))
+        assert stream.to_bytes() == encode(block.residuals.ravel(), np.arange(4), tables).to_bytes()
+        decoded, _ = backend_dynamic_decode(stream, truth, block.shape)
+        assert np.array_equal(decoded, block.residuals)
+
+    def test_table_building_memory_is_bounded(self):
+        # tracemalloc peaks of 11.4 (encode) and 11.6 MiB (decode) with tables
+        # built per radius group, 22-29 MiB with a whole chunk's masses at once
+        block = gen_block(SourceSpec("ggm", (4, 64, 64), seed=1, beta_range=(0.7, 2.5),
+                                     alpha_range=(0.05, 10.0)))
+        tracemalloc.start()
+        try:
+            stream, _ = backend_dynamic(block)
+            encode_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            decoded, _ = backend_dynamic_decode(stream, block.truth_params, block.shape)
+            decode_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(decoded, block.residuals)
+        assert encode_peak <= 12 << 20, encode_peak / 2**20
+        assert decode_peak <= 12 << 20, decode_peak / 2**20
 
     def test_matches_manual_tables_byte_for_byte(self):
         """With a fixed radius the backend is exactly per-element quantize+code."""

@@ -152,6 +152,26 @@ def test_ggm_window_route_matches_general_path():
     assert crossed >= 400
 
 
+def test_window_kernels_give_each_row_its_own_window():
+    # one radius per row: each row, inside its own window, is bit for bit the
+    # family kernel over that window alone
+    rng = np.random.default_rng(22)
+    for case in range(60):
+        _, beta, alpha = _ggm_window_rows(rng)
+        n = len(alpha)
+        radii = rng.integers(1, 128, n)
+        weights = rng.dirichlet(np.ones(3), n)
+        params = {"gm": (alpha,), "ggm": (beta, alpha),
+                  "gmm": (weights[:, None], rng.uniform(-20, 20, (n, 1, 3)), alpha[..., None] + 0.1)}
+        for family, columns in params.items():
+            masses = pm.WINDOW_PMF[family](radii, *columns)
+            widest = int(radii.max())
+            assert masses.shape == (n, 2 * widest + 1)
+            for i, r in enumerate(radii.tolist()):
+                alone = pm.INTEGER_PMF[family](np.arange(-r, r + 1)[None, :], *(c[i : i + 1] for c in columns))
+                assert np.array_equal(masses[i, widest - r : widest + r + 1], alone[0]), (family, case, i)
+
+
 def test_ggm_window_route_rejects_overflowing_edges():
     ks = np.arange(-5, 6)
     beta, alpha = np.array([[2.0], [6.0]]), np.array([[1.0], [1e-60]])
