@@ -18,8 +18,9 @@ scipy has no derivative in the order a, so an in-house series (x <
 max(a+1, 3.5)) and continued fraction (otherwise), differentiated in forward
 mode, serve only `regularized_lower_gamma_with_da` and the ggm gradients
 built on it.  The switch point sends each element to whichever of the two
-converges in fewer iterations; an element that has not converged in 500
-iterations raises `ParameterDomainError` rather than return a partial sum.
+converges in fewer iterations; an element that has not converged in 16
+sqrt(a) iterations (500 at least, 20,000 at most) raises
+`ParameterDomainError` rather than return a partial sum.
 
 Per-element dynamic tables ask `WINDOW_PMF` for a batch of rows, each with
 its own radius r and window k = [-r..r]; LUTs and exported prior sets ask
@@ -222,14 +223,20 @@ def regularized_lower_gamma(a, x):
 # fraction from x = max(a + 1, 3.5) on.  Below a = 2.5 the series is the
 # faster one up to x = 3.3-3.6 (20 against 55 iterations at a = 0.5,
 # x = a + 1); above it, the continued fraction is from x = a + 1 on.  Either
-# needs at most about 30 iterations for a < 2.5 and O(sqrt(a)) near x = a.
+# needs at most about 30 iterations for a < 2.5 and O(sqrt(a)) near x = a:
+# 7.4-10 sqrt(a) at the worst x for a from 20 to 10^6, 1,093 at a = 20,000.
 # The continued fraction stops an element only once its d/da has converged
-# too.  An element that has not converged within _GAMMA_MAX_ITER raises
-# ParameterDomainError.
+# too.  An element that has not converged within _GAMMA_ITER_PER_SQRT_A
+# sqrt(a) iterations, a the largest order of its call, raises
+# ParameterDomainError; the budget is at least _GAMMA_MIN_ITER, and at most
+# _GAMMA_MAX_ITER, which serves every a up to 1.5 million twice over.
 _GAMMA_EPS = 1e-15
 _GAMMA_DA_EPS = 1e-12
 _GAMMA_TINY = 1e-300
-_GAMMA_MAX_ITER = 500
+_GAMMA_ITER_PER_SQRT_A = 16  # about twice what large orders need
+_GAMMA_MIN_ITER = 500
+_GAMMA_MAX_ITER = 20_000
+_GAMMA_OWN_VALUE_MAX_A = 20.0  # the trainer's largest order, 1 / beta at beta = 0.05
 _GAMMA_CF_MIN_X = 3.5
 
 
@@ -244,7 +251,9 @@ def _converge(step, state, a, x):
     index = np.arange(a.size)
     live = np.ones(a.size, dtype=bool)
     n_live = a.size
-    for i in range(1, _GAMMA_MAX_ITER + 1):
+    budget = math.ceil(_GAMMA_ITER_PER_SQRT_A * math.sqrt(a.max()))
+    budget = min(_GAMMA_MAX_ITER, max(_GAMMA_MIN_ITER, budget))
+    for i in range(1, budget + 1):
         state, done, value, dvalue = step(i, state)
         done &= live
         hit = done.nonzero()[0]
@@ -262,7 +271,7 @@ def _converge(step, state, a, x):
                 live = np.ones(n_live, dtype=bool)
     k = index[np.argmax(live)]
     raise ParameterDomainError(
-        f"incomplete gamma P(a={float(a[k])}, x={float(x[k])}) did not converge in {_GAMMA_MAX_ITER} iterations"
+        f"incomplete gamma P(a={float(a[k])}, x={float(x[k])}) did not converge in {budget} iterations"
     )
 
 
@@ -321,21 +330,31 @@ def regularized_lower_gamma_with_da(a, x):
     """P(a, x) together with its order derivative dP/da.
 
     The derivative is the exact forward-mode differential of the same
-    series/continued-fraction evaluation, not a finite difference.  Raises
-    ParameterDomainError where that evaluation does not converge.
+    series/continued-fraction evaluation, not a finite difference; up to
+    a = 20, P comes from that evaluation too, and above it from scipy.
+    Raises ParameterDomainError where that evaluation does not converge.
     """
     a, x = _validate_gamma_args(a, x)
     p = np.zeros(a.shape, dtype=np.float64)
     dp = np.zeros(a.shape, dtype=np.float64)
     cf = x >= np.maximum(a + 1.0, _GAMMA_CF_MIN_X)
-    for route, start in (((x > 0) & ~cf, _series_start), (cf, _cf_start)):
+    for route, start, scipy_value in (((x > 0) & ~cf, _series_start, gammainc),
+                                      (cf, _cf_start, gammaincc)):
         if np.any(route):
             ar, xr = a[route], x[route]
             s, ds = _converge(*start(ar, xr), ar, xr)
             pref = np.exp(-xr + ar * np.log(xr) - gammaln(ar))
             dpref = pref * (np.log(xr) - digamma(ar))
-            p[route] = pref * s
-            dp[route] = dpref * s + pref * ds
+            value, dvalue = pref * s, dpref * s + pref * ds
+            # the prefactor's exponent sums terms of size a log x, so its
+            # relative error grows with a (4e-12 at a = 20,000); above the
+            # trainer's orders scipy gives the value, and the derivative is
+            # value * (log x - digamma(a) + ds / s), s the series or fraction
+            big = ar > _GAMMA_OWN_VALUE_MAX_A
+            if big.any():
+                value[big] = scipy_value(ar[big], xr[big])
+                dvalue[big] = value[big] * (np.log(xr[big]) - digamma(ar[big]) + ds[big] / s[big])
+            p[route], dp[route] = value, dvalue
     p[cf] = 1.0 - p[cf]  # the fraction's rows hold Q = 1 - P
     dp[cf] = -dp[cf]
     np.clip(p, 0.0, 1.0, out=p)
@@ -592,25 +611,51 @@ FAMILY_PARAMS = {"gm": ("sigma",), "ggm": ("beta", "alpha"), "gmm": ("weights", 
 INTEGER_PMF = {"gm": gaussian_integer_pmf, "ggm": ggm_integer_pmf, "gmm": gmm_integer_pmf}
 
 
-def _full_window(kernel):
-    def window(radii, *params):
-        r = int(np.max(radii))
-        # a bin beyond a row's window may overflow to an infinite edge: the
-        # kernel gives it mass 0, and the row never reads it
-        with np.errstate(over="ignore"):
-            return kernel(np.arange(-r, r + 1)[None, :], *params)
-    return window
+def _gaussian_window_pmf(radii, sigma):
+    """Masses over k = [-R..R], R the largest radius, one sigma per row
+    (a column of shape (n, 1)).
+
+    erfc runs once per half-axis edge 0.5 .. R+0.5 and erf once per row for
+    the center bin; bin j >= 1 is half the difference of edges j-1 and j,
+    mirrored.  j - 0.5 and (j - 1) + 0.5 are the same double, so the masses
+    are bit-identical to gaussian_integer_pmf over the row."""
+    denom = np.asarray(sigma, np.float64) * _SQRT2
+    r = int(np.max(radii))
+    # an edge beyond a row's window may overflow to infinity: erfc gives it
+    # 0, and the row never reads its bins
+    with np.errstate(over="ignore"):
+        tail = erfc((np.arange(r + 1) + 0.5) / denom)
+        center = erf(0.5 / denom)
+    half = np.empty(tail.shape)
+    half[:, :1] = center
+    half[:, 1:] = 0.5 * (tail[:, :-1] - tail[:, 1:])
+    return np.concatenate([half[:, :0:-1], half], axis=1)
+
+
+def _gmm_window_pmf(radii, weights, means, sigmas):
+    """Masses over k = [-R..R], R the largest radius, one mixture per row
+    (parameters of shape (n, 1, K)).
+
+    ndtr runs once per edge -R-0.5 .. R+0.5 and component; bin k is the
+    difference of edges k and k+1.  k + 0.5 and (k + 1) - 0.5 are the same
+    double, so the masses are bit-identical to gmm_integer_pmf over the row."""
+    r = int(np.max(radii))
+    edges = (np.arange(-r, r + 2) - 0.5)[:, None]
+    with np.errstate(over="ignore"):  # as in _gaussian_window_pmf
+        cdf = ndtr((edges - np.asarray(means, np.float64)) / np.asarray(sigmas, np.float64))
+    return np.sum(np.asarray(weights, np.float64) * (cdf[:, 1:] - cdf[:, :-1]), axis=-1)
 
 
 # Window mass kernel per family: kernel(radii, *parameters), with one radius
 # and one parameter set per row (parameters as columns, as INTEGER_PMF takes
 # them for a row of k): the masses over k = [-R..R], R the largest radius,
-# row i exact on [-radii[i], radii[i]].  ggm evaluates only the edges inside
-# each row's window; gm and gmm evaluate every row over all of [-R..R].
+# row i exact on [-radii[i], radii[i]].  Each evaluates a bin edge once per
+# row (and component), not once for each bin beside it; ggm only the edges
+# inside each row's window, gm and gmm every edge of [-R..R].
 WINDOW_PMF = {
-    "gm": _full_window(gaussian_integer_pmf),
+    "gm": _gaussian_window_pmf,
     "ggm": _ggm_window_pmf,
-    "gmm": _full_window(gmm_integer_pmf),
+    "gmm": _gmm_window_pmf,
 }
 
 # Bin mass and coordinate gradients per family: kernel(k, *parameters).

@@ -17,9 +17,20 @@ L = floor(B / 6400), any integer, capped at 4096.  Each lane's 32 state bits
 are then 0.5% of its 6400 coded bits or less; in payload a lane costs less,
 since its state also holds coded bits: 20 to 32 bits each, about 25 on
 average, measured on the benchmark's shared-ggm and escape-gm codings.
-Below 64 lanes L = 1: a numpy step over the lanes beats the scalar loop
-from about 32 lanes on, and the floor keeps that margin.  Per-element
-dynamic coding (encode_elementwise) always uses L = 1.
+Below 24 lanes L = 1, where the scalar single-state loop is the faster.
+Milliseconds per call on one core of a 2-vCPU Xeon, at a fixed L, coding
+ggm blocks against a trained 40-table set, encode / decode:
+
+    elements   L = 1          L = 20         L = 24         L = 30
+    16,384     3.90 / 6.14    4.16 / 5.68    3.52 / 4.93    2.94 / 3.88
+    32,768     7.57 / 13.36   8.07 / 11.37   6.98 / 9.68    5.86 / 8.24
+    65,536     15.51 / 28.44  16.77 / 22.74  13.97 / 20.34  12.18 / 16.65
+
+Lanes break even at 20-22 and win on both ends from 24 on.  So every block
+of 153,600 coded bits or more interleaves, such as one image's latent of
+65,536 to 163,840 ggm elements at 2-3 bits each: the benchmark's train-ggm
+codes its two 65,536-element calibration blocks (about 196,000 bits) in 30
+lanes.  Per-element dynamic coding (encode_elementwise) always uses L = 1.
 
 The interval bits are counted per slot: np.add.at counts the elements
 each slot of the set codes (a slot is a table's interval, at its position
@@ -139,7 +150,7 @@ __all__ = [
 _LOW = 1 << 16
 _MASK = _LOW - 1
 _LANE_BITS = 6400  # coded bits per lane, L = B // 6400: its 32 state bits are 0.5% of them
-_MIN_LANES = 64
+_MIN_LANES = 24  # below it one state codes faster than a numpy step over the lanes
 _MAX_LANES = 4096
 _POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 _SIGN = _POWERS[63]

@@ -317,6 +317,36 @@ class TestCodeRoundTrips:
         assert run_cli("verify", "--block", trained["block"],
                        "--decoded", dec) == 0
 
+    def test_mid_size_lut_block_interleaves_and_reads_single_state_streams(self, tmp_path,
+                                                                          monkeypatch):
+        tables, block = tmp_path / "ggm.tables", tmp_path / "b.bin"
+        assert run_cli("build-tables", "--family", "ggm", "--beta", 5, "--alpha", 10,
+                       "--out", tables) == 0
+        # 98,304 elements of the default source's ranges: 30 lanes' worth of
+        # bits, between the floor of 24 lanes and the old floor of 64
+        spec = ss.SourceSpec(family="ggm", shape=(6, 128, 128), seed=3,
+                             beta_range=(0.7, 2.5), alpha_range=(0.05, 10.0))
+        block.write_bytes(ss.block_to_bytes(ss.gen_block(spec)))
+        lut = ("--backend", "lut", "--tables", tables)
+        stream, dec = tmp_path / "s.bits", tmp_path / "d.bin"
+        assert run_cli("encode", "--block", block, *lut, "--out", stream) == 0
+        assert run_cli("decode", "--stream", stream, "--side", block, *lut, "--out", dec) == 0
+        assert run_cli("verify", "--block", block, "--decoded", dec) == 0
+        # symbol count, ANS length, then the lane count
+        assert 24 <= int.from_bytes(stream.read_bytes()[8:12], "little") < 64
+        # the same block coded on one state, as a floor of 64 lanes wrote it
+        with monkeypatch.context() as patch:
+            patch.setattr(rc, "_lane_count", lambda interval_bits, bypass_bits: 1)
+            single = tmp_path / "single.bits"
+            assert run_cli("encode", "--block", block, *lut, "--out", single) == 0
+        assert int.from_bytes(single.read_bytes()[8:12], "little") >= 1 << 16  # a final state
+        old_dec = tmp_path / "old.bin"
+        assert run_cli("decode", "--stream", single, "--side", block, *lut,
+                       "--out", old_dec) == 0
+        assert run_cli("verify", "--block", block, "--decoded", old_dec) == 0
+        assert np.array_equal(ss.block_from_bytes(old_dec.read_bytes()).residuals,
+                              ss.block_from_bytes(dec.read_bytes()).residuals)
+
     def test_switch_with_report(self, trained, tmp_path):
         stream, dec = tmp_path / "s.bits", tmp_path / "d.bin"
         report, idx = tmp_path / "r.json", tmp_path / "i.npz"

@@ -172,6 +172,27 @@ def test_window_kernels_give_each_row_its_own_window():
                 assert np.array_equal(masses[i, widest - r : widest + r + 1], alone[0]), (family, case, i)
 
 
+def test_gm_and_gmm_edge_routes_match_the_general_kernels():
+    # each edge evaluated once gives the bits of the kernels that evaluate
+    # it for both bins beside it, at every radius and for sigmas from 1e-3 to
+    # 1e3, zero and nonzero component means; the first row's sigma of 1e-307
+    # overflows its outer edges to infinity
+    rng = np.random.default_rng(23)
+    for r in range(1, 128):
+        n = 6
+        ks = np.arange(-r, r + 1)[None, :]
+        sigma = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (n, 1)))
+        weights = rng.dirichlet(np.ones(3), n)[:, None, :]
+        sigmas = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (n, 1, 3)))
+        sigma[0], sigmas[0, 0, 0] = 1e-307, 1e-307
+        radii = np.full(n, r)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(pm.WINDOW_PMF["gm"](radii, sigma), pm.gaussian_integer_pmf(ks, sigma)), r
+            for means in (np.zeros((n, 1, 3)), rng.uniform(-1.5 * r, 1.5 * r, (n, 1, 3))):
+                assert np.array_equal(pm.WINDOW_PMF["gmm"](radii, weights, means, sigmas),
+                                      pm.gmm_integer_pmf(ks, weights, means, sigmas)), r
+
+
 def test_ggm_window_route_rejects_overflowing_edges():
     ks = np.arange(-5, 6)
     beta, alpha = np.array([[2.0], [6.0]]), np.array([[1.0], [1e-60]])
@@ -431,6 +452,33 @@ def test_gamma_order_derivative_is_never_a_partial_sum():
         return
     assert dp == pytest.approx(expect, rel=1e-8)
     assert p == pytest.approx(float(gammainc(20000.0, 19900.0)), abs=1e-12)
+
+
+def test_gamma_order_derivative_converges_at_large_orders():
+    # near x = a the evaluation needs about 7.5 sqrt(a) iterations, 1,093 at
+    # a = 20,000; oracle mpmath, dps=40, for P and for dP/da as above
+    frozen = {
+        (600.0, 590.0): (0.34571660947421316811, -0.015098744748411840476),
+        (5000.0, 4900.0): (0.077944956226513913903, -0.0020684190598600765045),
+        (20000.0, 19900.0): (0.24011560718543098931, -0.002200634855248509387),
+        (20000.0, 20000.0): (0.50094031623374932319, -0.0028209596717325132924),
+        (20000.0, 20150.0): (0.85551312499442200836, -0.0016058216811905798423),
+        (100000.0, 99700.0): (0.1714173145145029228, -0.0008048935028877497197),
+        (1000000.0, 1000000.0): (0.50013298076087259124, -0.00039894231364662520478),
+    }
+    for (a, x), (p_expect, dp_expect) in frozen.items():
+        p, dp = regularized_lower_gamma_with_da(a, x)
+        assert p == pytest.approx(p_expect, rel=1e-8), (a, x)
+        assert dp == pytest.approx(dp_expect, rel=1e-8), (a, x)
+    # one call: the largest order sets the budget of every element
+    a, x = np.array(list(frozen)).T
+    p, dp = regularized_lower_gamma_with_da(np.append(a, 0.5), np.append(x, 1.5))
+    assert p[:-1] == pytest.approx([v for v, _ in frozen.values()], rel=1e-8)
+    assert dp[:-1] == pytest.approx([v for _, v in frozen.values()], rel=1e-8)
+    assert (p[-1], dp[-1]) == regularized_lower_gamma_with_da(0.5, 1.5)
+    # the budget is bounded: an order no float evaluation resolves still raises
+    with pytest.raises(ParameterDomainError, match="20000 iterations"):
+        regularized_lower_gamma_with_da(1e12, 1e12)
 
 
 # ---------------------------------------------------------------------------

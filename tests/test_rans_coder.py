@@ -406,7 +406,9 @@ def test_lane_count_follows_interval_bits():
         return np.ones(n, np.int64)
 
     assert _lanes_for(ones(0), 0) == 1
-    assert _lanes_for(ones(25_599), 0) == 1  # below 64 lanes of 6400 bits
+    assert _lanes_for(ones(9_599), 0) == 1  # below 24 lanes of 6400 bits
+    assert _lanes_for(ones(9_600), 0) == 24
+    assert _lanes_for(ones(25_599), 0) == 63  # 63 lanes interleave
     assert _lanes_for(ones(25_600), 0) == 64
     assert _lanes_for(ones(51_199), 0) == 127
     assert _lanes_for(ones(51_200), 0) == 128
@@ -417,28 +419,29 @@ def test_lane_count_spends_the_whole_budget():
     # 32 state bits per lane are at most 0.5% of the coded bits B: L is the
     # largest count with 32 * L <= B / 200, not rounded down any further
     rng = np.random.default_rng(19)
-    for n in (0, 1, 1_000, 25_600, 30_000, 51_199, 100_000, 1_700_000):
+    for n in (0, 1, 1_000, 9_600, 25_600, 30_000, 51_199, 100_000, 1_700_000):
         freqs = rng.integers(1, 1 << 16, n) if n < 100_000 else np.ones(n, np.int64)
         interval = 16 * n - float(np.log2(freqs).sum())
-        for bypass in (0, 1, 6_399, 409_600, 1_000_003, 27_000_000):
+        for bypass in (0, 1, 6_399, 153_600, 403_200, 409_600, 1_000_003, 27_000_000):
             budget = int(interval + bypass)
             lanes = _lanes_for(freqs, bypass)
-            if 64 <= lanes < 4096:
+            if 24 <= lanes < 4096:
                 assert 32 * lanes <= budget / 200 < 32 * (lanes + 1), (n, bypass, lanes)
             else:
-                assert lanes == (1 if budget < 64 * 6400 else 4096), (n, bypass, lanes)
+                assert lanes == (1 if budget < 24 * 6400 else 4096), (n, bypass, lanes)
 
 
 def test_lane_count_counts_bypass_bits():
     # 1,000 symbols of 16 interval bits alone give one state; bypass bits
-    # lift the total to exactly 64 lanes of 6400 bits, or to one bit short
+    # lift the total to exactly 24 lanes of 6400 bits, or to one bit short
     interval = 16 * 1_000
     half = np.full(1_000, 1 << 15, np.int64)  # frequency 2^15 costs 1 interval bit
     assert _lanes_for(np.ones(1_000, np.int64), 0) == 1
-    assert _lanes_for(np.ones(1_000, np.int64), 64 * 6400 - interval) == 64
-    assert _lanes_for(np.ones(1_000, np.int64), 64 * 6400 - interval - 1) == 1
-    assert _lanes_for(half, 64 * 6400 - 1_000) == 64
-    assert _lanes_for(half, 64 * 6400 - 1_001) == 1
+    assert _lanes_for(np.ones(1_000, np.int64), 24 * 6400 - interval) == 24
+    assert _lanes_for(np.ones(1_000, np.int64), 24 * 6400 - interval - 1) == 1
+    assert _lanes_for(half, 24 * 6400 - 1_000) == 24
+    assert _lanes_for(half, 24 * 6400 - 1_001) == 1
+    assert _lanes_for(half, 64 * 6400 - 1_001) == 63
     assert _lanes_for(np.zeros(0, np.int64), 4096 * 6400) == 4096
 
 
@@ -454,6 +457,25 @@ def test_large_block_uses_86_lanes_within_half_a_percent():
     assert lanes == 86
     assert np.array_equal(decode(stream, idx, set_), syms)
     ce = implied_bits(syms, idx, set_).sum()
+    header = 8 * 4 * (2 + lanes)  # ANS length, lane count, lane states
+    assert 8 * len(stream.payload) <= ce * 1.005 + header
+
+
+def test_mid_size_block_uses_43_lanes_within_half_a_percent():
+    # 131,072 symbols of about 2.1 interval bits: between 24 and 64 lanes'
+    # worth of coded bits, the mid-size range that interleaves
+    rng = np.random.default_rng(12)
+    table = quantize_pmf(ProbModel.gaussian(1.0), 20)
+    set_ = CdfTableSet([table])
+    p = np.diff(table.cumulative)[:-1]
+    syms = rng.choice(np.arange(-20, 21), size=131_072, p=p / p.sum())
+    idx = np.zeros(len(syms), np.int64)
+    ce = implied_bits(syms, idx, set_).sum()
+    assert 24 * 6400 <= ce < 64 * 6400
+    stream = encode(syms, idx, set_)
+    lanes = struct.unpack_from("<I", stream.payload, 4)[0]
+    assert lanes == 43 == int(ce) // 6400
+    assert np.array_equal(decode(stream, idx, set_), syms)
     header = 8 * 4 * (2 + lanes)  # ANS length, lane count, lane states
     assert 8 * len(stream.payload) <= ce * 1.005 + header
 
