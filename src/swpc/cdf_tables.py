@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swpc.prob_models import FAMILY_PARAMS, INTEGER_PMF, MAX_RADIUS, ProbModel, pmf_integer
+from swpc.prob_models import FAMILY_PARAMS, MAX_RADIUS, WINDOW_PMF, ProbModel, pmf_integer
 
 __all__ = [
     "TOTAL_FREQ",
@@ -52,6 +52,7 @@ __all__ = [
     "allocate_frequencies",
     "cumulative_rows",
     "tables_from_masses",
+    "window_tables",
     "build_lut",
     "build_lut_gm",
     "build_lut_ggm",
@@ -217,8 +218,8 @@ class CdfTableSet:
 
     @classmethod
     def from_rows(cls, offsets, cumulative: np.ndarray, meta: dict | None = None) -> "CdfTableSet":
-        """A set from a 2-D array of equal-length cumulative rows, as
-        cumulative_rows returns them, and their offsets (one, or one per row)."""
+        """A set from a 2-D array of equal-length cumulative rows and their
+        offsets (one, or one per row)."""
         cumulative = np.array(cumulative, dtype=np.int64, ndmin=2)
         set_ = cls.__new__(cls)
         set_._set_arrays(np.array(np.broadcast_to(offsets, len(cumulative))),
@@ -382,34 +383,33 @@ def _allocate(masses, total, n_int, valid=None):
     return freqs
 
 
-def cumulative_rows(masses: np.ndarray, radii=None, out=None) -> np.ndarray:
+def cumulative_rows(masses: np.ndarray, radii, out=None) -> np.ndarray:
     """Cumulative rows (leading 0, coded bins, tail) for rows of bin masses;
     the tail takes the mass left over, then allocate_frequencies rounds.
 
-    Without radii every column of a row is a bin, and the rows come back as
-    one 2-D array.  With radii, one per row, the rows are windows over
-    k = [-R..R] (2R + 1 columns) and row i's bins are [-radii[i], radii[i]]
-    only: its table has 2 radii[i] + 3 entries, and the tables come back to
-    back in one flat array, in row order, or are written into the flat
-    array `out`.  A row's columns outside its window are never read.  Each
-    row's sums run over its own bins in order, so a row gets the same table
-    whatever the other rows are.
+    The rows are windows over k = [-R..R] (2R + 1 columns), with one radius
+    per row: row i's bins are [-radii[i], radii[i]] only, so its table has
+    2 radii[i] + 3 entries.  The tables come back to back in one flat array,
+    in row order, or are written into the flat array `out`.  A row's columns
+    outside its window are never read.  Each row's sums run over its own
+    bins in order, so a row gets the same table whatever the other rows
+    are.  ValueError unless the width is odd and radii holds one integer in
+    [0, R] per row.
     """
     masses = np.asarray(masses, dtype=np.float64)
     n, width = masses.shape
     if width + 1 > 256:
         raise CapacityError(f"{width + 1} intervals exceed the 256 cap")
+    radii = np.asarray(radii)
+    if (radii.shape != (n,) or (n and radii.dtype.kind not in "iu") or width % 2 == 0
+            or np.any(radii < 0) or np.any(radii > width // 2)):
+        raise ValueError(f"radii must be integers in [0, {width // 2}], one per row of odd width {width}")
+    radii = radii.astype(np.int64)
+    first, count = width // 2 - radii, 2 * radii + 1
+    cols = np.arange(width + 1)
+    valid = (cols >= first[:, None]) & (cols <= (first + count)[:, None])
     padded = np.zeros((n, width + 1))  # each row's bins, then its tail
-    if radii is None:
-        first, count = np.zeros(n, np.int64), np.full(n, width)
-        valid = None
-        padded[:, :width] = masses
-    else:
-        radii = np.asarray(radii, np.int64)
-        first, count = width // 2 - radii, 2 * radii + 1
-        cols = np.arange(width + 1)
-        valid = (cols >= first[:, None]) & (cols <= (first + count)[:, None])
-        np.copyto(padded[:, :width], masses, where=valid[:, :width])
+    np.copyto(padded[:, :width], masses, where=valid[:, :width])
     bounds = [0, *(np.flatnonzero(np.diff(count)) + 1).tolist(), n]
     runs = [(i, j, int(first[i]), int(count[i])) for i, j in zip(bounds[:-1], bounds[1:]) if i < j]
     total = np.empty((n, 1))
@@ -426,7 +426,43 @@ def cumulative_rows(masses: np.ndarray, radii=None, out=None) -> np.ndarray:
         block[:, 0] = 0
         np.cumsum(freqs[i:j, f : f + c + 1], axis=-1, out=block[:, 1:])
         start += block.size
-    return out if radii is not None else out.reshape(n, width + 2)
+    return out
+
+
+# Cells (rows times the widest row's 2r + 2) per batch of window_tables: a
+# batch's float64 temporaries are 256 KiB each (a mixture's masses, one per
+# component), whatever the radii.  On the seed-1 (4,64,64) ggm block, 2^14,
+# 2^15 and 2^16 cells built the dynamic tables in 91, 86 and 86 ms on one
+# core of a 2-vCPU Xeon, at tracemalloc peaks of 6.7, 8.4 and 11.2 MiB.
+_BATCH_CELLS = 1 << 15
+
+
+def window_tables(family: str, radii, params) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, rows): table i over the bins [-radii[i], radii[i]] plus tail,
+    for the parameters params[.][i] (one array per FAMILY_PARAMS name),
+    starts at flat[rows[i]].  The tables lie in a stable sort by radius and
+    are built in batches of at most _BATCH_CELLS cells, one WINDOW_PMF and
+    one cumulative_rows call each; a table's bytes depend on its row only."""
+    radii = np.asarray(radii, np.int64)
+    params = [np.asarray(p, np.float64) for p in params]
+    window = WINDOW_PMF[family]
+    order = np.argsort(radii, kind="stable")
+    sorted_r = radii[order]
+    lengths = 2 * sorted_r + 3  # cumulative entries per table
+    ends = np.cumsum(lengths)
+    flat = np.empty(int(lengths.sum()), np.int64)
+    rows = np.empty_like(ends)
+    rows[order] = ends - lengths
+    b = 0
+    while b < len(order):
+        # the most rows whose count times the last one's 2r + 2 fits (a
+        # single row has at most 256 cells)
+        cells = np.arange(1, len(order) - b + 1) * (lengths[b:] - 1)
+        e = b + int(np.searchsorted(cells, _BATCH_CELLS, side="right"))
+        masses = window(sorted_r[b:e], *(p[order[b:e]][:, None] for p in params))
+        cumulative_rows(masses, sorted_r[b:e], flat[ends[b] - lengths[b] : ends[e - 1]])
+        b = e
+    return flat, rows
 
 
 def quantize_pmf(model: ProbModel, support_radius: int = MAX_RADIUS) -> QuantizedCdfTable:
@@ -441,8 +477,13 @@ def quantize_pmf(model: ProbModel, support_radius: int = MAX_RADIUS) -> Quantize
 
 
 def tables_from_masses(masses: np.ndarray, radius: int) -> list[QuantizedCdfTable]:
-    """Vectorized quantize_pmf: one table per row of coded-bin masses."""
-    return [QuantizedCdfTable(offset=-radius, cumulative=c) for c in cumulative_rows(masses)]
+    """Vectorized quantize_pmf: one table per row of the 2 radius + 1
+    coded-bin masses over [-radius, radius]; ValueError at another width."""
+    n, width = np.shape(masses)
+    if width != 2 * radius + 1:
+        raise ValueError(f"rows of {width} masses are not the {2 * radius + 1} bins of radius {radius}")
+    rows = cumulative_rows(masses, np.full(n, radius)).reshape(n, width + 2)
+    return [QuantizedCdfTable(offset=-radius, cumulative=c) for c in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +560,9 @@ def build_lut(family: str, *counts: int) -> tuple[CdfTableSet, LutGrid]:
         field: (_log_samples if log else np.linspace)(*span, count)
         for (_, field, span, log), count in zip(_lut_axes(family), counts, strict=True)
     })
-    ks = np.arange(-MAX_RADIUS, MAX_RADIUS + 1)
     cells = np.meshgrid(*grid.axes, indexing="ij")
-    masses = INTEGER_PMF[family](ks[None, :], *(c.reshape(-1, 1) for c in cells))
-    return CdfTableSet.from_rows(-MAX_RADIUS, cumulative_rows(masses),
+    flat, _ = window_tables(family, np.full(grid.n_tables, MAX_RADIUS), [c.ravel() for c in cells])
+    return CdfTableSet.from_rows(-MAX_RADIUS, flat.reshape(grid.n_tables, -1),
                                  {"family": family, **grid.to_meta()}), grid
 
 

@@ -23,14 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swpc.cdf_tables import (
-    CdfTableSet,
-    LutGrid,
-    cumulative_rows,
-    lut_search,
-    serialized_size,
-)
-from swpc.prob_models import FAMILY_PARAMS, MAX_RADIUS, SUPPORT_RADIUS, WINDOW_PMF
+from swpc.cdf_tables import CdfTableSet, LutGrid, lut_search, serialized_size, window_tables
+from swpc.prob_models import FAMILY_PARAMS, MAX_RADIUS, SUPPORT_RADIUS
 from swpc.rans_coder import Bitstream, StreamError, decode_elementwise, encode, encode_elementwise
 from swpc.rans_coder import decode as rans_decode
 
@@ -351,44 +345,15 @@ def _dynamic_radii(truth: dict, radius: int | None) -> np.ndarray:
     return np.atleast_1d(SUPPORT_RADIUS[truth["family"]](*params))
 
 
-# Cells (rows times the widest row's 2r + 2) per batch of the dynamic
-# tables: a batch's float64 temporaries are 256 KiB each (a mixture's
-# masses, one per component), whatever the chunk's radii.  On the seed-1
-# (4,64,64) ggm block, 2^14, 2^15 and 2^16 cells built the tables in 91, 86
-# and 86 ms on one core of a 2-vCPU Xeon, at tracemalloc peaks of 6.7,
-# 8.4 and 11.2 MiB per encode.
-_BATCH_CELLS = 1 << 15
-
-
 def _dynamic_chunk_builder(truth: dict, radii: np.ndarray):
-    """Chunk-table callback building each element's table at its own radius.
-
-    A chunk's tables are laid out in the order of a stable sort by radius;
-    the coder reads a table only through its element's row start.  The
-    sorted elements go in batches of at most _BATCH_CELLS cells: one
-    WINDOW_PMF call evaluates a batch's masses, and cumulative_rows writes
-    its tables, back to back, straight into their stretch of the flat array."""
-    params = _params(truth)
-    window = WINDOW_PMF[truth["family"]]
+    """Chunk-table callback building each element's table at its own radius
+    through window_tables; the coder reads a table only through its
+    element's row start, so their order in the flat array is free."""
+    family, params = truth["family"], _params(truth)
 
     def chunk(lo, hi):
         r = radii[lo:hi]
-        order = np.argsort(r, kind="stable")
-        sorted_r = r[order]
-        lengths = 2 * sorted_r + 3  # cumulative entries per table
-        ends = np.cumsum(lengths)
-        flat = np.empty(int(ends[-1]), dtype=np.int64)
-        rows = np.empty_like(ends)
-        rows[order] = ends - lengths
-        b = 0
-        while b < len(order):
-            # the most rows whose count times the last one's 2r + 2 fits (a
-            # single row has at most 256 cells)
-            cells = np.arange(1, len(order) - b + 1) * (lengths[b:] - 1)
-            e = b + int(np.searchsorted(cells, _BATCH_CELLS, side="right"))
-            masses = window(sorted_r[b:e], *(p[order[b:e] + lo][:, None] for p in params))
-            cumulative_rows(masses, sorted_r[b:e], flat[ends[b] - lengths[b] : ends[e - 1]])
-            b = e
+        flat, rows = window_tables(family, r, [p[lo:hi] for p in params])
         return flat, None, rows, -r, 2 * r + 1
 
     return chunk

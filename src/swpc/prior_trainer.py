@@ -52,11 +52,10 @@ from functools import reduce
 
 import numpy as np
 
-from .cdf_tables import CdfTableSet, cumulative_rows
+from .cdf_tables import CdfTableSet, window_tables
 from .coding_backends import IndexGrid, LatentBlock, SkipMask, log_features
 from .prob_models import (
     FAMILY_PARAMS,
-    INTEGER_PMF,
     MAX_RADIUS,
     PMF_GRADS,
     PROB_FLOOR,
@@ -998,7 +997,7 @@ def export_tables(prior_set: PriorSet1D | PriorSet2D) -> CdfTableSet:
     # the last parameter is the scale, which exp can overflow or underflow
     if not all(np.isfinite(p).all() for p in params) or (params[-1] <= 0).any():
         raise ParameterDomainError("prior coordinates map outside the model parameter domain")
-    ks = np.arange(-MAX_RADIUS, MAX_RADIUS + 1)
-    masses = INTEGER_PMF[prior_set.family](ks[None, :], *params)
+    n = len(params[0])
+    flat, _ = window_tables(prior_set.family, np.full(n, MAX_RADIUS), [p[:, 0] for p in params])
     meta = {"family": prior_set.family, "dims": list(prior_set.params.shape[:-1])}
-    return CdfTableSet.from_rows(-MAX_RADIUS, cumulative_rows(masses), meta=meta)
+    return CdfTableSet.from_rows(-MAX_RADIUS, flat.reshape(n, -1), meta=meta)

@@ -22,18 +22,19 @@ converges in fewer iterations; an element that has not converged in 16
 sqrt(a) iterations (500 at least, 20,000 at most) raises
 `ParameterDomainError` rather than return a partial sum.
 
-Per-element dynamic tables ask `WINDOW_PMF` for a batch of rows, each with
-its own radius r and window k = [-r..r]; LUTs and exported prior sets ask
-`ggm_integer_pmf` for the symmetric row k = [-r..r] of shape (1, 2r+1), with
-one parameter pair per table row, which is the same with every radius r.
-ggm takes one window route for both: u = (x/alpha)^beta at the half-axis
-edges 0.5 .. r+0.5 of each row, each edge through P(a, u) only where a body
+Every coder's tables (LUT grid cells, exported prior sets, per-element
+dynamic tables) take their masses from `WINDOW_PMF`, through
+`cdf_tables.window_tables`: a batch of rows, each with its own radius r and
+window k = [-r..r], each bin edge evaluated once per row rather than once
+for each bin beside it.  For ggm that is u = (x/alpha)^beta at the
+half-axis edges 0.5 .. r+0.5, each edge through P(a, u) only where a body
 bin or the center needs it and Q(a, u) only where a tail bin does, then
-neighbouring edges differenced, halved and mirrored.  These are the general
-path's operations on the same inputs, so the masses are bit-identical to it
-at about a quarter of the incomplete-gamma calls.  `ggm_pmf_grads` does the
-same for the trainer's (1, U) row of unique symbols: its forward-mode d/da
-runs once per row on the unique half-axis edges, not twice per bin.
+neighbouring edges differenced, halved and mirrored.  These are the
+`INTEGER_PMF` kernels' operations on the same inputs, so the masses are
+bit-identical to them at about a quarter of the incomplete-gamma calls.
+`ggm_pmf_grads` does the same for the trainer's (1, U) row of unique
+symbols: its forward-mode d/da runs once per row on the unique half-axis
+edges, not twice per bin.
 """
 
 from __future__ import annotations
@@ -421,8 +422,8 @@ def _ggm_window_pmf(radii, beta, alpha):
 
     Each half-axis edge 0.5 .. r+0.5 of a row is evaluated once: bin j >= 1
     lies between edges j-1 and j, and the center bin between 0 and edge 0.
-    The operations and their inputs are those of the general path in
-    ggm_integer_pmf, so the masses are bit-identical to it.
+    The operations and their inputs are those of ggm_integer_pmf, so the
+    masses are bit-identical to it.
     """
     beta, alpha = (np.asarray(v, np.float64) for v in (beta, alpha))
     radii = np.asarray(radii).reshape(-1, 1)
@@ -462,22 +463,8 @@ def _ggm_window_pmf(radii, beta, alpha):
 
 
 def ggm_integer_pmf(k, beta, alpha):
-    """Unit-bin mass under the generalized Gaussian, symmetric in k.
-
-    When k is the symmetric row [-r..r] of shape (1, 2r+1) and the
-    parameters hold one value per row, as for LUTs and exported tables, the
-    rows go through _ggm_window_pmf, each with radius r: every half-axis
-    edge 0.5 .. r+0.5 goes through the incomplete gamma once (P where a body
-    bin needs it, Q where a tail bin does) and the bins are neighbouring
-    differences, mirrored.  The result is bit-identical to the general
-    path, which serves every other k.
-    """
-    k, beta, alpha = (np.asarray(v, np.float64) for v in (k, beta, alpha))
-    rows = np.broadcast_shapes(beta.shape, alpha.shape, (1, 1))
-    r = k.size // 2
-    if k.shape == (1, 2 * r + 1) and rows[1:] == (1,) and np.array_equal(k[0], np.arange(-r, r + 1)):
-        return _ggm_window_pmf(np.full(rows[0], r), np.broadcast_to(beta, rows), np.broadcast_to(alpha, rows))
-    k, beta, alpha = np.broadcast_arrays(k, beta, alpha)
+    """Unit-bin mass under the generalized Gaussian, symmetric in k."""
+    k, beta, alpha = np.broadcast_arrays(*(np.asarray(v, np.float64) for v in (k, beta, alpha)))
     a = 1.0 / beta
     m = np.abs(k)
     u_hi = _ggm_u(m + 0.5, beta, alpha)

@@ -37,8 +37,10 @@ each slot of the set codes (a slot is a table's interval, at its position
 in the set's flat cumulative array), and B = 16 n - sum over the used slots
 of count * log2 f, in one dot product, plus the record bits.  The counts
 are integers and add up exactly, so B, and with it L, is the same whatever
-the chunks the counts were taken in; and a chunk's count costs its own
-length, not the set's, as a per-element set can be large.
+the chunks the counts were taken in.  encode zeroes a count array of the
+set's whole flat length on every call, whatever the block codes, so a set
+of many tables pays for all of it: 538,318 entries for a set of one table
+per element of the benchmark's 16,384-element dynamic-ggm block.
 
 The shared-set coder works in chunks of at most _WORK = 8192 elements,
 each a whole number of lane steps.  The encoder walks the block twice:

@@ -246,8 +246,54 @@ def test_allocate_ties_at_the_cut_match_the_oracle():
 
 
 def test_cumulative_rows_of_no_rows():
-    assert ct.cumulative_rows(np.zeros((0, 13))).shape == (0, 15)
     assert ct.cumulative_rows(np.zeros((0, 13)), np.zeros(0, np.int64)).shape == (0,)
+    flat, rows = ct.window_tables("ggm", np.zeros(0, np.int64), [np.zeros(0), np.zeros(0)])
+    assert flat.shape == rows.shape == (0,)
+
+
+@pytest.mark.parametrize("masses, radii", [
+    (np.full((1, 4), 0.25), [1]),  # an even width has no center column
+    (np.full((2, 5), 0.1), [3, 1]),
+    (np.full((2, 5), 0.1), [-1, 1]),
+    (np.full((2, 5), 0.1), [1]),
+    (np.full((2, 5), 0.1), [[1, 1]]),
+    (np.full((2, 5), 0.1), [1.0, 1.0]),
+], ids=["even-width", "radius-past-the-row", "negative-radius", "one-radius-short", "2-d-radii",
+        "float-radii"])
+def test_cumulative_rows_refuses_mis_shaped_windows(masses, radii):
+    with pytest.raises(ValueError):
+        ct.cumulative_rows(masses, radii)
+
+
+def test_tables_from_masses_refuses_rows_of_another_radius():
+    with pytest.raises(ValueError):
+        tables_from_masses(np.full((1, 5), 0.2), 1)
+    with pytest.raises(ValueError):
+        tables_from_masses(np.full((1, 3), 0.2), 2)
+
+
+@pytest.mark.parametrize("family", ["gm", "ggm", "gmm"])
+def test_window_tables_are_per_row_quantize_pmf(family):
+    # mixed radii over more than one batch: each row's table is its own
+    # quantize_pmf table, and the tables lie in a stable sort by radius
+    rng = np.random.default_rng(30)
+    n = 400
+    radii = rng.integers(1, 128, n)
+    radii[::7] = 127
+    params = {"gm": [np.exp(rng.uniform(np.log(0.1), np.log(60.0), n))],
+              "ggm": [rng.uniform(0.5, 3.0, n), np.exp(rng.uniform(np.log(0.05), np.log(60.0), n))],
+              "gmm": [rng.dirichlet(np.ones(3), n), rng.uniform(-5, 5, (n, 3)),
+                      np.exp(rng.uniform(np.log(0.3), np.log(20.0), (n, 3)))]}[family]
+    assert int(np.sum(2 * radii + 2)) > ct._BATCH_CELLS  # more than one batch
+    flat, rows = ct.window_tables(family, radii, params)
+    order = np.argsort(radii, kind="stable")
+    lengths = 2 * radii[order] + 3
+    assert rows[order].tolist() == (np.cumsum(lengths) - lengths).tolist()
+    assert len(flat) == int(lengths.sum())
+    for i in range(0, n, 9):
+        model = ProbModel.from_values(family, [p[i] for p in params])
+        r = int(radii[i])
+        assert flat[rows[i] : rows[i] + 2 * r + 3].tolist() == quantize_pmf(model, r).cumulative.tolist()
 
 
 def test_allocate_uniform_and_zero_rows():
@@ -733,6 +779,17 @@ def test_frozen_ggm_lut_bytes():
     # sha256 of the version-2 bytes of the 5 x 10 ggm LUT set
     digest = hashlib.sha256(serialize_table_set(build_lut_ggm(5, 10)[0])).hexdigest()
     assert digest == "d82646e82211a81809caf70366085ad0a2f0e40da6261093c906cf3bc1244752"
+
+
+@pytest.mark.parametrize("count, digest", [
+    (40, "ef7fb621384475ba9369ae3c7eb5d7619456b24fc732961ab1ea30a1b3e5288f"),
+    (160, "e2a30d20830e3d1ebcb273d4316fb841239d0b6ac8bf85c7d8198fa6a1aa7631"),
+])
+def test_frozen_gm_lut_bytes(count, digest):
+    # sha256 of the version-2 bytes of the gm LUT sets that escape-gm and
+    # swpc bench code against, recorded while their masses came from
+    # gaussian_integer_pmf
+    assert hashlib.sha256(serialize_table_set(build_lut_gm(count)[0])).hexdigest() == digest
 
 
 def test_frozen_ggm_lut_version_1_bytes_are_refused():

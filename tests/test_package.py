@@ -181,3 +181,18 @@ def test_every_public_member_has_a_caller():
                     uncalled.append(f"{module}.{name}.{member.name}")
     assert not uncalled, (
         f"public class members that no package code, demo, benchmark or acceptance test reads: {uncalled}")
+
+
+def test_only_cdf_tables_builds_tables_from_window_masses():
+    """Every table the package builds from window masses goes through
+    cdf_tables.window_tables: no other module reads WINDOW_PMF or
+    cumulative_rows, bare or as an attribute."""
+    readers = []
+    for path in sorted(Path(swpc.__file__).parent.glob("*.py")):
+        if path.stem == "cdf_tables":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in ("WINDOW_PMF", "cumulative_rows") and isinstance(node.ctx, ast.Load):
+                readers.append(f"{path.name}: {name} (line {node.lineno})")
+    assert not readers, f"modules other than cdf_tables that read the window-table parts: {readers}"

@@ -133,8 +133,8 @@ def _ggm_window_rows(rng):
 
 
 def test_ggm_window_route_matches_general_path():
-    # k of shape (1, 1, 2r+1) is not the route's (1, 2r+1) row, so it takes
-    # the general path; both must give the same bits
+    # the window kernel, every row at radius r, against ggm_integer_pmf over
+    # the row k = [-r..r]; both must give the same bits
     rng = np.random.default_rng(20)
     crossed = 0
     for case in range(400):
@@ -142,8 +142,8 @@ def test_ggm_window_route_matches_general_path():
         if case % 10 == 0:
             beta = float(beta[0, 0])  # one shared shape over the rows
         ks = np.arange(-r, r + 1)
-        window = pm.ggm_integer_pmf(ks[None, :], beta, alpha)
-        general = pm.ggm_integer_pmf(ks[None, None, :], beta, alpha)[0]
+        window = pm.WINDOW_PMF["ggm"](np.full(len(alpha), r), beta, alpha)
+        general = pm.ggm_integer_pmf(ks[None, :], beta, alpha)
         assert window.shape == general.shape
         assert np.array_equal(window, general)
         a = 1.0 / np.broadcast_to(beta, alpha.shape)
@@ -196,9 +196,10 @@ def test_gm_and_gmm_edge_routes_match_the_general_kernels():
 def test_ggm_window_route_rejects_overflowing_edges():
     ks = np.arange(-5, 6)
     beta, alpha = np.array([[2.0], [6.0]]), np.array([[1.0], [1e-60]])
-    for k in (ks[None, :], ks[None, None, :]):
+    for masses in (lambda: pm.WINDOW_PMF["ggm"](np.full(2, 5), beta, alpha),
+                   lambda: pm.ggm_integer_pmf(ks[None, :], beta, alpha)):
         with np.errstate(over="ignore"), pytest.raises(ParameterDomainError):
-            pm.ggm_integer_pmf(k, beta, alpha)
+            masses()
 
 
 def test_ggm_pmf_grads_edge_route_matches_general_path():
