@@ -28,7 +28,7 @@ spec = SourceSpec("gm", (4, 64, 64), seed=41, sigma_range=(0.11, 4.0))
 block = gen_block(spec)
 
 config = TrainConfig("gm", (4,), epochs=160, seed=41, lambda_=4.0,
-                     skip_epochs=1, predictor_mode="calibration-curve")
+                     skip=True, predictor_mode="calibration-curve")
 result = train_priors([block], config)
 table_set = export_tables(result.prior_set)
 

@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import statistics
 import sys
@@ -190,7 +191,7 @@ def cmd_train(ns) -> int:
     config = pt.TrainConfig(
         family=family, dims=dims, epochs=epochs, seed=seed, lr=lr,
         k=topk,
-        lambda_=lambda_, predictor_mode=mode, skip_epochs=int(skip),
+        lambda_=lambda_, predictor_mode=mode, skip=skip,
     )
     result = pt.train_priors([block], config, z_block=z_block)
 
@@ -254,18 +255,18 @@ def _trained_sidecar(prefix: str) -> dict:
     return sidecar
 
 
-def _argmin_index_grid(block: cb.LatentBlock, table_set: ct.CdfTableSet,
-                       dims: list[int]) -> cb.IndexGrid:
+def _argmin_index_grid(block: cb.LatentBlock, table_set: ct.CdfTableSet) -> cb.IndexGrid:
     """Cheapest-table assignment per element; encoder-side free indexing."""
     uniques, inverse = np.unique(block.residuals, return_inverse=True)
     count = len(table_set)
     bits = rc.implied_bits(np.tile(uniques, count),
                            np.repeat(np.arange(count), uniques.size), table_set)
     flat = bits.reshape(count, -1).argmin(axis=0)[inverse.ravel()]
-    return cb.IndexGrid.from_tables(flat, dims, block.shape)
+    return cb.IndexGrid.from_tables(flat, count, block.shape)
 
 
-def _read_index_grid(path: str, dims: list[int]) -> cb.IndexGrid:
+def _read_index_grid(path: str, m: int) -> cb.IndexGrid:
+    """The grid of an index file's one flat axis of indexes over m tables."""
     blob = io.BytesIO(Path(path).read_bytes())  # an unreadable path stays an OSError
     try:
         data = dict(np.load(blob))  # reads every array, so a damaged member fails here
@@ -274,11 +275,10 @@ def _read_index_grid(path: str, dims: list[int]) -> cb.IndexGrid:
         raise ValueError(f"cannot read index file {path}: {exc}") from exc
     if "continuous" not in data:
         raise ValueError(f"index file {path} holds no continuous indexes")
-    if "continuous2" not in data:
-        return cb.IndexGrid(data["continuous"], dims[0])
-    if len(dims) != 2:
-        raise ValueError(f"index file {path} holds 2-D indexes for a 1-D prior set")
-    return cb.IndexGrid(data["continuous"], dims[0], data["continuous2"], dims[1])
+    if "continuous2" in data:
+        raise ValueError(f"index file {path} holds row and column indexes, an older layout; "
+                         "encode again for one flat index per element")
+    return cb.IndexGrid(data["continuous"], m)
 
 
 def _switch_side_info(block: cb.LatentBlock, prefix: str, use_skip: bool,
@@ -289,29 +289,32 @@ def _switch_side_info(block: cb.LatentBlock, prefix: str, use_skip: bool,
     sidecar = _trained_sidecar(prefix)
     table_set = _read_tables(f"{prefix}.tables")
     dims = sidecar["dims"]
+    m = math.prod(dims)
+    if m != len(table_set):
+        raise ValueError(f"trained sidecar {prefix}.json has dims {dims}, "
+                         f"its table set {len(table_set)} tables")
     if hyper:
         entry = sidecar.get("hyper")
         if not entry:
             raise UsageError("--hyper needs a trained artifact with hyper logits")
         chosen = entry.get("selected") if isinstance(entry, dict) else None
-        count = len(table_set)
         if not (isinstance(chosen, list)  # one-based flat tables, not bools
-                and all(type(s) is int and 1 <= s <= count for s in chosen)):
+                and all(type(s) is int and 1 <= s <= m for s in chosen)):
             raise ValueError(f"trained sidecar {prefix}.json holds no list of hyper selections "
-                             f"in [1, {count}]")
+                             f"in [1, {m}]")
         if len(chosen) != block.channels:
             raise UsageError("hyper selection does not match the block's channels")
         tables = np.broadcast_to(np.array(chosen)[:, None, None] - 1, block.shape)
-        indexes = cb.IndexGrid.from_tables(tables, dims, block.shape)
+        indexes = cb.IndexGrid.from_tables(tables, m, block.shape)
     elif indexes_path and not encoding:
-        indexes = _read_index_grid(indexes_path, dims)
+        indexes = _read_index_grid(indexes_path, m)
     elif sidecar["predictor"]["mode"] == "calibration-curve":
         indexes = cb.IndexGrid.from_curve(sidecar["predictor"]["a"], sidecar["predictor"]["c"],
                                           block.side_features, dims[0])
     elif not indexes_path:
         raise UsageError("a free-index set codes only with --indexes at both ends")
     else:
-        indexes = _argmin_index_grid(block, table_set, dims)
+        indexes = _argmin_index_grid(block, table_set)
     mask = None
     if use_skip:
         entry = sidecar.get("skip")
@@ -360,10 +363,7 @@ def cmd_encode(ns) -> int:
     encode, _, indexes = _coder(ns, cfg, block, encoding=True)
     stream, report = encode()
     if ns.indexes and indexes is not None:
-        payload = {"continuous": indexes.continuous}
-        if indexes.continuous2 is not None:
-            payload["continuous2"] = indexes.continuous2
-        np.savez(ns.indexes, **payload)
+        np.savez(ns.indexes, continuous=indexes.continuous)
     Path(ns.out).write_bytes(stream.to_bytes())
     if ns.report:
         Path(ns.report).write_text(report.to_json())
@@ -419,8 +419,14 @@ def _median_ns(fn, trials: int) -> int:
     return int(statistics.median(samples))
 
 
-def _bench_row(backend, family, report, oracle_bits_ps, index_ns, encode_ns,
-               decode_ns) -> dict:
+def _bench_row(backend, family, oracle_bits_ps, trials, encode, decode, index=None) -> dict:
+    """One bench row.  encode() -> (stream, report) and decode(stream) are
+    timed whole, each deriving its own indexes as a coder end does; index()
+    times that derivation alone, which entropy_encode_ns leaves out."""
+    stream, report = encode()
+    index_ns = _median_ns(index, trials) if index else 0
+    encode_ns = _median_ns(encode, trials)
+    decode_ns = _median_ns(lambda: decode(stream), trials)
     gap = 100.0 * (report.bits_per_symbol - oracle_bits_ps) / oracle_bits_ps
     return {
         "backend": backend,
@@ -447,23 +453,6 @@ def _lut_sizes(axes: int):
     return parse
 
 
-def _bench_lut(block, family, counts, trials, oracle_ps):
-    rows = []
-    params = [np.ravel(block.truth_params[name]) for name in pm.FAMILY_PARAMS[family]]
-    for count in counts:
-        table_set, grid = ct.build_lut(family, *count)
-        index_ns = _median_ns(lambda g=grid: ct.lut_search(g, params), trials)
-        stream, report = cb.backend_lut(block, grid, table_set)
-        encode_ns = _median_ns(
-            lambda b=block, g=grid, t=table_set: cb.backend_lut(b, g, t), trials)
-        decode_ns = _median_ns(
-            lambda s=stream, b=block, g=grid, t=table_set:
-            cb.backend_lut_decode(s, b.truth_params, g, t, b.shape), trials)
-        rows.append(_bench_row("lut", family, report, oracle_ps,
-                               index_ns, encode_ns, decode_ns))
-    return rows
-
-
 def cmd_bench(ns) -> int:
     cfg = _load_config(ns.config)
     seed = _seed(ns, cfg)
@@ -487,13 +476,9 @@ def cmd_bench(ns) -> int:
     rows = []
     for backend in backends:
         if backend == "dynamic":
-            stream, report = cb.backend_dynamic(block)
-            encode_ns = _median_ns(lambda: cb.backend_dynamic(block), trials)
-            decode_ns = _median_ns(
-                lambda s=stream: cb.backend_dynamic_decode(
-                    s, block.truth_params, block.shape), trials)
-            rows.append(_bench_row("dynamic", family, report, oracle_ps,
-                                   0, encode_ns, decode_ns))
+            rows.append(_bench_row(
+                "dynamic", family, oracle_ps, trials, lambda: cb.backend_dynamic(block),
+                lambda s: cb.backend_dynamic_decode(s, block.truth_params, block.shape)))
         elif backend == "lut":
             if family == "gm":
                 counts = _resolve(ns, cfg, "lut_counts", "5,40,160", _lut_sizes(1))
@@ -501,7 +486,13 @@ def cmd_bench(ns) -> int:
                 counts = _resolve(ns, cfg, "lut_grids", "5x10,20x40", _lut_sizes(2))
             else:
                 raise UsageError(f"no LUT backend for family {family!r}")
-            rows.extend(_bench_lut(block, family, counts, trials, oracle_ps))
+            params = [np.ravel(block.truth_params[name]) for name in pm.FAMILY_PARAMS[family]]
+            for count in counts:
+                table_set, grid = ct.build_lut(family, *count)
+                rows.append(_bench_row(
+                    "lut", family, oracle_ps, trials, lambda: cb.backend_lut(block, grid, table_set),
+                    lambda s: cb.backend_lut_decode(s, block.truth_params, grid, table_set, block.shape),
+                    lambda: ct.lut_search(grid, params)))
         elif backend == "switch":
             m = _resolve(ns, cfg, "m", 10, int)
             epochs = _resolve(ns, cfg, "epochs", 150, int)
@@ -509,26 +500,22 @@ def cmd_bench(ns) -> int:
             config = pt.TrainConfig(
                 family=family, dims=(m,), epochs=epochs, seed=seed,
                 predictor_mode="calibration-curve",
-                skip_epochs=int(skip),
+                skip=skip,
                 lambda_=_resolve(ns, cfg, "rd_lambda", 1.0, float))
             result = pt.train_priors([block], config)
             table_set = pt.export_tables(result.prior_set)
-            def build_indexes():
-                curve = result.predictor["a"], result.predictor["c"]
-                return cb.IndexGrid.from_curve(*curve, block.side_features, m)
 
-            indexes = build_indexes()
-            index_ns = _median_ns(build_indexes, trials)
-            mask = result.skip_head.hard_mask(indexes) if result.skip_head else None
-            stream, report = cb.backend_switch(block, indexes, mask, table_set)
-            encode_ns = _median_ns(
-                lambda: cb.backend_switch(block, indexes, mask, table_set),
-                trials) + index_ns
-            decode_ns = _median_ns(
-                lambda s=stream: cb.backend_switch_decode(
-                    s, indexes, mask, table_set, block.shape), trials)
-            rows.append(_bench_row("switch", family, report, oracle_ps,
-                                   index_ns, encode_ns, decode_ns))
+            def side_info():
+                """The grid and skip mask, derived as each coder end does."""
+                curve = result.predictor["a"], result.predictor["c"]
+                indexes = cb.IndexGrid.from_curve(*curve, block.side_features, m)
+                return indexes, result.skip_head.hard_mask(indexes) if result.skip_head else None
+
+            rows.append(_bench_row(
+                "switch", family, oracle_ps, trials,
+                lambda: cb.backend_switch(block, *side_info(), table_set),
+                lambda s: cb.backend_switch_decode(s, *side_info(), table_set, block.shape),
+                side_info))
         else:
             raise UsageError(f"unknown backend {backend!r}")
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import time
 from dataclasses import dataclass
 
@@ -157,42 +156,32 @@ def _check_truth(params: dict, shape: tuple):
 
 @dataclass(frozen=True)
 class IndexGrid:
-    """Per-element prior indexes: the continuous predictions, each axis
-    hardened once into the zero-based flat table index that coding reads.
+    """Per-element prior indexes: the continuous predictions over a set of
+    m tables, hardened once into the zero-based table index coding reads.
 
-    One axis for 1-D prior sets; a second (continuous2, size n) for 2-D
-    sets, where the flat table index is row-major (i-1) * n + (j-1).
+    A 2-D M x N set is m = M * N tables with one flat index per element;
+    the row-major layout (i-1) * N + (j-1) lives with the prior trainer.
     """
 
     continuous: np.ndarray
     m: int
-    continuous2: np.ndarray | None = None
-    n: int | None = None
     _flat: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.continuous2 is None) != (self.n is None):
-            raise ValueError("2-D grids need continuous2 and n together")
         cont = _frozen(np.array(self.continuous, dtype=np.float64))
         flat = np.reshape(harden_index(cont, self.m), -1)
         flat -= 1
-        if self.is_2d:
-            cont2 = _frozen(np.array(self.continuous2, dtype=np.float64))
-            if cont2.shape != cont.shape:
-                raise ValueError("second-axis tensors must match the first axis shape")
-            flat = flat * self.n + np.reshape(harden_index(cont2, self.n), -1) - 1
-            object.__setattr__(self, "continuous2", cont2)
         object.__setattr__(self, "continuous", cont)
         object.__setattr__(self, "_flat", _frozen(flat))
 
     @classmethod
-    def from_continuous(cls, continuous, m: int, second=None, n: int | None = None) -> "IndexGrid":
-        """The grid of continuous indexes, each axis hardened once."""
-        return cls(continuous, m, second, n)
+    def from_continuous(cls, continuous, m: int) -> "IndexGrid":
+        """The grid of continuous indexes, hardened once."""
+        return cls(continuous, m)
 
     @classmethod
     def from_curve(cls, a, c, features, m: int) -> "IndexGrid":
-        """The 1-D grid of the calibration curve a * log_features(features) + c;
+        """The grid of the calibration curve a * log_features(features) + c;
         ValueError when the curve is not finite at some feature."""
         curve = log_features(features)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -203,29 +192,18 @@ class IndexGrid:
         return cls(curve, m)
 
     @classmethod
-    def from_tables(cls, tables, dims, shape) -> "IndexGrid":
-        """The grid whose elements select the given zero-based flat tables
-        of a set of dims (m,) or (m, n), laid out in the block shape."""
+    def from_tables(cls, tables, m: int, shape) -> "IndexGrid":
+        """The grid whose elements select the given zero-based tables of a
+        set of m, laid out in the block shape."""
         tables = np.asarray(tables, dtype=np.int64).reshape(shape)
-        if tables.size and not 0 <= tables.min() <= tables.max() < math.prod(dims):
-            raise ValueError(f"flat tables must lie in [0, {math.prod(dims)})")
-        if len(dims) == 1:
-            return cls(tables + 1.0, dims[0])
-        rows, cols = np.divmod(tables, dims[1])
-        return cls(rows + 1.0, dims[0], cols + 1.0, dims[1])
-
-    @property
-    def is_2d(self) -> bool:
-        return self.continuous2 is not None
-
-    @property
-    def table_count(self) -> int:
-        return self.m * (self.n if self.is_2d else 1)
+        if tables.size and not 0 <= tables.min() <= tables.max() < m:
+            raise ValueError(f"flat tables must lie in [0, {m})")
+        return cls(tables + 1.0, m)
 
     @property
     def hardened(self) -> np.ndarray:
         """One-based index in [1, m] per element."""
-        return _frozen((self._flat // (self.n or 1) + 1).reshape(self.continuous.shape))
+        return _frozen((self._flat + 1).reshape(self.continuous.shape))
 
     def flat_table_indexes(self) -> np.ndarray:
         """Zero-based table index per element, in coding order (read-only)."""
@@ -252,7 +230,7 @@ class SkipMask:
     def for_tables(cls, indexes: IndexGrid, tables) -> "SkipMask":
         """Skip each element whose hardened index selects one of the given
         zero-based flat tables: the mask a decoder derives from its grid."""
-        skipped, count = list(tables), indexes.table_count
+        skipped, count = list(tables), indexes.m
         if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
                    and 0 <= t < count for t in skipped):
             raise ValueError(f"skipped tables must be integers in [0, {count})")
@@ -427,7 +405,7 @@ def backend_lut_decode(stream: Bitstream, truth_params: dict, grid: LutGrid,
 def _switch_check(indexes: IndexGrid, shape, table_set: CdfTableSet):
     if indexes.continuous.shape != shape:
         raise ValueError("index grid shape must match the block")
-    if indexes.table_count != len(table_set):
+    if indexes.m != len(table_set):
         raise ValueError("index grid table count does not match the table set")
 
 

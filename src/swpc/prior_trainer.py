@@ -215,10 +215,6 @@ class PriorSet2D(_PriorSet):
 
     _AXES = 2
 
-    @property
-    def n(self) -> int:
-        return self.params.shape[1]
-
 
 @dataclass(frozen=True)
 class AnnealSchedule:
@@ -284,10 +280,9 @@ class TrainConfig:
     """Knobs for one training run.
 
     dims is (M,) for a 1-D set or (M, N) for a 2-D grid (gmm only);
-    k = None means full-M weighting (no Top-K truncation); any positive
-    skip_epochs adds skip mode: after training, each table whose elements
-    cost more coded than skipped joins the skipped members of the set.
-    skip_epochs acts only as > 0: its size changes nothing beyond that.
+    k = None means full-M weighting (no Top-K truncation); skip = True adds
+    skip mode: after training, each table whose elements cost more coded
+    than skipped joins the skipped members of the set.
 
     seed changes nothing: training draws no random numbers, so two configs
     that differ only in seed train byte-identical sets.  It is kept so that
@@ -302,7 +297,7 @@ class TrainConfig:
     lambda_: float = 0.01
     seed: int = 0
     predictor_mode: str = "free-index"
-    skip_epochs: int = 0
+    skip: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -322,8 +317,8 @@ class TrainConfig:
             raise ValueError("lambda_ must be finite and >= 0")
         if self.predictor_mode not in ("free-index", "calibration-curve"):
             raise ValueError(f"unknown predictor mode {self.predictor_mode!r}")
-        if self.skip_epochs < 0:
-            raise ValueError("skip_epochs must be >= 0")
+        if not isinstance(self.skip, bool):
+            raise ValueError("skip must be True or False")
 
     @property
     def flat_count(self) -> int:
@@ -660,8 +655,8 @@ def skip_loss_grads(block: LatentBlock, prior_set: PriorSet1D, indexes: IndexGri
     """
     if indexes.continuous.shape != block.shape:
         raise ValueError("index grid shape must match the block")
-    if indexes.is_2d:
-        raise ValueError("skip training drives 1-D prior sets")
+    if indexes.m != prior_set.m:
+        raise ValueError("index grid table count does not match the prior set")
     if not (math.isfinite(lambda_) and lambda_ >= 0):
         raise ValueError("lambda_ must be finite and >= 0")
     mask_soft = np.asarray(mask_soft, dtype=np.float64)
@@ -737,13 +732,9 @@ def init_prior_set_2d(m: int, n: int, max_abs_residual: float) -> PriorSet2D:
     scales = _scale_ladder(n, max_abs_residual)
     spread = np.geomspace(0.7, 1.4, k)
     signs = np.array([1.0 if j % 2 else -1.0 for j in range(k)])
-    params = np.empty((m, n, 3 * k))
-    for a in range(m):
-        means = signs * offsets[a]
-        for b in range(n):
-            params[a, b, :k] = 0.0
-            params[a, b, k:2 * k] = means
-            params[a, b, 2 * k:] = np.log(scales[b] * spread)
+    params = np.zeros((m, n, 3 * k))
+    params[:, :, k:2 * k] = (offsets[:, None] * signs)[:, None, :]
+    params[:, :, 2 * k:] = np.log(scales[:, None] * spread)
     return PriorSet2D(family="gmm", params=params)
 
 
@@ -835,7 +826,7 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
     Training alternates exact index reassignment (free-index mode) or a
     trainable log-linear index curve (calibration mode) with Adam steps on
     the prior coordinates, annealed by AnnealSchedule.for_set_size of the
-    largest dimension.  When skip_epochs > 0, the final priors and indexes
+    largest dimension.  With config.skip, the final priors and indexes
     then decide which tables to skip (_train_skip).
     """
     block_list = _as_blocks(blocks)
@@ -924,7 +915,7 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
     # the rates under the final coordinates: free-index indexes and skip mode
     # read them.  Otherwise the widest symbol's alone show a last step out of
     # the model domain, as the gamma argument grows with |k|.
-    final = uniques if not calibration or config.skip_epochs > 0 else uniques[[np.abs(uniques).argmax()]]
+    final = uniques if not calibration or config.skip else uniques[[np.abs(uniques).argmax()]]
     rates, _ = _epoch_tables(config.family, coords, final, config.epochs, trace)
     shaped = primary.shape if n == primary.n_elements else (1, 1, n)
     if calibration:
@@ -932,13 +923,13 @@ def train_priors(blocks, config: TrainConfig, *, z_block: LatentBlock | None = N
         indexes = IndexGrid.from_curve(slope, intercept, features.reshape(shaped), config.dims[0])
     else:
         predictor = {"mode": "free-index"}
-        indexes = IndexGrid.from_tables(rates.argmin(axis=0)[inverse], config.dims, shaped)
+        indexes = IndexGrid.from_tables(rates.argmin(axis=0)[inverse], flat, shaped)
     prior_set = type(base)(family=config.family, params=coords.reshape(base.params.shape))
 
     hyper = HyperLogits(logits) if logits is not None else None
 
     skip_head = None
-    if config.skip_epochs > 0:
+    if config.skip:
         skip_head = _train_skip(symbols, rates, inverse, indexes, config.lambda_)
 
     return TrainResult(
@@ -981,7 +972,7 @@ def _train_skip(symbols, rates, inverse, indexes, lambda_):
     rates) than skipped (lambda_ times their squared residuals).  The
     objective sums over tables, so deciding each table alone is exact."""
     idx = indexes.flat_table_indexes()
-    count = indexes.table_count
+    count = indexes.m
     coded = np.bincount(idx, weights=rates[idx, inverse], minlength=count)
     skipped = lambda_ * np.bincount(idx, weights=symbols.astype(np.float64) ** 2, minlength=count)
     return SkipHead(tables=tuple(np.flatnonzero(skipped < coded).tolist()), indexes=indexes)

@@ -472,7 +472,7 @@ def test_08_skip_mode_behavior():
         block = ss.gen_block(spec)
         lam = 4.0
         config = pt.TrainConfig(family="gm", dims=(4,), epochs=200, seed=41,
-                                lambda_=lam, skip_epochs=150,
+                                lambda_=lam, skip=True,
                                 predictor_mode="calibration-curve")
         result = pt.train_priors([block], config)
         tables = pt.export_tables(result.prior_set)

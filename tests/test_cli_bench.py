@@ -99,6 +99,22 @@ def hyper_trained(workdir):
     return {"prefix": prefix, "block": Path(f"{prefix}.z.bin")}
 
 
+@pytest.fixture(scope="module")
+def two_dim_free(workdir):
+    """A 2 x 3 gmm free-index artifact and its block, encoded once with the
+    index file the decoder reads."""
+    src = write_source(workdir / "g23_src.json", family="gmm", shape=(2, 16, 16), seed=23,
+                       mode="nonzero-center", comp_mean_range=(-6.0, 6.0),
+                       comp_sigma_range=(0.2, 3.0))
+    prefix, block = workdir / "g23" / "g23", workdir / "g23_block.bin"
+    assert run_cli("train", "--family", "gmm", "--two-dim", 2, 3, "--epochs", 20, "--seed", 23,
+                   "--source", src, "--out", prefix, "--save-block", block) == 0
+    stream, indexes = workdir / "g23.bits", workdir / "g23_i.npz"
+    args = ["--backend", "switch", "--trained", prefix, "--indexes", indexes]
+    assert run_cli("encode", "--block", block, *args, "--out", stream) == 0
+    return {"prefix": prefix, "block": block, "stream": stream, "indexes": indexes}
+
+
 def patched_truth(data: bytes, name: str, index: tuple, value: float) -> bytes:
     """A block container with one f64 of a truth array replaced.  The truth
     arrays end the container, in FAMILY_PARAMS order (see block_to_bytes)."""
@@ -427,11 +443,28 @@ class TestCodeRoundTrips:
         # the encoder assigns each element its cheapest table; the decoder
         # reads that grid from --indexes
         table_set = ct.deserialize_table_set(Path(f"{prefix}.tables").read_bytes())
-        grid = cli._argmin_index_grid(ref, table_set, [3, 3])
+        grid = cli._argmin_index_grid(ref, table_set)
         kept = cb.SkipMask.for_tables(grid, entry["tables"]).hard == 1
         assert 0 < kept.sum() < ref.n_elements
         assert (ref.residuals[kept] == out.residuals[kept]).all()
         assert (out.residuals[~kept] == 0).all()
+
+    def test_two_dim_index_file_holds_one_flat_axis(self, two_dim_free, tmp_path):
+        # one one-based index per element over all 2 x 3 tables, the encoder's
+        # cheapest table plus 1
+        data = np.load(two_dim_free["indexes"])
+        assert list(data) == ["continuous"]
+        ref = ss.block_from_bytes(two_dim_free["block"].read_bytes())
+        table_set = ct.deserialize_table_set(Path(f"{two_dim_free['prefix']}.tables").read_bytes())
+        flat = cli._argmin_index_grid(ref, table_set).flat_table_indexes()
+        assert data["continuous"].shape == ref.shape
+        assert data["continuous"].ravel().tolist() == (flat + 1).tolist()
+        assert flat.min() >= 0 and flat.max() < 6
+        dec = tmp_path / "d.bin"
+        assert run_cli("decode", "--stream", two_dim_free["stream"], "--side", two_dim_free["block"],
+                       "--backend", "switch", "--trained", two_dim_free["prefix"],
+                       "--indexes", two_dim_free["indexes"], "--out", dec) == 0
+        assert run_cli("verify", "--block", two_dim_free["block"], "--decoded", dec) == 0
 
     def test_free_index_decode_reads_only_the_index_file(self, free_trained, tmp_path):
         # the side block's residuals are zeroed: a decoder that rebuilt the
@@ -478,7 +511,7 @@ class TestCodeRoundTrips:
         assert run_cli("verify", "--block", z_path, "--decoded", dec) == 0
         z = ss.block_from_bytes(z_path.read_bytes())
         tables = np.broadcast_to(np.array(selected)[:, None, None] - 1, z.shape)
-        grid = cb.IndexGrid.from_tables(tables, [2, 3], z.shape)
+        grid = cb.IndexGrid.from_tables(tables, 6, z.shape)
         table_set = ct.deserialize_table_set(Path(f"{prefix}.tables").read_bytes())
         assert stream.read_bytes() == cb.backend_switch(z, grid, None, table_set)[0].to_bytes()
 
@@ -841,6 +874,22 @@ class TestFailureExits:
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("error: ") == 3, err
 
+    @pytest.mark.parametrize("dims", [[2, 3], [5]], ids=["two-dim", "one-dim"])
+    def test_sidecar_dims_that_disagree_with_the_tables_exit_2_on_encode(self, dims, free_trained,
+                                                                         tmp_path, capsys):
+        # the encoder's cheapest-table grid spans the table set it reads, so
+        # only the sidecar's dims show that a 4-table artifact contradicts itself
+        prefix = tmp_path / "bad"
+        Path(f"{prefix}.tables").write_bytes(Path(f"{free_trained['prefix']}.tables").read_bytes())
+        sidecar = json.loads(Path(f"{free_trained['prefix']}.json").read_text())
+        Path(f"{prefix}.json").write_text(json.dumps({**sidecar, "dims": dims}))
+        capsys.readouterr()
+        assert run_cli("encode", "--block", free_trained["block"], "--backend", "switch",
+                       "--trained", prefix, "--indexes", tmp_path / "i.npz",
+                       "--out", tmp_path / "s.bits") == 2
+        assert f"has dims {dims}, its table set 4 tables" in capsys.readouterr().err
+        assert not (tmp_path / "i.npz").exists()
+
     def test_hyper_without_hyper_artifact_exits_2(self, trained, tmp_path):
         assert run_cli("encode", "--block", trained["block"], "--backend",
                        "switch", "--trained", trained["prefix"],
@@ -1054,6 +1103,21 @@ class TestFailureExits:
                            "--trained", prefix, "--out", tmp_path / "e.bits") == 2
         assert run_cli(*decode) == 4
 
+    def test_older_row_and_column_index_file_exits_4_on_decode(self, two_dim_free, tmp_path,
+                                                                capsys):
+        # the older layout held the row axis in continuous and the column
+        # axis in continuous2; read as one flat axis, its rows would select
+        # other tables
+        flat = np.load(two_dim_free["indexes"])["continuous"] - 1
+        old = tmp_path / "old.npz"
+        np.savez(old, continuous=flat // 3 + 1, continuous2=flat % 3 + 1)
+        capsys.readouterr()
+        assert run_cli("decode", "--stream", two_dim_free["stream"], "--side", two_dim_free["block"],
+                       "--backend", "switch", "--trained", two_dim_free["prefix"],
+                       "--indexes", old, "--out", tmp_path / "d.bin") == 4
+        assert "older layout" in capsys.readouterr().err
+        assert not (tmp_path / "d.bin").exists()
+
     @pytest.mark.parametrize("curve", [{"a": 1e308, "c": 1e308}, {"a": float("inf")},
                                        {"c": float("-inf")}, {"a": True}, {"c": 10 ** 400}],
                              ids=["overflowing", "infinite-a", "infinite-c", "bool", "huge-int"])
@@ -1236,6 +1300,29 @@ class TestBenchReport:
         assert run_cli("bench", "--source", src, "--backends", "dynamic", "--trials", trials,
                        "--out", tmp_path / "b.csv") == 0
         assert calls == {"encode": 2 + trials, "decode": 1 + trials}
+
+    @pytest.mark.parametrize("skip", [False, True], ids=["plain", "skip"])
+    def test_each_timed_switch_decode_derives_its_own_grid(self, skip, tmp_path, monkeypatch):
+        # a decoder derives the grid (and the mask) from side information, so
+        # every timed decode pays for it, as every timed LUT decode pays for
+        # its search
+        received = []
+
+        def recording(stream, indexes, mask, *args):
+            received.append((indexes, mask))
+            return decode(stream, indexes, mask, *args)
+
+        decode = cb.backend_switch_decode
+        monkeypatch.setattr(cb, "backend_switch_decode", recording)
+        src = write_source(tmp_path / "src.json", family="gm", shape=(2, 16, 16), seed=41,
+                           sigma_range=(0.11, 4.0))
+        flags = ["--skip", "--lambda", 4.0] if skip else []
+        assert run_cli("bench", "--source", src, "--backends", "switch", "--m", 3, "--epochs", 20,
+                       *flags, "--trials", 3, "--out", tmp_path / "b.csv") == 0
+        assert len(received) == 4  # the warm-up and three timed calls
+        assert len({id(grid) for grid, _ in received}) == 4
+        if skip:
+            assert len({id(mask) for _, mask in received}) == 4
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_bench_refuses_fewer_than_one_trial(self, trials, tmp_path, capsys):

@@ -104,13 +104,6 @@ class TestRounding:
         logs = log_features(feats)
         assert logs.tolist() == np.log([1e-12, 1e-12, 1e-12, 1.0, 7.5]).tolist()
 
-    def test_harden_2d(self):
-        # each axis of a 2-D grid hardens on its own, then flattens row-major
-        grid = IndexGrid(np.array([0.2, 5.7]), 4, np.array([3.49, 9.0]), 3)
-        assert grid.hardened.tolist() == [1, 4]
-        assert (grid.flat_table_indexes() % 3 + 1).tolist() == [3, 3]
-        assert grid.flat_table_indexes().tolist() == [(1 - 1) * 3 + 2, (4 - 1) * 3 + 2]
-
     @pytest.mark.parametrize("m", [2, 5, 10, 40])
     def test_harden_matches_weight_argmax(self, m):
         """round(clip(i,1,m)) is the argmax of exp(-|i-m'|/tau) off ties."""
@@ -167,48 +160,28 @@ class TestIndexGrid:
         cont = np.array([[[0.1, 2.6], [5.0, 9.9]]])
         grid = IndexGrid.from_continuous(cont, 5)
         assert grid.hardened.tolist() == [[[1, 3], [5, 5]]]
-        assert not grid.is_2d
-        assert grid.table_count == 5
+        assert grid.m == 5
         assert grid.flat_table_indexes().tolist() == [0, 2, 4, 4]
 
-    def test_from_continuous_2d_row_major(self):
-        cont = np.array([[[2.0]]])
-        cont2 = np.array([[[3.0]]])
-        grid = IndexGrid.from_continuous(cont, 3, second=cont2, n=4)
-        assert grid.is_2d
-        assert grid.table_count == 12
-        assert grid.flat_table_indexes().tolist() == [(2 - 1) * 4 + (3 - 1)]
-
     def test_rejects_inconsistent_hardened(self):
-        # the hardened axes derive from the stored flat tables, so they can
-        # be neither passed in nor changed
-        grid = IndexGrid(np.array([[[2.6, 0.2]]]), 5, np.array([[[1.0, 4.4]]]), 4)
+        # the hardened indexes derive from the stored flat tables, so they
+        # can be neither passed in nor changed
+        grid = IndexGrid(np.array([[[2.6, 0.2]]]), 5)
         assert grid.hardened.tolist() == [[[3, 1]]]
-        assert (grid.flat_table_indexes() % 4 + 1).reshape(grid.continuous.shape).tolist() == [[[1, 4]]]
+        assert grid.flat_table_indexes().tolist() == [2, 0]
         with pytest.raises(TypeError):
-            IndexGrid(np.array([2.6]), np.array([2]), 5, None, None)
+            IndexGrid(np.array([2.6]), 5, np.array([2]))
         with pytest.raises(dataclasses.FrozenInstanceError):
             grid.hardened = np.array([[[2, 1]]])
         for view in (grid.hardened, grid.flat_table_indexes()):
             with pytest.raises(ValueError):
                 view[..., 0] = 1
 
-    def test_rejects_partial_second_axis(self):
-        cont = np.array([1.0])
-        with pytest.raises(ValueError):
-            IndexGrid(cont, 3, continuous2=cont)
-        with pytest.raises(ValueError):
-            IndexGrid(cont, 3, n=2)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            IndexGrid(np.array([1.0, 2.0]), 3, np.array([1.0]), 2)
-
     def test_rejects_nan_and_empty_axis(self):
         with pytest.raises(ValueError):
             IndexGrid(np.array([1.0, np.nan]), 3)
         with pytest.raises(ValueError):
-            IndexGrid(np.array([1.0]), 3, np.array([1.0]), 0)
+            IndexGrid(np.array([1.0]), 0)
 
     def test_hardens_each_axis_once(self, monkeypatch):
         calls = []
@@ -218,25 +191,25 @@ class TestIndexGrid:
             return harden_index(i, m)
 
         monkeypatch.setattr(cb, "harden_index", counted)
-        grid = IndexGrid(np.array([[[1.2, 2.7]]]), 3, np.array([[[2.0, 1.0]]]), 2)
-        assert calls == [3, 2]
+        grid = IndexGrid(np.array([[[1.2, 2.7]]]), 3)
+        assert calls == [3]
         assert grid.flat_table_indexes() is grid.flat_table_indexes()
-        assert grid.flat_table_indexes().tolist() == [1, 4]
-        assert calls == [3, 2]
+        assert grid.flat_table_indexes().tolist() == [0, 2]
+        assert calls == [3]
 
     def test_from_tables_inverts_flat_table_indexes(self):
         rng = np.random.default_rng(5)
-        for dims in [(7,), (3, 4)]:
-            tables = rng.integers(0, int(np.prod(dims)), size=24)
-            grid = IndexGrid.from_tables(tables, dims, (2, 3, 4))
-            assert grid.is_2d == (len(dims) == 2)
+        for m in (7, 12):
+            tables = rng.integers(0, m, size=24)
+            grid = IndexGrid.from_tables(tables, m, (2, 3, 4))
+            assert grid.m == m
             assert grid.continuous.shape == (2, 3, 4)
             assert grid.flat_table_indexes().tolist() == tables.tolist()
 
     @pytest.mark.parametrize("tables", [[-1, 0], [0, 12]], ids=["negative", "past-end"])
     def test_from_tables_rejects_tables_outside_the_set(self, tables):
         with pytest.raises(ValueError):
-            IndexGrid.from_tables(tables, (3, 4), (1, 1, 2))
+            IndexGrid.from_tables(tables, 12, (1, 1, 2))
 
 
 class TestSkipMask:
@@ -266,9 +239,9 @@ class TestSkipMask:
         assert SkipMask.for_tables(grid, []).hard.tolist() == [[[1, 1], [1, 1]]]
 
     def test_for_tables_on_a_2d_grid(self):
-        # flat table (i - 1) * n + (j - 1): (2, 3) on a 3 x 4 grid is table 6
-        grid = IndexGrid.from_continuous(np.array([[[2.0, 2.0]]]), 3,
-                                         second=np.array([[[3.0, 4.0]]]), n=4)
+        # a 3 x 4 set is 12 flat tables: one-based index 7 selects table 6,
+        # row-major (2 - 1) * 4 + (3 - 1)
+        grid = IndexGrid.from_continuous(np.array([[[7.0, 8.0]]]), 12)
         assert SkipMask.for_tables(grid, [6]).hard.tolist() == [[[0, 1]]]
 
     @pytest.mark.parametrize("tables", [[-1], [5], [1, 1], [1.0], [True]],
@@ -600,14 +573,11 @@ class TestBackendSwitch:
         assert not decoded[~kept].any()
 
     def test_2d_grid_roundtrip(self):
-        # 2x2 table grid: sigma axis x sigma axis, flat row-major
+        # a 2x2 table grid codes as its 4 flat tables
         table_set = _small_set(sigmas=(0.5, 1.0, 2.0, 4.0))
         block = gen_block(SourceSpec(family="gm", shape=(1, 8, 8), seed=3, sigma_range=(0.4, 4.0)))
         rng = np.random.default_rng(1)
-        grid = IndexGrid.from_continuous(
-            rng.uniform(0.5, 2.5, block.shape), 2,
-            second=rng.uniform(0.5, 2.5, block.shape), n=2,
-        )
+        grid = IndexGrid.from_continuous(rng.uniform(0.5, 4.5, block.shape), 4)
         stream, report = backend_switch(block, grid, None, table_set)
         decoded, _ = backend_switch_decode(stream, grid, None, table_set, block.shape)
         assert np.array_equal(decoded, block.residuals)

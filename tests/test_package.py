@@ -1,6 +1,7 @@
 """The package surface: `swpc` re-exports every submodule's `__all__`."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -196,3 +197,26 @@ def test_only_cdf_tables_builds_tables_from_window_masses():
             if name in ("WINDOW_PMF", "cumulative_rows") and isinstance(node.ctx, ast.Load):
                 readers.append(f"{path.name}: {name} (line {node.lineno})")
     assert not readers, f"modules other than cdf_tables that read the window-table parts: {readers}"
+
+
+# Fields that no code of their module reads, each with its reason.
+UNREAD_FIELDS = {
+    # training draws no random numbers; perfbench/workloads.py still passes it
+    ("TrainConfig", "seed"),
+}
+
+
+@pytest.mark.parametrize("module, cls, var", [("prior_trainer", "TrainConfig", "config"),
+                                              ("synth_source", "SourceSpec", "spec")])
+def test_every_config_field_is_read(module, cls, var):
+    """A settable field that its module never reads as `var.<field>` is a
+    knob that changes nothing: every field of TrainConfig and SourceSpec is
+    read by the code that takes them, but for UNREAD_FIELDS."""
+    mod = importlib.import_module(f"swpc.{module}")
+    read = {node.attr for node in ast.walk(ast.parse(Path(mod.__file__).read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == var}
+    fields = {f.name for f in dataclasses.fields(getattr(mod, cls))}
+    unread = sorted(name for name in fields - read if (cls, name) not in UNREAD_FIELDS)
+    assert not unread, f"{cls} fields that swpc.{module} never reads as {var}.<field>: {unread}"
+    assert {name for c, name in UNREAD_FIELDS if c == cls} <= fields - read

@@ -698,10 +698,22 @@ class TestSkipLoss:
             pt.skip_loss(block, ps, indexes, mask, -0.1, 0.4, 0.3)
         with pytest.raises(ValueError):
             pt.skip_loss(block, ps, indexes, mask[:, :4], 0.5, 0.4, 0.3)
-        grid2 = cb.IndexGrid.from_continuous(
-            indexes.continuous, ps.m, second=indexes.continuous, n=3)
+        grid2 = cb.IndexGrid.from_continuous(indexes.continuous, ps.m * 3)
         with pytest.raises(ValueError):
             pt.skip_loss(block, ps, grid2, mask, 0.5, 0.4, 0.3)
+
+    def test_refuses_a_grid_over_another_table_count(self):
+        # a grid over 5 tables would code a 4-prior set as if its indexes
+        # were fine, with hardened index 5 matching no prior
+        block = ss.gen_block(ss.SourceSpec(family="gm", shape=(1, 8, 8), seed=1))
+        ps = gm_set(1.0, 2.0, 3.0, 4.0)
+        mask = np.full(block.shape, 0.5)
+        cont = np.full(block.shape, 3.0)
+        assert np.isfinite(pt.skip_loss(block, ps, cb.IndexGrid(cont, 4), mask, 0.01, 0.4, 0.3))
+        for m in (3, 5):
+            for objective in (pt.skip_loss, pt.skip_loss_grads):
+                with pytest.raises(ValueError, match="table count"):
+                    objective(block, ps, cb.IndexGrid(cont, m), mask, 0.01, 0.4, 0.3)
 
     @pytest.mark.parametrize("seed", range(1, 6))
     @pytest.mark.parametrize("lambda_", [float("nan"), float("inf"), -0.1])
@@ -825,6 +837,9 @@ class TestTrainConfig:
                            predictor_mode="nope")
         with pytest.raises(ValueError):
             pt.TrainConfig(family="gm", dims=(2, 3), epochs=5)
+        for skip in (0, 1, 150, "yes", None, np.True_):  # a switch, not a count
+            with pytest.raises(ValueError, match="skip must be True or False"):
+                pt.TrainConfig(family="gm", dims=(2,), epochs=5, skip=skip)
 
     def test_flat_count(self):
         assert pt.TrainConfig(family="gmm", dims=(4, 3), epochs=1).flat_count == 12
@@ -963,9 +978,10 @@ class TestTrainPriors:
         assert isinstance(res.prior_set, pt.PriorSet2D)
         assert res.loss_trace[-1] <= res.loss_trace[0]
         g = res.indexes
-        assert g.n == 3
-        assert g.hardened.min() >= 1 and g.hardened.max() <= 4
-        second = g.flat_table_indexes() % g.n + 1
+        assert g.m == 12
+        first = g.flat_table_indexes() // 3 + 1
+        assert first.min() >= 1 and first.max() <= 4
+        second = g.flat_table_indexes() % 3 + 1
         assert second.min() >= 1 and second.max() <= 3
         tabs = pt.export_tables(res.prior_set)
         assert len(tabs.tables) == 12
@@ -978,7 +994,7 @@ class TestTrainPriors:
         blk = ss.gen_block(ss.SourceSpec(family="gm", shape=(2, 30, 30),
                                          seed=61, sigma_range=(0.11, 4.0)))
         cfg = pt.TrainConfig(family="gm", dims=(4,), epochs=200, seed=5,
-                             skip_epochs=150, lambda_=4.0)
+                             skip=True, lambda_=4.0)
         res = pt.train_priors([blk], cfg)
         assert res.skip_head is not None
         mask = res.skip_head.hard_mask()
@@ -994,7 +1010,7 @@ class TestTrainPriors:
         blk = ss.gen_block(ss.SourceSpec(family="gm", shape=(2, 30, 30),
                                          seed=61, sigma_range=(0.11, 4.0)))
         lam = 1.0  # the third table then sits near the margin: 1,168 bits coded, 1,041 skipped
-        cfg = pt.TrainConfig(family="gm", dims=(4,), epochs=60, seed=5, skip_epochs=1,
+        cfg = pt.TrainConfig(family="gm", dims=(4,), epochs=60, seed=5, skip=True,
                              lambda_=lam, predictor_mode="calibration-curve")
         res = pt.train_priors([blk], cfg)
         idx = res.indexes.flat_table_indexes()
@@ -1016,7 +1032,7 @@ class TestTrainPriors:
     def test_skip_mask_carries_over_to_another_grid(self):
         blk = ss.gen_block(ss.SourceSpec(family="gm", shape=(2, 30, 30),
                                          seed=61, sigma_range=(0.11, 4.0)))
-        cfg = pt.TrainConfig(family="gm", dims=(4,), epochs=40, seed=5, skip_epochs=1,
+        cfg = pt.TrainConfig(family="gm", dims=(4,), epochs=40, seed=5, skip=True,
                              lambda_=4.0, predictor_mode="calibration-curve")
         head = pt.train_priors([blk], cfg).skip_head
         other = cb.IndexGrid.from_continuous(np.array([[[1.0, 2.0, 3.0, 4.0, 2.4]]]), 4)
@@ -1152,7 +1168,7 @@ class TestFrozenPriorSets:
         digest, selected, curve = self.HYPER[mode]
         blk = ss.gen_block(ss.SourceSpec("gm", (2, 32, 32), seed=5))
         z = ss.gen_block(ss.SourceSpec("gm", (3, 8, 8), seed=6, sigma_range=(0.5, 6)))
-        cfg = pt.TrainConfig(family="gm", dims=(6,), epochs=30, skip_epochs=1, lambda_=0.05,
+        cfg = pt.TrainConfig(family="gm", dims=(6,), epochs=30, skip=True, lambda_=0.05,
                              predictor_mode=mode)
         res = pt.train_priors([blk], cfg, z_block=z)
         tables = pt.export_tables(res.prior_set)
