@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swpc.prob_models import FAMILY_PARAMS, MAX_RADIUS, WINDOW_PMF, ProbModel, pmf_integer
+from swpc.prob_models import (FAMILY_PARAMS, MAX_RADIUS, WINDOW_PMF, ProbModel, check_family_params,
+                              pmf_integer)
 
 __all__ = [
     "TOTAL_FREQ",
@@ -302,18 +303,22 @@ def table_set_16bit_bytes(table_set: CdfTableSet) -> int:
 
 
 def _first_in_order(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mask of each row's counts[i] smallest keys, ties to the earlier
-    position: what a stable ascending sort would rank first, found by
-    selection.  Every count is at least 1 and below the row length."""
-    k = int(counts.max())
-    head = np.partition(keys, k - 1, axis=-1)[:, :k]
-    head.sort(axis=-1)
-    cut = np.take_along_axis(head, counts[:, None] - 1, axis=-1)
-    below = keys < cut
-    at = keys == cut
-    # at the cut, the earliest positions take the counts left
-    left = counts - below.sum(axis=-1)
-    return below | (at & (np.cumsum(at, axis=-1) <= left[:, None]))
+    """Mask of each row's counts[i] smallest keys.  Every count is at least
+    1 and below the row length, and a row's counts[i]-th smallest key equals
+    none of its other keys.  A sort of the int64 keys beats a partition and
+    a sort of the partition's head (numpy 2.4's SIMD sort)."""
+    cut = np.sort(keys, axis=-1)[np.arange(len(keys)), counts - 1]
+    return keys <= cut[:, None]
+
+
+# A remainder of an interval not raised to 1 is a multiple of 2^-52 below 1
+# (its share is at least 1), so remainder * 2^62 is an exact multiple of 2^10
+# below 2^62.  With the interval's position (at most 256) added, one int64
+# key orders a row by remainder and its ties by position, and no two of a
+# row's keys are equal.  A raised interval's remainder, its share less 1,
+# is at most -2^-53: scaled, at most -2^9.
+_REM_SCALE = 2.0 ** 62
+_NEVER = 1 << 62  # above every key of an interval that may be picked
 
 
 def allocate_frequencies(masses: np.ndarray) -> np.ndarray:
@@ -324,7 +329,8 @@ def allocate_frequencies(masses: np.ndarray) -> np.ndarray:
     fractional remainders (ties toward the earlier position); counts
     over-committed by the raise-to-1 step are taken back from the smallest
     remainders among intervals that can spare them.  Rows are independent;
-    a zero row falls back to uniform.
+    a zero row falls back to uniform.  ValueError on a NaN or negative mass,
+    or on a row whose total is not finite.
     """
     masses = np.asarray(masses, dtype=np.float64)
     squeeze = masses.ndim == 1
@@ -333,53 +339,94 @@ def allocate_frequencies(masses: np.ndarray) -> np.ndarray:
     n_int = masses.shape[-1]
     if n_int > 256:
         raise CapacityError(f"{n_int} intervals exceed the 256 cap")
-    freqs = _allocate(masses, masses.sum(axis=-1, keepdims=True), n_int)
+    with np.errstate(over="ignore"):  # a total past float range is refused, not warned about
+        total = masses.sum(axis=-1, keepdims=True)
+    freqs = _allocate(masses, total)
     return freqs[0] if squeeze else freqs
 
 
-def _allocate(masses, total, n_int, valid=None):
-    """allocate_frequencies of rows of masses that sum to `total` (a column)
-    over n_int intervals each.  With a `valid` mask, a row's intervals are
-    its valid entries only: its other entries must hold 0, get 0 counts,
-    and no total may be 0."""
-    norm = np.where(total > 0, masses / np.where(total > 0, total, 1.0), 1.0 / n_int)
-    raw = TOTAL_FREQ * norm
-    base = np.floor(raw).astype(np.int64)
-    frac = raw - base
-    bumped = base < 1
-    freqs = np.maximum(base, 1)
-    if valid is not None:
-        freqs *= valid
-    deficit = TOTAL_FREQ - freqs.sum(axis=-1)
+def _check_masses(masses, total):
+    """ValueError naming the fault unless every mass is a nonnegative number
+    and every row total (a column) is finite: one min and one total check."""
+    low = masses.min(initial=0.0)
+    if low >= 0 and np.isfinite(total).all():
+        return
+    if np.isnan(low):
+        raise ValueError("masses must be numbers, not NaN")
+    if low < 0:
+        raise ValueError(f"masses must be nonnegative, got {low}")
+    raise ValueError("a row of masses has no finite total: an infinite mass, or a sum past float range")
+
+
+def _allocate(masses, total, outside=0):
+    """allocate_frequencies of rows of masses that sum to `total` (a column).
+    With `outside` (one count per row), row i's intervals are all but
+    outside[i] zero entries, which keep a count of 1 that is no part of the
+    row's 2^16 and that the caller does not read; such a row's total may
+    not be 0.
+
+    One pass takes each share's floor, raised to 1, and its remainder; only
+    the rows with counts to give or to take back go on.  Giving picks each
+    row's largest remainders with one sort of unique int64 keys.  Taking
+    back settles most rows in closed form, owe // spare full rounds, and
+    bisects only where an interval runs dry first; the last, partial round
+    picks the smallest remainders as giving does."""
+    _check_masses(masses, total)
+    zero = np.flatnonzero(total <= 0)
+    raw = masses / np.where(total > 0, total, 1.0)
+    if zero.size:
+        raw[zero] = 1.0 / masses.shape[-1]
+    raw *= TOTAL_FREQ
+    freqs = raw.astype(np.int64)  # the floor of a nonnegative share
+    np.maximum(freqs, 1, out=freqs)
+    # each interval's remainder: its fraction unless it was raised to 1, when
+    # it is negative, below every fraction
+    rem = np.subtract(raw, freqs, out=raw)
+    pos = np.arange(masses.shape[-1])  # the tie-break of the keys
+    sums = freqs.sum(axis=-1)
+    deficit = TOTAL_FREQ - sums + np.ravel(outside)
     # only the rows with counts left to give, or to take back, are looked at
-    rows = np.nonzero(deficit > 0)[0]
+    rows = np.flatnonzero(deficit > 0)
     if rows.size:
-        # largest remainders first; bumped intervals (and invalid ones) are
-        # never taken, as a row owes fewer counts than it has other intervals
-        freqs[rows] += _first_in_order(np.where(bumped[rows], 1.0, -frac[rows]), deficit[rows])
-    rows = np.nonzero(deficit < 0)[0]
+        # largest remainders first; raised intervals (and those outside the
+        # window) are never taken, as a row owes fewer counts than it has
+        # other intervals
+        keys = np.subtract(pos, (rem[rows] * _REM_SCALE).astype(np.int64))
+        freqs[rows] += _first_in_order(keys, deficit[rows])
+    rows = np.flatnonzero(deficit < 0)
     if rows.size:
         # take back round-robin from smallest remainders, 1 per interval per
-        # round, never below 1 count: rounds solved in closed form.  The
-        # spare capacity 2^16 + owe - n exceeds owe, so owe + 1 rounds
-        # would take more than owe: the round count is at most owe.
+        # round, never below 1 count: rounds solved in closed form.  After L
+        # full rounds a row keeps sum(max(f - L, 1)) of its counts f, and the
+        # rounds fit while that is at least what it must keep.  The spare
+        # capacity 2^16 + owe - n exceeds owe, so some interval can spare a
+        # count, and owe + 1 rounds would take more than owe.
+        f = freqs[rows]
         owe = -deficit[rows]
-        cap = np.maximum(freqs[rows] - 1, 0)
-        lo = np.zeros(len(owe), np.int64)
-        hi = owe.copy()
-        while np.any(lo < hi):
-            mid = (lo + hi + 1) >> 1
-            fits = np.minimum(cap, mid[:, None]).sum(axis=-1) <= owe
-            lo = np.where(fits, mid, lo)
-            hi = np.where(fits, hi, mid - 1)
-        take = np.minimum(cap, lo[:, None])
-        rem = owe - take.sum(axis=-1)
+        need = sums[rows] - owe
+        # while no interval runs dry, a round takes one count from each of
+        # the `spare` intervals: owe // spare rounds fit, and one more fits
+        # only past an interval that runs dry, so most rows settle here
+        lo = owe // (f > 1).sum(axis=-1)
+        kept = np.maximum(f - lo[:, None], 1)
+        more = np.flatnonzero(np.maximum(kept - 1, 1).sum(axis=-1) >= need)
+        if more.size:
+            # the rest bisect over [lo + 1, owe] for the most rounds that fit
+            c, o = f[more], need[more]
+            a, b = lo[more] + 1, owe[more]
+            while np.any(a < b):
+                mid = (a + b + 1) >> 1
+                fits = np.maximum(c - mid[:, None], 1).sum(axis=-1) >= o
+                a = np.where(fits, mid, a)
+                b = np.where(fits, b, mid - 1)
+            kept[more] = np.maximum(c - a[:, None], 1)
+        left = kept.sum(axis=-1) - need
         # the last, partial round: fewer than the intervals it could take from
-        last = np.nonzero(rem)[0]
+        last = np.flatnonzero(left)
         if last.size:
-            part = cap[last] > lo[last, None]
-            take[last] += _first_in_order(np.where(part, frac[rows[last]], np.inf), rem[last])
-        freqs[rows] -= take
+            keys = np.where(kept[last] > 1, (rem[rows[last]] * _REM_SCALE).astype(np.int64) + pos, _NEVER)
+            kept[last] -= _first_in_order(keys, left[last])
+        freqs[rows] = kept
     return freqs
 
 
@@ -394,7 +441,12 @@ def cumulative_rows(masses: np.ndarray, radii, out=None) -> np.ndarray:
     outside its window are never read.  Each row's sums run over its own
     bins in order, so a row gets the same table whatever the other rows
     are.  ValueError unless the width is odd and radii holds one integer in
-    [0, R] per row.
+    [0, R] per row, and on a NaN or negative bin or a row whose total is not
+    finite.
+
+    The rows are copied left-aligned into one array, a lead cell before
+    each: every run of rows with one radius takes its sums, and its
+    cumulative rows are one running sum from the lead cell on.
     """
     masses = np.asarray(masses, dtype=np.float64)
     n, width = masses.shape
@@ -404,27 +456,29 @@ def cumulative_rows(masses: np.ndarray, radii, out=None) -> np.ndarray:
     if (radii.shape != (n,) or (n and radii.dtype.kind not in "iu") or width % 2 == 0
             or np.any(radii < 0) or np.any(radii > width // 2)):
         raise ValueError(f"radii must be integers in [0, {width // 2}], one per row of odd width {width}")
-    radii = radii.astype(np.int64)
-    first, count = width // 2 - radii, 2 * radii + 1
-    cols = np.arange(width + 1)
-    valid = (cols >= first[:, None]) & (cols <= (first + count)[:, None])
-    padded = np.zeros((n, width + 1))  # each row's bins, then its tail
-    np.copyto(padded[:, :width], masses, where=valid[:, :width])
+    count = 2 * radii.astype(np.int64) + 1
     bounds = [0, *(np.flatnonzero(np.diff(count)) + 1).tolist(), n]
-    runs = [(i, j, int(first[i]), int(count[i])) for i, j in zip(bounds[:-1], bounds[1:]) if i < j]
+    runs = [(i, j, int(count[i])) for i, j in zip(bounds[:-1], bounds[1:]) if i < j]
+    # row i, left-aligned: a lead cell, its bins, its tail, then zeros
+    padded = np.zeros((n, width + 2))
     total = np.empty((n, 1))
-    for i, j, f, c in runs:  # rows with one window
-        row = padded[i:j, f : f + c + 1]
-        np.maximum(0.0, 1.0 - row[:, :c].sum(axis=-1), out=row[:, c])
-        row.sum(axis=-1, out=total[i:j, 0])
-    freqs = _allocate(padded, total, (count + 1)[:, None], valid)
+    with np.errstate(over="ignore"):  # a total past float range is refused, not warned about
+        for i, j, c in runs:  # rows with one window
+            bins = padded[i:j, 1 : c + 1]
+            bins[:] = masses[i:j, (width - c) // 2 : (width + c) // 2]
+            bins.sum(axis=-1, out=total[i:j, 0])
+        # each row's tail, then its total over bins and tail
+        padded[np.arange(n), count + 1] = np.maximum(0.0, 1.0 - total[:, 0])
+        for i, j, c in runs:
+            padded[i:j, 1 : c + 2].sum(axis=-1, out=total[i:j, 0])
+    freqs = _allocate(padded, total, width - count + 1)
+    freqs[:, 0] = 0  # each row's leading 0
     if out is None:
         out = np.empty(int(np.sum(count + 2)), np.int64)
     start = 0
-    for i, j, f, c in runs:
+    for i, j, c in runs:
         block = out[start : start + (j - i) * (c + 2)].reshape(j - i, c + 2)
-        block[:, 0] = 0
-        np.cumsum(freqs[i:j, f : f + c + 1], axis=-1, out=block[:, 1:])
+        np.cumsum(freqs[i:j, : c + 2], axis=-1, out=block)
         start += block.size
     return out
 
@@ -432,8 +486,10 @@ def cumulative_rows(masses: np.ndarray, radii, out=None) -> np.ndarray:
 # Cells (rows times the widest row's 2r + 2) per batch of window_tables: a
 # batch's float64 temporaries are 256 KiB each (a mixture's masses, one per
 # component), whatever the radii.  On the seed-1 (4,64,64) ggm block, 2^14,
-# 2^15 and 2^16 cells built the dynamic tables in 91, 86 and 86 ms on one
-# core of a 2-vCPU Xeon, at tracemalloc peaks of 6.7, 8.4 and 11.2 MiB.
+# 2^15 and 2^16 cells built the dynamic tables in 68, 65 and 65 ms on one
+# core of a 2-vCPU Xeon (numpy 2.4, scipy 1.17; 40 ms of each is the
+# incomplete gamma), at tracemalloc peaks of 6.3, 7.0 and 8.7 MiB per
+# dynamic encode.
 _BATCH_CELLS = 1 << 15
 
 
@@ -442,11 +498,18 @@ def window_tables(family: str, radii, params) -> tuple[np.ndarray, np.ndarray]:
     for the parameters params[.][i] (one array per FAMILY_PARAMS name),
     starts at flat[rows[i]].  The tables lie in a stable sort by radius and
     are built in batches of at most _BATCH_CELLS cells, one WINDOW_PMF and
-    one cumulative_rows call each; a table's bytes depend on its row only."""
+    one cumulative_rows call each; a table's bytes depend on its row only.
+    ParameterDomainError unless the parameters pass check_family_params;
+    ValueError on a negative radius, CapacityError on one past MAX_RADIUS."""
     radii = np.asarray(radii, np.int64)
     params = [np.asarray(p, np.float64) for p in params]
+    check_family_params(family, params)
     window = WINDOW_PMF[family]
-    order = np.argsort(radii, kind="stable")
+    if radii.size and radii.min() < 0:
+        raise ValueError("radii must be >= 0")
+    if radii.size and radii.max() > MAX_RADIUS:
+        raise CapacityError(f"radius {radii.max()} needs {2 * radii.max() + 1} coded symbols; cap is 255")
+    order = np.argsort(radii.astype(np.uint8), kind="stable")  # a radix sort
     sorted_r = radii[order]
     lengths = 2 * sorted_r + 3  # cumulative entries per table
     ends = np.cumsum(lengths)

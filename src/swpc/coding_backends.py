@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from swpc.cdf_tables import CdfTableSet, LutGrid, lut_search, serialized_size, window_tables
-from swpc.prob_models import FAMILY_PARAMS, MAX_RADIUS, SUPPORT_RADIUS
+from swpc.prob_models import FAMILY_PARAMS, MAX_RADIUS, SUPPORT_RADIUS, check_family_params
 from swpc.rans_coder import Bitstream, StreamError, decode_elementwise, encode, encode_elementwise
 from swpc.rans_coder import decode as rans_decode
 
@@ -133,25 +133,18 @@ class LatentBlock:
 
 
 def _check_truth(params: dict, shape: tuple):
-    """The block shape, and per element the rules GaussianParams,
-    GeneralizedGaussianParams and GmmParams state for one model: every value
-    finite, every parameter but a mixture mean > 0, and each element's
-    mixture weights summing to 1 within 1e-9."""
+    """The block shape, and per element the rules check_family_params
+    states for one model."""
     family = params.get("family")
     names = FAMILY_PARAMS.get(family) if isinstance(family, str) else None
     if names is None:
         raise ValueError(f"unknown truth family {family!r}")
     ndim = len(shape) + ("weights" in names)  # a mixture adds a component axis
-    for key in names:
-        arr = np.asarray(params.get(key))
+    values = [np.asarray(params.get(key)) for key in names]
+    for key, arr in zip(names, values):
         if arr.ndim != ndim or arr.shape[:len(shape)] != shape:
             raise ValueError(f"truth_params[{key!r}] does not match the block shape")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"truth_params[{key!r}] must be finite")
-        if key != "means" and not np.greater(arr, 0).all():
-            raise ValueError(f"truth_params[{key!r}] must be > 0")
-    if "weights" in names and not np.all(np.abs(np.sum(params["weights"], axis=-1) - 1.0) <= 1e-9):
-        raise ValueError("truth_params['weights'] must sum to 1 within 1e-9 at every element")
+    check_family_params(family, values, "truth_params")
 
 
 @dataclass(frozen=True)

@@ -985,9 +985,6 @@ def _train_skip(symbols, rates, inverse, indexes, lambda_):
 def export_tables(prior_set: PriorSet1D | PriorSet2D) -> CdfTableSet:
     """One quantized table per prior, row-major for grids; deterministic."""
     params = _coord_params(prior_set.family, prior_set.params.reshape(-1, prior_set.params.shape[-1]))
-    # the last parameter is the scale, which exp can overflow or underflow
-    if not all(np.isfinite(p).all() for p in params) or (params[-1] <= 0).any():
-        raise ParameterDomainError("prior coordinates map outside the model parameter domain")
     n = len(params[0])
     flat, _ = window_tables(prior_set.family, np.full(n, MAX_RADIUS), [p[:, 0] for p in params])
     meta = {"family": prior_set.family, "dims": list(prior_set.params.shape[:-1])}

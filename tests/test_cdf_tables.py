@@ -46,7 +46,7 @@ from swpc.cdf_tables import (
     table_set_16bit_bytes,
     tables_from_masses,
 )
-from swpc.prob_models import ProbModel, gaussian_integer_pmf, ggm_integer_pmf
+from swpc.prob_models import ParameterDomainError, ProbModel, gaussian_integer_pmf, ggm_integer_pmf
 from wire_v1 import serialize_v1
 
 TOTAL = 1 << 16
@@ -243,6 +243,119 @@ def test_allocate_ties_at_the_cut_match_the_oracle():
     for n in {len(m) for m in rows}:
         batch = np.array([m for m in rows if len(m) == n])
         assert allocate_frequencies(batch).tolist() == [lr_allocate(list(m)) for m in batch]
+
+
+def _branches(masses):
+    """The branches lr_allocate takes on a row, by its own rule: "zero" (the
+    uniform fallback), "give", "take" with "no full round" or with "full
+    rounds" and a partial last one, "runs dry" when a full round leaves an
+    interval at one count, and a "tie" at the cut of "give" or "take"
+    (where only the position decides, as in _tie_at_cut)."""
+    total = sum(masses)
+    if total <= 0:
+        return {"zero"}
+    raw = [TOTAL * (m / total) for m in masses]
+    f = [max(1, math.floor(r)) for r in raw]
+    deficit = TOTAL - sum(f)
+    tie = _tie_at_cut(masses)
+    branches = {f"{tie} tie"} if tie else set()
+    if deficit >= 0:
+        return branches | ({"give"} if deficit else set())
+    owe, rounds = -deficit, 0
+    while owe >= len([x for x in f if x >= 2]):
+        owe -= len([x for x in f if x >= 2])
+        if 2 in f:
+            branches.add("take, an interval runs dry")
+        f = [x - (x >= 2) for x in f]
+        rounds += 1
+    if owe:
+        branches.add("take, full rounds and a partial one" if rounds else "take, no full round")
+    return branches
+
+
+def test_windowed_batch_matches_the_oracle_in_every_branch():
+    # one cumulative_rows batch of windows at mixed radii, each row against
+    # lr_allocate over its own bins and tail; the rows reach every branch of
+    # the allocator, and a batch of whole rows through allocate_frequencies
+    # adds the zero rows' uniform fallback
+    rng = np.random.default_rng(32)
+    rows = []
+    for radius in [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 127] * 3:
+        ks = np.arange(-radius, radius + 1)
+        for sigma in np.exp(rng.uniform(np.log(0.05), np.log(60.0), 6)):
+            rows.append((radius, gaussian_integer_pmf(ks, sigma)))
+        for beta, alpha in zip(rng.uniform(0.5, 3.0, 4), np.exp(rng.uniform(np.log(0.01), np.log(40.0), 4))):
+            rows.append((radius, ggm_integer_pmf(ks, beta, alpha)))
+        # most of the mass on two or three bins of a window: many rounds
+        # back, and with a few bins of two counts, rounds that run them dry
+        spike = np.full(2 * radius + 1, 1e-9)
+        spike[radius : radius + 3] = [0.25, 0.7, 0.05][: radius + 1]
+        rows.append((radius, spike))
+        if radius >= 3:
+            dry = np.full(2 * radius + 1, 1e-12)
+            dry[:3] = 2.5 / TOTAL
+            dry[radius : radius + 2] = [0.5, 0.5 - 7.5 / TOTAL]
+            rows.append((radius, dry))
+    radii = np.array([r for r, _ in rows])
+    order = np.argsort(radii, kind="stable")
+    radii = radii[order]
+    masses = np.zeros((len(rows), 2 * 127 + 1))
+    for i, j in enumerate(order):
+        masses[i, 127 - radii[i] : 128 + radii[i]] = rows[j][1]
+    flat = ct.cumulative_rows(masses, radii)
+    hit = set()
+    start = 0
+    for row, r in zip(masses, radii.tolist()):
+        bins = row[127 - r : 128 + r]
+        window = [*bins, max(0.0, 1.0 - bins.sum())]
+        hit |= _branches(window)
+        assert np.diff(flat[start : start + 2 * r + 3]).tolist() == lr_allocate(window)
+        start += 2 * r + 3
+    whole = np.array([np.append(row, max(0.0, 1.0 - row.sum())) for row in masses[radii == 127]])
+    whole[::5] = 0.0
+    hit |= set().union(*map(_branches, whole))
+    assert allocate_frequencies(whole).tolist() == [lr_allocate(list(m)) for m in whole]
+    assert hit == {"give", "give tie", "take, no full round", "take, full rounds and a partial one",
+                   "take, an interval runs dry", "take tie", "zero"}, hit
+
+
+@pytest.mark.parametrize("masses, fault", [
+    ([np.nan, 0.5, 0.2], "NaN"),
+    ([-0.5, 1.0, 0.5], "nonnegative"),
+    ([np.inf, 1.0], "finite total"),
+    ([1e308, 1e308], "finite total"),
+], ids=["nan", "negative", "inf", "total-overflows"])
+def test_bad_masses_are_refused(masses, fault):
+    # a NaN row total fell back to uniform (a uniform table through
+    # cumulative_rows), a negative mass took one count, and an infinite
+    # total raised numpy's "kth out of bounds"
+    with pytest.raises(ValueError, match=fault):
+        allocate_frequencies(np.array(masses))
+    padded = np.array([masses + [0.0]]) if len(masses) % 2 == 0 else np.array([masses])
+    radius = len(padded[0]) // 2
+    with pytest.raises(ValueError, match=fault):
+        ct.cumulative_rows(padded, [radius])
+    with pytest.raises(ValueError, match=fault):
+        tables_from_masses(padded, radius)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("gm", [[np.nan]]), ("gm", [[-1.0]]), ("gm", [[0.0]]), ("ggm", [[np.nan], [1.0]]),
+    ("ggm", [[1.0], [np.inf]]), ("gmm", [[[0.5, 0.6]], [[0.0, 1.0]], [[1.0, 1.0]]]),
+    ("gmm", [[[0.5, 0.5]], [[np.nan, 1.0]], [[1.0, 1.0]]]),
+], ids=["gm-nan", "gm-negative", "gm-zero", "ggm-beta-nan", "ggm-alpha-inf", "gmm-weights-sum",
+        "gmm-mean-nan"])
+def test_window_tables_refuse_parameters_outside_the_model_domain(family, params):
+    # a NaN sigma gave a uniform table, and a sigma of -1 one all on its tail
+    with pytest.raises(ParameterDomainError):
+        ct.window_tables(family, [3], params)
+
+
+@pytest.mark.parametrize("radius, error", [(-1, ValueError), (128, CapacityError), (256, CapacityError)])
+def test_window_tables_refuse_radii_off_the_cap(radius, error):
+    # radii are sorted as uint8: one past the cap must not wrap to a small one
+    with pytest.raises(error):
+        ct.window_tables("gm", [3, radius], [[1.0, 2.0]])
 
 
 def test_cumulative_rows_of_no_rows():

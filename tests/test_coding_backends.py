@@ -36,7 +36,13 @@ from swpc.coding_backends import (
     restore_pruned_channels,
     round_half_away,
 )
-from swpc.prob_models import FAMILY_PARAMS, GaussianParams, ProbModel, gaussian_integer_pmf
+from swpc.prob_models import (
+    FAMILY_PARAMS,
+    GaussianParams,
+    ParameterDomainError,
+    ProbModel,
+    gaussian_integer_pmf,
+)
 from swpc.rans_coder import Bitstream, StreamError, encode
 from swpc.synth_source import SourceSpec, gen_block, oracle_rate
 
@@ -454,6 +460,22 @@ class TestBackendDynamic:
         block = LatentBlock(np.zeros((1, 2, 2), np.int64), np.zeros((1, 2, 2)), np.ones((1, 2, 2)))
         with pytest.raises(ValueError):
             backend_dynamic(block)
+
+    @pytest.mark.parametrize("family, name, value", [
+        ("ggm", "beta", np.nan), ("ggm", "alpha", np.nan), ("gm", "sigma", np.nan), ("gm", "sigma", -1.0),
+        ("gmm", "sigmas", np.nan), ("gmm", "weights", 0.0),
+    ])
+    def test_decode_refuses_truth_outside_the_model_domain(self, family, name, value):
+        # the decoder reads truth arrays that no LatentBlock has checked: a
+        # NaN beta raised an IndexError from the window kernel, a NaN sigma
+        # "radii must be integers", and a sigma of -1 put the table on its tail
+        block = gen_block(SourceSpec(family=family, shape=(1, 4, 4), seed=2))
+        stream, _ = backend_dynamic(block)
+        truth = {key: np.array(block.truth_params[key]) for key in FAMILY_PARAMS[family]}
+        truth["family"] = family
+        truth[name][0, 1, 2] = value
+        with pytest.raises(ParameterDomainError):
+            backend_dynamic_decode(stream, truth, block.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -531,6 +531,40 @@ def test_support_edge_beyond_int64_reaches_the_cap():
         assert pm.ggm_support_radius(np.array([0.06, 0.12]), 0.01).tolist() == [127, 127]
 
 
+@pytest.mark.parametrize("kernel, params", [
+    ("gm", (np.array([1.0, np.nan]),)),
+    ("ggm", (np.array([np.nan, 1.5]), np.array([1.0, 2.0]))),
+    ("ggm", (np.array([1.5, 1.5]), np.array([np.nan, 2.0]))),
+    ("ggm", (np.array([-1.0]), np.array([1.0]))),
+    ("gmm", (np.full((2, 2), 0.5), np.array([[0.0, np.nan], [1.0, 2.0]]), np.ones((2, 2)))),
+], ids=["gm-nan-sigma", "ggm-nan-beta", "ggm-nan-alpha", "ggm-negative-beta", "gmm-nan-mean"])
+def test_support_radius_refuses_a_nan_edge(kernel, params):
+    # a NaN edge was cast to -9223372036854775808 for a radius
+    with pytest.raises(ParameterDomainError, match="NaN"):
+        pm.SUPPORT_RADIUS[kernel](*params)
+
+
+@pytest.mark.parametrize("family, values, message", [
+    ("gm", [[1.0, np.nan]], "sigma must be finite"),
+    ("gm", [[1.0, -2.0]], "sigma must be > 0"),
+    ("ggm", [[0.0], [1.0]], "beta must be > 0"),
+    ("ggm", [[1.0], [np.inf]], "alpha must be finite"),
+    ("gmm", [[[0.5, 0.5]], [[-3.0, np.nan]], [[1.0, 1.0]]], "means must be finite"),
+    ("gmm", [[[0.5, 0.6]], [[-3.0, 3.0]], [[1.0, 1.0]]], "weights must sum to 1"),
+    ("gmm", [[[1.5, -0.5]], [[-3.0, 3.0]], [[1.0, 1.0]]], "weights must be > 0"),
+], ids=["gm-nan", "gm-negative", "ggm-zero-beta", "ggm-inf-alpha", "gmm-nan-mean", "gmm-weights-sum",
+        "gmm-negative-weight"])
+def test_family_params_outside_the_model_domain_are_named(family, values, message):
+    with pytest.raises(ParameterDomainError, match=message):
+        pm.check_family_params(family, [np.array(v) for v in values])
+
+
+def test_family_params_inside_the_model_domain_pass():
+    pm.check_family_params("gm", [np.array([0.1, 60.0])])
+    pm.check_family_params("ggm", [np.array([0.5, 3.0]), np.array([0.01, 60.0])])
+    pm.check_family_params("gmm", [np.array([[0.25, 0.75]]), np.array([[-3.0, 0.0]]), np.array([[0.5, 2.0]])])
+
+
 @pytest.mark.parametrize("alpha", [0.01, 0.3, 5.0])
 def test_support_radius_never_grows_with_beta(alpha):
     # a larger shape gives a lighter tail at fixed alpha
