@@ -541,7 +541,8 @@ def quantize_pmf(model: ProbModel, support_radius: int = MAX_RADIUS) -> Quantize
 
 def tables_from_masses(masses: np.ndarray, radius: int) -> list[QuantizedCdfTable]:
     """Vectorized quantize_pmf: one table per row of the 2 radius + 1
-    coded-bin masses over [-radius, radius]; ValueError at another width."""
+    coded-bin masses over [-radius, radius]; ValueError at another width,
+    and on the masses cumulative_rows refuses."""
     n, width = np.shape(masses)
     if width != 2 * radius + 1:
         raise ValueError(f"rows of {width} masses are not the {2 * radius + 1} bins of radius {radius}")
